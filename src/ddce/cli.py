@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ESTIMATOR_NAMES, load_config
+from .config import ESTIMATOR_NAMES, load_config, snr_is_valid
 from .errors import ConfigError
 from .harness import SweepRow, SweepTable, run_trial, snr_sweep, verify_suite, write_csv
 
@@ -73,6 +73,9 @@ def _cmd_simulate(args) -> int:
         _errline(
             f"unknown estimator '{args.estimator}', valid names: {', '.join(ESTIMATOR_NAMES)}"
         )
+        return 1
+    if not snr_is_valid(args.snr):
+        _errline(f"--snr must be finite or inf (noiseless), got {args.snr}")
         return 1
     cfg = load_config(args.config)
     res = run_trial(cfg, cfg.profile, args.snr, args.estimator, args.seed)

@@ -19,6 +19,12 @@ from .errors import ConfigError, ProfileError, SupportError
 ESTIMATOR_NAMES = ("ls-interp", "mmse-genie", "csf-ongrid", "csf-offgrid", "ideal")
 CHANNEL_MODELS = ("diag", "full")
 MODULATIONS = ("qam4",)
+MAX_THREADS = 256
+
+
+def snr_is_valid(snr_db: float) -> bool:
+    """Finite, or +inf for a noiseless run; nan and -inf have no noise level."""
+    return not math.isnan(snr_db) and snr_db != -math.inf
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,17 @@ class SystemConfig:
             out.append(f"unknown estimators {bad}, valid names: {ESTIMATOR_NAMES}")
         if not self.snr_db:
             out.append("snr_db list must not be empty")
+        bad_snr = [s for s in self.snr_db if not snr_is_valid(s)]
+        if bad_snr:
+            out.append(f"snr_db entries must be finite or +inf (noiseless), got {bad_snr}")
         if self.n_trials < 1:
             out.append(f"n_trials must be >= 1, got {self.n_trials}")
         if self.gamma_threshold <= 0:
             out.append(f"gamma_threshold must be positive, got {self.gamma_threshold}")
         if self.threads < 0:
             out.append(f"threads must be >= 0, got {self.threads}")
+        elif self.threads > MAX_THREADS:
+            out.append(f"threads must be <= {MAX_THREADS}, got {self.threads}")
         if self.N % self.d_t == 0:
             k_bound = self.N / (2 * self.d_t) - 1
             if self.k_max > k_bound:

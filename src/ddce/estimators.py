@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from .blas import single_blas_thread
 from .channel import Path, PathSet
 from .errors import ContractViolationError
 from .grids import DDGrid, PeriodCSF, TFGrid, isfft
@@ -180,29 +181,32 @@ def mmse_estimate(
     Hermitian positive definite for noise_var > 0 and is attacked with a
     Cholesky factorization; if that fails a diagonal jitter of
     1e-12 * trace/n is added once.  For noise_var = 0 the (generally rank
-    deficient) system falls back to the least-norm solution.
+    deficient) system falls back to the least-norm solution.  The dense
+    algebra runs on one BLAS thread, so the result does not depend on the
+    BLAS thread count.
     """
     if noise_var < 0:
         raise ContractViolationError(f"noise_var must be >= 0, got {noise_var}")
     _check_lattice(obs, cfg)
     obs_vec = obs.values.flatten(order="F")  # symbol-major, subcarrier fastest
-    r2 = corr.R2
     if obs_vec.size != corr.n_pilot:
         raise ContractViolationError(
             f"correlations built for {corr.n_pilot} pilots, observations have {obs_vec.size}"
         )
-    used_least_norm = False
-    if noise_var == 0:
-        z, *_ = np.linalg.lstsq(r2, obs_vec, rcond=None)
-        used_least_norm = True
-    else:
-        a = r2 + noise_var * np.eye(r2.shape[0])
-        try:
-            z = cho_solve(cho_factor(a, lower=True), obs_vec)
-        except LinAlgError:
-            jitter = 1e-12 * np.trace(a).real / a.shape[0]
-            z = cho_solve(cho_factor(a + jitter * np.eye(a.shape[0]), lower=True), obs_vec)
-    h_vec = corr.apply_r1(z)
+    with single_blas_thread():
+        r2 = corr.R2
+        used_least_norm = False
+        if noise_var == 0:
+            z, *_ = np.linalg.lstsq(r2, obs_vec, rcond=None)
+            used_least_norm = True
+        else:
+            a = r2 + noise_var * np.eye(r2.shape[0])
+            try:
+                z = cho_solve(cho_factor(a, lower=True), obs_vec)
+            except LinAlgError:
+                jitter = 1e-12 * np.trace(a).real / a.shape[0]
+                z = cho_solve(cho_factor(a + jitter * np.eye(a.shape[0]), lower=True), obs_vec)
+        h_vec = corr.apply_r1(z)
     grid = TFGrid(h_vec.reshape(cfg.M, cfg.N, order="F"))
     return MmseEstimate(grid, used_least_norm)
 

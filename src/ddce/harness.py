@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .channel import (
     ChannelProfile,
     Path,
@@ -176,7 +177,8 @@ def snr_sweep(
 
     Trials are independent and run on a thread pool (cfg.threads workers, 0
     meaning the CPU count); aggregation order is fixed by (snr, estimator),
-    so results never depend on scheduling.
+    so results never depend on scheduling.  BLAS runs single-threaded for
+    the whole sweep: the pool is the only source of parallelism.
     """
     snr_list = [float(s) for s in snr_list_db]
     estimators = tuple(estimators)
@@ -199,12 +201,13 @@ def snr_sweep(
         results[i][j] = _paired_trial(cfg, profile, snr_list[i], estimators, seed)
 
     workers = cfg.effective_threads
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, tasks))
-    else:
-        for t in tasks:
-            work(t)
+    with single_blas_thread():
+        if workers > 1 and len(tasks) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(work, tasks))
+        else:
+            for t in tasks:
+                work(t)
 
     rows = []
     for i, snr in enumerate(snr_list):

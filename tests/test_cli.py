@@ -64,6 +64,26 @@ def test_unknown_estimator_rejected(cfg_file, capsys):
         assert name in err
 
 
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+def test_simulate_rejects_nonfinite_snr(cfg_file, capsys, snr):
+    rc = main([
+        "simulate", "--config", cfg_file,
+        "--estimator", "ideal", f"--snr={snr}", "--seed", "1",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --snr must be finite")
+
+
+def test_sweep_rejects_nonfinite_config_snr(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(FAST_CFG.replace("snr_db = 10.0, 20.0", "snr_db = 10.0, -inf"))
+    rc = main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "error: snr_db entries must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_missing_config_file(capsys):
     rc = main([
         "simulate", "--config", "/no/such/file.cfg",

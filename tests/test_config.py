@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from ddce.config import SystemConfig, default_config, load_config, with_overrides
+from ddce.config import MAX_THREADS, SystemConfig, default_config, load_config, with_overrides
 from ddce.errors import ConfigError
 
 REPO_CFG = os.path.join(os.path.dirname(__file__), "..", "paper.cfg")
@@ -96,6 +96,18 @@ def test_nan_and_bad_bool_rejected(tmp_path):
     assert "expected true or false" in str(err.value)
 
 
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+def test_nonfinite_snr_rejected(tmp_path, snr):
+    text = GOOD.replace("snr_db = 0, 10, 20", f"snr_db = 0, {snr}")
+    with pytest.raises(ConfigError, match="snr_db entries must be finite"):
+        load_config(write_cfg(tmp_path, text))
+
+
+def test_noiseless_snr_accepted(tmp_path):
+    text = GOOD.replace("snr_db = 0, 10, 20", "snr_db = 0, inf")
+    assert load_config(write_cfg(tmp_path, text)).snr_db == (0.0, float("inf"))
+
+
 def test_missing_file_is_a_config_error():
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config("/no/such/file.cfg")
@@ -171,6 +183,16 @@ def test_violations_cover_scalar_bounds():
     assert "n_trials must be >= 1" in msgs
     assert "gamma_threshold must be positive" in msgs
     assert "threads must be >= 0" in msgs
+
+
+def test_threads_upper_bound():
+    cfg = default_config()
+    assert with_overrides(cfg, threads=MAX_THREADS).threads == MAX_THREADS
+    msgs = "\n".join(SystemConfig(
+        M=128, N=64, delta_f_hz=15e3, f_c_hz=2.1e9, v_kmh=250.0,
+        d_t=4, d_f=4, profile=cfg.profile, threads=MAX_THREADS + 1,
+    ).violations())
+    assert f"threads must be <= {MAX_THREADS}" in msgs
 
 
 def test_derived_quantities():
