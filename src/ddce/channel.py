@@ -218,18 +218,28 @@ def csf_from_paths(ps: PathSet, cfg: "SystemConfig") -> DDGrid:
 
 
 def _draw_noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarray:
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) * np.sqrt(noise_var / 2.0)
+    w = np.empty(shape, dtype=np.complex128)
+    w.real = rng.standard_normal(shape)
+    w.imag = rng.standard_normal(shape)
+    w *= np.sqrt(noise_var / 2.0)
+    return w
 
 
 def apply_channel_diag(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.Generator) -> TFGrid:
     """Diagonal (ICI-free) channel: y = h_tf o x + w, AWGN variance noise_var."""
+    return apply_response_diag(x, _ctf(ps, x.n_subcarriers, x.n_symbols), noise_var, rng)
+
+
+def apply_response_diag(
+    x: TFGrid, h: np.ndarray, noise_var: float, rng: np.random.Generator
+) -> TFGrid:
+    """`apply_channel_diag` for a path set whose response h over the frame is
+    already known (the same draws and the same bits)."""
     if noise_var < 0:
         raise ContractViolationError(f"noise_var must be >= 0, got {noise_var}")
-    h = _ctf(ps, x.n_subcarriers, x.n_symbols)
-    w = _draw_noise(x.data.shape, noise_var, rng)
-    return TFGrid(h * x.data + w)
+    y = h * x.data
+    y += _draw_noise(x.data.shape, noise_var, rng)
+    return TFGrid(y)
 
 
 def apply_channel_full(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.Generator) -> TFGrid:
@@ -249,10 +259,10 @@ def apply_channel_full(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.
     symbols = np.arange(big_n)
     y = np.zeros_like(x.data)
     for p in ps.paths:
-        ramp = np.exp(2j * np.pi * p.doppler * samples / (big_m * big_n))
-        sym_phase = np.exp(2j * np.pi * p.doppler * symbols / big_n)
-        t = xt * ramp[:, None] * sym_phase[None, :]
-        t = np.roll(t, p.delay_idx, axis=0)
-        y += p.gain * np.fft.fft(t, axis=0, norm="ortho")
-    w = _draw_noise(x.data.shape, noise_var, rng)
-    return TFGrid(y + w)
+        t = xt * np.exp(2j * np.pi * p.doppler * samples / (big_m * big_n))[:, None]
+        t *= np.exp(2j * np.pi * p.doppler * symbols / big_n)[None, :]
+        f = np.fft.fft(np.roll(t, p.delay_idx, axis=0), axis=0, norm="ortho")
+        # gain first: complex products round differently with swapped operands
+        y += np.multiply(p.gain, f, out=f)
+    y += _draw_noise(x.data.shape, noise_var, rng)
+    return TFGrid(y)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ESTIMATOR_NAMES, load_config, snr_is_valid
+from .config import ESTIMATOR_NAMES, load_config, snr_is_valid, with_overrides
 from .errors import ConfigError
 from .harness import SweepRow, SweepTable, run_trial, snr_sweep, verify_suite, write_csv
 
@@ -69,15 +69,11 @@ def _trial_line(res) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    if args.estimator not in ESTIMATOR_NAMES:
-        _errline(
-            f"unknown estimator '{args.estimator}', valid names: {', '.join(ESTIMATOR_NAMES)}"
-        )
-        return 1
     if not snr_is_valid(args.snr):
         _errline(f"--snr must be finite or inf (noiseless), got {args.snr}")
         return 1
-    cfg = load_config(args.config)
+    # validated again with the one estimator asked for: its name and resource bounds
+    cfg = with_overrides(load_config(args.config), estimators=(args.estimator,))
     res = run_trial(cfg, cfg.profile, args.snr, args.estimator, args.seed)
     print(_trial_line(res))
     if args.out is not None:

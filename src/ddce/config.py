@@ -20,6 +20,12 @@ ESTIMATOR_NAMES = ("ls-interp", "mmse-genie", "csf-ongrid", "csf-offgrid", "idea
 CHANNEL_MODELS = ("diag", "full")
 MODULATIONS = ("qam4",)
 MAX_THREADS = 256
+# Resource ceilings, far above the shipped setup (128 x 64 grid, 500 trials,
+# 512 pilots): one grid array at MAX_GRID_RES is 16 MB, and the dense
+# genie-MMSE pilot correlation at MAX_MMSE_PILOTS is 64 MB.
+MAX_GRID_RES = 1 << 20
+MAX_TRIALS = 100_000
+MAX_MMSE_PILOTS = 2048
 
 
 def snr_is_valid(snr_db: float) -> bool:
@@ -86,6 +92,13 @@ class SystemConfig:
             out.append(f"v_kmh must be non-negative, got {self.v_kmh}")
         if out:
             return out  # the derived checks below would divide by zero
+        if self.M * self.N > MAX_GRID_RES:
+            out.append(f"grid M*N = {self.M * self.N} exceeds {MAX_GRID_RES} resource elements")
+        if "mmse-genie" in self.estimators and self.n_pilot > MAX_MMSE_PILOTS:
+            out.append(
+                f"mmse-genie needs n_pilot <= {MAX_MMSE_PILOTS} for its dense pilot correlation, "
+                f"got (M/d_f)*(N/d_t) = {self.n_pilot}"
+            )
         if self.N % self.d_t:
             out.append(f"N = {self.N} is not divisible by d_t = {self.d_t}")
         elif (self.N // self.d_t) % 2:
@@ -103,6 +116,8 @@ class SystemConfig:
         bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
         if bad or not self.estimators:
             out.append(f"unknown estimators {bad}, valid names: {ESTIMATOR_NAMES}")
+        if len(set(self.estimators)) != len(self.estimators):
+            out.append(f"estimators must not repeat, got {list(self.estimators)}")
         if not self.snr_db:
             out.append("snr_db list must not be empty")
         bad_snr = [s for s in self.snr_db if not snr_is_valid(s)]
@@ -110,6 +125,8 @@ class SystemConfig:
             out.append(f"snr_db entries must be finite or +inf (noiseless), got {bad_snr}")
         if self.n_trials < 1:
             out.append(f"n_trials must be >= 1, got {self.n_trials}")
+        elif self.n_trials > MAX_TRIALS:
+            out.append(f"n_trials must be <= {MAX_TRIALS}, got {self.n_trials}")
         if self.gamma_threshold <= 0:
             out.append(f"gamma_threshold must be positive, got {self.gamma_threshold}")
         if self.threads < 0:

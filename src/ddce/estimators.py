@@ -70,8 +70,8 @@ def ls_pilot(y: TFGrid, x: TFGrid, layout: FrameLayout) -> PilotObservations:
     vals = yp / xp
     # positions are symbol-major with subcarrier fastest, so the lattice
     # restores as (n', m') and transposes to (m', n')
-    n_freq = np.unique(layout.pilot_m).size
-    n_time = np.unique(layout.pilot_n).size
+    n_freq = int(np.count_nonzero(layout.pilot_n == layout.pilot_n[0]))
+    n_time = layout.n_pilot // n_freq
     grid = vals.reshape(n_time, n_freq).T
     return PilotObservations(grid, d_t=y.n_symbols // n_time, d_f=y.n_subcarriers // n_freq)
 
@@ -324,14 +324,15 @@ def recover_paths_offgrid(p: PeriodCSF, n_paths: int, cfg: "SystemConfig"):
         step = 1 if a_plus >= a_minus else -1
         a1 = a_plus if step == 1 else a_minus
         k_frac = float(np.clip(step * a1 / (a0 + a1), -0.5, 0.5))
-        k_hat = k0 + k_frac
-        denom = delay_kernel(l0, l0, p.full_m, p.d_f) * doppler_kernel(k_hat, k0, p.full_n, p.d_t)
-        gain = complex(work[row0, l0] / denom)
-        found.append(Path(gain=gain, delay_idx=l0, doppler=k_hat))
+        found.append((l0, k0, k0 + k_frac, work[row0, l0]))
         work[:, l0] = 0.0
     if not found:
         return None, True
-    return PathSet(tuple(found)), truncated
+    # the kernel divisions feed no later iteration, so they run once for all paths
+    l0s, k0s, k_hats, values = (np.array(col) for col in zip(*found))
+    denom = delay_kernel(l0s, l0s, p.full_m, p.d_f) * doppler_kernel(k_hats, k0s, p.full_n, p.d_t)
+    paths = [Path(complex(g), int(l), float(k)) for g, l, k in zip(values / denom, l0s, k_hats)]
+    return PathSet(paths), truncated
 
 
 def csf_reconstruct(ps_hat: PathSet, cfg: "SystemConfig") -> DDGrid:
@@ -358,7 +359,12 @@ def estimate_csf(
     mode: str,
     noise_var: float,
 ) -> CsfEstimate:
-    """Pilot LS -> period -> full delay-Doppler estimate.
+    """Pilot LS -> period -> full delay-Doppler estimate (`csf_from_period`)."""
+    return csf_from_period(periodic_csf(ls_pilot(y, x, layout), cfg), cfg, mode, noise_var)
+
+
+def csf_from_period(p: PeriodCSF, cfg: "SystemConfig", mode: str, noise_var: float) -> CsfEstimate:
+    """Full delay-Doppler estimate from one period of the pilot image.
 
     mode "ongrid" embeds the period with noise-only delay columns zeroed
     first (the same per-column detection rule the off-grid mode uses);
@@ -370,23 +376,16 @@ def estimate_csf(
     """
     if mode not in CSF_MODES:
         raise ContractViolationError(f"unknown mode '{mode}', valid: {CSF_MODES}")
-    obs = ls_pilot(y, x, layout)
-    period = periodic_csf(obs, cfg)
     if mode == "ongrid":
-        keep = _occupied_columns(period, noise_var, cfg)
-        gated = PeriodCSF(
-            np.where(keep[None, :], period.data, 0.0), d_t=period.d_t, d_f=period.d_f
-        )
-        return CsfEstimate(period, None, csf_ongrid(gated, cfg))
-    n_paths = estimate_num_paths(period, noise_var, cfg)
-    if n_paths == 0:
-        zero = DDGrid(np.zeros((cfg.N, cfg.M), dtype=np.complex128))
-        return CsfEstimate(period, None, zero, truncated=True)
-    ps_hat, truncated = recover_paths_offgrid(period, n_paths, cfg)
+        keep = _occupied_columns(p, noise_var, cfg)
+        gated = PeriodCSF(np.where(keep[None, :], p.data, 0.0), d_t=p.d_t, d_f=p.d_f)
+        return CsfEstimate(p, None, csf_ongrid(gated, cfg))
+    n_paths = estimate_num_paths(p, noise_var, cfg)
+    ps_hat, truncated = recover_paths_offgrid(p, n_paths, cfg) if n_paths else (None, True)
     if ps_hat is None:
         zero = DDGrid(np.zeros((cfg.N, cfg.M), dtype=np.complex128))
-        return CsfEstimate(period, None, zero, truncated=True)
-    return CsfEstimate(period, ps_hat, csf_reconstruct(ps_hat, cfg), truncated=truncated)
+        return CsfEstimate(p, None, zero, truncated=True)
+    return CsfEstimate(p, ps_hat, csf_reconstruct(ps_hat, cfg), truncated=truncated)
 
 
 def csf_ctf_estimate(

@@ -15,6 +15,7 @@ from .channel import (
     PathSet,
     apply_channel_diag,
     apply_channel_full,
+    apply_response_diag,
     csf_from_paths,
     ctf_from_paths,
     gen_paths,
@@ -23,8 +24,8 @@ from .config import ESTIMATOR_NAMES, SystemConfig
 from .errors import ContractViolationError
 from .estimators import (
     PilotObservations,
+    csf_from_period,
     csf_ongrid,
-    estimate_csf,
     genie_correlations,
     interp_linear,
     ls_pilot,
@@ -32,9 +33,17 @@ from .estimators import (
     periodic_csf,
     recover_paths_offgrid,
 )
-from .grids import TFGrid, isfft, sfft
+from .grids import PeriodCSF, TFGrid, isfft, sfft
 from .kernels import doppler_alias_difference, doppler_kernel
-from .txrx import PilotPattern, build_frame, equalize_single_tap, make_layout, qam4_demod, qam4_mod
+from .txrx import (
+    PilotPattern,
+    build_frame,
+    equalize_values,
+    extract_data,
+    make_layout,
+    qam4_demod,
+    qam4_mod,
+)
 
 
 @dataclass(frozen=True)
@@ -90,44 +99,80 @@ def _noise_var(snr_db: float) -> float:
     return float(10.0 ** (-snr_db / 10.0))
 
 
-def _estimate(name, y, x, h_true, ps, layout, cfg, noise_var):
-    """Returns (h_hat grid, failed flag) for one estimator name."""
-    if name == "ideal":
-        return h_true, False
-    if name == "ls-interp":
-        return interp_linear(ls_pilot(y, x, layout), cfg), False
-    if name == "mmse-genie":
-        corr = genie_correlations(ps, cfg, layout)
-        return mmse_estimate(ls_pilot(y, x, layout), corr, noise_var, cfg).grid, False
-    if name == "csf-ongrid":
-        est = estimate_csf(y, x, layout, cfg, "ongrid", noise_var)
-        return isfft(est.full_dd, cfg), False
-    if name == "csf-offgrid":
-        est = estimate_csf(y, x, layout, cfg, "offgrid", noise_var)
-        return isfft(est.full_dd, cfg), est.paths_hat is None
-    raise ContractViolationError(f"unknown estimator '{name}', valid names: {ESTIMATOR_NAMES}")
+class _Trial:
+    """One frame, one channel and one noise draw: what every estimator of a
+    paired trial sees.  The pilot observations and their delay-Doppler
+    period are built on first use, then shared."""
+
+    def __init__(self, cfg: SystemConfig, profile: ChannelProfile, snr_db: float, seed: int):
+        rng = np.random.default_rng(seed)
+        pattern = PilotPattern(cfg.d_t, cfg.d_f)
+        self.cfg = cfg
+        self.bits = rng.integers(0, 2, 2 * make_layout(pattern, cfg).n_data)
+        self.x, self.layout = build_frame(qam4_mod(self.bits), pattern, cfg)
+        self.ps = gen_paths(cfg, profile, rng)
+        self.noise_var = _noise_var(snr_db)
+        self.h_true = ctf_from_paths(self.ps, cfg)
+        if cfg.channel_model == "full":
+            self.y = apply_channel_full(self.x, self.ps, self.noise_var, rng)
+        else:
+            self.y = apply_response_diag(self.x, self.h_true.data, self.noise_var, rng)
+        self._obs = self._period = None
+
+    # Built on first use, without functools.cached_property: before Python
+    # 3.12 it holds one lock across all instances, which pool workers share.
+    @property
+    def obs(self) -> PilotObservations:
+        if self._obs is None:
+            self._obs = ls_pilot(self.y, self.x, self.layout)
+        return self._obs
+
+    @property
+    def period(self) -> PeriodCSF:
+        if self._period is None:
+            self._period = periodic_csf(self.obs, self.cfg)
+        return self._period
+
+
+def _csf(t: _Trial, mode: str):
+    est = csf_from_period(t.period, t.cfg, mode, t.noise_var)
+    return isfft(est.full_dd, t.cfg), mode == "offgrid" and est.paths_hat is None
+
+
+# The one place that maps estimator names to estimators, in ESTIMATOR_NAMES
+# order: each takes the shared trial and returns (h_hat grid, failed flag).
+ESTIMATORS = {
+    "ls-interp": lambda t: (interp_linear(t.obs, t.cfg), False),
+    "mmse-genie": lambda t: (
+        mmse_estimate(t.obs, genie_correlations(t.ps, t.cfg, t.layout), t.noise_var, t.cfg).grid,
+        False,
+    ),
+    "csf-ongrid": lambda t: _csf(t, "ongrid"),
+    "csf-offgrid": lambda t: _csf(t, "offgrid"),
+    "ideal": lambda t: (t.h_true, False),
+}
+
+
+def _check_estimators(names) -> None:
+    for name in names:
+        if name not in ESTIMATORS:
+            raise ContractViolationError(
+                f"unknown estimator '{name}', valid names: {ESTIMATOR_NAMES}"
+            )
+    if len(set(names)) != len(names):
+        raise ContractViolationError(f"estimator names repeat: {list(names)}")
 
 
 def _paired_trial(cfg, profile, snr_db, estimator_names, seed):
     """One frame, one channel, one noise draw, every requested estimator."""
-    rng = np.random.default_rng(seed)
-    pattern = PilotPattern(cfg.d_t, cfg.d_f)
-    layout = make_layout(pattern, cfg)
-    n_bits = 2 * layout.n_data
-    bits = rng.integers(0, 2, n_bits)
-    x, layout = build_frame(qam4_mod(bits), pattern, cfg)
-    ps = gen_paths(cfg, profile, rng)
-    noise_var = _noise_var(snr_db)
-    if cfg.channel_model == "full":
-        y = apply_channel_full(x, ps, noise_var, rng)
-    else:
-        y = apply_channel_diag(x, ps, noise_var, rng)
-    h_true = ctf_from_paths(ps, cfg)
+    trial = _Trial(cfg, profile, snr_db, seed)
+    h_true, bits = trial.h_true, trial.bits
+    y_data = extract_data(trial.y, trial.layout)
     h_power = float(np.mean(np.abs(h_true.data) ** 2))
     results = []
     for name in estimator_names:
-        h_hat, failed = _estimate(name, y, x, h_true, ps, layout, cfg, noise_var)
-        x_hat, n_sing = equalize_single_tap(y, h_hat, layout)
+        h_hat, failed = ESTIMATORS[name](trial)
+        x_hat, n_sing = equalize_values(y_data, extract_data(h_hat, trial.layout))
         ber = float(np.mean(qam4_demod(x_hat) != bits))
         mse = float(np.mean(np.abs(h_hat.data - h_true.data) ** 2))
         results.append(
@@ -137,12 +182,13 @@ def _paired_trial(cfg, profile, snr_db, estimator_names, seed):
                 mse=mse,
                 nmse=mse / h_power,
                 ber=ber,
-                n_bits=n_bits,
+                n_bits=bits.size,
                 near_singular_count=n_sing,
                 seed=seed,
                 failed=failed,
             )
         )
+        del h_hat, x_hat  # freed before the next estimator builds its own
     return results
 
 
@@ -158,10 +204,7 @@ def run_trial(
     The same seed reproduces the identical frame, channel and noise no matter
     which estimator is asked for, which is what makes sweeps paired.
     """
-    if estimator_name not in ESTIMATOR_NAMES:
-        raise ContractViolationError(
-            f"unknown estimator '{estimator_name}', valid names: {ESTIMATOR_NAMES}"
-        )
+    _check_estimators((estimator_name,))
     return _paired_trial(cfg, profile, snr_db, (estimator_name,), seed)[0]
 
 
@@ -182,11 +225,7 @@ def snr_sweep(
     """
     snr_list = [float(s) for s in snr_list_db]
     estimators = tuple(estimators)
-    for name in estimators:
-        if name not in ESTIMATOR_NAMES:
-            raise ContractViolationError(
-                f"unknown estimator '{name}', valid names: {ESTIMATOR_NAMES}"
-            )
+    _check_estimators(estimators)
     if not estimators or not snr_list:
         raise ContractViolationError("need at least one estimator and one SNR point")
     if n_trials < 1:

@@ -77,9 +77,11 @@ def csf_closed_form(gains, delays, dopplers, n_subcarriers: int, n_symbols: int)
     """
     k_axis = np.arange(n_symbols)
     l_axis = np.arange(n_subcarriers)
+    # every path's kernels in one call each; elementwise, so each row equals
+    # that path's own doppler_kernel / delay_kernel evaluation
+    cols = _dirichlet(np.asarray(dopplers)[:, None] - k_axis, n_symbols, 1, +1)  # (P, N)
+    rows = _dirichlet(np.asarray(delays)[:, None] - l_axis, n_subcarriers, 1, -1)  # (P, M)
     acc = np.zeros((n_symbols, n_subcarriers), dtype=np.complex128)
-    for g, l_i, k_i in zip(gains, delays, dopplers):
-        col = doppler_kernel(k_i, k_axis, n_symbols, 1)
-        row = delay_kernel(l_i, l_axis, n_subcarriers, 1)
+    for g, col, row in zip(gains, cols, rows):
         acc += g * np.outer(col, row)
     return acc

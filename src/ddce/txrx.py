@@ -42,16 +42,18 @@ class FrameLayout:
     """Index arrays for pilot and data resource elements.
 
     Positions are ordered symbol-major with the subcarrier index fastest,
-    and the arrays are what all vectorized grid lookups use.
+    and the arrays are what all vectorized grid lookups use.  data_flat
+    holds the data positions as indices into the row-major flattened grid.
     """
 
     pilot_m: np.ndarray
     pilot_n: np.ndarray
     data_m: np.ndarray
     data_n: np.ndarray
+    data_flat: np.ndarray
 
     def __post_init__(self):
-        for name in ("pilot_m", "pilot_n", "data_m", "data_n"):
+        for name in ("pilot_m", "pilot_n", "data_m", "data_n", "data_flat"):
             arr = np.asarray(getattr(self, name), dtype=np.intp)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -66,24 +68,21 @@ class FrameLayout:
 
 
 @lru_cache(maxsize=16)
-def _layout_arrays(big_m: int, big_n: int, d_t: int, d_f: int):
+def _layout(big_m: int, big_n: int, d_t: int, d_f: int) -> FrameLayout:
     if big_n % d_t or big_m % d_f:
         raise ContractViolationError(
             f"pilot lattice must divide the grid: M={big_m} vs d_f={d_f}, N={big_n} vs d_t={d_t}"
         )
-    is_pilot = np.zeros((big_m, big_n), dtype=bool)
-    is_pilot[::d_f, ::d_t] = True
-    nn, mm = np.meshgrid(np.arange(big_n), np.arange(big_m), indexing="ij")
-    pilot_mask = is_pilot[mm, nn]
-    pm, pn = mm[pilot_mask], nn[pilot_mask]
-    dm, dn = mm[~pilot_mask], nn[~pilot_mask]
-    return pm, pn, dm, dn
+    is_pilot = np.zeros((big_n, big_m), dtype=bool)  # symbol-major
+    is_pilot[::d_t, ::d_f] = True
+    pn, pm = np.nonzero(is_pilot)
+    dn, dm = np.nonzero(~is_pilot)
+    return FrameLayout(pm, pn, dm, dn, dm * big_n + dn)
 
 
 def make_layout(pattern: PilotPattern, cfg: "SystemConfig") -> FrameLayout:
-    """Deterministic pilot/data layout of an M x N frame."""
-    pm, pn, dm, dn = _layout_arrays(cfg.M, cfg.N, pattern.d_t, pattern.d_f)
-    return FrameLayout(pm, pn, dm, dn)
+    """Deterministic pilot/data layout of an M x N frame (shared, read-only)."""
+    return _layout(cfg.M, cfg.N, pattern.d_t, pattern.d_f)
 
 
 def qam4_mod(bits) -> np.ndarray:
@@ -91,7 +90,7 @@ def qam4_mod(bits) -> np.ndarray:
     b = np.asarray(bits)
     if b.ndim != 1 or b.size % 2:
         raise ContractViolationError(f"bit array must be 1-D with even length, got shape {b.shape}")
-    if b.size and not np.isin(b, (0, 1)).all():
+    if not ((b == 0) | (b == 1)).all():
         raise ContractViolationError("bits must be 0 or 1")
     b1 = b[0::2].astype(np.float64)
     b0 = b[1::2].astype(np.float64)
@@ -126,7 +125,7 @@ def build_frame(data_syms, pattern: PilotPattern, cfg: "SystemConfig"):
 
 def extract_data(tf: TFGrid, layout: FrameLayout) -> np.ndarray:
     """Data-position values of a frame, in layout order."""
-    return tf.data[layout.data_m, layout.data_n]
+    return tf.data.ravel().take(layout.data_flat)
 
 
 def equalize_single_tap(y: TFGrid, h_hat: TFGrid, layout: FrameLayout):
@@ -139,9 +138,12 @@ def equalize_single_tap(y: TFGrid, h_hat: TFGrid, layout: FrameLayout):
         raise ContractViolationError(
             f"grid shapes differ: y {y.data.shape} vs h_hat {h_hat.data.shape}"
         )
-    yv = y.data[layout.data_m, layout.data_n]
-    hv = h_hat.data[layout.data_m, layout.data_n]
+    return equalize_values(extract_data(y, layout), extract_data(h_hat, layout))
+
+
+def equalize_values(yv: np.ndarray, hv: np.ndarray):
+    """`equalize_single_tap` on values already gathered at the data positions."""
     bad = np.abs(hv) < NEAR_SINGULAR_TOL
-    safe = np.where(bad, 1.0, hv)
-    x_hat = np.where(bad, 0.0, yv / safe)
+    x_hat = yv / np.where(bad, 1.0, hv)
+    x_hat[bad] = 0.0
     return x_hat, int(bad.sum())

@@ -107,6 +107,34 @@ def test_config_violations_reported(tmp_path, capsys):
         assert line.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "edit,estimator,message",
+    [
+        ({"M = 32": "M = 4096", "N = 16": "N = 4096", "d_t = 4": "d_t = 1", "d_f = 4": "d_f = 1"},
+         None, "resource elements"),
+        ({"n_trials = 2": "n_trials = 100001"}, None, "n_trials must be <="),
+        ({"ls-interp, ideal": "ideal, ideal"}, None, "estimators must not repeat"),
+        ({"M = 32": "M = 256", "N = 16": "N = 256"}, "mmse-genie", "mmse-genie needs n_pilot"),
+    ],
+)
+def test_resource_bounds_exit_1_before_any_work(tmp_path, capsys, edit, estimator, message):
+    """A sweep (estimator None) or a simulate run of one estimator is refused
+    at validation; nothing of these sizes is ever built."""
+    text = FAST_CFG
+    for old, new in edit.items():
+        text = text.replace(old, new)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    if estimator is None:
+        argv = ["sweep", "--config", str(bad), "--out", str(tmp_path / "out.csv")]
+    else:
+        argv = ["simulate", "--config", str(bad), "--estimator", estimator, "--snr", "10",
+                "--seed", "1"]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_simulate_prints_result_line(cfg_file, capsys):
     rc = main([
         "simulate", "--config", cfg_file,

@@ -5,7 +5,18 @@ import os
 import numpy as np
 import pytest
 
-from ddce.config import MAX_THREADS, SystemConfig, default_config, load_config, with_overrides
+from dataclasses import replace
+
+from ddce.config import (
+    MAX_GRID_RES,
+    MAX_MMSE_PILOTS,
+    MAX_THREADS,
+    MAX_TRIALS,
+    SystemConfig,
+    default_config,
+    load_config,
+    with_overrides,
+)
 from ddce.errors import ConfigError
 
 REPO_CFG = os.path.join(os.path.dirname(__file__), "..", "paper.cfg")
@@ -193,6 +204,29 @@ def test_threads_upper_bound():
         d_t=4, d_f=4, profile=cfg.profile, threads=MAX_THREADS + 1,
     ).violations())
     assert f"threads must be <= {MAX_THREADS}" in msgs
+
+
+def test_repeated_estimators_rejected():
+    msgs = "\n".join(replace(default_config(), estimators=("ideal", "ideal")).violations())
+    assert "estimators must not repeat" in msgs
+
+
+def test_resource_bounds():
+    """Checked through validation only: nothing of these sizes is built."""
+    cfg = default_config()
+
+    def violations(**kw):
+        return "\n".join(replace(cfg, **kw).violations())
+
+    no_mmse = ("ls-interp", "csf-offgrid")
+    assert violations(M=1024, N=MAX_GRID_RES // 1024, estimators=no_mmse) == ""
+    assert "resource elements" in violations(M=4096, N=4096, d_t=1, d_f=1, estimators=no_mmse)
+    assert violations(n_trials=MAX_TRIALS) == ""
+    assert f"n_trials must be <= {MAX_TRIALS}" in violations(n_trials=MAX_TRIALS + 1)
+    assert replace(cfg, M=256, N=128).n_pilot == MAX_MMSE_PILOTS
+    assert violations(M=256, N=128) == ""
+    assert "mmse-genie needs n_pilot" in violations(M=256, N=256)
+    assert violations(M=256, N=256, estimators=no_mmse) == ""
 
 
 def test_derived_quantities():

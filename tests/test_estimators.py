@@ -22,6 +22,7 @@ from ddce.estimators import (
     recover_paths_offgrid,
 )
 from ddce.grids import PeriodCSF, TFGrid, isfft
+from ddce.kernels import delay_kernel, doppler_kernel
 from ddce.txrx import PilotPattern, build_frame, make_layout, qam4_mod
 
 ONE_TAP = ChannelProfile((0.0,), (0.0,), v_kmh=0.0, f_c_hz=2.1e9)
@@ -52,15 +53,20 @@ def period_direct(obs_values, d_t, d_f, big_m, big_n, k, l):
 
 
 def test_ls_recovers_lattice_exactly_without_noise():
-    cfg = tiny_cfg(8, 4, d_t=2, d_f=4)
+    pattern = PilotPattern(d_t=2, d_f=4)
     rng = np.random.default_rng(1)
-    syms = qam4_mod(rng.integers(0, 2, 56))
-    x, lay = build_frame(syms, PilotPattern(d_t=2, d_f=4), cfg)
-    h = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-    obs = ls_pilot(TFGrid(h * x.data), x, lay)
-    assert obs.values.shape == (2, 2)
-    assert (obs.d_t, obs.d_f) == (2, 4)
-    assert np.max(np.abs(obs.values - h[::4, ::2])) < 1e-12
+    for big_m, big_n in ((8, 4), (32, 8)):  # 2 x 2 and 8 x 4 lattices
+        cfg = tiny_cfg(big_m, big_n, d_t=2, d_f=4)
+        syms = qam4_mod(rng.integers(0, 2, 2 * make_layout(pattern, cfg).n_data))
+        x, lay = build_frame(syms, pattern, cfg)
+        h = rng.standard_normal((big_m, big_n)) + 1j * rng.standard_normal((big_m, big_n))
+        y = TFGrid(h * x.data)
+        obs = ls_pilot(y, x, lay)
+        assert obs.values.shape == (big_m // 4, big_n // 2)
+        assert (obs.d_t, obs.d_f) == (2, 4)
+        assert np.max(np.abs(obs.values - h[::4, ::2])) < 1e-12
+        want = y.data[::4, ::2] / x.data[::4, ::2]
+        assert obs.values.tobytes() == want.tobytes()
 
 
 def test_ls_noise_variance_matches_channel_noise():
@@ -301,6 +307,27 @@ def test_recover_two_paths_with_distinct_delays():
         est = by_delay[true.delay_idx]
         assert abs(est.doppler - true.doppler) < 1e-3
         assert abs(est.gain - true.gain) / abs(true.gain) < 3e-3
+
+
+def test_recover_gains_equal_scalar_kernel_division_bitwise():
+    cfg = tiny_cfg(128, 64, d_t=4, d_f=4)
+    ps = PathSet(tuple(
+        Path(gain=g, delay_idx=l, doppler=k)
+        for g, l, k in ((1.0 + 0.5j, 0, 0.3), (-0.4 + 0.9j, 2, -1.85), (0.3 - 0.2j, 5, 2.0),
+                        (0.2 + 0.1j, 9, -4.45))
+    ))
+    rng = np.random.default_rng(8)
+    noise = 0.01 * (rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16)))
+    h = ctf_from_paths(ps, cfg).data[::4, ::4] + noise
+    p = periodic_csf(PilotObservations(h, d_t=4, d_f=4), cfg)
+    got, truncated = recover_paths_offgrid(p, 4, cfg)
+    assert not truncated and len(got) == 4
+    for path in got.paths:
+        l0 = path.delay_idx
+        row0 = int(np.argmax(np.abs(p.data[:, l0])))
+        k0 = row0 + p.k_min
+        denom = delay_kernel(l0, l0, 128, 4) * doppler_kernel(path.doppler, k0, 64, 4)
+        assert path.gain == complex(p.data[row0, l0] / denom)
 
 
 def test_recover_truncates_when_support_runs_out():

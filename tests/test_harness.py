@@ -6,11 +6,26 @@ import re
 import numpy as np
 import pytest
 
-from ddce.channel import ChannelProfile
-from ddce.config import SystemConfig, default_config, with_overrides
+from ddce.channel import (
+    ChannelProfile,
+    apply_channel_diag,
+    apply_channel_full,
+    ctf_from_paths,
+    gen_paths,
+)
+from ddce.config import ESTIMATOR_NAMES, SystemConfig, default_config, with_overrides
 from ddce.errors import ContractViolationError
+from ddce.estimators import (
+    estimate_csf,
+    genie_correlations,
+    interp_linear,
+    ls_pilot,
+    mmse_estimate,
+)
+from ddce.grids import isfft
 from ddce.harness import (
     CSV_HEADER,
+    ESTIMATORS,
     SweepRow,
     SweepTable,
     check_ongrid_exact_recovery,
@@ -20,6 +35,14 @@ from ddce.harness import (
     snr_sweep,
     verify_suite,
     write_csv,
+)
+from ddce.txrx import (
+    PilotPattern,
+    build_frame,
+    equalize_single_tap,
+    make_layout,
+    qam4_demod,
+    qam4_mod,
 )
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -76,6 +99,56 @@ def test_offgrid_trial_reports_detection_failure():
     assert res.ber > 0.4
 
 
+def test_estimator_table_names_every_estimator_once():
+    assert tuple(ESTIMATORS) == ESTIMATOR_NAMES
+
+
+# Each estimator as a chain of public calls on the pieces of one trial.
+PUBLIC_CHAINS = {
+    "ls-interp": lambda y, x, lay, ps, cfg, nv, h: interp_linear(ls_pilot(y, x, lay), cfg),
+    "mmse-genie": lambda y, x, lay, ps, cfg, nv, h: mmse_estimate(
+        ls_pilot(y, x, lay), genie_correlations(ps, cfg, lay), nv, cfg
+    ).grid,
+    "csf-ongrid": lambda y, x, lay, ps, cfg, nv, h: isfft(
+        estimate_csf(y, x, lay, cfg, "ongrid", nv).full_dd, cfg
+    ),
+    "csf-offgrid": lambda y, x, lay, ps, cfg, nv, h: isfft(
+        estimate_csf(y, x, lay, cfg, "offgrid", nv).full_dd, cfg
+    ),
+    "ideal": lambda y, x, lay, ps, cfg, nv, h: h,
+}
+
+
+def public_chain_trial(cfg, snr_db, name, seed):
+    """(mse, ber, near-singular count) of one trial, drawn in run_trial's order."""
+    rng = np.random.default_rng(seed)
+    pattern = PilotPattern(cfg.d_t, cfg.d_f)
+    bits = rng.integers(0, 2, 2 * make_layout(pattern, cfg).n_data)
+    x, lay = build_frame(qam4_mod(bits), pattern, cfg)
+    ps = gen_paths(cfg, cfg.profile, rng)
+    noise_var = float(10.0 ** (-snr_db / 10.0))
+    channel = apply_channel_full if cfg.channel_model == "full" else apply_channel_diag
+    y = channel(x, ps, noise_var, rng)
+    h_true = ctf_from_paths(ps, cfg)
+    h_hat = PUBLIC_CHAINS[name](y, x, lay, ps, cfg, noise_var, h_true)
+    x_hat, n_sing = equalize_single_tap(y, h_hat, lay)
+    ber = float(np.mean(qam4_demod(x_hat) != bits))
+    return float(np.mean(np.abs(h_hat.data - h_true.data) ** 2)), ber, n_sing
+
+
+@pytest.mark.parametrize("channel_model", ["diag", "full"])
+def test_run_trial_equals_public_call_chain_bit_for_bit(channel_model):
+    cfg = with_overrides(small_cfg(), channel_model=channel_model)
+    assert tuple(PUBLIC_CHAINS) == ESTIMATOR_NAMES
+    for seed in range(6):
+        for snr in (0.0, 25.0, float("inf")):
+            for name in ESTIMATOR_NAMES:
+                res = run_trial(cfg, cfg.profile, snr, name, seed)
+                assert (res.mse, res.ber, res.near_singular_count) == public_chain_trial(
+                    cfg, snr, name, seed
+                ), (name, snr, seed)
+
+
 def test_sweep_is_paired_with_run_trial():
     cfg = small_cfg()
     table = snr_sweep(cfg, cfg.profile, (12.0,), ("ideal", "ls-interp"), 1, 777)
@@ -111,6 +184,8 @@ def test_sweep_validates_inputs():
         snr_sweep(cfg, cfg.profile, (), ("ideal",), 1, 0)
     with pytest.raises(ContractViolationError):
         snr_sweep(cfg, cfg.profile, (10.0,), ("ideal",), 0, 0)
+    with pytest.raises(ContractViolationError, match="repeat"):
+        snr_sweep(cfg, cfg.profile, (10.0,), ("ideal", "ideal"), 1, 0)
 
 
 def test_threading_does_not_change_results():

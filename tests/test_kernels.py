@@ -113,3 +113,27 @@ def test_closed_form_image_matches_transform_of_hand_built_ctf():
     got = csf_closed_form(gains, delays, dopplers, big_m, big_n)
     assert got.shape == (big_n, big_m)
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+def closed_form_per_path(gains, delays, dopplers, big_m, big_n):
+    """csf_closed_form as one doppler_kernel / delay_kernel call per path."""
+    acc = np.zeros((big_n, big_m), dtype=np.complex128)
+    for g, l_i, k_i in zip(gains, delays, dopplers):
+        col = doppler_kernel(k_i, np.arange(big_n), big_n, 1)
+        row = delay_kernel(l_i, np.arange(big_m), big_m, 1)
+        acc += g * np.outer(col, row)
+    return acc
+
+
+@pytest.mark.parametrize("n_paths", [0, 1, 6])
+def test_closed_form_equals_per_path_kernels_bitwise(n_paths):
+    rng = np.random.default_rng(40 + n_paths)
+    big_m, big_n = 32, 16
+    gains = rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)
+    delays = rng.choice(big_m // 4, n_paths, replace=False)
+    dopplers = rng.uniform(-3.0, 3.0, n_paths)  # fractional
+    dopplers[: n_paths // 2] = np.rint(dopplers[: n_paths // 2])  # and on-grid
+    got = csf_closed_form(gains, delays, dopplers, big_m, big_n)
+    want = closed_form_per_path(gains, delays, dopplers, big_m, big_n)
+    assert got.shape == (big_n, big_m)
+    assert got.tobytes() == want.tobytes()
