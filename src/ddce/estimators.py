@@ -15,6 +15,7 @@ implemented in `recover_paths_offgrid`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -139,16 +140,78 @@ class CorrelationPair:
     @property
     def R2(self) -> np.ndarray:
         if self._r2 is None:
-            r2 = (self._a_pilot * self._p) @ self._a_pilot.conj().T
-            scale = np.abs(r2).max()
-            if scale > 0 and np.abs(r2 - r2.conj().T).max() > 1e-10 * scale:
-                raise ContractViolationError("pilot correlation came out non-Hermitian")
-            self._r2 = (r2 + r2.conj().T) / 2.0
+            self._r2 = self._system(None, _Workspace(self.n_pilot))
         return self._r2
+
+    def _system(self, noise_var: float | None, ws: "_Workspace") -> np.ndarray:
+        """R2 + noise_var*I (R2 alone for None), built in ws's buffers."""
+        np.matmul(self._a_pilot * self._p, self._a_pilot.conj().T, out=ws.r2)
+        return ws.system(noise_var)
 
     def apply_r1(self, vec: np.ndarray) -> np.ndarray:
         """R1 @ vec through the steering factors, without forming R1."""
         return self._a_all @ (self._p * (self._a_pilot.conj().T @ vec))
+
+
+class _Workspace:
+    """Buffers of one n x n pilot system: the product R = A P A^H, its
+    transpose, the system (held transposed) and a real scratch."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.r2 = np.empty((n, n), dtype=np.complex128)
+        self.rt = np.empty((n, n), dtype=np.complex128)
+        self.at = np.empty((n, n), dtype=np.complex128)
+        self.mag = np.empty((n, n))
+
+    def diagonal(self) -> np.ndarray:
+        """Writable view of the system's diagonal."""
+        return self.at.reshape(-1)[:: self.n + 1]
+
+    def system(self, noise_var: float | None) -> np.ndarray:
+        """Check the product in r2 for Hermitian symmetry and return
+        (r2 + r2^H)/2 + noise_var*I, or (r2 + r2^H)/2 for None.
+
+        The result lives in `at`, which holds its transpose, so the returned
+        matrix is Fortran-ordered and LAPACK can factor it in place; r2 is
+        used up.  Every step is elementwise on the operands of the textbook
+        `(r2 + r2.conj().T) / 2.0 + noise_var * np.eye(n)`, so the bits
+        match it exactly.
+        """
+        r2, rt, at, mag = self.r2, self.rt, self.at, self.mag
+        np.copyto(rt, r2.T)
+        np.conjugate(r2, out=at)
+        # transposed, r2 - r2^H and r2 + r2^H are rt - conj(r2) and rt + conj(r2)
+        scale = np.absolute(r2, out=mag).max()
+        if scale > 0 and np.absolute(np.subtract(rt, at, out=r2), out=mag).max() > 1e-10 * scale:
+            raise ContractViolationError("pilot correlation came out non-Hermitian")
+        np.add(rt, at, out=at)
+        if noise_var is None:
+            # a complex halving keeps the signed zeros R2 has always had
+            np.divide(at, 2.0, out=at)
+            return at.T
+        # Halving the float parts differs from the complex halving only in
+        # the sign of zeros; adding +0.0 clears that, as the zeros of
+        # noise_var * eye do.
+        parts = at.view(np.float64)
+        parts *= 0.5
+        parts += 0.0
+        self.diagonal().real += noise_var
+        return at.T
+
+
+# One workspace per thread, reused while the pilot count stays the same:
+# fresh 4 MiB temporaries cost a page fault per 4 KiB on every solve.  A
+# thread's workspace goes away with the thread.
+_local = threading.local()
+
+
+def _workspace(n: int) -> _Workspace:
+    ws = getattr(_local, "ws", None)
+    if ws is None or ws.n != n:
+        _local.ws = None  # drop the old buffers before allocating new ones
+        ws = _local.ws = _Workspace(n)
+    return ws
 
 
 def genie_correlations(ps: PathSet, cfg: "SystemConfig", layout: FrameLayout) -> CorrelationPair:
@@ -181,9 +244,10 @@ def mmse_estimate(
     Hermitian positive definite for noise_var > 0 and is attacked with a
     Cholesky factorization; if that fails a diagonal jitter of
     1e-12 * trace/n is added once.  For noise_var = 0 the (generally rank
-    deficient) system falls back to the least-norm solution.  The dense
-    algebra runs on one BLAS thread, so the result does not depend on the
-    BLAS thread count.
+    deficient) system falls back to the least-norm solution.  The system is
+    built and factored in place, in buffers each thread keeps for its pilot
+    count.  The dense algebra runs on one BLAS thread, so the result does not
+    depend on the BLAS thread count.
     """
     if noise_var < 0:
         raise ContractViolationError(f"noise_var must be >= 0, got {noise_var}")
@@ -194,18 +258,20 @@ def mmse_estimate(
             f"correlations built for {corr.n_pilot} pilots, observations have {obs_vec.size}"
         )
     with single_blas_thread():
-        r2 = corr.R2
         used_least_norm = False
         if noise_var == 0:
-            z, *_ = np.linalg.lstsq(r2, obs_vec, rcond=None)
+            z, *_ = np.linalg.lstsq(corr.R2, obs_vec, rcond=None)
             used_least_norm = True
         else:
-            a = r2 + noise_var * np.eye(r2.shape[0])
+            ws = _workspace(corr.n_pilot)
             try:
-                z = cho_solve(cho_factor(a, lower=True), obs_vec)
+                a = corr._system(noise_var, ws)
+                z = cho_solve(cho_factor(a, lower=True, overwrite_a=True), obs_vec)
             except LinAlgError:
-                jitter = 1e-12 * np.trace(a).real / a.shape[0]
-                z = cho_solve(cho_factor(a + jitter * np.eye(a.shape[0]), lower=True), obs_vec)
+                # the failed factorization overwrote the system: build it again
+                a = corr._system(noise_var, ws)
+                ws.diagonal().real += 1e-12 * np.trace(a).real / a.shape[0]
+                z = cho_solve(cho_factor(a, lower=True, overwrite_a=True), obs_vec)
         h_vec = corr.apply_r1(z)
     grid = TFGrid(h_vec.reshape(cfg.M, cfg.N, order="F"))
     return MmseEstimate(grid, used_least_norm)

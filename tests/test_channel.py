@@ -229,6 +229,43 @@ def test_full_model_reduces_to_diag_without_doppler():
     assert np.max(np.abs(y_d.data - y_f.data)) < 1e-10
 
 
+def _full_channel_loop(x, ps, noise_var, rng):
+    """The full channel as a plain per-path loop: intra-symbol ramp, symbol
+    phase, cyclic delay, FFT, then the gain times the result (gain first),
+    summed over paths before the noise is added."""
+    big_m, big_n = x.shape
+    xt = np.fft.ifft(x, axis=0, norm="ortho")
+    y = np.zeros_like(x)
+    for p in ps.paths:
+        ramp = np.exp(2j * np.pi * p.doppler * np.arange(big_m) / (big_m * big_n))
+        phase = np.exp(2j * np.pi * p.doppler * np.arange(big_n) / big_n)
+        t = xt * ramp[:, None] * phase[None, :]
+        y = y + p.gain * np.fft.fft(np.roll(t, p.delay_idx, axis=0), axis=0, norm="ortho")
+    w = np.empty(x.shape, dtype=complex)
+    w.real = rng.standard_normal(x.shape)
+    w.imag = rng.standard_normal(x.shape)
+    return y + w * np.sqrt(noise_var / 2.0)
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [
+        ((0.9 + 0.1j, 0, 0.0), (0.4 - 0.6j, 3, 0.0)),  # zero Doppler: the diag model
+        ((0.8 - 0.3j, 1, 1.37), (-0.2 + 0.5j, 4, -2.81), (0.1 + 0.1j, 7, 0.49)),
+        ((0.7 + 0.2j, 0, 0.0), (0.3 - 0.4j, 2, -1.5)),
+    ],
+)
+def test_full_model_equals_per_path_loop_bitwise(paths):
+    cfg = default_config()
+    ps = PathSet(tuple(Path(gain=g, delay_idx=l, doppler=k) for g, l, k in paths))
+    rng = np.random.default_rng(31)
+    x = TFGrid(rng.standard_normal((cfg.M, cfg.N)) + 1j * rng.standard_normal((cfg.M, cfg.N)))
+    for noise_var in (0.0, 0.3):
+        got = apply_channel_full(x, ps, noise_var, np.random.default_rng(9)).data
+        want = _full_channel_loop(x.data, ps, noise_var, np.random.default_rng(9))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_full_model_pure_delay_by_hand():
     cfg = tiny_cfg(4, 2)
     ps = PathSet((Path(gain=1.0 + 0.0j, delay_idx=2, doppler=0.0),))

@@ -1,8 +1,15 @@
 """Estimator stages against independent brute-force oracles."""
 
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from ddce import estimators
+from ddce.blas import single_blas_thread
 from ddce.channel import ChannelProfile, Path, PathSet, apply_channel_diag, ctf_from_paths, gen_paths
 from ddce.config import SystemConfig
 from ddce.errors import ContractViolationError
@@ -446,6 +453,167 @@ def test_correlations_use_declared_ensemble_powers():
     assert np.allclose(np.diag(corr.R2), 5.0)
     vec = np.arange(corr.n_pilot, dtype=complex)
     assert np.allclose(corr.apply_r1(vec), corr.R1 @ vec, atol=1e-10)
+
+
+def _random_mmse_case(cfg, seed, n_paths=4):
+    """Genie correlations of a random fractional-Doppler path set inside the
+    lattice support, and random pilot observations."""
+    rng = np.random.default_rng(seed)
+    k_lim = 0.45 * cfg.N / cfg.d_t
+    delays = rng.choice(cfg.M // cfg.d_f, size=n_paths, replace=False)
+    powers = rng.uniform(0.1, 1.0, n_paths)
+    ps = PathSet(tuple(
+        Path(gain=1.0, delay_idx=int(l), doppler=float(rng.uniform(-k_lim, k_lim)), power=float(w))
+        for l, w in zip(delays, powers / powers.sum())
+    ))
+    layout = make_layout(PilotPattern(d_t=cfg.d_t, d_f=cfg.d_f), cfg)
+    shape = (cfg.M // cfg.d_f, cfg.N // cfg.d_t)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return PilotObservations(vals, d_t=cfg.d_t, d_f=cfg.d_f), genie_correlations(ps, cfg, layout)
+
+
+def _textbook_r2(corr):
+    """The symmetrised pilot auto-correlation as plain dense algebra."""
+    r2 = (corr._a_pilot * corr._p) @ corr._a_pilot.conj().T
+    return (r2 + r2.conj().T) / 2.0
+
+
+def _dense_mmse_reference(obs, corr, noise_var, cfg, jitter=False):
+    """The genie MMSE solve written out densely, with fresh temporaries and
+    a Cholesky that copies its input; `jitter` retries the way the
+    LinAlgError fallback does."""
+    with single_blas_thread():
+        r2 = _textbook_r2(corr)
+        a = r2 + noise_var * np.eye(r2.shape[0])
+        if jitter:
+            shift = 1e-12 * np.trace(a).real / a.shape[0]
+            a = a + shift * np.eye(a.shape[0])
+        z = cho_solve(cho_factor(a, lower=True), obs.values.flatten(order="F"))
+        return corr.apply_r1(z).reshape(cfg.M, cfg.N, order="F")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mmse_equals_dense_formulation_bit_for_bit(seed):
+    cfg = tiny_cfg(128, 64, 4, 4)
+    obs, corr = _random_mmse_case(cfg, seed)
+    for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
+        noise_var = 10.0 ** (-snr_db / 10.0)
+        got = mmse_estimate(obs, corr, noise_var, cfg).grid.data
+        assert got.tobytes() == _dense_mmse_reference(obs, corr, noise_var, cfg).tobytes()
+
+
+def test_mmse_bitwise_across_lattices_and_workspace_sizes():
+    """A non-square lattice (d_t = 2, d_f = 4), and one thread alternating
+    pilot counts, so that its workspace is rebuilt between calls."""
+    cfgs = (tiny_cfg(64, 64, 2, 4), tiny_cfg(32, 16, 4, 4), tiny_cfg(64, 32, 4, 4))
+    for i, cfg in enumerate(cfgs + cfgs[::-1] + cfgs):
+        obs, corr = _random_mmse_case(cfg, 10 + i)
+        noise_var = 10.0 ** (-(i % 5))
+        got = mmse_estimate(obs, corr, noise_var, cfg).grid.data
+        assert got.tobytes() == _dense_mmse_reference(obs, corr, noise_var, cfg).tobytes()
+        assert estimators._local.ws.n == corr.n_pilot
+
+
+def test_thread_releases_its_workspace_when_it_exits():
+    cfg = tiny_cfg(32, 16, 4, 4)
+    obs, corr = _random_mmse_case(cfg, 7)
+    refs = []
+
+    def work():
+        mmse_estimate(obs, corr, 0.1, cfg)
+        refs.append(weakref.ref(estimators._local.ws))
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+
+
+def test_mmse_jitter_fallback_rebuilds_the_overwritten_system(monkeypatch):
+    cfg = tiny_cfg(64, 32, 4, 4)
+    obs, corr = _random_mmse_case(cfg, 5)
+    real_cho_factor = estimators.cho_factor
+    calls = []
+
+    def fail_once(a, **kw):
+        calls.append(kw)
+        if len(calls) == 1:
+            a[...] = np.nan  # a failed in-place factorization leaves its input spoilt
+            raise LinAlgError("injected")
+        return real_cho_factor(a, **kw)
+
+    monkeypatch.setattr(estimators, "cho_factor", fail_once)
+    got = mmse_estimate(obs, corr, 1e-3, cfg)
+    assert len(calls) == 2 and all(kw["overwrite_a"] for kw in calls)
+    want = _dense_mmse_reference(obs, corr, 1e-3, cfg, jitter=True)
+    assert got.grid.data.tobytes() == want.tobytes()
+
+
+def test_mmse_least_norm_result_unchanged():
+    cfg = tiny_cfg(64, 32, 4, 4)
+    obs, corr = _random_mmse_case(cfg, 6)
+    est = mmse_estimate(obs, corr, 0.0, cfg)
+    with single_blas_thread():
+        r2 = _textbook_r2(corr)
+        z, *_ = np.linalg.lstsq(r2, obs.values.flatten(order="F"), rcond=None)
+        want = corr.apply_r1(z).reshape(cfg.M, cfg.N, order="F")
+    assert est.used_least_norm
+    assert corr.R2.tobytes() == r2.tobytes()
+    assert est.grid.data.tobytes() == want.tobytes()
+
+
+def _crafted_product(n=6, seed=3):
+    """A Hermitian product with rounding-size asymmetry and exact signed
+    zeros: the (1, 2) / (2, 1) pair has real parts -0.0, which a float-part
+    halving would keep where the complex halving gives +0.0."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    r2 = b @ b.conj().T
+    r2 += 1e-14 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    r2[1, 2], r2[2, 1] = complex(-0.0, 0.25), complex(-0.0, -0.25)
+    r2[3, 4], r2[4, 3] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    return r2
+
+
+def test_workspace_system_matches_textbook_symmetrisation_bitwise():
+    r2 = _crafted_product()
+    ws = estimators._Workspace(r2.shape[0])
+    ws.r2[...] = r2
+    half = (r2 + r2.conj().T) / 2.0
+    assert ws.system(None).tobytes() == half.tobytes()
+    for noise_var in (1e-3, 0.5):
+        ws.r2[...] = r2
+        want = half + noise_var * np.eye(r2.shape[0])
+        got = ws.system(noise_var)
+        assert got.flags.f_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_workspace_system_rejects_non_hermitian_product():
+    r2 = _crafted_product()
+    r2[0, 5] += 1e-6 * np.abs(r2).max()
+    ws = estimators._Workspace(r2.shape[0])
+    for noise_var in (None, 0.1):
+        ws.r2[...] = r2
+        with pytest.raises(ContractViolationError, match="non-Hermitian"):
+            ws.system(noise_var)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_steering_fails_the_finite_check_before_any_solve(bad, monkeypatch):
+    cfg = tiny_cfg(8, 8, 2, 2)
+    rng = np.random.default_rng(4)
+    a_pilot = np.exp(2j * np.pi * rng.uniform(size=(16, 2)))
+    a_pilot[3, 1] = bad
+    corr = CorrelationPair(np.ones((64, 2), dtype=complex), a_pilot, np.array([0.6, 0.4]))
+    obs = PilotObservations(np.ones((4, 4)), d_t=2, d_f=2)
+    solves = []
+    monkeypatch.setattr(estimators, "cho_solve", lambda *a, **kw: solves.append(a))
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"), np.errstate(invalid="ignore"):
+        mmse_estimate(obs, corr, 0.1, cfg)
+    assert solves == []
 
 
 # ------------------------------------------------------------ full pipeline
