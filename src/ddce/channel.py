@@ -13,6 +13,7 @@ classic cosine model k_i = k_max * cos(theta_i), theta_i ~ U[0, 2pi).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -47,10 +48,15 @@ class ChannelProfile:
                 "profile needs matching, non-empty delay and power lists "
                 f"(got {len(self.tap_delays_ns)} delays, {len(self.tap_powers_db)} powers)"
             )
-        if any(d < 0 for d in self.tap_delays_ns):
-            raise ProfileError("tap delays must be non-negative")
-        if self.v_kmh < 0 or self.f_c_hz <= 0:
-            raise ProfileError("need v_kmh >= 0 and f_c_hz > 0")
+        if not all(0 <= d < math.inf for d in self.tap_delays_ns):
+            raise ProfileError("tap delays must be finite and non-negative")
+        if not all(math.isfinite(p) for p in self.tap_powers_db):
+            raise ProfileError("tap powers must be finite")
+        # written so that nan fails too: a nan speed would pass every support check
+        if not 0 <= self.v_kmh < math.inf:
+            raise ProfileError(f"v_kmh must be non-negative and finite, got {self.v_kmh}")
+        if not 0 < self.f_c_hz < math.inf:
+            raise ProfileError(f"f_c_hz must be positive and finite, got {self.f_c_hz}")
         object.__setattr__(self, "tap_delays_ns", tuple(float(d) for d in self.tap_delays_ns))
         object.__setattr__(self, "tap_powers_db", tuple(float(p) for p in self.tap_powers_db))
 
@@ -126,13 +132,18 @@ class PathSet:
         )
 
 
+def _delay_bins(profile: ChannelProfile, cfg: "SystemConfig") -> np.ndarray:
+    """Profile delays rounded to grid indices (units of 1/(M*delta_f))."""
+    return np.rint(np.asarray(profile.tap_delays_ns) * 1e-9 * cfg.M * cfg.delta_f_hz).astype(int)
+
+
 def quantize_delays(profile: ChannelProfile, cfg: "SystemConfig") -> np.ndarray:
     """Round profile delays to grid indices and check they stay usable.
 
     Raises ProfileError if two taps land in the same bin (merge them first)
     and SupportError if a tap falls past the guaranteed delay range.
     """
-    idx = np.rint(np.asarray(profile.tap_delays_ns) * 1e-9 * cfg.M * cfg.delta_f_hz).astype(int)
+    idx = _delay_bins(profile, cfg)
     if len(set(idx.tolist())) != len(idx):
         raise ProfileError(
             f"quantized tap delays collide on the grid: {idx.tolist()}; "
@@ -147,13 +158,29 @@ def quantize_delays(profile: ChannelProfile, cfg: "SystemConfig") -> np.ndarray:
     return idx
 
 
+def max_doppler_index(profile: ChannelProfile, cfg: "SystemConfig") -> float:
+    """Largest Doppler index the profile's mobility produces, k_max = N*T*nu_max.
+
+    Raises SupportError past the pilot lattice's Doppler period, the
+    Doppler half of the support theorem.
+    """
+    k_max = cfg.N * cfg.T * profile.nu_max_hz
+    k_bound = cfg.N / (2 * cfg.d_t) - 1
+    if k_max > k_bound:
+        raise SupportError(
+            f"Doppler support violated: N*T*nu_max = {k_max:.4g} exceeds "
+            f"N/(2*d_t) - 1 = {k_bound:.4g}; need nu_max <= 1/(2*d_t*T) - 1/(N*T)"
+        )
+    return k_max
+
+
 def merge_profile_taps(profile: ChannelProfile, cfg: "SystemConfig") -> ChannelProfile:
     """Collapse taps that share a quantized delay bin, summing linear powers.
 
     Standard profiles are finer than a coarse grid resolves; this returns the
     equivalent grid-resolution profile with one tap per occupied bin.
     """
-    idx = np.rint(np.asarray(profile.tap_delays_ns) * 1e-9 * cfg.M * cfg.delta_f_hz).astype(int)
+    idx = _delay_bins(profile, cfg)
     lin = 10.0 ** (np.asarray(profile.tap_powers_db) / 10.0)
     step_ns = 1e9 / (cfg.M * cfg.delta_f_hz)
     bins = sorted(set(idx.tolist()))
@@ -170,13 +197,7 @@ def gen_paths(cfg: "SystemConfig", profile: ChannelProfile, rng: np.random.Gener
     cfg.on_grid_doppler the Doppler indices are rounded to integers.
     """
     delays = quantize_delays(profile, cfg)
-    k_max = cfg.N * cfg.T * profile.nu_max_hz
-    k_bound = cfg.N / (2 * cfg.d_t) - 1
-    if k_max > k_bound:
-        raise SupportError(
-            f"Doppler spread too large: N*T*nu_max = {k_max:.4g} exceeds "
-            f"N/(2*d_t) - 1 = {k_bound:.4g}; need nu_max <= 1/(2*d_t*T) - 1/(N*T)"
-        )
+    k_max = max_doppler_index(profile, cfg)
     p_lin = profile.tap_powers_lin
     n = profile.n_taps
     re = rng.standard_normal(n)
@@ -194,11 +215,18 @@ def gen_paths(cfg: "SystemConfig", profile: ChannelProfile, rng: np.random.Gener
     )
 
 
-def _ctf(ps: PathSet, n_subcarriers: int, n_symbols: int) -> np.ndarray:
+def path_steering(ps: PathSet, n_subcarriers: int, n_symbols: int):
+    """Per-path steering vectors: e^{-j2pi*l_i*m/M} as an (M, P) array and
+    e^{+j2pi*k_i*n/N} as a (P, N) array."""
     m = np.arange(n_subcarriers)
     n = np.arange(n_symbols)
-    freq = np.exp(-2j * np.pi * np.outer(m, ps.delays) / n_subcarriers)  # (M, P)
-    time = np.exp(2j * np.pi * np.outer(ps.dopplers, n) / n_symbols)  # (P, N)
+    freq = np.exp(-2j * np.pi * np.outer(m, ps.delays) / n_subcarriers)
+    time = np.exp(2j * np.pi * np.outer(ps.dopplers, n) / n_symbols)
+    return freq, time
+
+
+def _ctf(ps: PathSet, n_subcarriers: int, n_symbols: int) -> np.ndarray:
+    freq, time = path_steering(ps, n_subcarriers, n_symbols)
     return (freq * ps.gains) @ time
 
 

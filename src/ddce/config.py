@@ -7,10 +7,10 @@ import os
 from dataclasses import dataclass, replace
 
 from .channel import (
-    C_LIGHT,
     EVA_TAP_DELAYS_NS,
     EVA_TAP_POWERS_DB,
     ChannelProfile,
+    max_doppler_index,
     merge_profile_taps,
     quantize_delays,
 )
@@ -35,13 +35,12 @@ def snr_is_valid(snr_db: float) -> bool:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Everything a simulation run needs, validated as a whole."""
+    """Everything a simulation run needs, validated as a whole.  Mobility
+    (speed and carrier) lives on the channel profile."""
 
     M: int
     N: int
     delta_f_hz: float
-    f_c_hz: float
-    v_kmh: float
     d_t: int
     d_f: int
     profile: ChannelProfile
@@ -61,15 +60,6 @@ class SystemConfig:
         return 1.0 / self.delta_f_hz
 
     @property
-    def nu_max_hz(self) -> float:
-        return (self.v_kmh / 3.6) * self.f_c_hz / C_LIGHT
-
-    @property
-    def k_max(self) -> float:
-        """Largest Doppler index the mobility can produce, N * T * nu_max."""
-        return self.N * self.T * self.nu_max_hz
-
-    @property
     def n_pilot(self) -> int:
         return (self.M // self.d_f) * (self.N // self.d_t)
 
@@ -86,10 +76,6 @@ class SystemConfig:
             out.append(f"pilot spacings must be positive, got d_t={self.d_t}, d_f={self.d_f}")
         if self.delta_f_hz <= 0:
             out.append(f"delta_f_hz must be positive, got {self.delta_f_hz}")
-        if self.f_c_hz <= 0:
-            out.append(f"f_c_hz must be positive, got {self.f_c_hz}")
-        if self.v_kmh < 0:
-            out.append(f"v_kmh must be non-negative, got {self.v_kmh}")
         if out:
             return out  # the derived checks below would divide by zero
         if self.M * self.N > MAX_GRID_RES:
@@ -133,18 +119,13 @@ class SystemConfig:
             out.append(f"threads must be >= 0, got {self.threads}")
         elif self.threads > MAX_THREADS:
             out.append(f"threads must be <= {MAX_THREADS}, got {self.threads}")
-        if self.N % self.d_t == 0:
-            k_bound = self.N / (2 * self.d_t) - 1
-            if self.k_max > k_bound:
-                out.append(
-                    f"Doppler support violated: N*T*nu_max = {self.k_max:.4g} exceeds "
-                    f"N/(2*d_t) - 1 = {k_bound:.4g}; need nu_max <= 1/(2*d_t*T) - 1/(N*T)"
-                )
-        if self.M % self.d_f == 0:
-            try:
-                quantize_delays(self.profile, self)
-            except (ProfileError, SupportError) as exc:
-                out.append(str(exc))
+        if self.M % self.d_f == 0 and self.N % self.d_t == 0:
+            # the support theorem, through the rules gen_paths itself applies
+            for rule in (max_doppler_index, quantize_delays):
+                try:
+                    rule(self.profile, self)
+                except (ProfileError, SupportError) as exc:
+                    out.append(str(exc))
         return out
 
     def validated(self) -> "SystemConfig":
@@ -246,8 +227,8 @@ def load_config(path: str) -> SystemConfig:
         profile = ChannelProfile(
             tap_delays_ns=values.pop("tap_delays_ns"),
             tap_powers_db=values.pop("tap_powers_db"),
-            v_kmh=values["v_kmh"],
-            f_c_hz=values["f_c_hz"],
+            v_kmh=values.pop("v_kmh"),
+            f_c_hz=values.pop("f_c_hz"),
         )
     except ProfileError as exc:
         raise ConfigError(str(exc)) from exc
@@ -267,8 +248,6 @@ def default_config() -> SystemConfig:
         M=128,
         N=64,
         delta_f_hz=15e3,
-        f_c_hz=2.1e9,
-        v_kmh=250.0,
         d_t=4,
         d_f=4,
         profile=base,

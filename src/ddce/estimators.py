@@ -23,9 +23,9 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .blas import single_blas_thread
-from .channel import Path, PathSet
+from .channel import Path, PathSet, path_steering
 from .errors import ContractViolationError
-from .grids import DDGrid, PeriodCSF, TFGrid, isfft
+from .grids import DDGrid, PeriodCSF, TFGrid, isfft, sfft
 from .kernels import csf_closed_form, delay_kernel, doppler_kernel
 from .txrx import FrameLayout
 
@@ -128,10 +128,6 @@ class CorrelationPair:
         return self._a_pilot.shape[0]
 
     @property
-    def n_all(self) -> int:
-        return self._a_all.shape[0]
-
-    @property
     def R1(self) -> np.ndarray:
         if self._r1 is None:
             self._r1 = (self._a_all * self._p) @ self._a_pilot.conj().T
@@ -217,10 +213,8 @@ def _workspace(n: int) -> _Workspace:
 def genie_correlations(ps: PathSet, cfg: "SystemConfig", layout: FrameLayout) -> CorrelationPair:
     """Correlations a genie would hand the MMSE estimator: exact path support
     (delays and Dopplers) with ensemble gain variances."""
-    m = np.arange(cfg.M)
-    n = np.arange(cfg.N)
-    freq = np.exp(-2j * np.pi * np.outer(m, ps.delays) / cfg.M)  # (M, P)
-    time = np.exp(2j * np.pi * np.outer(n, ps.dopplers) / cfg.N)  # (N, P)
+    freq, time = path_steering(ps, cfg.M, cfg.N)
+    time = time.T  # (N, P)
     # steering grid per path, flattened symbol-major (subcarrier fastest)
     a_all = (freq[:, None, :] * time[None, :, :]).reshape(cfg.M * cfg.N, len(ps), order="F")
     a_pilot = freq[layout.pilot_m] * time[layout.pilot_n]
@@ -290,15 +284,12 @@ def _check_lattice(obs: PilotObservations, cfg: "SystemConfig"):
 def periodic_csf(obs: PilotObservations, cfg: "SystemConfig") -> PeriodCSF:
     """One period of the delay-Doppler image, from the pilot lattice.
 
-    Computed as the orthonormal 2-D DFT of the (M/d_f) x (N/d_t) pilot grid
-    (inverse along frequency, forward along time) scaled by sqrt(d_t*d_f),
-    which matches the closed-form lattice kernels exactly.  Doppler rows come
-    out centered.
+    Computed as the `sfft` of the (M/d_f) x (N/d_t) pilot grid scaled by
+    sqrt(d_t*d_f), which matches the closed-form lattice kernels exactly.
+    Doppler rows come out centered.
     """
     _check_lattice(obs, cfg)
-    tmp = np.fft.ifft(obs.values, axis=0, norm="ortho")  # m' -> l
-    tmp = np.fft.fft(tmp, axis=1, norm="ortho")  # n' -> k
-    period = np.sqrt(cfg.d_t * cfg.d_f) * tmp.T  # (N/d_t, M/d_f), k standard order
+    period = np.sqrt(cfg.d_t * cfg.d_f) * sfft(TFGrid(obs.values)).data  # k standard order
     return PeriodCSF(np.fft.fftshift(period, axes=0), d_t=cfg.d_t, d_f=cfg.d_f)
 
 

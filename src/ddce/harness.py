@@ -33,7 +33,7 @@ from .estimators import (
     periodic_csf,
     recover_paths_offgrid,
 )
-from .grids import PeriodCSF, TFGrid, isfft, sfft
+from .grids import TFGrid, isfft, sfft
 from .kernels import doppler_alias_difference, doppler_kernel
 from .txrx import (
     PilotPattern,
@@ -100,9 +100,9 @@ def _noise_var(snr_db: float) -> float:
 
 
 class _Trial:
-    """One frame, one channel and one noise draw: what every estimator of a
-    paired trial sees.  The pilot observations and their delay-Doppler
-    period are built on first use, then shared."""
+    """One frame, one channel and one noise draw, with its pilot
+    observations and their delay-Doppler period: what every estimator of a
+    paired trial sees."""
 
     def __init__(self, cfg: SystemConfig, profile: ChannelProfile, snr_db: float, seed: int):
         rng = np.random.default_rng(seed)
@@ -117,21 +117,8 @@ class _Trial:
             self.y = apply_channel_full(self.x, self.ps, self.noise_var, rng)
         else:
             self.y = apply_response_diag(self.x, self.h_true.data, self.noise_var, rng)
-        self._obs = self._period = None
-
-    # Built on first use, without functools.cached_property: before Python
-    # 3.12 it holds one lock across all instances, which pool workers share.
-    @property
-    def obs(self) -> PilotObservations:
-        if self._obs is None:
-            self._obs = ls_pilot(self.y, self.x, self.layout)
-        return self._obs
-
-    @property
-    def period(self) -> PeriodCSF:
-        if self._period is None:
-            self._period = periodic_csf(self.obs, self.cfg)
-        return self._period
+        self.obs = ls_pilot(self.y, self.x, self.layout)
+        self.period = periodic_csf(self.obs, cfg)
 
 
 def _csf(t: _Trial, mode: str):
@@ -315,12 +302,9 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def _tiny_cfg(big_m, big_n, d_t, d_f, **kw):
+def _tiny_cfg(big_m, big_n, d_t, d_f):
     profile = ChannelProfile((0.0,), (0.0,), v_kmh=0.0, f_c_hz=2.1e9)
-    return SystemConfig(
-        M=big_m, N=big_n, delta_f_hz=15e3, f_c_hz=2.1e9, v_kmh=0.0,
-        d_t=d_t, d_f=d_f, profile=profile, **kw,
-    )
+    return SystemConfig(M=big_m, N=big_n, delta_f_hz=15e3, d_t=d_t, d_f=d_f, profile=profile)
 
 
 def _noiseless_period(ps, cfg):

@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 from ddce.channel import (
-    ChannelProfile,
     Path,
     PathSet,
     apply_channel_diag,
     csf_from_paths,
     ctf_from_paths,
 )
-from ddce.config import SystemConfig, default_config, with_overrides
+from ddce.config import default_config, with_overrides
 from ddce.estimators import (
     PilotObservations,
     csf_ctf_estimate,
@@ -36,6 +35,7 @@ from ddce.grids import TFGrid, isfft, sfft
 from ddce.harness import format_csv, run_trial, snr_sweep
 from ddce.kernels import doppler_alias_difference, doppler_kernel
 from ddce.txrx import PilotPattern, build_frame, make_layout
+from helpers import small_cfg, tiny_cfg
 
 SNRS = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
 
@@ -61,14 +61,6 @@ def _report(capsys, text):
         print(text, flush=True)
 
 
-def _cfg(big_m, big_n, d_t, d_f, **kw):
-    profile = ChannelProfile((0.0,), (0.0,), v_kmh=0.0, f_c_hz=2.1e9)
-    return SystemConfig(
-        M=big_m, N=big_n, delta_f_hz=15e3, f_c_hz=2.1e9, v_kmh=0.0,
-        d_t=d_t, d_f=d_f, profile=profile, **kw,
-    )
-
-
 def _pilot_frame(cfg):
     pattern = PilotPattern(cfg.d_t, cfg.d_f)
     layout = make_layout(pattern, cfg)
@@ -80,7 +72,7 @@ def test_acceptance_1_ongrid_exactness(capsys):
     period matches the true delay-Doppler image to 1e-10 and the rebuilt CTF
     matches the true CTF at all 256 REs to 1e-9, in under 10 s."""
     t0 = time.perf_counter()
-    cfg = _cfg(16, 16, 2, 2)
+    cfg = tiny_cfg(16, 16, 2, 2)
     x, layout = _pilot_frame(cfg)
     rng = np.random.default_rng(0)
     k_half, l_lim = cfg.N // (2 * cfg.d_t), cfg.M // cfg.d_f
@@ -147,7 +139,7 @@ def test_acceptance_3_fractional_doppler_recovery(capsys):
     in 0.05 steps: recovered Doppler and gain stay inside the frozen ceiling
     table, in under 30 s."""
     t0 = time.perf_counter()
-    cfg = _cfg(128, 64, 4, 4)
+    cfg = tiny_cfg(128, 64, 4, 4)
     x, layout = _pilot_frame(cfg)
     rng = np.random.default_rng(0)
     worst_ratio = 0.0
@@ -303,7 +295,7 @@ def _dense_mmse(obs_vals, ps, noise_var, cfg):
 def test_acceptance_5_mmse_dense_equivalence(capsys):
     """The factored MMSE solver matches the dense brute-force construction on
     an 8x8 grid with two paths for noise variances 0.01, 0.1 and 1."""
-    cfg = _cfg(8, 8, 2, 2)
+    cfg = tiny_cfg(8, 8, 2, 2)
     pattern = PilotPattern(cfg.d_t, cfg.d_f)
     layout = make_layout(pattern, cfg)
     ps = PathSet((
@@ -341,7 +333,7 @@ def test_acceptance_6_structural_invariants(capsys):
         e_dd = float(np.sum(np.abs(dd.data) ** 2))
         worst_rt = max(worst_rt, abs(e_dd - e_tf) / e_tf)
 
-    cfg = _cfg(16, 16, 2, 2)
+    cfg = tiny_cfg(16, 16, 2, 2)
     obs = PilotObservations(
         rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), d_t=2, d_f=2
     )
@@ -352,11 +344,8 @@ def test_acceptance_6_structural_invariants(capsys):
         for l in range(8)
     )
 
-    prof = ChannelProfile((0.0, 4166.666666666667), (0.0, -3.0), v_kmh=250.0, f_c_hz=2.1e9)
-    small = SystemConfig(
-        M=32, N=16, delta_f_hz=15e3, f_c_hz=2.1e9, v_kmh=250.0, d_t=4, d_f=4,
-        profile=prof, threads=1,
-    ).validated()
+    small = small_cfg()
+    prof = small.profile
     res = run_trial(small, prof, float("inf"), "ideal", seed=3)
     perfect_csi = res.ber == 0.0 and res.mse == 0.0
 
@@ -393,7 +382,7 @@ def test_acceptance_7_complexity_scaling(capsys):
     csf_times = []
     mmse_times = []
     for big_m, big_n in shapes:
-        cfg = _cfg(big_m, big_n, 4, 4)
+        cfg = tiny_cfg(big_m, big_n, 4, 4)
         x, layout = _pilot_frame(cfg)
         ps = PathSet((
             Path(1.0 + 0.0j, 0, 0.3, power=0.5),
@@ -406,7 +395,6 @@ def test_acceptance_7_complexity_scaling(capsys):
         )
         obs = ls_pilot(y, x, layout)
         corr = genie_correlations(ps, cfg, layout)
-        corr.R2  # materialize outside the timed region
         mmse_times.append(_best_time(lambda: mmse_estimate(obs, corr, noise_var, cfg)))
     csf_factors = [csf_times[i + 1] / csf_times[i] for i in range(len(shapes) - 1)]
     mmse_total = mmse_times[-1] / mmse_times[0]

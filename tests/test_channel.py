@@ -1,5 +1,8 @@
 """Channel profile handling, path generation, and both transmit models."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,24 +17,14 @@ from ddce.channel import (
     csf_from_paths,
     ctf_from_paths,
     gen_paths,
+    max_doppler_index,
     merge_profile_taps,
     quantize_delays,
 )
-from ddce.config import SystemConfig, default_config, with_overrides
+from ddce.config import default_config, with_overrides
 from ddce.errors import ContractViolationError, ProfileError, SupportError
 from ddce.grids import TFGrid, sfft
-
-ONE_TAP = ChannelProfile((0.0,), (0.0,), v_kmh=0.0, f_c_hz=2.1e9)
-
-
-def tiny_cfg(big_m, big_n, **kw):
-    """Small bare config; bypasses whole-config validation on purpose."""
-    base = dict(
-        M=big_m, N=big_n, delta_f_hz=15e3, f_c_hz=2.1e9, v_kmh=0.0,
-        d_t=1, d_f=1, profile=ONE_TAP,
-    )
-    base.update(kw)
-    return SystemConfig(**base)
+from helpers import tiny_cfg
 
 
 def ctf_direct(ps, big_m, big_n):
@@ -75,10 +68,29 @@ def test_profile_validation_and_normalization():
     assert abs(prof.nu_max_hz - 486.11111111111114) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("v_kmh", math.nan, "v_kmh must be non-negative"),
+        ("v_kmh", math.inf, "v_kmh must be non-negative"),
+        ("f_c_hz", 0.0, "f_c_hz must be positive"),
+        ("f_c_hz", math.nan, "f_c_hz must be positive"),
+        ("tap_delays_ns", (0.0, math.inf), "tap delays must be finite"),
+        ("tap_delays_ns", (0.0, math.nan), "tap delays must be finite"),
+        ("tap_powers_db", (0.0, math.nan), "tap powers must be finite"),
+        ("tap_powers_db", (math.inf, 0.0), "tap powers must be finite"),
+    ],
+)
+def test_profile_rejects_out_of_range_values(field, value, message):
+    with pytest.raises(ProfileError, match=message):
+        replace(two_tap_profile(), **{field: value})
+
+
 def test_doppler_support_constant():
     cfg = default_config()
-    assert abs(cfg.k_max - 2.0740740740740744) < 1e-12
-    assert 2.0 < cfg.k_max < 2.1
+    k_max = max_doppler_index(cfg.profile, cfg)
+    assert abs(k_max - 2.0740740740740744) < 1e-12
+    assert 2.0 < k_max < 2.1
 
 
 def test_quantize_default_profile_bins():
@@ -124,7 +136,7 @@ def test_gen_paths_deterministic_and_in_support():
     assert np.array_equal(ps1.dopplers, ps2.dopplers)
     assert np.array_equal(ps1.delays, ps2.delays)
     assert len(ps1) == 5
-    assert np.max(np.abs(ps1.dopplers)) <= cfg.k_max + 1e-12
+    assert np.max(np.abs(ps1.dopplers)) <= max_doppler_index(cfg.profile, cfg) + 1e-12
     assert np.array_equal(ps1.powers, cfg.profile.tap_powers_lin)
 
 
@@ -159,9 +171,10 @@ def test_gain_and_doppler_statistics():
     assert np.max(np.abs(var / p_lin - 1.0)) < 0.03
     assert np.max(np.abs(gains.mean(axis=0))) < 0.01
     # cosine Doppler model: bounded support, zero mean, second moment k_max^2/2
-    assert np.max(np.abs(dopp)) <= cfg.k_max + 1e-12
+    k_max = max_doppler_index(prof, cfg)
+    assert np.max(np.abs(dopp)) <= k_max + 1e-12
     assert abs(np.mean(dopp)) < 0.02
-    assert abs(np.mean(dopp**2) / (cfg.k_max**2 / 2.0) - 1.0) < 0.03
+    assert abs(np.mean(dopp**2) / (k_max**2 / 2.0) - 1.0) < 0.03
 
 
 def test_ctf_matches_direct_loops():

@@ -1,12 +1,14 @@
 """Config file loading and whole-config validation."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dataclasses import replace
-
+from ddce.channel import ChannelProfile, gen_paths
 from ddce.config import (
     MAX_GRID_RES,
     MAX_MMSE_PILOTS,
@@ -17,7 +19,7 @@ from ddce.config import (
     load_config,
     with_overrides,
 )
-from ddce.errors import ConfigError
+from ddce.errors import ConfigError, ProfileError, SupportError
 
 REPO_CFG = os.path.join(os.path.dirname(__file__), "..", "paper.cfg")
 
@@ -49,7 +51,8 @@ def test_shipped_config_loads_to_defaults():
     cfg = load_config(REPO_CFG)
     assert cfg == default_config()
     assert (cfg.M, cfg.N, cfg.d_t, cfg.d_f) == (128, 64, 4, 4)
-    assert cfg.delta_f_hz == 15e3 and cfg.f_c_hz == 2.1e9 and cfg.v_kmh == 250.0
+    assert cfg.delta_f_hz == 15e3
+    assert cfg.profile.f_c_hz == 2.1e9 and cfg.profile.v_kmh == 250.0
     assert cfg.modulation == "qam4" and cfg.channel_model == "diag"
     assert cfg.on_grid_doppler is False
     assert cfg.estimators == ("ls-interp", "mmse-genie", "csf-ongrid", "csf-offgrid", "ideal")
@@ -135,6 +138,19 @@ def test_semantic_violations_are_aggregated(tmp_path):
     assert "warp-drive" in msg
 
 
+@pytest.mark.parametrize(
+    "line, bad, message",
+    [
+        ("v_kmh = 120", "v_kmh = -3", "v_kmh must be non-negative"),
+        ("f_c_hz = 2.1e9", "f_c_hz = 0", "f_c_hz must be positive"),
+        ("tap_powers_db = 0.0, -3.0", "tap_powers_db = nan, -3.0", "tap powers must be finite"),
+    ],
+)
+def test_bad_profile_keys_rejected(tmp_path, line, bad, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write_cfg(tmp_path, GOOD.replace(line, bad)))
+
+
 def test_lattice_divisibility_blocks_derived_checks(tmp_path):
     # with a non-dividing d_t only the divisibility complaint makes sense
     text = GOOD.replace("d_t = 2", "d_t = 3").replace("v_kmh = 120", "v_kmh = 5000")
@@ -169,20 +185,19 @@ def test_with_overrides_revalidates():
 
 def test_violations_cover_scalar_bounds():
     cfg = default_config()
-    bad = SystemConfig(
-        M=0, N=-2, delta_f_hz=0.0, f_c_hz=-1.0, v_kmh=-3.0,
-        d_t=0, d_f=0, profile=cfg.profile,
-    )
+    bad = SystemConfig(M=0, N=-2, delta_f_hz=0.0, d_t=0, d_f=0, profile=cfg.profile)
     msgs = "\n".join(bad.violations())
     assert "grid dimensions must be positive" in msgs
     assert "pilot spacings must be positive" in msgs
     assert "delta_f_hz must be positive" in msgs
-    assert "f_c_hz must be positive" in msgs
-    assert "v_kmh must be non-negative" in msgs
+    # mobility is the profile's, which checks it when it is built
+    with pytest.raises(ProfileError, match="f_c_hz must be positive"):
+        replace(cfg.profile, f_c_hz=-1.0)
+    with pytest.raises(ProfileError, match="v_kmh must be non-negative"):
+        replace(cfg.profile, v_kmh=-3.0)
 
     worse = SystemConfig(
-        M=128, N=64, delta_f_hz=15e3, f_c_hz=2.1e9, v_kmh=250.0,
-        d_t=4, d_f=4, profile=cfg.profile,
+        M=128, N=64, delta_f_hz=15e3, d_t=4, d_f=4, profile=cfg.profile,
         modulation="qam64", channel_model="fancy", estimators=(),
         snr_db=(), n_trials=0, gamma_threshold=0.0, threads=-1,
     )
@@ -199,10 +214,7 @@ def test_violations_cover_scalar_bounds():
 def test_threads_upper_bound():
     cfg = default_config()
     assert with_overrides(cfg, threads=MAX_THREADS).threads == MAX_THREADS
-    msgs = "\n".join(SystemConfig(
-        M=128, N=64, delta_f_hz=15e3, f_c_hz=2.1e9, v_kmh=250.0,
-        d_t=4, d_f=4, profile=cfg.profile, threads=MAX_THREADS + 1,
-    ).violations())
+    msgs = "\n".join(replace(cfg, threads=MAX_THREADS + 1).violations())
     assert f"threads must be <= {MAX_THREADS}" in msgs
 
 
@@ -233,6 +245,50 @@ def test_derived_quantities():
     cfg = default_config()
     assert cfg.T == pytest.approx(1.0 / 15e3)
     assert cfg.n_pilot == 32 * 16
-    assert cfg.nu_max_hz == pytest.approx(486.11111111111114)
+    assert cfg.profile.nu_max_hz == pytest.approx(486.11111111111114)
     assert with_overrides(cfg, threads=3).effective_threads == 3
     assert default_config().effective_threads >= 1
+
+
+def test_mobility_override_is_validated_and_simulated():
+    """The profile alone carries mobility: validation checks the speed the
+    channel draws from, and an accepted speed reaches the drawn Dopplers."""
+    cfg = default_config()
+    with pytest.raises(ConfigError, match="Doppler support violated"):
+        with_overrides(cfg, profile=replace(cfg.profile, v_kmh=1200.0))
+    slow = with_overrides(cfg, profile=replace(cfg.profile, v_kmh=25.0))
+    fast_k = gen_paths(cfg, cfg.profile, np.random.default_rng(5)).dopplers
+    slow_k = gen_paths(slow, slow.profile, np.random.default_rng(5)).dopplers
+    assert np.allclose(slow_k, fast_k / 10.0, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def _mobility_configs(draw):
+    """Valid lattices up to 64 x 32 with random speed, carrier and tap delays."""
+    d_t, d_f = draw(st.sampled_from((1, 2, 4))), draw(st.sampled_from((1, 2, 4)))
+    big_n = 2 * d_t * draw(st.integers(1, 16 // d_t))
+    big_m = d_f * draw(st.integers(1, 64 // d_f))
+    delays = draw(st.lists(st.floats(0.0, 20_000.0), min_size=1, max_size=4))
+    profile = ChannelProfile(
+        tuple(delays),
+        (0.0,) * len(delays),
+        v_kmh=draw(st.floats(0.0, 3000.0)),
+        f_c_hz=draw(st.floats(1e8, 6e9)),
+    )
+    return SystemConfig(M=big_m, N=big_n, delta_f_hz=15e3, d_t=d_t, d_f=d_f, profile=profile)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(_mobility_configs())
+def test_validation_accepts_exactly_what_the_channel_can_draw(cfg):
+    try:
+        cfg.validated()
+        accepted = True
+    except ConfigError:
+        accepted = False
+    try:
+        gen_paths(cfg, cfg.profile, np.random.default_rng(0))
+        drawable = True
+    except (SupportError, ProfileError):
+        drawable = False
+    assert accepted == drawable

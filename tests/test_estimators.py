@@ -11,7 +11,6 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from ddce import estimators
 from ddce.blas import single_blas_thread
 from ddce.channel import ChannelProfile, Path, PathSet, apply_channel_diag, ctf_from_paths, gen_paths
-from ddce.config import SystemConfig
 from ddce.errors import ContractViolationError
 from ddce.estimators import (
     CorrelationPair,
@@ -31,17 +30,7 @@ from ddce.estimators import (
 from ddce.grids import PeriodCSF, TFGrid, isfft
 from ddce.kernels import delay_kernel, doppler_kernel
 from ddce.txrx import PilotPattern, build_frame, make_layout, qam4_mod
-
-ONE_TAP = ChannelProfile((0.0,), (0.0,), v_kmh=0.0, f_c_hz=2.1e9)
-
-
-def tiny_cfg(big_m, big_n, d_t, d_f, **kw):
-    base = dict(
-        M=big_m, N=big_n, delta_f_hz=15e3, f_c_hz=2.1e9, v_kmh=0.0,
-        d_t=d_t, d_f=d_f, profile=ONE_TAP,
-    )
-    base.update(kw)
-    return SystemConfig(**base)
+from helpers import tiny_cfg
 
 
 def period_direct(obs_values, d_t, d_f, big_m, big_n, k, l):
@@ -239,7 +228,7 @@ def test_detection_exact_without_noise():
 
 
 def test_detection_under_noise_is_reliable():
-    cfg = tiny_cfg(64, 32, d_t=2, d_f=2, v_kmh=50.0)
+    cfg = tiny_cfg(64, 32, d_t=2, d_f=2)
     prof = ChannelProfile(
         tap_delays_ns=(0.0, 3125.0, 7291.666666666667),
         tap_powers_db=(0.0, 0.0, 0.0),
@@ -636,7 +625,7 @@ def test_estimate_csf_rejects_unknown_mode():
 
 
 def test_ongrid_mode_gates_noise_only_columns():
-    cfg = tiny_cfg(32, 16, 2, 2, v_kmh=50.0)
+    cfg = tiny_cfg(32, 16, 2, 2)
     ps = PathSet((Path(gain=1.0 + 0.0j, delay_idx=2, doppler=1.0),))
     est, *_ = run_pipeline(cfg, ps, 0.01, "ongrid", seed=3)
     occupied = np.flatnonzero(np.abs(est.full_dd.data).max(axis=0))
@@ -655,7 +644,7 @@ def test_offgrid_mode_returns_zero_image_when_nothing_detected():
 
 
 def test_offgrid_pipeline_recovers_clean_channel():
-    cfg = tiny_cfg(64, 32, 2, 2, v_kmh=50.0)
+    cfg = tiny_cfg(64, 32, 2, 2)
     ps = PathSet(
         (
             Path(gain=0.9 + 0.1j, delay_idx=1, doppler=0.73),
@@ -688,7 +677,7 @@ def test_reconstruct_route_equals_direct_formula():
 
 
 def test_ctf_estimate_is_transform_of_full_image():
-    cfg = tiny_cfg(32, 16, 2, 2, v_kmh=50.0)
+    cfg = tiny_cfg(32, 16, 2, 2)
     ps = PathSet((Path(gain=0.8, delay_idx=3, doppler=0.6),))
     rng = np.random.default_rng(17)
     pattern = PilotPattern(d_t=2, d_f=2)

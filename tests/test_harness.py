@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from ddce.channel import (
-    ChannelProfile,
     apply_channel_diag,
     apply_channel_full,
     ctf_from_paths,
     gen_paths,
 )
-from ddce.config import ESTIMATOR_NAMES, SystemConfig, default_config, with_overrides
+from ddce.config import ESTIMATOR_NAMES, default_config, with_overrides
 from ddce.errors import ContractViolationError
 from ddce.estimators import (
     estimate_csf,
@@ -44,16 +43,9 @@ from ddce.txrx import (
     qam4_demod,
     qam4_mod,
 )
+from helpers import small_cfg
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
-
-
-def small_cfg(threads=1):
-    prof = ChannelProfile((0.0, 4166.666666666667), (0.0, -3.0), v_kmh=250.0, f_c_hz=2.1e9)
-    return SystemConfig(
-        M=32, N=16, delta_f_hz=15e3, f_c_hz=2.1e9, v_kmh=250.0, d_t=4, d_f=4,
-        profile=prof, threads=threads,
-    ).validated()
 
 
 def test_child_seed_frozen_values():

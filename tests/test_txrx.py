@@ -4,8 +4,6 @@ import unittest
 
 import numpy as np
 
-from ddce.channel import ChannelProfile
-from ddce.config import SystemConfig
 from ddce.errors import ContractViolationError
 from ddce.grids import TFGrid
 from ddce.txrx import (
@@ -19,16 +17,9 @@ from ddce.txrx import (
     qam4_demod,
     qam4_mod,
 )
+from helpers import tiny_cfg
 
 S = 1.0 / np.sqrt(2.0)
-
-
-def small_cfg(big_m=8, big_n=4, d_t=2, d_f=4):
-    prof = ChannelProfile((0.0,), (0.0,), v_kmh=0.0, f_c_hz=2.1e9)
-    return SystemConfig(
-        M=big_m, N=big_n, delta_f_hz=15e3, f_c_hz=2.1e9, v_kmh=0.0,
-        d_t=d_t, d_f=d_f, profile=prof,
-    )
 
 
 class Qam4Tests(unittest.TestCase):
@@ -70,7 +61,7 @@ class Qam4Tests(unittest.TestCase):
 
 class LayoutTests(unittest.TestCase):
     def test_lattice_positions_are_frozen(self):
-        lay = make_layout(PilotPattern(d_t=2, d_f=4), small_cfg())
+        lay = make_layout(PilotPattern(d_t=2, d_f=4), tiny_cfg(8, 4, 2, 4))
         self.assertEqual(lay.pilot_m.tolist(), [0, 4, 0, 4])
         self.assertEqual(lay.pilot_n.tolist(), [0, 0, 2, 2])
         # symbol-major, subcarrier fastest
@@ -80,7 +71,7 @@ class LayoutTests(unittest.TestCase):
         self.assertEqual(lay.n_data, 28)
 
     def test_positions_cover_grid_without_overlap(self):
-        cfg = small_cfg(big_m=12, big_n=6, d_t=3, d_f=2)
+        cfg = tiny_cfg(12, 6, 3, 2)
         lay = make_layout(PilotPattern(d_t=3, d_f=2), cfg)
         seen = set(zip(lay.pilot_m.tolist(), lay.pilot_n.tolist()))
         seen.update(zip(lay.data_m.tolist(), lay.data_n.tolist()))
@@ -89,7 +80,7 @@ class LayoutTests(unittest.TestCase):
 
     def test_non_dividing_lattice_rejected(self):
         with self.assertRaises(ContractViolationError):
-            make_layout(PilotPattern(d_t=3, d_f=4), small_cfg())  # 4 % 3 != 0
+            make_layout(PilotPattern(d_t=3, d_f=4), tiny_cfg(8, 4, 2, 4))  # 4 % 3 != 0
 
     def test_pattern_validation(self):
         with self.assertRaises(ContractViolationError):
@@ -100,7 +91,7 @@ class LayoutTests(unittest.TestCase):
 
 class FrameTests(unittest.TestCase):
     def setUp(self):
-        self.cfg = small_cfg()
+        self.cfg = tiny_cfg(8, 4, 2, 4)
         self.pattern = PilotPattern(d_t=2, d_f=4)
         self.rng = np.random.default_rng(31)
 
@@ -127,7 +118,7 @@ class FrameTests(unittest.TestCase):
 
     def test_equalizer_flags_vanishing_gains(self):
         syms = np.ones(28, dtype=complex)
-        x, lay = build_frame(syms, self.pattern, small_cfg())
+        x, lay = build_frame(syms, self.pattern, tiny_cfg(8, 4, 2, 4))
         h = np.ones((8, 4), dtype=complex)
         h[lay.data_m[0], lay.data_n[0]] = NEAR_SINGULAR_TOL / 10.0
         x_hat, n_sing = equalize_single_tap(x, TFGrid(h), lay)
