@@ -33,6 +33,23 @@ def snr_is_valid(snr_db: float) -> bool:
     return not math.isnan(snr_db) and snr_db != -math.inf
 
 
+def support_violations(profile: ChannelProfile, cfg: "SystemConfig") -> list:
+    """What of the support theorem `profile` breaks on cfg's pilot lattice,
+    through the rules gen_paths itself applies.  Empty while the lattice
+    itself is unusable, which the scalar checks report."""
+    if min(cfg.M, cfg.N, cfg.d_t, cfg.d_f) < 1 or not cfg.delta_f_hz > 0:
+        return []
+    if cfg.M % cfg.d_f or cfg.N % cfg.d_t:
+        return []
+    out = []
+    for rule in (max_doppler_index, quantize_delays):
+        try:
+            rule(profile, cfg)
+        except (ProfileError, SupportError) as exc:
+            out.append(str(exc))
+    return out
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Everything a simulation run needs, validated as a whole.  Mobility
@@ -119,14 +136,7 @@ class SystemConfig:
             out.append(f"threads must be >= 0, got {self.threads}")
         elif self.threads > MAX_THREADS:
             out.append(f"threads must be <= {MAX_THREADS}, got {self.threads}")
-        if self.M % self.d_f == 0 and self.N % self.d_t == 0:
-            # the support theorem, through the rules gen_paths itself applies
-            for rule in (max_doppler_index, quantize_delays):
-                try:
-                    rule(self.profile, self)
-                except (ProfileError, SupportError) as exc:
-                    out.append(str(exc))
-        return out
+        return out + support_violations(self.profile, self)
 
     def validated(self) -> "SystemConfig":
         errs = self.violations()

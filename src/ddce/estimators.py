@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError  # the class scipy.linalg raises as well
 
-from .blas import single_blas_thread
+from .blas import rescan, single_blas_thread
 from .channel import Path, PathSet, path_steering
 from .errors import ContractViolationError
 from .grids import DDGrid, PeriodCSF, TFGrid, isfft, sfft
@@ -53,6 +54,8 @@ class PilotObservations:
             raise ContractViolationError(
                 f"pilot observations must be a non-empty 2-D array, got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ContractViolationError("PilotObservations values must all be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -101,6 +104,30 @@ def _interp_axis(arr: np.ndarray, step: int, out_len: int, axis: int) -> np.ndar
     shape = (out_len,) + (1,) * (arr.ndim - 1)
     out = arr[j] + (arr[j + 1] - arr[j]) * frac.reshape(shape)
     return np.moveaxis(out, 0, axis)
+
+
+@cache
+def scipy_linalg():
+    """`scipy.linalg`, imported on the first call.
+
+    Only the genie MMSE solves dense systems, and the import costs about a
+    third of a second and 20 MB, so no other run pays for it.  It maps
+    scipy's own OpenBLAS, which the rescan adds to the BLAS pin.
+    """
+    import scipy.linalg
+
+    rescan()
+    return scipy.linalg
+
+
+def cho_factor(a, **kw):
+    """`scipy.linalg.cho_factor`, looked up on each call."""
+    return scipy_linalg().cho_factor(a, **kw)
+
+
+def cho_solve(c_and_lower, b, **kw):
+    """`scipy.linalg.cho_solve`, looked up on each call."""
+    return scipy_linalg().cho_solve(c_and_lower, b, **kw)
 
 
 class CorrelationPair:
@@ -241,7 +268,7 @@ def mmse_estimate(
     deficient) system falls back to the least-norm solution.  The system is
     built and factored in place, in buffers each thread keeps for its pilot
     count.  The dense algebra runs on one BLAS thread, so the result does not
-    depend on the BLAS thread count.
+    depend on the BLAS thread count.  The first call imports `scipy.linalg`.
     """
     if noise_var < 0:
         raise ContractViolationError(f"noise_var must be >= 0, got {noise_var}")
@@ -260,12 +287,15 @@ def mmse_estimate(
             ws = _workspace(corr.n_pilot)
             try:
                 a = corr._system(noise_var, ws)
-                z = cho_solve(cho_factor(a, lower=True, overwrite_a=True), obs_vec)
+                factor = cho_factor(a, lower=True, overwrite_a=True)
             except LinAlgError:
                 # the failed factorization overwrote the system: build it again
                 a = corr._system(noise_var, ws)
                 ws.diagonal().real += 1e-12 * np.trace(a).real / a.shape[0]
-                z = cho_solve(cho_factor(a, lower=True, overwrite_a=True), obs_vec)
+                factor = cho_factor(a, lower=True, overwrite_a=True)
+            # cho_factor checked the system for non-finite entries, and the
+            # observations are finite by construction: no second scan
+            z = cho_solve(factor, obs_vec, check_finite=False)
         h_vec = corr.apply_r1(z)
     grid = TFGrid(h_vec.reshape(cfg.M, cfg.N, order="F"))
     return MmseEstimate(grid, used_least_norm)

@@ -3,7 +3,6 @@ self-verification suite."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,8 @@ from .channel import (
     ctf_from_paths,
     gen_paths,
 )
-from .config import ESTIMATOR_NAMES, SystemConfig
-from .errors import ContractViolationError
+from .config import ESTIMATOR_NAMES, SystemConfig, support_violations
+from .errors import ConfigError, ContractViolationError
 from .estimators import (
     PilotObservations,
     csf_from_period,
@@ -32,6 +31,7 @@ from .estimators import (
     mmse_estimate,
     periodic_csf,
     recover_paths_offgrid,
+    scipy_linalg,
 )
 from .grids import TFGrid, isfft, sfft
 from .kernels import doppler_alias_difference, doppler_kernel
@@ -150,6 +150,14 @@ def _check_estimators(names) -> None:
         raise ContractViolationError(f"estimator names repeat: {list(names)}")
 
 
+def _check_profile(cfg: SystemConfig, profile: ChannelProfile) -> None:
+    """Reject a profile whose paths cfg's pilot lattice cannot hold, by the
+    rules validation applies to cfg.profile, before any trial runs."""
+    errs = support_violations(profile, cfg)
+    if errs:
+        raise ConfigError("\n".join(errs))
+
+
 def _paired_trial(cfg, profile, snr_db, estimator_names, seed):
     """One frame, one channel, one noise draw, every requested estimator."""
     trial = _Trial(cfg, profile, snr_db, seed)
@@ -192,6 +200,7 @@ def run_trial(
     which estimator is asked for, which is what makes sweeps paired.
     """
     _check_estimators((estimator_name,))
+    _check_profile(cfg, profile)
     return _paired_trial(cfg, profile, snr_db, (estimator_name,), seed)[0]
 
 
@@ -208,7 +217,8 @@ def snr_sweep(
     Trials are independent and run on a thread pool (cfg.threads workers, 0
     meaning the CPU count); aggregation order is fixed by (snr, estimator),
     so results never depend on scheduling.  BLAS runs single-threaded for
-    the whole sweep: the pool is the only source of parallelism.
+    the whole sweep: the pool is the only source of parallelism.  The profile
+    is checked against cfg's support rules before any trial runs.
     """
     snr_list = [float(s) for s in snr_list_db]
     estimators = tuple(estimators)
@@ -217,6 +227,9 @@ def snr_sweep(
         raise ContractViolationError("need at least one estimator and one SNR point")
     if n_trials < 1:
         raise ContractViolationError(f"n_trials must be >= 1, got {n_trials}")
+    _check_profile(cfg, profile)
+    if "mmse-genie" in estimators:
+        scipy_linalg()  # once, before the pool: not in a worker's first solve
 
     tasks = [(i, j) for i in range(len(snr_list)) for j in range(n_trials)]
     results = [[None] * n_trials for _ in snr_list]
@@ -229,6 +242,8 @@ def snr_sweep(
     workers = cfg.effective_threads
     with single_blas_thread():
         if workers > 1 and len(tasks) > 1:
+            from concurrent.futures import ThreadPoolExecutor  # only a pooled sweep pays for it
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(work, tasks))
         else:

@@ -16,8 +16,10 @@ from ddce.txrx import PilotPattern, make_layout
 
 @pytest.fixture
 def two_blas_threads():
-    """Every loaded OpenBLAS at 2 threads, so that a restore to anything else
-    shows; the previous counts come back afterwards."""
+    """Every OpenBLAS at 2 threads, so that a restore to anything else shows;
+    the previous counts come back afterwards.  The dense solver is loaded
+    first, so that scipy's copy is mapped and found too."""
+    estimators.scipy_linalg()
     before = blas_thread_counts()
     for set_fn, _ in blas._openblas():
         set_fn(2)
@@ -97,7 +99,7 @@ def test_pin_is_a_noop_without_openblas(tmp_path, monkeypatch):
     maps.write_text("00400000-00452000 r-xp 00000000 08:02 173521 /usr/bin/python3\n")
     real = blas_thread_counts()
     monkeypatch.setattr(blas, "_MAPS", str(maps))
-    blas._openblas.cache_clear()
+    monkeypatch.setattr(blas, "_libs", None)
     try:
         assert blas_thread_counts() == ()
         with single_blas_thread():
@@ -105,10 +107,10 @@ def test_pin_is_a_noop_without_openblas(tmp_path, monkeypatch):
                 assert blas._depth == 2
         assert blas._depth == 0
         monkeypatch.setattr(blas, "_MAPS", str(tmp_path / "missing"))
-        blas._openblas.cache_clear()
+        monkeypatch.setattr(blas, "_libs", None)
         with single_blas_thread():
+            blas.rescan()
             assert blas_thread_counts() == ()
     finally:
         monkeypatch.undo()
-        blas._openblas.cache_clear()
     assert blas_thread_counts() == real

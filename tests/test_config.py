@@ -1,6 +1,7 @@
 """Config file loading and whole-config validation."""
 
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from ddce.channel import ChannelProfile, gen_paths
 from ddce.config import (
+    _KEYS,
     MAX_GRID_RES,
     MAX_MMSE_PILOTS,
     MAX_THREADS,
@@ -292,3 +294,50 @@ def test_validation_accepts_exactly_what_the_channel_can_draw(cfg):
     except (SupportError, ProfileError):
         drawable = False
     assert accepted == drawable
+
+
+_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(-(10**30), 10**30).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(("0", "-1", "1e-320", "1e308", "inf", "-inf", "nan", "true", "", ",", "qam4")),
+    st.lists(st.floats(-1e4, 1e5).map(repr), max_size=4).map(", ".join),
+)
+_LINES = st.one_of(
+    st.text(max_size=40),
+    st.builds("{} = {}".format, st.sampled_from(sorted(_KEYS) + ["bogus"]), _VALUES),
+)
+_GOOD_PAIRS = dict(ln.split(" = ", 1) for ln in GOOD.strip().splitlines())
+
+
+@st.composite
+def _edited_good_configs(draw):
+    """GOOD with some keys dropped and some values replaced."""
+    pairs = dict(_GOOD_PAIRS)
+    for key in draw(st.lists(st.sampled_from(sorted(pairs)), max_size=2)):
+        pairs.pop(key, None)
+    edits = draw(st.dictionaries(st.sampled_from(sorted(_KEYS)), _VALUES, max_size=4))
+    pairs.update(edits)
+    return "\n".join(f"{k} = {v}" for k, v in pairs.items())
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(_LINES, max_size=20).map("\n".join),
+        _edited_good_configs(),
+    )
+)
+def test_load_config_raises_only_config_error(text):
+    """Whatever the text, the loader returns a validated config or raises a
+    ConfigError; no other exception escapes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "case.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            cfg = load_config(path)
+        except ConfigError:
+            return
+    assert cfg.violations() == []

@@ -92,6 +92,14 @@ def test_ls_rejects_degenerate_inputs():
         ls_pilot(TFGrid(np.ones((8, 4))), TFGrid(np.ones((4, 8))), lay)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_pilot_observations_reject_non_finite_values(bad):
+    vals = np.ones((4, 4), dtype=complex)
+    vals[2, 1] = bad
+    with pytest.raises(ContractViolationError, match="PilotObservations values must all be finite"):
+        PilotObservations(vals, d_t=2, d_f=2)
+
+
 # ------------------------------------------------------------- interpolation
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddce.errors import ContractViolationError
 from ddce.grids import DDGrid, PeriodCSF, TFGrid, isfft, sfft
@@ -73,6 +75,28 @@ def test_roundtrip_and_parseval(shape):
     assert abs(np.linalg.norm(dd.data) - np.linalg.norm(tf.data)) < 1e-12
     back = isfft(dd)
     assert np.max(np.abs(back.data - tf.data)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    big_m=st.integers(1, 48),
+    half_n=st.integers(1, 24),
+    scale=st.sampled_from((1e-150, 1e-6, 1.0, 1e6, 1e150)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_roundtrip_and_parseval_on_random_shapes(big_m, half_n, scale, seed):
+    """sfft and isfft invert each other in both directions and keep the
+    energy, on any M x N with even N (the Doppler axis splits around 0)."""
+    shape = (big_m, 2 * half_n)
+    rng = np.random.default_rng(seed)
+    data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    tol = 1e-12 * np.abs(data).max()
+    tf = TFGrid(data)
+    dd = sfft(tf)
+    assert dd.data.shape == shape[::-1]
+    assert abs(np.linalg.norm(dd.data) - np.linalg.norm(data)) <= tol * np.sqrt(data.size)
+    assert np.abs(isfft(dd).data - data).max() <= tol
+    assert np.abs(sfft(isfft(DDGrid(data.T))).data - data.T).max() <= tol
 
 
 def test_config_shape_guard():

@@ -2,10 +2,12 @@
 
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ddce import harness
 from ddce.channel import (
     apply_channel_diag,
     apply_channel_full,
@@ -13,7 +15,7 @@ from ddce.channel import (
     gen_paths,
 )
 from ddce.config import ESTIMATOR_NAMES, default_config, with_overrides
-from ddce.errors import ContractViolationError
+from ddce.errors import ConfigError, ContractViolationError
 from ddce.estimators import (
     estimate_csf,
     genie_correlations,
@@ -178,6 +180,24 @@ def test_sweep_validates_inputs():
         snr_sweep(cfg, cfg.profile, (10.0,), ("ideal",), 0, 0)
     with pytest.raises(ContractViolationError, match="repeat"):
         snr_sweep(cfg, cfg.profile, (10.0,), ("ideal", "ideal"), 1, 0)
+
+
+def test_trial_and_sweep_check_their_profile_before_any_trial(monkeypatch):
+    """A profile passed next to cfg obeys cfg's support rules, as cfg.profile
+    does at validation: a bad one is a ConfigError, and no trial starts."""
+    cfg = default_config()
+
+    def no_trial(*args):
+        raise AssertionError("a trial started before the profile was checked")
+
+    monkeypatch.setattr(harness, "_paired_trial", no_trial)
+    fast = replace(cfg.profile, v_kmh=1200.0)
+    late = replace(cfg.profile, tap_delays_ns=(0.0, 40_000.0), tap_powers_db=(0.0, -3.0))
+    for profile, rule in ((fast, "Doppler support violated"), (late, "exceeds M/d_f - 1")):
+        with pytest.raises(ConfigError, match=rule):
+            snr_sweep(cfg, profile, (10.0,), ("ideal",), 1, 0)
+        with pytest.raises(ConfigError, match=rule):
+            run_trial(cfg, profile, 10.0, "ideal", 0)
 
 
 def test_threading_does_not_change_results():
