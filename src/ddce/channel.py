@@ -13,6 +13,7 @@ classic cosine model k_i = k_max * cos(theta_i), theta_i ~ U[0, 2pi).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractViolationError, ProfileError, SupportError
-from .grids import DDGrid, TFGrid
+from .grids import DDGrid, TFGrid, _adopt
 from .kernels import csf_closed_form
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -88,10 +89,14 @@ class Path:
     power: float | None = None
 
     def __post_init__(self):
-        if self.delay_idx < 0 or self.delay_idx != int(self.delay_idx):
+        # written so that nan and inf fail before the int() cast
+        if not 0 <= self.delay_idx < 2**63 or self.delay_idx != int(self.delay_idx):
             raise ContractViolationError(
-                f"delay_idx must be a non-negative integer, got {self.delay_idx}"
+                f"delay_idx must be a non-negative int64 integer, got {self.delay_idx}"
             )
+        power = 0.0 if self.power is None else self.power
+        if not (cmath.isfinite(self.gain) and math.isfinite(self.doppler) and math.isfinite(power)):
+            raise ContractViolationError(f"path gain, doppler and power must be finite: {self}")
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,9 @@ class PathSet:
 
 
 def _delay_bins(profile: ChannelProfile, cfg: "SystemConfig") -> np.ndarray:
-    """Profile delays rounded to grid indices (units of 1/(M*delta_f))."""
-    return np.rint(np.asarray(profile.tap_delays_ns) * 1e-9 * cfg.M * cfg.delta_f_hz).astype(int)
+    """Profile delays rounded to grid indices (units of 1/(M*delta_f)), kept
+    as floats: a delay past the int64 range must still compare as too long."""
+    return np.rint(np.asarray(profile.tap_delays_ns) * 1e-9 * cfg.M * cfg.delta_f_hz)
 
 
 def quantize_delays(profile: ChannelProfile, cfg: "SystemConfig") -> np.ndarray:
@@ -143,17 +149,18 @@ def quantize_delays(profile: ChannelProfile, cfg: "SystemConfig") -> np.ndarray:
     Raises ProfileError if two taps land in the same bin (merge them first)
     and SupportError if a tap falls past the guaranteed delay range.
     """
-    idx = _delay_bins(profile, cfg)
+    bins = _delay_bins(profile, cfg)
+    l_max = cfg.M // cfg.d_f - 1
+    if bins.max() > l_max:
+        raise SupportError(
+            f"max quantized delay {bins.max():.10g} exceeds M/d_f - 1 = {l_max}; "
+            "delays must satisfy tau <= 1/(d_f*delta_f) - 1/(M*delta_f)"
+        )
+    idx = bins.astype(int)
     if len(set(idx.tolist())) != len(idx):
         raise ProfileError(
             f"quantized tap delays collide on the grid: {idx.tolist()}; "
             "merge colliding taps into shared bins before use"
-        )
-    l_max = cfg.M // cfg.d_f - 1
-    if idx.max() > l_max:
-        raise SupportError(
-            f"max quantized delay {idx.max()} exceeds M/d_f - 1 = {l_max}; "
-            "delays must satisfy tau <= 1/(d_f*delta_f) - 1/(M*delta_f)"
         )
     return idx
 
@@ -232,7 +239,7 @@ def _ctf(ps: PathSet, n_subcarriers: int, n_symbols: int) -> np.ndarray:
 
 def ctf_from_paths(ps: PathSet, cfg: "SystemConfig") -> TFGrid:
     """Exact channel transfer function of a path set over the M x N frame."""
-    return TFGrid(_ctf(ps, cfg.M, cfg.N))
+    return _adopt(TFGrid, _ctf(ps, cfg.M, cfg.N))
 
 
 def csf_from_paths(ps: PathSet, cfg: "SystemConfig") -> DDGrid:
@@ -242,7 +249,13 @@ def csf_from_paths(ps: PathSet, cfg: "SystemConfig") -> DDGrid:
     closed-form kernels, which also makes it the reconstruction rule for
     estimated (fractional-Doppler) path sets.
     """
-    return DDGrid(csf_closed_form(ps.gains, ps.delays, ps.dopplers, cfg.M, cfg.N))
+    return _adopt(DDGrid, csf_closed_form(ps.gains, ps.delays, ps.dopplers, cfg.M, cfg.N))
+
+
+def _check_noise_var(noise_var: float) -> None:
+    """The noise-variance rule of every public call that takes one (nan fails too)."""
+    if not 0 <= noise_var < math.inf:
+        raise ContractViolationError(f"noise_var must be finite and >= 0, got {noise_var}")
 
 
 def _draw_noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarray:
@@ -255,19 +268,19 @@ def _draw_noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarray
 
 def apply_channel_diag(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.Generator) -> TFGrid:
     """Diagonal (ICI-free) channel: y = h_tf o x + w, AWGN variance noise_var."""
-    return apply_response_diag(x, _ctf(ps, x.n_subcarriers, x.n_symbols), noise_var, rng)
+    h = _adopt(TFGrid, _ctf(ps, x.n_subcarriers, x.n_symbols))
+    return apply_response_diag(x, h, noise_var, rng)
 
 
-def apply_response_diag(
-    x: TFGrid, h: np.ndarray, noise_var: float, rng: np.random.Generator
-) -> TFGrid:
+def apply_response_diag(x: TFGrid, h: TFGrid, noise_var: float, rng: np.random.Generator) -> TFGrid:
     """`apply_channel_diag` for a path set whose response h over the frame is
     already known (the same draws and the same bits)."""
-    if noise_var < 0:
-        raise ContractViolationError(f"noise_var must be >= 0, got {noise_var}")
-    y = h * x.data
+    _check_noise_var(noise_var)
+    if h.data.shape != x.data.shape:
+        raise ContractViolationError(f"grid shapes differ: x {x.data.shape} vs h {h.data.shape}")
+    y = h.data * x.data
     y += _draw_noise(x.data.shape, noise_var, rng)
-    return TFGrid(y)
+    return _adopt(TFGrid, y)
 
 
 def apply_channel_full(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.Generator) -> TFGrid:
@@ -279,8 +292,7 @@ def apply_channel_full(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.
     to the frequency domain.  With all k_i = 0 this reduces exactly to the
     diagonal model (identical noise draw included).
     """
-    if noise_var < 0:
-        raise ContractViolationError(f"noise_var must be >= 0, got {noise_var}")
+    _check_noise_var(noise_var)
     big_m, big_n = x.data.shape
     xt = np.fft.ifft(x.data, axis=0, norm="ortho")  # per-symbol time samples
     samples = np.arange(big_m)
@@ -293,4 +305,4 @@ def apply_channel_full(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.
         # gain first: complex products round differently with swapped operands
         y += np.multiply(p.gain, f, out=f)
     y += _draw_noise(x.data.shape, noise_var, rng)
-    return TFGrid(y)
+    return _adopt(TFGrid, y)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ESTIMATOR_NAMES, load_config, snr_is_valid, with_overrides
+from .config import ESTIMATOR_NAMES, MIN_SNR_DB, load_config, snr_is_valid
 from .errors import ConfigError
 from .harness import SweepRow, SweepTable, run_trial, snr_sweep, verify_suite, write_csv
 
@@ -70,10 +70,9 @@ def _trial_line(res) -> str:
 
 def _cmd_simulate(args) -> int:
     if not snr_is_valid(args.snr):
-        _errline(f"--snr must be finite or inf (noiseless), got {args.snr}")
+        _errline(f"--snr must be finite and >= {MIN_SNR_DB} dB, or inf (noiseless), got {args.snr}")
         return 1
-    # validated again with the one estimator asked for: its name and resource bounds
-    cfg = with_overrides(load_config(args.config), estimators=(args.estimator,))
+    cfg = load_config(args.config)
     res = run_trial(cfg, cfg.profile, args.snr, args.estimator, args.seed)
     print(_trial_line(res))
     if args.out is not None:

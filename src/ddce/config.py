@@ -26,28 +26,13 @@ MAX_THREADS = 256
 MAX_GRID_RES = 1 << 20
 MAX_TRIALS = 100_000
 MAX_MMSE_PILOTS = 2048
+MIN_SNR_DB = -3082.5  # the noise variance 10**(-snr_db/10) overflows a float below -3082.547
 
 
 def snr_is_valid(snr_db: float) -> bool:
-    """Finite, or +inf for a noiseless run; nan and -inf have no noise level."""
-    return not math.isnan(snr_db) and snr_db != -math.inf
-
-
-def support_violations(profile: ChannelProfile, cfg: "SystemConfig") -> list:
-    """What of the support theorem `profile` breaks on cfg's pilot lattice,
-    through the rules gen_paths itself applies.  Empty while the lattice
-    itself is unusable, which the scalar checks report."""
-    if min(cfg.M, cfg.N, cfg.d_t, cfg.d_f) < 1 or not cfg.delta_f_hz > 0:
-        return []
-    if cfg.M % cfg.d_f or cfg.N % cfg.d_t:
-        return []
-    out = []
-    for rule in (max_doppler_index, quantize_delays):
-        try:
-            rule(profile, cfg)
-        except (ProfileError, SupportError) as exc:
-            out.append(str(exc))
-    return out
+    """At least MIN_SNR_DB and finite, or +inf for a noiseless run; nan and
+    -inf have no noise level."""
+    return MIN_SNR_DB <= snr_db <= math.inf
 
 
 @dataclass(frozen=True)
@@ -91,7 +76,7 @@ class SystemConfig:
             out.append(f"grid dimensions must be positive, got M={self.M}, N={self.N}")
         if self.d_t < 1 or self.d_f < 1:
             out.append(f"pilot spacings must be positive, got d_t={self.d_t}, d_f={self.d_f}")
-        if self.delta_f_hz <= 0:
+        if not self.delta_f_hz > 0:  # nan fails too
             out.append(f"delta_f_hz must be positive, got {self.delta_f_hz}")
         if out:
             return out  # the derived checks below would divide by zero
@@ -125,18 +110,27 @@ class SystemConfig:
             out.append("snr_db list must not be empty")
         bad_snr = [s for s in self.snr_db if not snr_is_valid(s)]
         if bad_snr:
-            out.append(f"snr_db entries must be finite or +inf (noiseless), got {bad_snr}")
+            out.append(f"snr_db entries must be finite and >= {MIN_SNR_DB}, or +inf, got {bad_snr}")
+        if self.master_seed < 0:
+            out.append(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_trials < 1:
             out.append(f"n_trials must be >= 1, got {self.n_trials}")
         elif self.n_trials > MAX_TRIALS:
             out.append(f"n_trials must be <= {MAX_TRIALS}, got {self.n_trials}")
-        if self.gamma_threshold <= 0:
+        if not self.gamma_threshold > 0:
             out.append(f"gamma_threshold must be positive, got {self.gamma_threshold}")
         if self.threads < 0:
             out.append(f"threads must be >= 0, got {self.threads}")
         elif self.threads > MAX_THREADS:
             out.append(f"threads must be <= {MAX_THREADS}, got {self.threads}")
-        return out + support_violations(self.profile, self)
+        if not (self.M % self.d_f or self.N % self.d_t):
+            # the support theorem, through the rules gen_paths itself applies
+            for rule in (max_doppler_index, quantize_delays):
+                try:
+                    rule(self.profile, self)
+                except (ProfileError, SupportError) as exc:
+                    out.append(str(exc))
+        return out
 
     def validated(self) -> "SystemConfig":
         errs = self.violations()

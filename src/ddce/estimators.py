@@ -24,9 +24,9 @@ import numpy as np
 from numpy.linalg import LinAlgError  # the class scipy.linalg raises as well
 
 from .blas import rescan, single_blas_thread
-from .channel import Path, PathSet, path_steering
+from .channel import Path, PathSet, _check_noise_var, path_steering
 from .errors import ContractViolationError
-from .grids import DDGrid, PeriodCSF, TFGrid, isfft, sfft
+from .grids import DDGrid, PeriodCSF, TFGrid, _adopt, _freeze_grid, isfft, sfft
 from .kernels import csf_closed_form, delay_kernel, doppler_kernel
 from .txrx import FrameLayout
 
@@ -49,16 +49,7 @@ class PilotObservations:
     d_f: int
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ContractViolationError(
-                f"pilot observations must be a non-empty 2-D array, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ContractViolationError("PilotObservations values must all be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _freeze_grid(self.values, "PilotObservations"))
 
 
 def ls_pilot(y: TFGrid, x: TFGrid, layout: FrameLayout) -> PilotObservations:
@@ -89,7 +80,7 @@ def interp_linear(obs: PilotObservations, cfg: "SystemConfig") -> TFGrid:
     _check_lattice(obs, cfg)
     half = _interp_axis(obs.values, cfg.d_t, cfg.N, axis=1)
     full = _interp_axis(half, cfg.d_f, cfg.M, axis=0)
-    return TFGrid(full)
+    return _adopt(TFGrid, full)
 
 
 def _interp_axis(arr: np.ndarray, step: int, out_len: int, axis: int) -> np.ndarray:
@@ -270,8 +261,7 @@ def mmse_estimate(
     count.  The dense algebra runs on one BLAS thread, so the result does not
     depend on the BLAS thread count.  The first call imports `scipy.linalg`.
     """
-    if noise_var < 0:
-        raise ContractViolationError(f"noise_var must be >= 0, got {noise_var}")
+    _check_noise_var(noise_var)
     _check_lattice(obs, cfg)
     obs_vec = obs.values.flatten(order="F")  # symbol-major, subcarrier fastest
     if obs_vec.size != corr.n_pilot:
@@ -297,7 +287,7 @@ def mmse_estimate(
             # observations are finite by construction: no second scan
             z = cho_solve(factor, obs_vec, check_finite=False)
         h_vec = corr.apply_r1(z)
-    grid = TFGrid(h_vec.reshape(cfg.M, cfg.N, order="F"))
+    grid = _adopt(TFGrid, h_vec.reshape(cfg.M, cfg.N, order="F"))
     return MmseEstimate(grid, used_least_norm)
 
 
@@ -319,8 +309,8 @@ def periodic_csf(obs: PilotObservations, cfg: "SystemConfig") -> PeriodCSF:
     Doppler rows come out centered.
     """
     _check_lattice(obs, cfg)
-    period = np.sqrt(cfg.d_t * cfg.d_f) * sfft(TFGrid(obs.values)).data  # k standard order
-    return PeriodCSF(np.fft.fftshift(period, axes=0), d_t=cfg.d_t, d_f=cfg.d_f)
+    period = np.sqrt(cfg.d_t * cfg.d_f) * sfft(_adopt(TFGrid, obs.values)).data  # k standard order
+    return _adopt(PeriodCSF, np.fft.fftshift(period, axes=0), d_t=cfg.d_t, d_f=cfg.d_f)
 
 
 def csf_ongrid(p: PeriodCSF, cfg: "SystemConfig") -> DDGrid:
@@ -337,7 +327,7 @@ def csf_ongrid(p: PeriodCSF, cfg: "SystemConfig") -> DDGrid:
     full = np.zeros((cfg.N, cfg.M), dtype=np.complex128)
     rows = p.doppler_axis % cfg.N
     full[rows[:, None], np.arange(p.n_delay)[None, :]] = p.data
-    return DDGrid(full)
+    return _adopt(DDGrid, full)
 
 
 def _machine_floor(data: np.ndarray) -> float:
@@ -355,8 +345,7 @@ def _occupied_columns(p: PeriodCSF, noise_var: float, cfg: "SystemConfig") -> np
     gamma * sqrt(noise_var * d_t * d_f).  In the noiseless case a
     machine-precision floor stands in so that exact zeros never count.
     """
-    if noise_var < 0:
-        raise ContractViolationError(f"noise_var must be >= 0, got {noise_var}")
+    _check_noise_var(noise_var)
     peaks = np.abs(p.data).max(axis=0)
     if noise_var > 0:
         thr = cfg.gamma_threshold * np.sqrt(noise_var * cfg.d_t * cfg.d_f)
@@ -425,7 +414,8 @@ def recover_paths_offgrid(p: PeriodCSF, n_paths: int, cfg: "SystemConfig"):
 def csf_reconstruct(ps_hat: PathSet, cfg: "SystemConfig") -> DDGrid:
     """Full-grid delay-Doppler image of recovered paths via the closed-form
     kernels; identical math to the ground-truth image of a true path set."""
-    return DDGrid(csf_closed_form(ps_hat.gains, ps_hat.delays, ps_hat.dopplers, cfg.M, cfg.N))
+    dd = csf_closed_form(ps_hat.gains, ps_hat.delays, ps_hat.dopplers, cfg.M, cfg.N)
+    return _adopt(DDGrid, dd)
 
 
 @dataclass(frozen=True)
@@ -465,12 +455,12 @@ def csf_from_period(p: PeriodCSF, cfg: "SystemConfig", mode: str, noise_var: flo
         raise ContractViolationError(f"unknown mode '{mode}', valid: {CSF_MODES}")
     if mode == "ongrid":
         keep = _occupied_columns(p, noise_var, cfg)
-        gated = PeriodCSF(np.where(keep[None, :], p.data, 0.0), d_t=p.d_t, d_f=p.d_f)
+        gated = _adopt(PeriodCSF, np.where(keep[None, :], p.data, 0.0), d_t=p.d_t, d_f=p.d_f)
         return CsfEstimate(p, None, csf_ongrid(gated, cfg))
     n_paths = estimate_num_paths(p, noise_var, cfg)
     ps_hat, truncated = recover_paths_offgrid(p, n_paths, cfg) if n_paths else (None, True)
     if ps_hat is None:
-        zero = DDGrid(np.zeros((cfg.N, cfg.M), dtype=np.complex128))
+        zero = _adopt(DDGrid, np.zeros((cfg.N, cfg.M), dtype=np.complex128))
         return CsfEstimate(p, None, zero, truncated=True)
     return CsfEstimate(p, ps_hat, csf_reconstruct(ps_hat, cfg), truncated=truncated)
 

@@ -21,16 +21,29 @@ from .errors import ContractViolationError
 
 
 def _freeze_grid(data, what: str) -> np.ndarray:
+    """Checked, read-only copy of a caller's array: what public constructors store."""
     arr = np.asarray(data, dtype=np.complex128)
     if arr.ndim != 2 or arr.size == 0:
         raise ContractViolationError(
             f"{what} needs a non-empty 2-D complex array, got shape {arr.shape}"
         )
     if not np.isfinite(arr).all():
-        raise ContractViolationError(f"{what} entries must all be finite")
+        raise ContractViolationError(f"{what} values must all be finite")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _adopt(cls, data: np.ndarray, **fields):
+    """A `cls` grid around an array the pipeline just derived from checked
+    values: made read-only, neither copied nor rescanned.  A non-C-ordered
+    array is copied to C order, as `_freeze_grid` does, since means over a
+    grid sum in memory order and the layout sets their last bits."""
+    data = np.ascontiguousarray(data, dtype=np.complex128)
+    data.setflags(write=False)
+    grid = object.__new__(cls)
+    vars(grid).update(data=data, **fields)  # past the frozen __setattr__
+    return grid
 
 
 @dataclass(frozen=True)
@@ -158,7 +171,7 @@ def sfft(tf: TFGrid, cfg=None) -> DDGrid:
         )
     tmp = np.fft.ifft(tf.data, axis=0, norm="ortho")  # m -> l, now [l, n]
     tmp = np.fft.fft(tmp, axis=1, norm="ortho")  # n -> k, now [l, k]
-    return DDGrid(tmp.T)
+    return _adopt(DDGrid, tmp.T)
 
 
 def isfft(dd: DDGrid, cfg=None) -> TFGrid:
@@ -169,4 +182,4 @@ def isfft(dd: DDGrid, cfg=None) -> TFGrid:
         )
     tmp = np.fft.ifft(dd.data, axis=0, norm="ortho")  # k -> n, now [n, l]
     tmp = np.fft.fft(tmp, axis=1, norm="ortho")  # l -> m, now [n, m]
-    return TFGrid(tmp.T)
+    return _adopt(TFGrid, tmp.T)

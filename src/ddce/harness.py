@@ -19,8 +19,7 @@ from .channel import (
     ctf_from_paths,
     gen_paths,
 )
-from .config import ESTIMATOR_NAMES, SystemConfig, support_violations
-from .errors import ConfigError, ContractViolationError
+from .config import SystemConfig, with_overrides
 from .estimators import (
     PilotObservations,
     csf_from_period,
@@ -104,19 +103,19 @@ class _Trial:
     observations and their delay-Doppler period: what every estimator of a
     paired trial sees."""
 
-    def __init__(self, cfg: SystemConfig, profile: ChannelProfile, snr_db: float, seed: int):
+    def __init__(self, cfg: SystemConfig, snr_db: float, seed: int):
         rng = np.random.default_rng(seed)
         pattern = PilotPattern(cfg.d_t, cfg.d_f)
         self.cfg = cfg
         self.bits = rng.integers(0, 2, 2 * make_layout(pattern, cfg).n_data)
         self.x, self.layout = build_frame(qam4_mod(self.bits), pattern, cfg)
-        self.ps = gen_paths(cfg, profile, rng)
+        self.ps = gen_paths(cfg, cfg.profile, rng)
         self.noise_var = _noise_var(snr_db)
         self.h_true = ctf_from_paths(self.ps, cfg)
         if cfg.channel_model == "full":
             self.y = apply_channel_full(self.x, self.ps, self.noise_var, rng)
         else:
-            self.y = apply_response_diag(self.x, self.h_true.data, self.noise_var, rng)
+            self.y = apply_response_diag(self.x, self.h_true, self.noise_var, rng)
         self.obs = ls_pilot(self.y, self.x, self.layout)
         self.period = periodic_csf(self.obs, cfg)
 
@@ -140,39 +139,21 @@ ESTIMATORS = {
 }
 
 
-def _check_estimators(names) -> None:
-    for name in names:
-        if name not in ESTIMATORS:
-            raise ContractViolationError(
-                f"unknown estimator '{name}', valid names: {ESTIMATOR_NAMES}"
-            )
-    if len(set(names)) != len(names):
-        raise ContractViolationError(f"estimator names repeat: {list(names)}")
-
-
-def _check_profile(cfg: SystemConfig, profile: ChannelProfile) -> None:
-    """Reject a profile whose paths cfg's pilot lattice cannot hold, by the
-    rules validation applies to cfg.profile, before any trial runs."""
-    errs = support_violations(profile, cfg)
-    if errs:
-        raise ConfigError("\n".join(errs))
-
-
-def _paired_trial(cfg, profile, snr_db, estimator_names, seed):
-    """One frame, one channel, one noise draw, every requested estimator."""
-    trial = _Trial(cfg, profile, snr_db, seed)
+def _paired_trial(cfg, snr_db, seed):
+    """One frame, one channel, one noise draw, every estimator of cfg."""
+    trial = _Trial(cfg, snr_db, seed)
     h_true, bits = trial.h_true, trial.bits
     y_data = extract_data(trial.y, trial.layout)
     h_power = float(np.mean(np.abs(h_true.data) ** 2))
     results = []
-    for name in estimator_names:
+    for name in cfg.estimators:
         h_hat, failed = ESTIMATORS[name](trial)
         x_hat, n_sing = equalize_values(y_data, extract_data(h_hat, trial.layout))
         ber = float(np.mean(qam4_demod(x_hat) != bits))
         mse = float(np.mean(np.abs(h_hat.data - h_true.data) ** 2))
         results.append(
             TrialResult(
-                snr_db=float(snr_db),
+                snr_db=snr_db,
                 estimator=name,
                 mse=mse,
                 nmse=mse / h_power,
@@ -197,11 +178,16 @@ def run_trial(
     """Run one fully seeded trial for one estimator.
 
     The same seed reproduces the identical frame, channel and noise no matter
-    which estimator is asked for, which is what makes sweeps paired.
+    which estimator is asked for, which is what makes sweeps paired.  Before
+    it starts, the one-trial config the arguments describe (seed as
+    master_seed) goes through `SystemConfig.violations()`, and a violation
+    raises its ConfigError.
     """
-    _check_estimators((estimator_name,))
-    _check_profile(cfg, profile)
-    return _paired_trial(cfg, profile, snr_db, (estimator_name,), seed)[0]
+    run = with_overrides(
+        cfg, profile=profile, snr_db=(float(snr_db),), estimators=(estimator_name,),
+        n_trials=1, master_seed=seed,
+    )
+    return _paired_trial(run, run.snr_db[0], seed)[0]
 
 
 def snr_sweep(
@@ -217,18 +203,16 @@ def snr_sweep(
     Trials are independent and run on a thread pool (cfg.threads workers, 0
     meaning the CPU count); aggregation order is fixed by (snr, estimator),
     so results never depend on scheduling.  BLAS runs single-threaded for
-    the whole sweep: the pool is the only source of parallelism.  The profile
-    is checked against cfg's support rules before any trial runs.
+    the whole sweep: the pool is the only source of parallelism.  Before any
+    trial starts, the config the arguments describe goes through
+    `SystemConfig.violations()`, and a violation raises its ConfigError.
     """
-    snr_list = [float(s) for s in snr_list_db]
-    estimators = tuple(estimators)
-    _check_estimators(estimators)
-    if not estimators or not snr_list:
-        raise ContractViolationError("need at least one estimator and one SNR point")
-    if n_trials < 1:
-        raise ContractViolationError(f"n_trials must be >= 1, got {n_trials}")
-    _check_profile(cfg, profile)
-    if "mmse-genie" in estimators:
+    run = with_overrides(
+        cfg, profile=profile, snr_db=tuple(float(s) for s in snr_list_db),
+        estimators=tuple(estimators), n_trials=n_trials, master_seed=master_seed,
+    )
+    snr_list = run.snr_db
+    if "mmse-genie" in run.estimators:
         scipy_linalg()  # once, before the pool: not in a worker's first solve
 
     tasks = [(i, j) for i in range(len(snr_list)) for j in range(n_trials)]
@@ -237,9 +221,9 @@ def snr_sweep(
     def work(task):
         i, j = task
         seed = child_seed(master_seed, i, j)
-        results[i][j] = _paired_trial(cfg, profile, snr_list[i], estimators, seed)
+        results[i][j] = _paired_trial(run, snr_list[i], seed)
 
-    workers = cfg.effective_threads
+    workers = run.effective_threads
     with single_blas_thread():
         if workers > 1 and len(tasks) > 1:
             from concurrent.futures import ThreadPoolExecutor  # only a pooled sweep pays for it
@@ -252,7 +236,7 @@ def snr_sweep(
 
     rows = []
     for i, snr in enumerate(snr_list):
-        for e_idx, name in enumerate(estimators):
+        for e_idx, name in enumerate(run.estimators):
             trials = [results[i][j][e_idx] for j in range(n_trials)]
             bers = np.array([t.ber for t in trials])
             ci = 1.96 * bers.std(ddof=1) / np.sqrt(n_trials) if n_trials > 1 else 0.0

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractViolationError
-from .grids import TFGrid
+from .grids import TFGrid, _adopt
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SystemConfig
@@ -33,8 +33,8 @@ class PilotPattern:
             raise ContractViolationError(
                 f"pilot spacings must be >= 1, got d_t={self.d_t}, d_f={self.d_f}"
             )
-        if abs(self.pilot_value) == 0:
-            raise ContractViolationError("pilot_value must be non-zero")
+        if not 0 < abs(self.pilot_value) < np.inf:
+            raise ContractViolationError("pilot_value must be non-zero and finite")
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,12 @@ def build_frame(data_syms, pattern: PilotPattern, cfg: "SystemConfig"):
         raise ContractViolationError(
             f"expected {layout.n_data} data symbols for an {cfg.M}x{cfg.N} frame, got {syms.size}"
         )
+    if not np.isfinite(syms).all():
+        raise ContractViolationError("data symbols must all be finite")
     grid = np.zeros((cfg.M, cfg.N), dtype=np.complex128)
     grid[layout.pilot_m, layout.pilot_n] = pattern.pilot_value
     grid[layout.data_m, layout.data_n] = syms
-    return TFGrid(grid), layout
+    return _adopt(TFGrid, grid), layout
 
 
 def extract_data(tf: TFGrid, layout: FrameLayout) -> np.ndarray:

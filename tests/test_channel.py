@@ -1,6 +1,7 @@
 """Channel profile handling, path generation, and both transmit models."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from ddce.channel import (
     PathSet,
     apply_channel_diag,
     apply_channel_full,
+    apply_response_diag,
     csf_from_paths,
     ctf_from_paths,
     gen_paths,
@@ -309,3 +311,58 @@ def test_path_and_pathset_validation():
         PathSet((Path(1.0, 2, 0.0), Path(0.5, 2, 1.0)))  # duplicate delay bin
     ps = PathSet((Path(0.6 + 0.8j, 1, 0.25),))
     assert np.allclose(ps.powers, [1.0])  # falls back to |gain|^2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(gain=complex(np.nan, 0.0)),
+        dict(gain=complex(0.0, np.inf)),
+        dict(doppler=np.nan),
+        dict(doppler=-np.inf),
+        dict(power=np.nan),
+        dict(power=np.inf),
+        dict(delay_idx=np.nan),
+        dict(delay_idx=np.inf),
+        dict(delay_idx=2**63),
+    ],
+    ids=["nan-gain", "inf-gain", "nan-doppler", "inf-doppler", "nan-power", "inf-power",
+         "nan-delay", "inf-delay", "int64-delay"],
+)
+def test_path_rejects_non_finite_fields(fields):
+    args = dict(gain=1.0 + 0.0j, delay_idx=1, doppler=0.5, power=1.0)
+    args.update(fields)
+    with pytest.raises(ContractViolationError, match=next(iter(fields))):
+        Path(**args)
+
+
+@pytest.mark.parametrize("noise_var", [np.nan, np.inf])
+def test_channels_reject_bad_noise_var(noise_var):
+    cfg = tiny_cfg(8, 4)
+    ps = PathSet((Path(1.0 + 0.0j, 1, 0.5),))
+    x = TFGrid(np.ones((8, 4)))
+    h = ctf_from_paths(ps, cfg)
+    rng = np.random.default_rng(0)
+    for apply, channel in (
+        (apply_channel_diag, ps), (apply_channel_full, ps), (apply_response_diag, h)
+    ):
+        with pytest.raises(ContractViolationError, match="noise_var"):
+            apply(x, channel, noise_var, rng)
+
+
+def test_response_diag_needs_a_matching_response_grid():
+    x = TFGrid(np.ones((8, 4)))
+    with pytest.raises(ContractViolationError, match="shapes differ"):
+        apply_response_diag(x, TFGrid(np.ones((8, 2))), 0.0, np.random.default_rng(0))
+
+
+def test_delay_past_the_int64_range_is_out_of_support():
+    """A delay whose bin index does not fit an int64 still compares as too
+    long, with no cast warning, instead of wrapping to a negative bin."""
+    cfg = default_config()
+    prof = replace(cfg.profile, tap_delays_ns=(0.0, 1e300), tap_powers_db=(0.0, -3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SupportError, match="exceeds M/d_f - 1"):
+            quantize_delays(prof, cfg)
+        assert any("exceeds M/d_f - 1" in v for v in replace(cfg, profile=prof).violations())

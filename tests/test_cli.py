@@ -1,11 +1,17 @@
 """End-to-end checks of the ddce command line (in-process via main())."""
 
+import contextlib
+import io
 import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddce.cli import main
+from ddce.config import ESTIMATOR_NAMES
 
 PAPER_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "paper.cfg")
 
@@ -197,3 +203,90 @@ def test_verify_passes_on_shipped_config(capsys):
     assert len(lines) == 7
     for line in lines:
         assert re.fullmatch(r"CHECK [a-z_]+ PASS max_err=\S+", line), line
+
+
+_SIMULATE = {"--estimator": "ideal", "--snr": "10", "--seed": "1"}
+
+
+@pytest.mark.parametrize(
+    "edit,flags,message",
+    [
+        ({"master_seed = 7": "master_seed = -1"}, None, "master_seed must be >= 0, got -1"),
+        ({}, {"--seed": "-1"}, "master_seed must be >= 0, got -1"),
+        ({"snr_db = 10.0, 20.0": "snr_db = 10.0, -4000"}, None, "snr_db entries"),
+        ({}, {"--snr": "-4000"}, "--snr must be finite"),
+        ({"4166.666666666667": "1e300"}, None, "exceeds M/d_f - 1"),
+    ],
+)
+def test_bad_seed_snr_or_delay_exits_1(tmp_path, capsys, edit, flags, message):
+    """A sweep (flags None) or a simulate run with these flags is refused at
+    validation, with a message that names the setting."""
+    text = FAST_CFG
+    for old, new in edit.items():
+        text = text.replace(old, new)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    if flags is None:
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    else:
+        argv = ["simulate", "--config", str(cfg)]
+        for flag, value in dict(_SIMULATE, **flags).items():
+            argv.append(f"{flag}={value}")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert all(line.startswith("error: ") for line in err.splitlines())
+    assert not (tmp_path / "out.csv").exists()
+
+
+_SEEDS = st.one_of(
+    st.integers(-(2**70), 2**70).map(str), st.sampled_from(("-1", "1.5", "abc", ""))
+)
+_SNRS = st.one_of(
+    st.sampled_from(("nan", "inf", "-inf", "-4000", "-3082.6", "1e309", "ten")),
+    st.floats(-50.0, 50.0).map(repr),
+)
+_NAMES = st.one_of(st.sampled_from(ESTIMATOR_NAMES), st.text(min_size=1, max_size=8))
+
+
+@st.composite
+def _invocations(draw):
+    """A command line and the config text it reads (None: no such file)."""
+    text = FAST_CFG.replace("master_seed = 7", f"master_seed = {draw(_SEEDS)}")
+    text = text.replace("snr_db = 10.0, 20.0", f"snr_db = 10.0, {draw(_SNRS)}")
+    text = text.replace("ls-interp, ideal", f"ls-interp, {draw(_NAMES)}")
+    text = draw(st.sampled_from((text, FAST_CFG, None)))
+    command = draw(st.sampled_from(("simulate", "sweep", "verify")))
+    if command == "simulate":
+        flags = [
+            f"--estimator={draw(_NAMES)}", f"--snr={draw(_SNRS)}", f"--seed={draw(_SEEDS)}"
+        ]
+    elif command == "sweep":
+        flags = ["--out", "{dir}/out.csv"]
+    else:
+        flags = []
+    return text, [command, "--config", "{dir}/run.cfg", *flags]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_invocations())
+def test_cli_exits_with_a_documented_code_and_no_traceback(case):
+    """Bad seeds, SNRs, estimator names and missing files end in exit code
+    0, 1, 2 or 3, never in an escaped exception.  Each is refused by the
+    argument parser (2, with its usage line) or by validation (1), never by
+    a runtime error from inside a run."""
+    text, argv = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            with open(os.path.join(tmp, "run.cfg"), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [arg.replace("{dir}", tmp) for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if rc == 1:
+        assert err.getvalue().startswith("error: ")
+    if rc == 2:
+        assert "usage:" in err.getvalue()

@@ -1,5 +1,6 @@
 """Config file loading and whole-config validation."""
 
+import math
 import os
 import tempfile
 from dataclasses import replace
@@ -16,9 +17,11 @@ from ddce.config import (
     MAX_MMSE_PILOTS,
     MAX_THREADS,
     MAX_TRIALS,
+    MIN_SNR_DB,
     SystemConfig,
     default_config,
     load_config,
+    snr_is_valid,
     with_overrides,
 )
 from ddce.errors import ConfigError, ProfileError, SupportError
@@ -116,6 +119,43 @@ def test_nan_and_bad_bool_rejected(tmp_path):
 def test_nonfinite_snr_rejected(tmp_path, snr):
     text = GOOD.replace("snr_db = 0, 10, 20", f"snr_db = 0, {snr}")
     with pytest.raises(ConfigError, match="snr_db entries must be finite"):
+        load_config(write_cfg(tmp_path, text))
+
+
+def test_snr_bound_keeps_the_noise_variance_a_float():
+    """10**(-snr_db/10) overflows below about -3082.547 dB: the rule stops
+    just above that, and everything it accepts has a finite noise level."""
+    for snr in (MIN_SNR_DB, -3082.4, 0.0, 1e308, float("inf")):
+        assert snr_is_valid(snr)
+        assert math.isfinite(10.0 ** (-snr / 10.0))
+    for snr in (-3082.6, -4000.0, -1e308, float("-inf"), float("nan")):
+        assert not snr_is_valid(snr)
+
+
+def test_snr_whose_noise_variance_overflows_rejected(tmp_path):
+    text = GOOD.replace("snr_db = 0, 10, 20", "snr_db = 0, -4000")
+    with pytest.raises(ConfigError, match=r"snr_db entries .*-4000"):
+        load_config(write_cfg(tmp_path, text))
+
+
+def test_nan_grid_spacing_and_threshold_rejected():
+    """Built in code, a config can hold nan where a config file cannot."""
+    errs = "\n".join(replace(default_config(), delta_f_hz=math.nan).violations())
+    assert "delta_f_hz must be positive, got nan" in errs
+    errs = "\n".join(replace(default_config(), gamma_threshold=math.nan).violations())
+    assert "gamma_threshold must be positive, got nan" in errs
+
+
+def test_negative_master_seed_rejected(tmp_path):
+    text = GOOD.replace("master_seed = 1", "master_seed = -1")
+    with pytest.raises(ConfigError, match="master_seed must be >= 0, got -1"):
+        load_config(write_cfg(tmp_path, text))
+    assert load_config(write_cfg(tmp_path, GOOD.replace("master_seed = 1", "master_seed = 0")))
+
+
+def test_delay_past_the_int64_range_rejected(tmp_path):
+    text = GOOD.replace("tap_delays_ns = 0.0, 3125.0", "tap_delays_ns = 0.0, 1e300")
+    with pytest.raises(ConfigError, match="exceeds M/d_f - 1"):
         load_config(write_cfg(tmp_path, text))
 
 

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ddce import estimators
@@ -696,3 +698,35 @@ def test_ctf_estimate_is_transform_of_full_image():
         estimate_csf(y, x, lay, cfg, "offgrid", 0.05).full_dd, cfg
     )
     assert np.max(np.abs(direct.data - staged.data)) == 0.0
+
+
+@st.composite
+def _on_grid_path_sets(draw):
+    """One to five paths in distinct delay bins of a 32x16 grid with
+    d_t = d_f = 2, at integer Dopplers inside the period [-4, 4)."""
+    delays = draw(st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True))
+    paths = []
+    for delay in delays:
+        mag = draw(st.floats(0.1, 1.0))
+        phase = draw(st.floats(0.0, 2.0 * np.pi))
+        doppler = draw(st.integers(-4, 3))
+        paths.append(Path(mag * np.exp(1j * phase), delay, float(doppler)))
+    return PathSet(tuple(paths))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_on_grid_path_sets())
+def test_offgrid_recovers_on_grid_in_support_path_sets_exactly(ps):
+    cfg = tiny_cfg(32, 16, d_t=2, d_f=2)
+    pattern = PilotPattern(d_t=2, d_f=2)
+    x, lay = build_frame(qam4_mod(np.zeros(2 * make_layout(pattern, cfg).n_data)), pattern, cfg)
+    y = apply_channel_diag(x, ps, 0.0, np.random.default_rng(0))
+    est = estimate_csf(y, x, lay, cfg, "offgrid", 0.0)
+    assert est.paths_hat is not None and not est.truncated
+    got, want = est.paths_hat, ps
+    order_got, order_want = np.argsort(got.delays), np.argsort(want.delays)
+    assert np.array_equal(got.delays[order_got], want.delays[order_want])
+    assert np.abs(got.dopplers[order_got] - want.dopplers[order_want]).max() < 1e-9
+    assert np.abs(got.gains[order_got] - want.gains[order_want]).max() < 1e-9
+    h_hat = isfft(est.full_dd, cfg).data
+    assert np.abs(h_hat - ctf_from_paths(ps, cfg).data).max() < 1e-9

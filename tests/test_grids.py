@@ -159,3 +159,54 @@ def test_period_wraps_both_axes():
     assert p.value(-2, 0) == data[0, 0]
     assert p.value(2, 3) == data[0, 0]  # one period over in both axes
     assert p.value(1, -1) == data[3, 2]
+
+
+# ------------------------------------------------------ boundary constructors
+
+GRID_CTORS = {
+    "TFGrid": TFGrid,
+    "DDGrid": DDGrid,
+    "PeriodCSF": lambda data: PeriodCSF(data, d_t=2, d_f=2),
+}
+
+
+def _with(value):
+    arr = np.ones((2, 2), dtype=complex)
+    arr[1, 0] = value
+    return arr
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CTORS))
+@pytest.mark.parametrize(
+    "bad",
+    [_with(np.nan), _with(np.inf), _with(-np.inf), _with(complex(0.0, np.inf)),
+     np.ones(4), np.ones((2, 2, 2)), np.ones((0, 4)), np.ones((2, 0))],
+    ids=["nan", "inf", "-inf", "inf-imag", "1-D", "3-D", "no-rows", "no-cols"],
+)
+def test_public_grid_constructors_reject_bad_arrays(name, bad):
+    with pytest.raises(ContractViolationError, match=name):
+        GRID_CTORS[name](bad)
+
+
+def test_period_rejects_each_spacing_below_one():
+    for d_t, d_f in ((0, 1), (1, 0), (-2, 2)):
+        with pytest.raises(ContractViolationError, match="spacings"):
+            PeriodCSF(np.ones((4, 4)), d_t=d_t, d_f=d_f)
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CTORS))
+def test_public_grid_constructors_copy_the_callers_array(name):
+    src = np.arange(8, dtype=complex).reshape(4, 2)
+    grid = GRID_CTORS[name](src)
+    src[:] = -1.0
+    assert np.array_equal(grid.data, np.arange(8).reshape(4, 2))
+    assert not grid.data.flags.writeable
+
+
+def test_transforms_hand_back_c_ordered_read_only_grids():
+    """sfft/isfft transpose their last FFT; the grids they return are still
+    C-ordered, as a checked copy would be, and cannot be written."""
+    rng = np.random.default_rng(3)
+    tf = TFGrid(rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6)))
+    for grid in (sfft(tf), isfft(sfft(tf))):
+        assert grid.data.flags.c_contiguous and not grid.data.flags.writeable

@@ -7,15 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddce import harness
+from ddce import estimators, grids, harness
 from ddce.channel import (
     apply_channel_diag,
     apply_channel_full,
     ctf_from_paths,
     gen_paths,
 )
-from ddce.config import ESTIMATOR_NAMES, default_config, with_overrides
-from ddce.errors import ConfigError, ContractViolationError
+from ddce.config import ESTIMATOR_NAMES, MAX_TRIALS, default_config, with_overrides
+from ddce.errors import ConfigError
 from ddce.estimators import (
     estimate_csf,
     genie_correlations,
@@ -74,7 +74,7 @@ def test_run_trial_is_deterministic():
 
 def test_run_trial_rejects_unknown_estimator():
     cfg = small_cfg()
-    with pytest.raises(ContractViolationError, match="unknown estimator"):
+    with pytest.raises(ConfigError, match="unknown estimator"):
         run_trial(cfg, cfg.profile, 10.0, "zero-forcing", seed=1)
 
 
@@ -172,13 +172,13 @@ def test_sweep_reduction_matches_hand_average():
 
 def test_sweep_validates_inputs():
     cfg = small_cfg()
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigError):
         snr_sweep(cfg, cfg.profile, (10.0,), ("nope",), 1, 0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigError):
         snr_sweep(cfg, cfg.profile, (), ("ideal",), 1, 0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigError):
         snr_sweep(cfg, cfg.profile, (10.0,), ("ideal",), 0, 0)
-    with pytest.raises(ContractViolationError, match="repeat"):
+    with pytest.raises(ConfigError, match="repeat"):
         snr_sweep(cfg, cfg.profile, (10.0,), ("ideal", "ideal"), 1, 0)
 
 
@@ -198,6 +198,73 @@ def test_trial_and_sweep_check_their_profile_before_any_trial(monkeypatch):
             snr_sweep(cfg, profile, (10.0,), ("ideal",), 1, 0)
         with pytest.raises(ConfigError, match=rule):
             run_trial(cfg, profile, 10.0, "ideal", 0)
+
+
+def _no_trial(*args):
+    raise AssertionError("a trial started before its arguments were checked")
+
+
+_BAD_RUNS = {
+    # name: (snr_sweep arguments after cfg, what the ConfigError names)
+    "unknown estimator": (dict(estimators=("nope",)), "unknown estimators"),
+    "repeated estimator": (dict(estimators=("ideal", "ideal")), "must not repeat"),
+    "no estimator": (dict(estimators=()), "unknown estimators"),
+    "no snr": (dict(snrs=()), "snr_db list must not be empty"),
+    "nan snr": (dict(snrs=(float("nan"),)), "snr_db entries"),
+    "-inf snr": (dict(snrs=(10.0, float("-inf"))), "snr_db entries"),
+    "overflowing snr": (dict(snrs=(-4000.0,)), "snr_db entries"),
+    "no trials": (dict(n_trials=0), "n_trials must be >= 1"),
+    "too many trials": (dict(n_trials=MAX_TRIALS + 1), "n_trials must be <="),
+    "negative seed": (dict(seed=-1), "master_seed must be >= 0"),
+    "long delay": (
+        dict(profile=dict(tap_delays_ns=(0.0, 1e300), tap_powers_db=(0.0, -3.0))),
+        "exceeds M/d_f - 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RUNS))
+def test_bad_run_arguments_raise_config_error_before_any_trial(monkeypatch, case):
+    """Run arguments go through the config rules: each bad one is the
+    ConfigError validation gives, raised before a trial starts."""
+    cfg = small_cfg()
+    args = dict(snrs=(10.0,), estimators=("ideal",), n_trials=1, seed=0, profile={})
+    edit, message = _BAD_RUNS[case]
+    args.update(edit)
+    profile = replace(cfg.profile, **args["profile"])
+    monkeypatch.setattr(harness, "_paired_trial", _no_trial)
+    with pytest.raises(ConfigError, match=message):
+        snr_sweep(cfg, profile, args["snrs"], args["estimators"], args["n_trials"], args["seed"])
+    if len(args["snrs"]) == 1 and len(args["estimators"]) == 1 and args["n_trials"] == 1:
+        with pytest.raises(ConfigError, match=message):
+            run_trial(cfg, profile, args["snrs"][0], args["estimators"][0], args["seed"])
+
+
+_MIXES = {
+    "ongrid": dict(estimators=("csf-ongrid", "ideal"), on_grid_doppler=True),
+    "dd-full": dict(estimators=("ls-interp", "csf-ongrid", "csf-offgrid", "ideal"),
+                    channel_model="full"),
+    "paper": dict(),
+}
+
+
+@pytest.mark.parametrize("mix", sorted(_MIXES))
+def test_a_paired_trial_checks_only_its_pilot_observations(monkeypatch, mix):
+    """Grids the pipeline derives are adopted, not copied and rescanned: of
+    a whole paired trial, only ls_pilot's observations, where y/x can
+    overflow, go through the checked copy."""
+    cfg = with_overrides(default_config(), threads=1, **_MIXES[mix])
+    made = []
+    real = grids._freeze_grid
+
+    def counted(data, what):
+        made.append(what)
+        return real(data, what)
+
+    monkeypatch.setattr(grids, "_freeze_grid", counted)
+    monkeypatch.setattr(estimators, "_freeze_grid", counted)
+    snr_sweep(cfg, cfg.profile, (10.0,), cfg.estimators, 1, 5)
+    assert made == ["PilotObservations"]
 
 
 def test_threading_does_not_change_results():

@@ -107,6 +107,15 @@ class FrameTests(unittest.TestCase):
         with self.assertRaises(ContractViolationError):
             build_frame(np.ones(5, dtype=complex), self.pattern, self.cfg)
 
+    def test_build_frame_rejects_non_finite_symbols(self):
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            syms = np.ones(28, dtype=complex)
+            syms[7] = bad
+            with self.assertRaisesRegex(ContractViolationError, "finite"):
+                build_frame(syms, self.pattern, self.cfg)
+        with self.assertRaisesRegex(ContractViolationError, "finite"):
+            PilotPattern(d_t=2, d_f=4, pilot_value=complex(np.inf, 0.0))
+
     def test_equalizer_recovers_symbols(self):
         syms = qam4_mod(self.rng.integers(0, 2, 56))
         x, lay = build_frame(syms, self.pattern, self.cfg)
