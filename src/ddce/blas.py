@@ -1,20 +1,23 @@
 """Pin every loaded OpenBLAS to one thread while dense linear algebra runs.
 
-The sweep's parallelism comes from its trial pool; OpenBLAS threads on top of
-it oversubscribe the CPUs, and a multi-threaded solve rounds differently from
-a single-threaded one, so results would depend on the BLAS thread count.
+A multi-threaded solve rounds differently from a single-threaded one, so the
+pin is what keeps results independent of the BLAS thread count (and of
+`OPENBLAS_NUM_THREADS`).  A sweep holds it for all its trials, and
+`mmse_estimate` for each solve.
 
 OpenBLAS keeps one thread count per library for the whole process, so the pin
-is process-wide as well: nested and concurrent entries share one counter, the
-outermost entry sets the count to 1 and the last exit restores it.  Saving and
-restoring per entry would race between pool workers.
+is process-wide as well.  A library caller may solve from threads of its own,
+so nested and concurrent entries share one counter under a lock: the
+outermost entry sets the count to 1 and the last exit restores it.  Saving
+and restoring per entry would race between those threads.
 
 OpenBLAS copies are found when they are mapped, not when this module is
 imported.  numpy maps its copy as it loads, and the first use of the pin finds
 it in the process's memory maps.  scipy maps its own copy only when
-`scipy.linalg` is imported, which ddce does on the first genie-MMSE solve;
-that import calls `rescan()`.  A copy found while the pin is held is pinned at
-once and restored on the last exit with the others.
+`scipy.linalg` is imported, which ddce does before a sweep that runs the
+genie MMSE or on the first genie-MMSE solve; that import calls `rescan()`.
+A copy found while the pin is held is pinned at once and restored on the last
+exit with the others.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 from .channel import (
@@ -19,7 +18,6 @@ from .errors import ConfigError, ProfileError, SupportError
 ESTIMATOR_NAMES = ("ls-interp", "mmse-genie", "csf-ongrid", "csf-offgrid", "ideal")
 CHANNEL_MODELS = ("diag", "full")
 MODULATIONS = ("qam4",)
-MAX_THREADS = 256
 # Resource ceilings, far above the shipped setup (128 x 64 grid, 500 trials,
 # 512 pilots): one grid array at MAX_GRID_RES is 16 MB, and the dense
 # genie-MMSE pilot correlation at MAX_MMSE_PILOTS is 64 MB.
@@ -54,7 +52,6 @@ class SystemConfig:
     n_trials: int = 500
     master_seed: int = 0
     gamma_threshold: float = 4.0
-    threads: int = 0  # 0 means use the machine's CPU count
 
     @property
     def T(self) -> float:
@@ -64,10 +61,6 @@ class SystemConfig:
     @property
     def n_pilot(self) -> int:
         return (self.M // self.d_f) * (self.N // self.d_t)
-
-    @property
-    def effective_threads(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
     def violations(self) -> list:
         """Collect every constraint violation instead of stopping at the first."""
@@ -119,10 +112,6 @@ class SystemConfig:
             out.append(f"n_trials must be <= {MAX_TRIALS}, got {self.n_trials}")
         if not self.gamma_threshold > 0:
             out.append(f"gamma_threshold must be positive, got {self.gamma_threshold}")
-        if self.threads < 0:
-            out.append(f"threads must be >= 0, got {self.threads}")
-        elif self.threads > MAX_THREADS:
-            out.append(f"threads must be <= {MAX_THREADS}, got {self.threads}")
         if not (self.M % self.d_f or self.N % self.d_t):
             # the support theorem, through the rules gen_paths itself applies
             for rule in (max_doppler_index, quantize_delays):
@@ -155,7 +144,7 @@ _KEYS = {
     "n_trials": int,
     "master_seed": int,
     "gamma_threshold": float,
-    "threads": int,
+    "threads": int,  # accepted from older files; load_config drops it
     "tap_delays_ns": "float_list",
     "tap_powers_db": "float_list",
 }
@@ -173,13 +162,8 @@ def _parse_value(key: str, raw: str, kind):
         if low not in ("true", "false"):
             raise ValueError(f"{key}: expected true or false, got '{raw}'")
         return low == "true"
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        v = float(raw)
-        if math.isnan(v):
-            raise ValueError(f"{key}: nan is not a valid value")
-        return v
+    if kind in (int, float):
+        return kind(raw)
     if kind == "float_list":
         return tuple(float(part.strip()) for part in raw.split(",") if part.strip() != "")
     if kind == "str_list":
@@ -191,8 +175,12 @@ def load_config(path: str) -> SystemConfig:
     """Read a flat `key = value` config file (UTF-8, one pair per line).
 
     Lists are comma separated.  Lines that are blank or start with '#' are
-    skipped.  Unknown keys, unparsable values, missing required keys and
-    every semantic violation are all reported together in one ConfigError.
+    skipped.  Unknown keys, duplicates, unparsable values and missing
+    required keys are reported together in one ConfigError.  Only a file
+    that parses is checked against the channel profile's rules and then
+    `SystemConfig.violations()`, each reported in a ConfigError of its own.
+    A `threads` line, left from when sweeps had worker threads, must hold
+    an integer and is otherwise ignored.
     """
     problems = []
     values = {}
@@ -226,6 +214,7 @@ def load_config(path: str) -> SystemConfig:
             problems.append(f"missing required key '{key}'")
     if problems:
         raise ConfigError("\n".join(problems))
+    values.pop("threads", None)
 
     try:
         profile = ChannelProfile(

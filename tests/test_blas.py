@@ -73,7 +73,7 @@ def test_pin_holds_inside_and_restores_after(two_blas_threads, monkeypatch):
     mmse_estimate(obs, corr, noise_var, cfg)
     assert blas_thread_counts() == two_blas_threads
 
-    small = with_overrides(cfg, estimators=("mmse-genie",), snr_db=(10.0,), n_trials=2, threads=2)
+    small = with_overrides(cfg, estimators=("mmse-genie",), snr_db=(10.0,), n_trials=2)
     harness.snr_sweep(small, small.profile, small.snr_db, small.estimators, 2, 1)
     assert blas_thread_counts() == two_blas_threads
     assert len(seen) == 3 and all(set(c) <= {1} for c in seen)

@@ -15,7 +15,6 @@ from ddce.config import (
     _KEYS,
     MAX_GRID_RES,
     MAX_MMSE_PILOTS,
-    MAX_THREADS,
     MAX_TRIALS,
     MIN_SNR_DB,
     SystemConfig,
@@ -63,7 +62,7 @@ def test_shipped_config_loads_to_defaults():
     assert cfg.estimators == ("ls-interp", "mmse-genie", "csf-ongrid", "csf-offgrid", "ideal")
     assert cfg.snr_db == tuple(float(s) for s in range(0, 45, 5))
     assert cfg.n_trials == 500 and cfg.master_seed == 20250819
-    assert cfg.gamma_threshold == 4.0 and cfg.threads == 0
+    assert cfg.gamma_threshold == 4.0
     assert cfg.profile.n_taps == 5
 
 
@@ -79,10 +78,9 @@ def test_minimal_config_and_optional_defaults(tmp_path):
 
 
 def test_comments_blanks_and_bools(tmp_path):
-    text = GOOD + "\n# trailing comment\n\non_grid_doppler = TRUE\nthreads = 2\n"
+    text = GOOD + "\n# trailing comment\n\non_grid_doppler = TRUE\n"
     cfg = load_config(write_cfg(tmp_path, text))
     assert cfg.on_grid_doppler is True
-    assert cfg.threads == 2 and cfg.effective_threads == 2
 
 
 def test_syntax_problems_are_collected_with_line_numbers(tmp_path):
@@ -107,12 +105,29 @@ def test_missing_required_keys_reported_together(tmp_path):
     assert msg.count("missing required key") == 12
 
 
-def test_nan_and_bad_bool_rejected(tmp_path):
-    text = GOOD.replace("v_kmh = 120", "v_kmh = nan") + "on_grid_doppler = maybe\n"
+def test_bad_bool_rejected(tmp_path):
+    text = GOOD + "on_grid_doppler = maybe\n"
+    with pytest.raises(ConfigError, match="line 15: on_grid_doppler: expected true or false"):
+        load_config(write_cfg(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("delta_f_hz", "delta_f_hz must be positive, got nan"),
+        ("f_c_hz", "f_c_hz must be positive and finite, got nan"),
+        ("v_kmh", "v_kmh must be non-negative and finite, got nan"),
+        ("gamma_threshold", "gamma_threshold must be positive, got nan"),
+    ],
+)
+def test_nan_float_is_rejected_by_the_rule_of_its_key(tmp_path, key, message):
+    """The parser takes nan as a float; the one rule that owns the key
+    rejects it."""
+    kept = [ln for ln in GOOD.splitlines() if not ln.startswith(f"{key} =")]
+    text = "\n".join(kept + [f"{key} = nan"]) + "\n"
     with pytest.raises(ConfigError) as err:
         load_config(write_cfg(tmp_path, text))
-    assert "nan is not a valid value" in str(err.value)
-    assert "expected true or false" in str(err.value)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("snr", ["nan", "-inf"])
@@ -139,7 +154,7 @@ def test_snr_whose_noise_variance_overflows_rejected(tmp_path):
 
 
 def test_nan_grid_spacing_and_threshold_rejected():
-    """Built in code, a config can hold nan where a config file cannot."""
+    """Built in code, a config holds nan without a parser in between."""
     errs = "\n".join(replace(default_config(), delta_f_hz=math.nan).violations())
     assert "delta_f_hz must be positive, got nan" in errs
     errs = "\n".join(replace(default_config(), gamma_threshold=math.nan).violations())
@@ -241,7 +256,7 @@ def test_violations_cover_scalar_bounds():
     worse = SystemConfig(
         M=128, N=64, delta_f_hz=15e3, d_t=4, d_f=4, profile=cfg.profile,
         modulation="qam64", channel_model="fancy", estimators=(),
-        snr_db=(), n_trials=0, gamma_threshold=0.0, threads=-1,
+        snr_db=(), n_trials=0, gamma_threshold=0.0,
     )
     msgs = "\n".join(worse.violations())
     assert "unsupported modulation" in msgs
@@ -250,14 +265,6 @@ def test_violations_cover_scalar_bounds():
     assert "snr_db list must not be empty" in msgs
     assert "n_trials must be >= 1" in msgs
     assert "gamma_threshold must be positive" in msgs
-    assert "threads must be >= 0" in msgs
-
-
-def test_threads_upper_bound():
-    cfg = default_config()
-    assert with_overrides(cfg, threads=MAX_THREADS).threads == MAX_THREADS
-    msgs = "\n".join(replace(cfg, threads=MAX_THREADS + 1).violations())
-    assert f"threads must be <= {MAX_THREADS}" in msgs
 
 
 def test_repeated_estimators_rejected():
@@ -288,8 +295,6 @@ def test_derived_quantities():
     assert cfg.T == pytest.approx(1.0 / 15e3)
     assert cfg.n_pilot == 32 * 16
     assert cfg.profile.nu_max_hz == pytest.approx(486.11111111111114)
-    assert with_overrides(cfg, threads=3).effective_threads == 3
-    assert default_config().effective_threads >= 1
 
 
 def test_mobility_override_is_validated_and_simulated():

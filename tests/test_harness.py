@@ -2,6 +2,7 @@
 
 import os
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,14 @@ from ddce.channel import (
     ctf_from_paths,
     gen_paths,
 )
-from ddce.config import ESTIMATOR_NAMES, MAX_TRIALS, default_config, with_overrides
+from ddce.cli import main as cli_main
+from ddce.config import (
+    ESTIMATOR_NAMES,
+    MAX_TRIALS,
+    default_config,
+    load_config,
+    with_overrides,
+)
 from ddce.errors import ConfigError
 from ddce.estimators import (
     estimate_csf,
@@ -253,7 +261,7 @@ def test_a_paired_trial_checks_only_its_pilot_observations(monkeypatch, mix):
     """Grids the pipeline derives are adopted, not copied and rescanned: of
     a whole paired trial, only ls_pilot's observations, where y/x can
     overflow, go through the checked copy."""
-    cfg = with_overrides(default_config(), threads=1, **_MIXES[mix])
+    cfg = with_overrides(default_config(), **_MIXES[mix])
     made = []
     real = grids._freeze_grid
 
@@ -267,12 +275,57 @@ def test_a_paired_trial_checks_only_its_pilot_observations(monkeypatch, mix):
     assert made == ["PilotObservations"]
 
 
-def test_threading_does_not_change_results():
-    single = small_cfg(threads=1)
-    pooled = small_cfg(threads=4)
-    t1 = snr_sweep(single, single.profile, (8.0, 18.0), single.estimators, 3, 5150)
-    t4 = snr_sweep(pooled, pooled.profile, (8.0, 18.0), pooled.estimators, 3, 5150)
-    assert format_csv(t1) == format_csv(t4)
+# small_cfg() as a config file, with the sweep's own keys
+SMALL_CFG_TEXT = """\
+M = 32
+N = 16
+delta_f_hz = 15e3
+f_c_hz = 2.1e9
+v_kmh = 250
+d_t = 4
+d_f = 4
+tap_delays_ns = 0.0, 4166.666666666667
+tap_powers_db = 0.0, -3.0
+estimators = ls-interp, mmse-genie, csf-ongrid, csf-offgrid, ideal
+snr_db = 8, 18
+n_trials = 3
+master_seed = 5150
+"""
+
+
+def test_sweep_runs_every_trial_on_the_calling_thread_in_seed_order(tmp_path, monkeypatch):
+    path = tmp_path / "two-threads.cfg"
+    path.write_text(SMALL_CFG_TEXT + "threads = 2\n", encoding="utf-8")
+    cfg = load_config(str(path))
+    calls = []
+    real = harness._paired_trial
+
+    def spy(run, snr_db, seed):
+        calls.append((threading.get_ident(), snr_db, seed))
+        return real(run, snr_db, seed)
+
+    monkeypatch.setattr(harness, "_paired_trial", spy)
+    snr_sweep(cfg, cfg.profile, cfg.snr_db, cfg.estimators, cfg.n_trials, cfg.master_seed)
+    me = threading.get_ident()
+    assert calls == [
+        (me, snr, child_seed(5150, i, j)) for i, snr in enumerate((8.0, 18.0)) for j in range(3)
+    ]
+
+
+@pytest.mark.parametrize("threads", ["2", "-1", "1000000"])
+def test_a_threads_line_is_accepted_and_ignored(tmp_path, threads):
+    """Files from when sweeps had worker threads still load, to the same
+    config and the same CSV bytes: the value drives nothing."""
+    plain, old = tmp_path / "plain.cfg", tmp_path / "old.cfg"
+    plain.write_text(SMALL_CFG_TEXT, encoding="utf-8")
+    old.write_text(SMALL_CFG_TEXT + f"threads = {threads}\n", encoding="utf-8")
+    assert load_config(str(old)) == load_config(str(plain))
+    csvs = []
+    for cfg_path in (plain, old):
+        out = tmp_path / f"{cfg_path.stem}.csv"
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_sweep_matches_golden_csv(tmp_path):
