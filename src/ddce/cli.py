@@ -100,8 +100,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    report = verify_suite(cfg)
+    load_config(args.config)  # a bad file still exits 1
+    report = verify_suite()
     sys.stdout.write(report.render())
     return 0 if report.all_pass else 3
 

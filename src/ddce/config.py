@@ -14,10 +14,10 @@ from .channel import (
     quantize_delays,
 )
 from .errors import ConfigError, ProfileError, SupportError
+from .estimators import ESTIMATORS
 
-ESTIMATOR_NAMES = ("ls-interp", "mmse-genie", "csf-ongrid", "csf-offgrid", "ideal")
+ESTIMATOR_NAMES = tuple(ESTIMATORS)
 CHANNEL_MODELS = ("diag", "full")
-MODULATIONS = ("qam4",)
 # Resource ceilings, far above the shipped setup (128 x 64 grid, 500 trials,
 # 512 pilots): one grid array at MAX_GRID_RES is 16 MB, and the dense
 # genie-MMSE pilot correlation at MAX_MMSE_PILOTS is 64 MB.
@@ -44,7 +44,6 @@ class SystemConfig:
     d_t: int
     d_f: int
     profile: ChannelProfile
-    modulation: str = "qam4"
     channel_model: str = "diag"
     on_grid_doppler: bool = False
     estimators: tuple = ESTIMATOR_NAMES
@@ -69,8 +68,8 @@ class SystemConfig:
             out.append(f"grid dimensions must be positive, got M={self.M}, N={self.N}")
         if self.d_t < 1 or self.d_f < 1:
             out.append(f"pilot spacings must be positive, got d_t={self.d_t}, d_f={self.d_f}")
-        if not self.delta_f_hz > 0:  # nan fails too
-            out.append(f"delta_f_hz must be positive, got {self.delta_f_hz}")
+        if not 0 < self.delta_f_hz < math.inf:  # nan fails too
+            out.append(f"delta_f_hz must be positive and finite, got {self.delta_f_hz}")
         if out:
             return out  # the derived checks below would divide by zero
         if self.M * self.N > MAX_GRID_RES:
@@ -88,8 +87,6 @@ class SystemConfig:
             )
         if self.M % self.d_f:
             out.append(f"M = {self.M} is not divisible by d_f = {self.d_f}")
-        if self.modulation not in MODULATIONS:
-            out.append(f"unsupported modulation '{self.modulation}', supported: {MODULATIONS}")
         if self.channel_model not in CHANNEL_MODELS:
             out.append(
                 f"unsupported channel_model '{self.channel_model}', supported: {CHANNEL_MODELS}"
@@ -110,8 +107,8 @@ class SystemConfig:
             out.append(f"n_trials must be >= 1, got {self.n_trials}")
         elif self.n_trials > MAX_TRIALS:
             out.append(f"n_trials must be <= {MAX_TRIALS}, got {self.n_trials}")
-        if not self.gamma_threshold > 0:
-            out.append(f"gamma_threshold must be positive, got {self.gamma_threshold}")
+        if not 0 < self.gamma_threshold < math.inf:
+            out.append(f"gamma_threshold must be positive and finite, got {self.gamma_threshold}")
         if not (self.M % self.d_f or self.N % self.d_t):
             # the support theorem, through the rules gen_paths itself applies
             for rule in (max_doppler_index, quantize_delays):
@@ -136,7 +133,6 @@ _KEYS = {
     "v_kmh": float,
     "d_t": int,
     "d_f": int,
-    "modulation": str,
     "channel_model": str,
     "on_grid_doppler": bool,
     "estimators": "str_list",

@@ -359,7 +359,7 @@ def estimate_num_paths(p: PeriodCSF, noise_var: float, cfg: "SystemConfig") -> i
     return int(_occupied_columns(p, noise_var, cfg).sum())
 
 
-def recover_paths_offgrid(p: PeriodCSF, n_paths: int, cfg: "SystemConfig"):
+def recover_paths_offgrid(p: PeriodCSF, n_paths: int):
     """Iterative path readout with fractional-Doppler refinement.
 
     Per iteration: take the strongest remaining entry (k0, l0) (ties go to
@@ -411,18 +411,10 @@ def recover_paths_offgrid(p: PeriodCSF, n_paths: int, cfg: "SystemConfig"):
     return PathSet(paths), truncated
 
 
-def csf_reconstruct(ps_hat: PathSet, cfg: "SystemConfig") -> DDGrid:
-    """Full-grid delay-Doppler image of recovered paths via the closed-form
-    kernels; identical math to the ground-truth image of a true path set."""
-    dd = csf_closed_form(ps_hat.gains, ps_hat.delays, ps_hat.dopplers, cfg.M, cfg.N)
-    return _adopt(DDGrid, dd)
-
-
 @dataclass(frozen=True)
 class CsfEstimate:
     """Everything the delay-Doppler estimators produce on the way to a CTF."""
 
-    period: PeriodCSF
     paths_hat: PathSet | None
     full_dd: DDGrid
     truncated: bool = False
@@ -456,22 +448,33 @@ def csf_from_period(p: PeriodCSF, cfg: "SystemConfig", mode: str, noise_var: flo
     if mode == "ongrid":
         keep = _occupied_columns(p, noise_var, cfg)
         gated = _adopt(PeriodCSF, np.where(keep[None, :], p.data, 0.0), d_t=p.d_t, d_f=p.d_f)
-        return CsfEstimate(p, None, csf_ongrid(gated, cfg))
+        return CsfEstimate(None, csf_ongrid(gated, cfg))
     n_paths = estimate_num_paths(p, noise_var, cfg)
-    ps_hat, truncated = recover_paths_offgrid(p, n_paths, cfg) if n_paths else (None, True)
+    ps_hat, truncated = recover_paths_offgrid(p, n_paths) if n_paths else (None, True)
     if ps_hat is None:
         zero = _adopt(DDGrid, np.zeros((cfg.N, cfg.M), dtype=np.complex128))
-        return CsfEstimate(p, None, zero, truncated=True)
-    return CsfEstimate(p, ps_hat, csf_reconstruct(ps_hat, cfg), truncated=truncated)
+        return CsfEstimate(None, zero, truncated=True)
+    # `channel.csf_from_paths` on the recovered paths, spelled out so that
+    # csf_closed_form is looked up here, where sweepbench/replay.py times it
+    dd = csf_closed_form(ps_hat.gains, ps_hat.delays, ps_hat.dopplers, cfg.M, cfg.N)
+    return CsfEstimate(ps_hat, _adopt(DDGrid, dd), truncated=truncated)
 
 
-def csf_ctf_estimate(
-    y: TFGrid,
-    x: TFGrid,
-    layout: FrameLayout,
-    cfg: "SystemConfig",
-    mode: str,
-    noise_var: float,
-) -> TFGrid:
-    """CTF estimate over the whole frame from the delay-Doppler pipeline."""
-    return isfft(estimate_csf(y, x, layout, cfg, mode, noise_var).full_dd, cfg)
+def _csf(t, mode: str):
+    est = csf_from_period(t.period, t.cfg, mode, t.noise_var)
+    return isfft(est.full_dd, t.cfg), mode == "offgrid" and est.paths_hat is None
+
+
+# The one place that names the estimators (config.ESTIMATOR_NAMES is its
+# keys, in order).  Each takes the shared paired trial of the harness
+# (`harness._Trial`) and returns (h_hat grid, failed flag).
+ESTIMATORS = {
+    "ls-interp": lambda t: (interp_linear(t.obs, t.cfg), False),
+    "mmse-genie": lambda t: (
+        mmse_estimate(t.obs, genie_correlations(t.ps, t.cfg, t.layout), t.noise_var, t.cfg).grid,
+        False,
+    ),
+    "csf-ongrid": lambda t: _csf(t, "ongrid"),
+    "csf-offgrid": lambda t: _csf(t, "offgrid"),
+    "ideal": lambda t: (t.h_true, False),
+}

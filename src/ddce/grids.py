@@ -95,14 +95,6 @@ class DDGrid:
         """Entry at centered Doppler index k and delay l (both wrap cyclically)."""
         return complex(self.data[k % self.n_doppler, l % self.n_delay])
 
-    def centered(self) -> np.ndarray:
-        """Copy with Doppler rows reordered to k = -N/2 .. N/2 - 1."""
-        return np.fft.fftshift(self.data, axes=0)
-
-    @property
-    def doppler_axis_centered(self) -> np.ndarray:
-        return np.arange(self.n_doppler) - self.n_doppler // 2
-
 
 @dataclass(frozen=True)
 class PeriodCSF:

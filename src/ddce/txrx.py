@@ -26,15 +26,12 @@ class PilotPattern:
 
     d_t: int
     d_f: int
-    pilot_value: complex = PILOT_VALUE
 
     def __post_init__(self):
         if self.d_t < 1 or self.d_f < 1:
             raise ContractViolationError(
                 f"pilot spacings must be >= 1, got d_t={self.d_t}, d_f={self.d_f}"
             )
-        if not 0 < abs(self.pilot_value) < np.inf:
-            raise ContractViolationError("pilot_value must be non-zero and finite")
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ def build_frame(data_syms, pattern: PilotPattern, cfg: "SystemConfig"):
     if not np.isfinite(syms).all():
         raise ContractViolationError("data symbols must all be finite")
     grid = np.zeros((cfg.M, cfg.N), dtype=np.complex128)
-    grid[layout.pilot_m, layout.pilot_n] = pattern.pilot_value
+    grid[layout.pilot_m, layout.pilot_n] = PILOT_VALUE
     grid[layout.data_m, layout.data_n] = syms
     return _adopt(TFGrid, grid), layout
 

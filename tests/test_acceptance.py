@@ -23,7 +23,6 @@ from ddce.channel import (
 from ddce.config import default_config, with_overrides
 from ddce.estimators import (
     PilotObservations,
-    csf_ctf_estimate,
     estimate_csf,
     genie_correlations,
     ls_pilot,
@@ -87,7 +86,7 @@ def test_acceptance_1_ongrid_exactness(capsys):
             for k in range(-k_half, k_half):
                 for l in range(l_lim):
                     worst_p = max(worst_p, abs(period.value(k, l) - true_dd.at_centered(k, l)))
-            h_hat = csf_ctf_estimate(y, x, layout, cfg, "ongrid", 0.0)
+            h_hat = isfft(estimate_csf(y, x, layout, cfg, "ongrid", 0.0).full_dd, cfg)
             err = np.abs(h_hat.data - ctf_from_paths(ps, cfg).data).max()
             worst_h = max(worst_h, float(err))
     elapsed = time.perf_counter() - t0
@@ -149,7 +148,7 @@ def test_acceptance_3_fractional_doppler_recovery(capsys):
         ps = PathSet((Path(1.0 + 0.0j, 3, k_i),))
         y = apply_channel_diag(x, ps, 0.0, rng)
         period = periodic_csf(ls_pilot(y, x, layout), cfg)
-        ps_hat, _ = recover_paths_offgrid(period, 1, cfg)
+        ps_hat, _ = recover_paths_offgrid(period, 1)
         assert ps_hat is not None and ps_hat.paths[0].delay_idx == 3
         tol_k, tol_g = FRACTIONAL_TOL[round(abs(kf), 2)]
         err_k = abs(ps_hat.paths[0].doppler - k_i)

@@ -205,6 +205,17 @@ def test_verify_passes_on_shipped_config(capsys):
         assert re.fullmatch(r"CHECK [a-z_]+ PASS max_err=\S+", line), line
 
 
+def test_verify_refuses_a_config_with_the_old_modulation_key(tmp_path, capsys):
+    """verify loads --config although its checks use fixed shapes, so a file
+    that still sets the deleted `modulation` key exits 1."""
+    bad = tmp_path / "old.cfg"
+    bad.write_text(FAST_CFG + "modulation = qam4\n")
+    assert main(["verify", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 15: unknown key 'modulation'\n"
+    assert captured.out == ""
+
+
 _SIMULATE = {"--estimator": "ideal", "--snr": "10", "--seed": "1"}
 
 
@@ -216,6 +227,7 @@ _SIMULATE = {"--estimator": "ideal", "--snr": "10", "--seed": "1"}
         ({"snr_db = 10.0, 20.0": "snr_db = 10.0, -4000"}, None, "snr_db entries"),
         ({}, {"--snr": "-4000"}, "--snr must be finite"),
         ({"4166.666666666667": "1e300"}, None, "exceeds M/d_f - 1"),
+        ({"delta_f_hz = 15e3": "delta_f_hz = inf"}, {}, "delta_f_hz must be positive and finite"),
     ],
 )
 def test_bad_seed_snr_or_delay_exits_1(tmp_path, capsys, edit, flags, message):

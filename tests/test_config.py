@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -57,7 +58,7 @@ def test_shipped_config_loads_to_defaults():
     assert (cfg.M, cfg.N, cfg.d_t, cfg.d_f) == (128, 64, 4, 4)
     assert cfg.delta_f_hz == 15e3
     assert cfg.profile.f_c_hz == 2.1e9 and cfg.profile.v_kmh == 250.0
-    assert cfg.modulation == "qam4" and cfg.channel_model == "diag"
+    assert cfg.channel_model == "diag"
     assert cfg.on_grid_doppler is False
     assert cfg.estimators == ("ls-interp", "mmse-genie", "csf-ongrid", "csf-offgrid", "ideal")
     assert cfg.snr_db == tuple(float(s) for s in range(0, 45, 5))
@@ -69,8 +70,7 @@ def test_shipped_config_loads_to_defaults():
 def test_minimal_config_and_optional_defaults(tmp_path):
     cfg = load_config(write_cfg(tmp_path, GOOD))
     assert cfg.M == 64 and cfg.N == 32
-    assert cfg.modulation == "qam4"  # optional keys fall back
-    assert cfg.channel_model == "diag"
+    assert cfg.channel_model == "diag"  # optional keys fall back
     assert cfg.gamma_threshold == 4.0
     assert cfg.estimators == ("ideal", "ls-interp")
     assert cfg.snr_db == (0.0, 10.0, 20.0)
@@ -114,19 +114,27 @@ def test_bad_bool_rejected(tmp_path):
 @pytest.mark.parametrize(
     "key, message",
     [
-        ("delta_f_hz", "delta_f_hz must be positive, got nan"),
+        ("delta_f_hz", "delta_f_hz must be positive and finite, got nan"),
+        ("delta_f_hz", "delta_f_hz must be positive and finite, got inf"),
         ("f_c_hz", "f_c_hz must be positive and finite, got nan"),
+        ("f_c_hz", "f_c_hz must be positive and finite, got inf"),
         ("v_kmh", "v_kmh must be non-negative and finite, got nan"),
-        ("gamma_threshold", "gamma_threshold must be positive, got nan"),
+        ("v_kmh", "v_kmh must be non-negative and finite, got inf"),
+        ("gamma_threshold", "gamma_threshold must be positive and finite, got nan"),
+        ("gamma_threshold", "gamma_threshold must be positive and finite, got inf"),
     ],
 )
 def test_nan_float_is_rejected_by_the_rule_of_its_key(tmp_path, key, message):
-    """The parser takes nan as a float; the one rule that owns the key
-    rejects it."""
+    """The parser takes nan and inf as floats; the one rule that owns the
+    key rejects them, before any numpy work can warn.  The value written is
+    the one the message ends with."""
+    value = message.rsplit(" ", 1)[1]
     kept = [ln for ln in GOOD.splitlines() if not ln.startswith(f"{key} =")]
-    text = "\n".join(kept + [f"{key} = nan"]) + "\n"
-    with pytest.raises(ConfigError) as err:
-        load_config(write_cfg(tmp_path, text))
+    text = "\n".join(kept + [f"{key} = {value}"]) + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            load_config(write_cfg(tmp_path, text))
     assert str(err.value) == message
 
 
@@ -154,11 +162,12 @@ def test_snr_whose_noise_variance_overflows_rejected(tmp_path):
 
 
 def test_nan_grid_spacing_and_threshold_rejected():
-    """Built in code, a config holds nan without a parser in between."""
-    errs = "\n".join(replace(default_config(), delta_f_hz=math.nan).violations())
-    assert "delta_f_hz must be positive, got nan" in errs
-    errs = "\n".join(replace(default_config(), gamma_threshold=math.nan).violations())
-    assert "gamma_threshold must be positive, got nan" in errs
+    """Built in code, a config holds nan or inf without a parser in between."""
+    for value in (math.nan, math.inf):
+        errs = "\n".join(replace(default_config(), delta_f_hz=value).violations())
+        assert f"delta_f_hz must be positive and finite, got {value}" in errs
+        errs = "\n".join(replace(default_config(), gamma_threshold=value).violations())
+        assert f"gamma_threshold must be positive and finite, got {value}" in errs
 
 
 def test_negative_master_seed_rejected(tmp_path):
@@ -255,11 +264,10 @@ def test_violations_cover_scalar_bounds():
 
     worse = SystemConfig(
         M=128, N=64, delta_f_hz=15e3, d_t=4, d_f=4, profile=cfg.profile,
-        modulation="qam64", channel_model="fancy", estimators=(),
+        channel_model="fancy", estimators=(),
         snr_db=(), n_trials=0, gamma_threshold=0.0,
     )
     msgs = "\n".join(worse.violations())
-    assert "unsupported modulation" in msgs
     assert "unsupported channel_model" in msgs
     assert "unknown estimators" in msgs
     assert "snr_db list must not be empty" in msgs

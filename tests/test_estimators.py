@@ -12,14 +12,20 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ddce import estimators
 from ddce.blas import single_blas_thread
-from ddce.channel import ChannelProfile, Path, PathSet, apply_channel_diag, ctf_from_paths, gen_paths
+from ddce.channel import (
+    ChannelProfile,
+    Path,
+    PathSet,
+    apply_channel_diag,
+    csf_from_paths,
+    ctf_from_paths,
+    gen_paths,
+)
 from ddce.errors import ContractViolationError
 from ddce.estimators import (
     CorrelationPair,
     PilotObservations,
-    csf_ctf_estimate,
     csf_ongrid,
-    csf_reconstruct,
     estimate_csf,
     estimate_num_paths,
     genie_correlations,
@@ -269,7 +275,7 @@ def test_recover_single_ongrid_path_exactly():
     ps = PathSet((Path(gain=gain, delay_idx=5, doppler=3.0),))
     h = ctf_from_paths(ps, cfg).data
     p = periodic_csf(PilotObservations(h[::2, ::2], d_t=2, d_f=2), cfg)
-    got, truncated = recover_paths_offgrid(p, 1, cfg)
+    got, truncated = recover_paths_offgrid(p, 1)
     assert not truncated
     assert len(got) == 1
     assert got.paths[0].delay_idx == 5
@@ -287,7 +293,7 @@ def test_recover_fractional_doppler_within_bias_bounds(k_frac, tol_k, tol_g):
     ps = PathSet((Path(gain=1.0 + 0.0j, delay_idx=3, doppler=k_true),))
     h = ctf_from_paths(ps, cfg).data
     p = periodic_csf(PilotObservations(h[::4, ::4], d_t=4, d_f=4), cfg)
-    got, truncated = recover_paths_offgrid(p, 1, cfg)
+    got, truncated = recover_paths_offgrid(p, 1)
     assert not truncated
     path = got.paths[0]
     assert path.delay_idx == 3
@@ -305,7 +311,7 @@ def test_recover_two_paths_with_distinct_delays():
     )
     h = ctf_from_paths(ps, cfg).data
     p = periodic_csf(PilotObservations(h[::4, ::4], d_t=4, d_f=4), cfg)
-    got, truncated = recover_paths_offgrid(p, 2, cfg)
+    got, truncated = recover_paths_offgrid(p, 2)
     assert not truncated
     by_delay = {q.delay_idx: q for q in got.paths}
     assert set(by_delay) == {2, 6}
@@ -326,7 +332,7 @@ def test_recover_gains_equal_scalar_kernel_division_bitwise():
     noise = 0.01 * (rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16)))
     h = ctf_from_paths(ps, cfg).data[::4, ::4] + noise
     p = periodic_csf(PilotObservations(h, d_t=4, d_f=4), cfg)
-    got, truncated = recover_paths_offgrid(p, 4, cfg)
+    got, truncated = recover_paths_offgrid(p, 4)
     assert not truncated and len(got) == 4
     for path in got.paths:
         l0 = path.delay_idx
@@ -338,26 +344,24 @@ def test_recover_gains_equal_scalar_kernel_division_bitwise():
 
 def test_recover_truncates_when_support_runs_out():
     p = PeriodCSF(np.zeros((4, 4)), d_t=2, d_f=2)
-    cfg = tiny_cfg(8, 8, d_t=2, d_f=2)
-    got, truncated = recover_paths_offgrid(p, 2, cfg)
+    got, truncated = recover_paths_offgrid(p, 2)
     assert got is None and truncated
 
     data = np.zeros((4, 4), dtype=complex)
     data[2, 1] = 2.0  # single occupied delay bin
-    got, truncated = recover_paths_offgrid(PeriodCSF(data, d_t=2, d_f=2), 3, cfg)
+    got, truncated = recover_paths_offgrid(PeriodCSF(data, d_t=2, d_f=2), 3)
     assert truncated
     assert len(got) == 1
 
     with pytest.raises(ContractViolationError):
-        recover_paths_offgrid(p, 0, cfg)
+        recover_paths_offgrid(p, 0)
 
 
 def test_recover_scans_delay_major_on_ties():
-    cfg = tiny_cfg(8, 8, d_t=2, d_f=2)
     data = np.zeros((4, 4), dtype=complex)
     data[2, 1] = 2.0  # centered k = 0
     data[2, 3] = 2.0  # same magnitude, larger delay
-    got, _ = recover_paths_offgrid(PeriodCSF(data, d_t=2, d_f=2), 2, cfg)
+    got, _ = recover_paths_offgrid(PeriodCSF(data, d_t=2, d_f=2), 2)
     assert [q.delay_idx for q in got.paths] == [1, 3]
     for q in got.paths:
         assert q.doppler == 0.0
@@ -637,11 +641,12 @@ def test_estimate_csf_rejects_unknown_mode():
 def test_ongrid_mode_gates_noise_only_columns():
     cfg = tiny_cfg(32, 16, 2, 2)
     ps = PathSet((Path(gain=1.0 + 0.0j, delay_idx=2, doppler=1.0),))
-    est, *_ = run_pipeline(cfg, ps, 0.01, "ongrid", seed=3)
+    est, x, y, lay = run_pipeline(cfg, ps, 0.01, "ongrid", seed=3)
     occupied = np.flatnonzero(np.abs(est.full_dd.data).max(axis=0))
     assert occupied.tolist() == [2]
     # the raw period keeps its noise, only the embedding is gated
-    assert np.count_nonzero(est.period.data) == est.period.data.size
+    period = periodic_csf(ls_pilot(y, x, lay), cfg)
+    assert np.count_nonzero(period.data) == period.data.size
 
 
 def test_offgrid_mode_returns_zero_image_when_nothing_detected():
@@ -677,27 +682,13 @@ def test_reconstruct_route_equals_direct_formula():
             Path(gain=-0.3 + 0.2j, delay_idx=5, doppler=-0.52),
         )
     )
-    via_dd = isfft(csf_reconstruct(ps_hat, cfg), cfg).data
+    via_dd = isfft(csf_from_paths(ps_hat, cfg), cfg).data
     m = np.arange(16)[:, None]
     n = np.arange(8)[None, :]
     want = np.zeros((16, 8), dtype=complex)
     for p in ps_hat.paths:
         want += p.gain * np.exp(2j * np.pi * (p.doppler * n / 8 - p.delay_idx * m / 16))
     assert np.max(np.abs(via_dd - want)) < 1e-10
-
-
-def test_ctf_estimate_is_transform_of_full_image():
-    cfg = tiny_cfg(32, 16, 2, 2)
-    ps = PathSet((Path(gain=0.8, delay_idx=3, doppler=0.6),))
-    rng = np.random.default_rng(17)
-    pattern = PilotPattern(d_t=2, d_f=2)
-    x, lay = build_frame(qam4_mod(rng.integers(0, 2, 2 * (32 * 16 - 16 * 8))), pattern, cfg)
-    y = apply_channel_diag(x, ps, 0.05, rng)
-    direct = csf_ctf_estimate(y, x, lay, cfg, "offgrid", 0.05)
-    staged = isfft(
-        estimate_csf(y, x, lay, cfg, "offgrid", 0.05).full_dd, cfg
-    )
-    assert np.max(np.abs(direct.data - staged.data)) == 0.0
 
 
 @st.composite

@@ -143,10 +143,8 @@ def test_centered_view_and_lookup():
     rng = np.random.default_rng(5)
     data = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
     dd = DDGrid(data)
-    assert np.array_equal(dd.centered(), np.fft.fftshift(data, axes=0))
     assert dd.at_centered(-1, 0) == data[7, 0]
     assert dd.at_centered(9, 6) == data[1, 2]
-    assert np.array_equal(dd.doppler_axis_centered, np.arange(8) - 4)
 
 
 def test_period_wraps_both_axes():

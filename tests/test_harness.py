@@ -25,6 +25,7 @@ from ddce.config import (
 )
 from ddce.errors import ConfigError
 from ddce.estimators import (
+    ESTIMATORS,
     estimate_csf,
     genie_correlations,
     interp_linear,
@@ -34,7 +35,6 @@ from ddce.estimators import (
 from ddce.grids import isfft
 from ddce.harness import (
     CSV_HEADER,
-    ESTIMATORS,
     SweepRow,
     SweepTable,
     check_ongrid_exact_recovery,
@@ -102,7 +102,8 @@ def test_offgrid_trial_reports_detection_failure():
 
 
 def test_estimator_table_names_every_estimator_once():
-    assert tuple(ESTIMATORS) == ESTIMATOR_NAMES
+    names = ("ls-interp", "mmse-genie", "csf-ongrid", "csf-offgrid", "ideal")
+    assert tuple(ESTIMATORS) == ESTIMATOR_NAMES == names
 
 
 # Each estimator as a chain of public calls on the pieces of one trial.
@@ -367,7 +368,7 @@ def test_table_lookup_errors():
 
 
 def test_verify_suite_all_green_and_report_shape():
-    report = verify_suite(default_config())
+    report = verify_suite()
     assert report.all_pass
     lines = report.render().splitlines()
     assert len(lines) == 7

@@ -85,8 +85,6 @@ class LayoutTests(unittest.TestCase):
     def test_pattern_validation(self):
         with self.assertRaises(ContractViolationError):
             PilotPattern(d_t=0, d_f=1)
-        with self.assertRaises(ContractViolationError):
-            PilotPattern(d_t=1, d_f=1, pilot_value=0.0)
 
 
 class FrameTests(unittest.TestCase):
@@ -113,8 +111,6 @@ class FrameTests(unittest.TestCase):
             syms[7] = bad
             with self.assertRaisesRegex(ContractViolationError, "finite"):
                 build_frame(syms, self.pattern, self.cfg)
-        with self.assertRaisesRegex(ContractViolationError, "finite"):
-            PilotPattern(d_t=2, d_f=4, pilot_value=complex(np.inf, 0.0))
 
     def test_equalizer_recovers_symbols(self):
         syms = qam4_mod(self.rng.integers(0, 2, 56))
