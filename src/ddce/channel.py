@@ -28,6 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .config import SystemConfig
 
 C_LIGHT = 3.0e8  # m/s
+MAX_TAP_DB = 3000.0  # linear tap powers overflow or vanish past about +-3082 dB
 
 # Extended Vehicular A power-delay profile (delay ns, mean power dB).
 EVA_TAP_DELAYS_NS = (0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0)
@@ -53,6 +54,9 @@ class ChannelProfile:
             raise ProfileError("tap delays must be finite and non-negative")
         if not all(math.isfinite(p) for p in self.tap_powers_db):
             raise ProfileError("tap powers must be finite")
+        top = max(self.tap_powers_db)
+        if abs(top) > MAX_TAP_DB:  # 10**(top/10) must be finite and non-zero
+            raise ProfileError(f"tap powers must peak within +-{MAX_TAP_DB:g} dB, got {top:g} dB")
         # written so that nan fails too: a nan speed would pass every support check
         if not 0 <= self.v_kmh < math.inf:
             raise ProfileError(f"v_kmh must be non-negative and finite, got {self.v_kmh}")

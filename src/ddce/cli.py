@@ -91,6 +91,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    try:  # before any trial; append mode leaves an existing file as it is
+        open(args.out, "a").close()
+    except OSError as exc:
+        raise OSError(f"cannot write --out '{args.out}': {exc.strerror or exc}") from None
     table = snr_sweep(
         cfg, cfg.profile, cfg.snr_db, cfg.estimators, cfg.n_trials, cfg.master_seed
     )

@@ -330,10 +330,9 @@ def csf_ongrid(p: PeriodCSF, cfg: "SystemConfig") -> DDGrid:
     return _adopt(DDGrid, full)
 
 
-def _machine_floor(data: np.ndarray) -> float:
+def _machine_floor(p: PeriodCSF) -> float:
     """Magnitude below which period entries count as numerically zero."""
-    peak = float(np.abs(data).max())
-    return data.size * np.finfo(np.float64).eps * peak
+    return p.data.size * np.finfo(np.float64).eps * float(p.magnitude.max())
 
 
 def _occupied_columns(p: PeriodCSF, noise_var: float, cfg: "SystemConfig") -> np.ndarray:
@@ -346,11 +345,11 @@ def _occupied_columns(p: PeriodCSF, noise_var: float, cfg: "SystemConfig") -> np
     machine-precision floor stands in so that exact zeros never count.
     """
     _check_noise_var(noise_var)
-    peaks = np.abs(p.data).max(axis=0)
+    peaks = p.magnitude.max(axis=0)
     if noise_var > 0:
         thr = cfg.gamma_threshold * np.sqrt(noise_var * cfg.d_t * cfg.d_f)
     else:
-        thr = _machine_floor(p.data)
+        thr = _machine_floor(p)
     return peaks > thr
 
 
@@ -360,17 +359,17 @@ def estimate_num_paths(p: PeriodCSF, noise_var: float, cfg: "SystemConfig") -> i
 
 
 def recover_paths_offgrid(p: PeriodCSF, n_paths: int):
-    """Iterative path readout with fractional-Doppler refinement.
+    """Path readout with fractional-Doppler refinement, one path per delay
+    column: the first n_paths columns above the numerical floor, in
+    descending order of their peak (ties go to the smallest delay).
 
-    Per iteration: take the strongest remaining entry (k0, l0) (ties go to
-    the smallest delay, then the smallest centered Doppler), pick the larger
-    of its two Doppler neighbors k0', place the Doppler estimate at
+    The peak of column l0 is its first row k0 at the maximum; the larger of
+    its two Doppler neighbors k0' places the Doppler estimate at
 
         k_hat = k0 + |p[k0']| * (k0' - k0) / (|p[k0]| + |p[k0']|)
 
-    (the two-bin amplitude ratio rule, clamped to half a bin), read the gain
-    by dividing out both lattice kernels at the estimated offset, then null
-    the whole Doppler column at l0 and continue.
+    (the two-bin amplitude ratio rule, clamped to half a bin), and the gain
+    is read by dividing out both lattice kernels at the estimated offset.
 
     Returns (PathSet or None, truncated): None when nothing rose above the
     numerical floor, truncated=True when fewer than n_paths columns held
@@ -378,37 +377,22 @@ def recover_paths_offgrid(p: PeriodCSF, n_paths: int):
     """
     if n_paths < 1:
         raise ContractViolationError(f"n_paths must be >= 1, got {n_paths}")
-    work = p.data.copy()
-    n_dopp = p.n_doppler
-    k_min = p.k_min
-    floor = _machine_floor(work)
-    found = []
-    truncated = False
-    for _ in range(n_paths):
-        mags = np.abs(work)
-        if mags.max() <= floor:
-            truncated = True
-            break
-        # argmax over the transpose scans delay-major: ties resolve to the
-        # smallest l, then the smallest centered k
-        flat = int(np.argmax(mags.T))
-        l0, row0 = divmod(flat, n_dopp)
-        k0 = row0 + k_min
-        a0 = mags[row0, l0]
-        a_minus = mags[(row0 - 1) % n_dopp, l0]
-        a_plus = mags[(row0 + 1) % n_dopp, l0]
-        step = 1 if a_plus >= a_minus else -1
-        a1 = a_plus if step == 1 else a_minus
-        k_frac = float(np.clip(step * a1 / (a0 + a1), -0.5, 0.5))
-        found.append((l0, k0, k0 + k_frac, work[row0, l0]))
-        work[:, l0] = 0.0
-    if not found:
+    mags = p.magnitude
+    rows = mags.argmax(axis=0)
+    peaks = mags[rows, np.arange(p.n_delay)]
+    order = np.argsort(-peaks, kind="stable")  # ties keep delay order
+    l0s = order[peaks[order] > _machine_floor(p)][:n_paths]
+    if l0s.size == 0:
         return None, True
-    # the kernel divisions feed no later iteration, so they run once for all paths
-    l0s, k0s, k_hats, values = (np.array(col) for col in zip(*found))
+    row0s, a0 = rows[l0s], peaks[l0s]
+    a_minus, a_plus = mags[(row0s + np.array([[-1], [1]])) % p.n_doppler, l0s]
+    a1 = np.maximum(a_plus, a_minus)
+    k0s = row0s + p.k_min
+    k_hats = k0s + np.clip(np.where(a_plus >= a_minus, a1, -a1) / (a0 + a1), -0.5, 0.5)
     denom = delay_kernel(l0s, l0s, p.full_m, p.d_f) * doppler_kernel(k_hats, k0s, p.full_n, p.d_t)
-    paths = [Path(complex(g), int(l), float(k)) for g, l, k in zip(values / denom, l0s, k_hats)]
-    return PathSet(paths), truncated
+    gains = p.data[row0s, l0s] / denom
+    paths = [Path(complex(g), int(l), float(k)) for g, l, k in zip(gains, l0s, k_hats)]
+    return PathSet(paths), l0s.size < n_paths
 
 
 @dataclass(frozen=True)

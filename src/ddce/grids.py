@@ -14,6 +14,7 @@ time (n -> Doppler k), both orthonormal.  `isfft` is the exact inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,6 +145,13 @@ class PeriodCSF:
     @property
     def doppler_axis(self) -> np.ndarray:
         return np.arange(self.n_doppler) + self.k_min
+
+    @cached_property
+    def magnitude(self) -> np.ndarray:
+        """Read-only |data|, computed once for detection and recovery."""
+        mag = np.abs(self.data)
+        mag.setflags(write=False)
+        return mag
 
     def value(self, k: int, l: int) -> complex:
         """Entry at centered Doppler k and delay l, periodic in both axes."""

@@ -179,46 +179,43 @@ def snr_sweep(
     """Paired Monte-Carlo sweep over SNR points.
 
     Trials run one after another in (snr index, trial index) order, each
-    seeded by `child_seed`, and are aggregated in (snr, estimator) order.
-    BLAS runs on one thread for the whole sweep, so results do not depend
-    on the BLAS thread count.  Before any trial starts, the config the
-    arguments describe goes through `SystemConfig.violations()`, and a
-    violation raises its ConfigError.
+    seeded by `child_seed`.  Each SNR point's trials are aggregated, in
+    estimator order, before the next point's start, so a sweep holds one
+    point's results at a time.  BLAS runs on one thread for the whole
+    sweep, so results do not depend on the BLAS thread count.  Before any
+    trial starts, the config the arguments describe goes through
+    `SystemConfig.violations()`, and a violation raises its ConfigError.
     """
     run = with_overrides(
         cfg, profile=profile, snr_db=tuple(float(s) for s in snr_list_db),
         estimators=tuple(estimators), n_trials=n_trials, master_seed=master_seed,
     )
-    snr_list = run.snr_db
     if "mmse-genie" in run.estimators:
         # Imported before the pin is taken: a sweep that imported scipy
         # inside the held pin measured a slower `paper` set-up (0.647 s
         # against 0.615 s, medians of 20 runs on a 2-vCPU VM).
         scipy_linalg()
 
-    with single_blas_thread():
-        results = [
-            [_paired_trial(run, snr, child_seed(master_seed, i, j)) for j in range(n_trials)]
-            for i, snr in enumerate(snr_list)
-        ]
-
     rows = []
-    for i, snr in enumerate(snr_list):
-        for e_idx, name in enumerate(run.estimators):
-            trials = [paired[e_idx] for paired in results[i]]
-            bers = np.array([t.ber for t in trials])
-            ci = 1.96 * bers.std(ddof=1) / np.sqrt(n_trials) if n_trials > 1 else 0.0
-            rows.append(
-                SweepRow(
-                    snr_db=snr,
-                    estimator=name,
-                    mean_mse=float(np.mean([t.mse for t in trials])),
-                    mean_nmse=float(np.mean([t.nmse for t in trials])),
-                    mean_ber=float(bers.mean()),
-                    n_trials=n_trials,
-                    ci95_ber=float(ci),
+    with single_blas_thread():
+        for i, snr in enumerate(run.snr_db):
+            seeds = [child_seed(master_seed, i, j) for j in range(n_trials)]
+            paired = [_paired_trial(run, snr, seed) for seed in seeds]
+            for name, trials in zip(run.estimators, zip(*paired)):
+                bers = np.array([t.ber for t in trials])
+                ci = 1.96 * bers.std(ddof=1) / np.sqrt(n_trials) if n_trials > 1 else 0.0
+                rows.append(
+                    SweepRow(
+                        snr_db=snr,
+                        estimator=name,
+                        mean_mse=float(np.mean([t.mse for t in trials])),
+                        mean_nmse=float(np.mean([t.nmse for t in trials])),
+                        mean_ber=float(bers.mean()),
+                        n_trials=n_trials,
+                        ci95_ber=float(ci),
+                    )
                 )
-            )
+            del paired, trials  # freed before the next point's trials run
     return SweepTable(tuple(rows))
 
 

@@ -26,7 +26,8 @@ from ddce.channel import (
 from ddce.config import default_config, with_overrides
 from ddce.errors import ContractViolationError, ProfileError, SupportError
 from ddce.grids import TFGrid, sfft
-from helpers import tiny_cfg
+from ddce.harness import run_trial
+from helpers import small_cfg, tiny_cfg
 
 
 def ctf_direct(ps, big_m, big_n):
@@ -81,11 +82,27 @@ def test_profile_validation_and_normalization():
         ("tap_delays_ns", (0.0, math.nan), "tap delays must be finite"),
         ("tap_powers_db", (0.0, math.nan), "tap powers must be finite"),
         ("tap_powers_db", (math.inf, 0.0), "tap powers must be finite"),
+        ("tap_powers_db", (4000.0, 0.0), "tap powers must peak within"),
+        ("tap_powers_db", (-4000.0, -4000.0), "tap powers must peak within"),
     ],
 )
 def test_profile_rejects_out_of_range_values(field, value, message):
     with pytest.raises(ProfileError, match=message):
         replace(two_tap_profile(), **{field: value})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_tap_far_below_the_strongest_gets_zero_power():
+    """Only the strongest tap is bounded: a tap 4000 dB below it underflows
+    to power 0 and the trial still runs."""
+    cfg = small_cfg()
+    prof = replace(cfg.profile, tap_powers_db=(0.0, -4000.0))
+    assert prof.tap_powers_lin.tolist() == [1.0, 0.0]
+    cfg = with_overrides(cfg, profile=prof)
+    ps = gen_paths(cfg, prof, np.random.default_rng(3))
+    assert ps.paths[1].gain == 0 and ps.paths[1].power == 0.0
+    for name in cfg.estimators:
+        assert not run_trial(cfg, prof, 20.0, name, 3).failed
 
 
 def test_doppler_support_constant():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddce import harness
 from ddce.cli import main
 from ddce.config import ESTIMATOR_NAMES
 
@@ -187,13 +188,52 @@ def test_sweep_is_reproducible(cfg_file, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_unwritable_output(cfg_file, tmp_path, capsys):
-    rc = main([
-        "sweep", "--config", cfg_file,
-        "--out", str(tmp_path / "no_dir" / "x.csv"),
-    ])
+def test_sweep_unwritable_output(cfg_file, tmp_path, capsys, monkeypatch):
+    """An --out that cannot be written fails before the first trial."""
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran before --out was checked")
+
+    monkeypatch.setattr(harness, "_paired_trial", no_trial)
+    out = tmp_path / "no_dir" / "x.csv"
+    rc = main(["sweep", "--config", cfg_file, "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == (
+        f"error: cannot write --out '{out}': No such file or directory\n"
+    )
+
+
+def test_sweep_out_check_leaves_an_existing_file_until_the_table_is_written(
+    cfg_file, tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+    seen = []
+    real = harness._paired_trial
+
+    def spy(*args):
+        seen.append(out.read_text())
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_paired_trial", spy)
+    assert main(["sweep", "--config", cfg_file, "--out", str(out)]) == 0
+    assert set(seen) == {"old\n"}
+    assert out.read_text().startswith("snr_db,estimator,")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "delays, powers", [("0.0", "4000"), ("0.0, 4166.666666666667", "-4000, -4000")]
+)
+def test_sweep_rejects_a_tap_power_past_the_float_range(tmp_path, capsys, delays, powers):
+    """10**(p/10) would overflow or vanish for every tap: exit 1 at load,
+    before a trial could warn."""
+    text = FAST_CFG.replace("tap_delays_ns = 0.0, 4166.666666666667", f"tap_delays_ns = {delays}")
+    path = tmp_path / "loud.cfg"
+    path.write_text(text.replace("tap_powers_db = 0.0, -3.0", f"tap_powers_db = {powers}"))
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: tap powers must peak within +-3000 dB")
 
 
 def test_verify_passes_on_shipped_config(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from ddce import estimators
+from ddce import estimators, harness
 from ddce.blas import single_blas_thread
 from ddce.channel import (
     ChannelProfile,
@@ -21,6 +21,7 @@ from ddce.channel import (
     ctf_from_paths,
     gen_paths,
 )
+from ddce.config import default_config, with_overrides
 from ddce.errors import ContractViolationError
 from ddce.estimators import (
     CorrelationPair,
@@ -366,6 +367,89 @@ def test_recover_scans_delay_major_on_ties():
     for q in got.paths:
         assert q.doppler == 0.0
         assert abs(q.gain - 0.25) < 1e-12
+
+
+def recover_iteratively(p, n_paths):
+    """The column-by-column readout `recover_paths_offgrid` replaces, kept as
+    its oracle: per pass a global argmax over a working copy, then the whole
+    chosen delay column nulled."""
+    work = p.data.copy()
+    floor = work.size * np.finfo(np.float64).eps * float(np.abs(work).max())
+    found = []
+    truncated = False
+    for _ in range(n_paths):
+        mags = np.abs(work)
+        if mags.max() <= floor:
+            truncated = True
+            break
+        l0, row0 = divmod(int(np.argmax(mags.T)), p.n_doppler)
+        k0 = row0 + p.k_min
+        a0 = mags[row0, l0]
+        a_minus = mags[(row0 - 1) % p.n_doppler, l0]
+        a_plus = mags[(row0 + 1) % p.n_doppler, l0]
+        step = 1 if a_plus >= a_minus else -1
+        a1 = a_plus if step == 1 else a_minus
+        k_frac = float(np.clip(step * a1 / (a0 + a1), -0.5, 0.5))
+        found.append((l0, k0, k0 + k_frac, work[row0, l0]))
+        work[:, l0] = 0.0
+    if not found:
+        return None, True
+    l0s, k0s, k_hats, values = (np.array(col) for col in zip(*found))
+    denom = delay_kernel(l0s, l0s, p.full_m, p.d_f) * doppler_kernel(k_hats, k0s, p.full_n, p.d_t)
+    paths = [Path(complex(g), int(l), float(k)) for g, l, k in zip(values / denom, l0s, k_hats)]
+    return PathSet(paths), truncated
+
+
+def path_bits(ps):
+    """Delay, gain and Doppler of every path, floats as hex so that -0.0 and
+    0.0 differ."""
+    if ps is None:
+        return None
+    return [(q.delay_idx, q.gain.real.hex(), q.gain.imag.hex(), q.doppler.hex()) for q in ps.paths]
+
+
+def _assert_recovery_matches_oracle(p, n_paths):
+    got, truncated = recover_paths_offgrid(p, n_paths)
+    want, want_truncated = recover_iteratively(p, n_paths)
+    assert got == want
+    assert path_bits(got) == path_bits(want)
+    assert truncated is want_truncated
+
+
+@pytest.mark.parametrize("channel_model", ["diag", "full"])
+def test_recover_equals_iterative_readout_bitwise(channel_model):
+    """Sorting the column peaks once gives the paths, bits and truncation
+    flag of the pass-by-pass readout, at the detected count and at fixed
+    counts below and above it."""
+    cfg = with_overrides(default_config(), channel_model=channel_model)
+    for snr_db in (0.0, 10.0, 20.0, 40.0, float("inf")):
+        for seed in range(12):
+            t = harness._Trial(cfg, snr_db, seed)
+            detected = estimate_num_paths(t.period, t.noise_var, cfg)
+            for n_paths in {detected, 1, 3, 40} - {0}:
+                _assert_recovery_matches_oracle(t.period, n_paths)
+
+
+def test_recover_equals_iterative_readout_on_tied_magnitudes():
+    """Small-integer entries tie within and across columns all the time; the
+    first row at a column's peak and the smallest delay among equal peaks
+    must win, as in the pass-by-pass readout."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        data = rng.integers(-2, 3, (8, 6)) + 1j * rng.integers(-2, 3, (8, 6))
+        data[:, rng.random(6) < 0.3] = 0.0
+        p = PeriodCSF(data, d_t=2, d_f=2)
+        for n_paths in (1, 2, 6, 7):
+            _assert_recovery_matches_oracle(p, n_paths)
+
+
+def test_period_magnitude_is_read_only_and_cached():
+    data = np.array([[3 + 4j, -1.0], [0.0, 2j]])
+    p = PeriodCSF(data, d_t=1, d_f=1)
+    assert np.array_equal(p.magnitude, np.abs(p.data))
+    assert p.magnitude is p.magnitude
+    with pytest.raises(ValueError):
+        p.magnitude[0, 0] = 1.0
 
 
 # -------------------------------------------------------------------- MMSE

@@ -1,5 +1,6 @@
 """Monte-Carlo harness: seeding, sweeps, CSV output, verification checks."""
 
+import functools
 import os
 import re
 import threading
@@ -311,6 +312,48 @@ def test_sweep_runs_every_trial_on_the_calling_thread_in_seed_order(tmp_path, mo
     assert calls == [
         (me, snr, child_seed(5150, i, j)) for i, snr in enumerate((8.0, 18.0)) for j in range(3)
     ]
+
+
+def test_sweep_aggregates_each_snr_point_before_the_next_starts(monkeypatch):
+    """A sweep holds one SNR point's trial results at a time: every row of
+    point i is built before any trial of point i+1 runs."""
+    cfg = small_cfg()
+    events = []
+    real_trial, real_row = harness._paired_trial, harness.SweepRow
+
+    def trial(run, snr_db, seed):
+        events.append(("trial", snr_db))
+        return real_trial(run, snr_db, seed)
+
+    def row(**kw):
+        events.append(("row", kw["snr_db"]))
+        return real_row(**kw)
+
+    monkeypatch.setattr(harness, "_paired_trial", trial)
+    monkeypatch.setattr(harness, "SweepRow", row)
+    snr_sweep(cfg, cfg.profile, (5.0, 15.0, 25.0), ("ls-interp", "ideal"), 2, 9)
+    assert events == [
+        (kind, snr) for snr in (5.0, 15.0, 25.0) for kind in ("trial",) * 2 + ("row",) * 2
+    ]
+
+
+def test_a_paired_trial_takes_the_period_magnitude_once(monkeypatch):
+    """csf-ongrid's detection and csf-offgrid's detection and recovery all
+    read the one period of the trial, so |p| is computed once."""
+    cfg = default_config()
+    calls = []
+
+    def magnitude(p):
+        calls.append(p)
+        return real(p)
+
+    real = grids.PeriodCSF.magnitude.func
+    counted = functools.cached_property(magnitude)
+    counted.__set_name__(grids.PeriodCSF, "magnitude")
+    monkeypatch.setattr(grids.PeriodCSF, "magnitude", counted)
+    for seed in range(3):
+        harness._paired_trial(cfg, 10.0, seed)
+    assert len(calls) == 3 and len({id(p) for p in calls}) == 3
 
 
 @pytest.mark.parametrize("threads", ["2", "-1", "1000000"])
