@@ -2,8 +2,8 @@
 
 A multi-threaded solve rounds differently from a single-threaded one, so the
 pin is what keeps results independent of the BLAS thread count (and of
-`OPENBLAS_NUM_THREADS`).  A sweep holds it for all its trials, and
-`mmse_estimate` for each solve.
+`OPENBLAS_NUM_THREADS`).  `mmse_estimate` holds it for each solve, the one
+dense solve ddce runs.
 
 OpenBLAS keeps one thread count per library for the whole process, so the pin
 is process-wide as well.  A library caller may solve from threads of its own,
@@ -14,8 +14,8 @@ and restoring per entry would race between those threads.
 OpenBLAS copies are found when they are mapped, not when this module is
 imported.  numpy maps its copy as it loads, and the first use of the pin finds
 it in the process's memory maps.  scipy maps its own copy only when
-`scipy.linalg` is imported, which ddce does before a sweep that runs the
-genie MMSE or on the first genie-MMSE solve; that import calls `rescan()`.
+`scipy.linalg` is imported, which ddce does on the first noisy genie-MMSE
+solve, before that solve takes the pin; the import calls `rescan()`.
 A copy found while the pin is held is pinned at once and restored on the last
 exit with the others.
 """

@@ -192,11 +192,17 @@ def merge_profile_taps(profile: ChannelProfile, cfg: "SystemConfig") -> ChannelP
     equivalent grid-resolution profile with one tap per occupied bin.
     """
     idx = _delay_bins(profile, cfg)
-    lin = 10.0 ** (np.asarray(profile.tap_powers_db) / 10.0)
+    db = np.asarray(profile.tap_powers_db)
     step_ns = 1e9 / (cfg.M * cfg.delta_f_hz)
     bins = sorted(set(idx.tolist()))
     delays = [b * step_ns for b in bins]
-    powers_db = [10.0 * np.log10(lin[idx == b].sum()) for b in bins]
+    powers_db = []
+    for b in bins:
+        taps = db[idx == b]
+        # summed about 0 dB, or about the strongest tap where its linear power
+        # underflows to 0 (the log of a zero sum would be -inf)
+        ref = taps.max() if 10.0 ** (taps.max() / 10.0) == 0 else 0.0
+        powers_db.append(ref + 10.0 * np.log10(np.sum(10.0 ** ((taps - ref) / 10.0))))
     return ChannelProfile(tuple(delays), tuple(powers_db), profile.v_kmh, profile.f_c_hz)
 
 

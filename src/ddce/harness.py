@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import single_blas_thread
 from .channel import (
     ChannelProfile,
     Path,
@@ -27,7 +26,6 @@ from .estimators import (
     ls_pilot,
     periodic_csf,
     recover_paths_offgrid,
-    scipy_linalg,
 )
 from .grids import TFGrid, isfft, sfft
 from .kernels import doppler_alias_difference, doppler_kernel
@@ -181,41 +179,35 @@ def snr_sweep(
     Trials run one after another in (snr index, trial index) order, each
     seeded by `child_seed`.  Each SNR point's trials are aggregated, in
     estimator order, before the next point's start, so a sweep holds one
-    point's results at a time.  BLAS runs on one thread for the whole
-    sweep, so results do not depend on the BLAS thread count.  Before any
-    trial starts, the config the arguments describe goes through
-    `SystemConfig.violations()`, and a violation raises its ConfigError.
+    point's results at a time.  Each genie-MMSE solve runs on one BLAS
+    thread (`mmse_estimate`), so results do not depend on the BLAS thread
+    count.  Before any trial starts, the config the arguments describe goes
+    through `SystemConfig.violations()`, and a violation raises its
+    ConfigError.
     """
     run = with_overrides(
         cfg, profile=profile, snr_db=tuple(float(s) for s in snr_list_db),
         estimators=tuple(estimators), n_trials=n_trials, master_seed=master_seed,
     )
-    if "mmse-genie" in run.estimators:
-        # Imported before the pin is taken: a sweep that imported scipy
-        # inside the held pin measured a slower `paper` set-up (0.647 s
-        # against 0.615 s, medians of 20 runs on a 2-vCPU VM).
-        scipy_linalg()
-
     rows = []
-    with single_blas_thread():
-        for i, snr in enumerate(run.snr_db):
-            seeds = [child_seed(master_seed, i, j) for j in range(n_trials)]
-            paired = [_paired_trial(run, snr, seed) for seed in seeds]
-            for name, trials in zip(run.estimators, zip(*paired)):
-                bers = np.array([t.ber for t in trials])
-                ci = 1.96 * bers.std(ddof=1) / np.sqrt(n_trials) if n_trials > 1 else 0.0
-                rows.append(
-                    SweepRow(
-                        snr_db=snr,
-                        estimator=name,
-                        mean_mse=float(np.mean([t.mse for t in trials])),
-                        mean_nmse=float(np.mean([t.nmse for t in trials])),
-                        mean_ber=float(bers.mean()),
-                        n_trials=n_trials,
-                        ci95_ber=float(ci),
-                    )
+    for i, snr in enumerate(run.snr_db):
+        seeds = [child_seed(master_seed, i, j) for j in range(n_trials)]
+        paired = [_paired_trial(run, snr, seed) for seed in seeds]
+        for name, trials in zip(run.estimators, zip(*paired)):
+            bers = np.array([t.ber for t in trials])
+            ci = 1.96 * bers.std(ddof=1) / np.sqrt(n_trials) if n_trials > 1 else 0.0
+            rows.append(
+                SweepRow(
+                    snr_db=snr,
+                    estimator=name,
+                    mean_mse=float(np.mean([t.mse for t in trials])),
+                    mean_nmse=float(np.mean([t.nmse for t in trials])),
+                    mean_ber=float(bers.mean()),
+                    n_trials=n_trials,
+                    ci95_ber=float(ci),
                 )
-            del paired, trials  # freed before the next point's trials run
+            )
+        del paired, trials  # freed before the next point's trials run
     return SweepTable(tuple(rows))
 
 

@@ -147,6 +147,15 @@ def test_merge_conserves_linear_power():
     assert np.allclose(again.tap_powers_db, merged.tap_powers_db)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_merge_keeps_a_bin_whose_linear_power_underflows():
+    cfg = default_config()
+    raw = ChannelProfile((0.0, 30.0, 5000.0), (0.0, -4000.0, -4000.0), v_kmh=250.0, f_c_hz=2.1e9)
+    merged = merge_profile_taps(raw, cfg)
+    assert quantize_delays(merged, cfg).tolist() == [0, 10]
+    assert merged.tap_powers_db == (0.0, -4000.0)
+
+
 def test_gen_paths_deterministic_and_in_support():
     cfg = default_config()
     ps1 = gen_paths(cfg, cfg.profile, np.random.default_rng(7))

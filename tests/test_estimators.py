@@ -669,23 +669,47 @@ def test_workspace_system_matches_textbook_symmetrisation_bitwise():
     ws = estimators._Workspace(r2.shape[0])
     ws.r2[...] = r2
     half = (r2 + r2.conj().T) / 2.0
-    assert ws.system(None).tobytes() == half.tobytes()
     for noise_var in (1e-3, 0.5):
-        ws.r2[...] = r2
         want = half + noise_var * np.eye(r2.shape[0])
         got = ws.system(noise_var)
         assert got.flags.f_contiguous
         assert got.tobytes() == want.tobytes()
+        assert ws.r2.tobytes() == r2.tobytes()  # the product is kept
 
 
-def test_workspace_system_rejects_non_hermitian_product():
-    r2 = _crafted_product()
-    r2[0, 5] += 1e-6 * np.abs(r2).max()
-    ws = estimators._Workspace(r2.shape[0])
-    for noise_var in (None, 0.1):
-        ws.r2[...] = r2
-        with pytest.raises(ContractViolationError, match="non-Hermitian"):
-            ws.system(noise_var)
+@pytest.mark.parametrize("bad", [-0.1, np.nan])
+def test_correlations_reject_negative_or_nan_powers(bad):
+    steering = np.ones((4, 2), dtype=complex)
+    with pytest.raises(ContractViolationError, match="path powers must be >= 0"):
+        CorrelationPair(steering, steering, np.array([0.5, bad]))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    n=st.integers(1, 12),
+    n_paths=st.integers(1, 6),
+    a_decades=st.integers(0, 150),
+    p_decades=st.integers(-100, 100),
+    zeros=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pilot_product_is_hermitian_to_rounding_for_nonnegative_powers(
+    n, n_paths, a_decades, p_decades, zeros, seed
+):
+    """With P >= 0, every term a_i p a_j^* of A P A^H is at most the larger
+    diagonal entry in magnitude, so each entry's rounding error stays a few
+    eps of max|R|, whatever the finite steering matrix.  Steering entries
+    span a_decades decades about 1 (up to 10^+-75 each, 150 in all), the
+    powers sit at 10^p_decades and some are exactly 0."""
+    rng = np.random.default_rng(seed)
+    mag = 10.0 ** (a_decades * (rng.uniform(size=(n, n_paths)) - 0.5))
+    a = mag * np.exp(2j * np.pi * rng.uniform(size=(n, n_paths)))
+    powers = 10.0**p_decades * rng.uniform(0.5, 2.0, n_paths)
+    powers[: min(zeros, n_paths - 1)] = 0.0
+    corr = CorrelationPair(a, a, powers)
+    r2 = (corr._a_pilot * corr._p) @ corr._a_pilot.conj().T  # the product `_system` forms
+    assert np.all(np.isfinite(r2))
+    assert np.abs(r2 - r2.conj().T).max() <= 1e-10 * np.abs(r2).max()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,7 +1,7 @@
 """What a run loads: the dense solver (`scipy.linalg`) only for the genie MMSE,
-and the BLAS pin over every OpenBLAS copy either way.  No run loads the
-thread-pool module (`concurrent.futures`) of its own: sweeps run their trials
-serially, and only `scipy.linalg` imports it.  Each case runs in a fresh
+whose solves alone take the BLAS pin over every OpenBLAS copy.  No run loads
+the thread-pool module (`concurrent.futures`) of its own: sweeps run their
+trials serially, and only `scipy.linalg` imports it.  Each case runs in a fresh
 interpreter, since the module table of this one depends on which tests ran
 before."""
 
@@ -99,10 +99,19 @@ def test_a_genie_mmse_sweep_loads_the_dense_solver(tmp_path):
     assert got == {"code": 0, "loaded": list(LAZY)}
 
 
-def test_pooled_genie_mmse_csv_ignores_the_openblas_thread_variable(tmp_path):
-    cfg = small_config(
-        tmp_path, "mmse.cfg", estimators="mmse-genie, ideal", snr_db="0, 40", n_trials=3, threads=2
-    )
+@pytest.mark.parametrize(
+    "mix",
+    [
+        {},  # paper.cfg's five estimators, genie MMSE among them
+        {"estimators": "ls-interp, csf-ongrid, csf-offgrid, ideal", "channel_model": "full"},
+        {"estimators": "csf-ongrid, ideal", "on_grid_doppler": "true"},
+    ],
+    ids=["paper", "full-csf", "ongrid"],
+)
+def test_sweep_csv_ignores_the_openblas_thread_variable(mix, tmp_path):
+    """Only the genie-MMSE solve pins BLAS; nothing else a sweep runs may
+    round differently on more BLAS threads."""
+    cfg = small_config(tmp_path, "run.cfg", snr_db="0, 40", n_trials=3, **mix)
     csvs = []
     for n in ("1", "2"):
         out = tmp_path / f"out{n}.csv"
