@@ -24,7 +24,10 @@ CHANNEL_MODELS = ("diag", "full")
 MAX_GRID_RES = 1 << 20
 MAX_TRIALS = 100_000
 MAX_MMSE_PILOTS = 2048
-MIN_SNR_DB = -3082.5  # the noise variance 10**(-snr_db/10) overflows a float below -3082.547
+# A trial squares and sums errors of the noise's size: ls-interp extrapolates
+# pilot noise by less than 3x per axis, and 3**4 * MAX_GRID_RES * noise_var
+# < 1.8e308 up to -3003.2 dB (the noise variance alone overflows at -3082.5).
+MIN_SNR_DB = -3000.0
 
 
 def snr_is_valid(snr_db: float) -> bool:

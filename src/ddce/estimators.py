@@ -128,8 +128,8 @@ class CorrelationPair:
     response and its pilot samples, R2 the n_pilot x n_pilot pilot
     auto-correlation (channel part only, no noise).  Both follow from
     R[(m,n),(m',n')] = sum_i p_i e^{j2pi k_i (n-n')/N} e^{-j2pi l_i (m-m')/M},
-    which factors over per-path steering vectors; the factors are kept so
-    the big R1 matrix is only materialized when actually accessed.
+    so R1 = A_all P A_pilot^H and R2 = B B^H, B = A_pilot sqrt(P).  Only the
+    factors are kept; R2 is formed only inside the noisy `_system`.
     """
 
     def __init__(self, steering_all: np.ndarray, steering_pilot: np.ndarray, powers: np.ndarray):
@@ -142,25 +142,10 @@ class CorrelationPair:
         # to rounding for any finite A, and the symmetrisation makes it exact.
         if not np.all(self._p >= 0):
             raise ContractViolationError(f"path powers must be >= 0, got {self._p.tolist()}")
-        self._r1 = None
-        self._r2 = None
 
     @property
     def n_pilot(self) -> int:
         return self._a_pilot.shape[0]
-
-    @property
-    def R1(self) -> np.ndarray:
-        if self._r1 is None:
-            self._r1 = (self._a_all * self._p) @ self._a_pilot.conj().T
-        return self._r1
-
-    @property
-    def R2(self) -> np.ndarray:
-        if self._r2 is None:
-            r2 = (self._a_pilot * self._p) @ self._a_pilot.conj().T
-            self._r2 = (r2 + r2.conj().T) / 2.0
-        return self._r2
 
     def _system(self, noise_var: float, ws: "_Workspace") -> np.ndarray:
         """R2 + noise_var*I, built in ws's buffers."""
@@ -170,6 +155,19 @@ class CorrelationPair:
     def apply_r1(self, vec: np.ndarray) -> np.ndarray:
         """R1 @ vec through the steering factors, without forming R1."""
         return self._a_all @ (self._p * (self._a_pilot.conj().T @ vec))
+
+    def least_norm(self, vec: np.ndarray) -> np.ndarray:
+        """R1 z for the least-norm z of R2 z = vec: A_all sqrt(P) B^+ vec, as
+        B^H (B B^H)^+ = B^+.  lstsq cuts B's singular values below
+        eps*n*sigma_max(B), where lstsq on the dense R2 cuts them below
+        sqrt(eps*n)*sigma_max(B), so ratios of about 1e-13 to 3e-7 (a
+        near-alias, or a path at 1e-26 to 1e-13 of the strongest power) are
+        kept, the more exact result.  Exact aliases, delays l and l + M/d_f
+        at one Doppler, fall below both cutoffs.
+        """
+        sqrt_p = np.sqrt(self._p)
+        g, *_ = np.linalg.lstsq(self._a_pilot * sqrt_p, vec, rcond=None)
+        return self._a_all @ (sqrt_p * g)
 
 
 class _Workspace:
@@ -249,12 +247,12 @@ def mmse_estimate(
     Solves (R2 + noise_var*I) z = obs and returns R1 z.  The system matrix is
     Hermitian positive definite for noise_var > 0 and is attacked with a
     Cholesky factorization; if that fails a diagonal jitter of
-    1e-12 * trace/n is added once.  For noise_var = 0 the (generally rank
-    deficient) system falls back to the least-norm solution.  The system is
-    built and factored in place, in buffers each thread keeps for its pilot
-    count.  The first noisy call imports `scipy.linalg`, before the pin is
-    taken; the dense algebra then runs on one BLAS thread, so the result does
-    not depend on the BLAS thread count.
+    1e-12 * trace/n is added once.  The system is built and factored in
+    place, in buffers each thread keeps for its pilot count.  For
+    noise_var = 0 the least-norm solution, `CorrelationPair.least_norm`,
+    needs no n_pilot x n_pilot matrix.  The first noisy call imports
+    `scipy.linalg`, before the pin is taken; the dense algebra then runs on
+    one BLAS thread, so the result does not depend on the BLAS thread count.
     """
     _check_noise_var(noise_var)
     _check_lattice(obs, cfg)
@@ -269,10 +267,8 @@ def mmse_estimate(
         # 0.615 s, medians of 20 `paper` runs on a 2-vCPU VM).
         scipy_linalg()
     with single_blas_thread():
-        used_least_norm = False
         if noise_var == 0:
-            z, *_ = np.linalg.lstsq(corr.R2, obs_vec, rcond=None)
-            used_least_norm = True
+            h_vec = corr.least_norm(obs_vec)
         else:
             ws = _workspace(corr.n_pilot)
             try:
@@ -287,9 +283,9 @@ def mmse_estimate(
             # cho_factor checked the system for non-finite entries, and the
             # observations are finite by construction: no second scan
             z = cho_solve(factor, obs_vec, check_finite=False)
-        h_vec = corr.apply_r1(z)
+            h_vec = corr.apply_r1(z)
     grid = _adopt(TFGrid, h_vec.reshape(cfg.M, cfg.N, order="F"))
-    return MmseEstimate(grid, used_least_norm)
+    return MmseEstimate(grid, used_least_norm=noise_var == 0)
 
 
 def _check_lattice(obs: PilotObservations, cfg: "SystemConfig"):

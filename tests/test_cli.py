@@ -295,7 +295,7 @@ _SEEDS = st.one_of(
     st.integers(-(2**70), 2**70).map(str), st.sampled_from(("-1", "1.5", "abc", ""))
 )
 _SNRS = st.one_of(
-    st.sampled_from(("nan", "inf", "-inf", "-4000", "-3082.6", "1e309", "ten")),
+    st.sampled_from(("nan", "inf", "-inf", "-4000", "-3082.6", "-3000.1", "1e309", "ten")),
     st.floats(-50.0, 50.0).map(repr),
 )
 _NAMES = st.one_of(st.sampled_from(ESTIMATOR_NAMES), st.text(min_size=1, max_size=8))

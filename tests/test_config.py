@@ -146,12 +146,14 @@ def test_nonfinite_snr_rejected(tmp_path, snr):
 
 
 def test_snr_bound_keeps_the_noise_variance_a_float():
-    """10**(-snr_db/10) overflows below about -3082.547 dB: the rule stops
-    just above that, and everything it accepts has a finite noise level."""
-    for snr in (MIN_SNR_DB, -3082.4, 0.0, 1e308, float("inf")):
+    """10**(-snr_db/10) overflows below about -3082.547 dB, but a trial's
+    MSE, summed over up to 2**20 REs, overflows for noise variances above
+    about 2e300: the rule stops at -3000 dB, a noise variance of 1e300."""
+    assert MIN_SNR_DB == -3000.0
+    for snr in (MIN_SNR_DB, -2999.9, 0.0, 1e308, float("inf")):
         assert snr_is_valid(snr)
-        assert math.isfinite(10.0 ** (-snr / 10.0))
-    for snr in (-3082.6, -4000.0, -1e308, float("-inf"), float("nan")):
+        assert 10.0 ** (-snr / 10.0) <= 1e300
+    for snr in (-3000.1, -3082.4, -3082.6, -4000.0, -1e308, float("-inf"), float("nan")):
         assert not snr_is_valid(snr)
 
 

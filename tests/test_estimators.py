@@ -2,6 +2,7 @@
 
 import gc
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -537,9 +538,10 @@ def test_correlations_use_declared_ensemble_powers():
     strong = PathSet((Path(gain=1e-6, delay_idx=2, doppler=1.0, power=5.0),))
     corr = genie_correlations(strong, cfg, lay)
     # diagonal of the pilot autocorrelation is the total ensemble power
-    assert np.allclose(np.diag(corr.R2), 5.0)
+    assert np.allclose(np.abs(corr._a_pilot) ** 2 @ corr._p, 5.0)
+    r1 = (corr._a_all * corr._p) @ corr._a_pilot.conj().T
     vec = np.arange(corr.n_pilot, dtype=complex)
-    assert np.allclose(corr.apply_r1(vec), corr.R1 @ vec, atol=1e-10)
+    assert np.allclose(corr.apply_r1(vec), r1 @ vec, atol=1e-10)
 
 
 def _random_mmse_case(cfg, seed, n_paths=4):
@@ -638,17 +640,69 @@ def test_mmse_jitter_fallback_rebuilds_the_overwritten_system(monkeypatch):
     assert got.grid.data.tobytes() == want.tobytes()
 
 
-def test_mmse_least_norm_result_unchanged():
-    cfg = tiny_cfg(64, 32, 4, 4)
-    obs, corr = _random_mmse_case(cfg, 6)
+def _least_norm_case(case):
+    """Pilot observations and genie correlations on the paper grid: a
+    noiseless paired trial on either channel model (the `full` one carries
+    ICI, so its observations leave the range of R2), or random observations
+    on a support with an exact alias or a zero-power path."""
+    cfg = default_config()
+    if case.startswith("paper"):
+        trial = harness._Trial(with_overrides(cfg, channel_model=case[6:]), float("inf"), 4)
+        return cfg, trial.obs, genie_correlations(trial.ps, cfg, trial.layout)
+    second = {
+        # delays l and l + M/d_f at one Doppler have the same pilot samples
+        "alias": Path(gain=1.0, delay_idx=3 + cfg.M // cfg.d_f, doppler=1.3, power=0.3),
+        "zero-power": Path(gain=1.0, delay_idx=9, doppler=-2.2, power=0.0),
+    }[case]
+    ps = PathSet((
+        Path(gain=1.0, delay_idx=3, doppler=1.3, power=0.5),
+        second,
+        Path(gain=1.0, delay_idx=12, doppler=-4.6, power=0.2),
+    ))
+    layout = make_layout(PilotPattern(d_t=cfg.d_t, d_f=cfg.d_f), cfg)
+    rng = np.random.default_rng(8)
+    shape = (cfg.M // cfg.d_f, cfg.N // cfg.d_t)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    obs = PilotObservations(vals, d_t=cfg.d_t, d_f=cfg.d_f)
+    return cfg, obs, genie_correlations(ps, cfg, layout)
+
+
+@pytest.mark.parametrize("case", ["paper-diag", "paper-full", "alias", "zero-power"])
+def test_noiseless_mmse_equals_dense_least_norm_reference(case):
+    """R1 z for the least-norm z of R2 z = y, solved on R2's factor
+    B = A_pilot sqrt(P), equals the least squares on the dense R2."""
+    cfg, obs, corr = _least_norm_case(case)
     est = mmse_estimate(obs, corr, 0.0, cfg)
     with single_blas_thread():
-        r2 = _textbook_r2(corr)
-        z, *_ = np.linalg.lstsq(r2, obs.values.flatten(order="F"), rcond=None)
+        z, *_ = np.linalg.lstsq(_textbook_r2(corr), obs.values.flatten(order="F"), rcond=None)
         want = corr.apply_r1(z).reshape(cfg.M, cfg.N, order="F")
     assert est.used_least_norm
-    assert corr.R2.tobytes() == r2.tobytes()
-    assert est.grid.data.tobytes() == want.tobytes()
+    assert np.max(np.abs(est.grid.data - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_noiseless_mmse_forms_no_pilot_square_matrix(monkeypatch):
+    """The dense least squares on R2 peaked at 12 MiB for 512 pilots; the
+    factor route holds a few n_pilot x P arrays and never builds the noisy
+    system."""
+
+    def refuse(*args, **kw):
+        raise AssertionError("the noiseless solve reached the noisy system")
+
+    monkeypatch.setattr(estimators, "cho_factor", refuse)
+    monkeypatch.setattr(estimators, "_workspace", refuse)
+    cfg = default_config()
+    assert (cfg.M, cfg.N) == (128, 64)
+    trial = harness._Trial(cfg, float("inf"), 3)
+    first, second = (genie_correlations(trial.ps, cfg, trial.layout) for _ in range(2))
+    mmse_estimate(trial.obs, first, 0.0, cfg)  # first-call set-up is not the solve's
+    tracemalloc.start()
+    try:
+        est = mmse_estimate(trial.obs, second, 0.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.used_least_norm
+    assert peak < 2**20
 
 
 def _crafted_product(n=6, seed=3):

@@ -20,6 +20,7 @@ from ddce.cli import main as cli_main
 from ddce.config import (
     ESTIMATOR_NAMES,
     MAX_TRIALS,
+    MIN_SNR_DB,
     default_config,
     load_config,
     with_overrides,
@@ -57,6 +58,7 @@ from ddce.txrx import (
 from helpers import small_cfg
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+PAPER_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "paper.cfg")
 
 
 def test_child_seed_frozen_values():
@@ -100,6 +102,19 @@ def test_offgrid_trial_reports_detection_failure():
     assert res.failed
     assert res.nmse == pytest.approx(1.0)  # all-zero estimate
     assert res.ber > 0.4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("channel_model", ["diag", "full"])
+def test_every_estimator_stays_finite_at_the_snr_floor(channel_model):
+    """At MIN_SNR_DB the noise variance is 1e300.  ls-interp extrapolates
+    that noise past the last pilots, and every trial squares and averages
+    its errors: none of it may overflow."""
+    cfg = with_overrides(load_config(PAPER_CFG), channel_model=channel_model)
+    assert cfg.estimators == ESTIMATOR_NAMES
+    for seed in range(3):
+        for res in harness._paired_trial(cfg, MIN_SNR_DB, seed):
+            assert np.isfinite([res.mse, res.nmse, res.ber]).all(), (res.estimator, seed)
 
 
 def test_estimator_table_names_every_estimator_once():

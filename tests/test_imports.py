@@ -102,16 +102,17 @@ def test_a_genie_mmse_sweep_loads_the_dense_solver(tmp_path):
 @pytest.mark.parametrize(
     "mix",
     [
-        {},  # paper.cfg's five estimators, genie MMSE among them
+        # paper.cfg's five estimators, genie MMSE among them, noisy and noiseless
+        {"snr_db": "0, 40, inf"},
         {"estimators": "ls-interp, csf-ongrid, csf-offgrid, ideal", "channel_model": "full"},
         {"estimators": "csf-ongrid, ideal", "on_grid_doppler": "true"},
     ],
     ids=["paper", "full-csf", "ongrid"],
 )
 def test_sweep_csv_ignores_the_openblas_thread_variable(mix, tmp_path):
-    """Only the genie-MMSE solve pins BLAS; nothing else a sweep runs may
-    round differently on more BLAS threads."""
-    cfg = small_config(tmp_path, "run.cfg", snr_db="0, 40", n_trials=3, **mix)
+    """Only the genie-MMSE solves, noisy and noiseless, pin BLAS; nothing
+    else a sweep runs may round differently on more BLAS threads."""
+    cfg = small_config(tmp_path, "run.cfg", n_trials=3, **{"snr_db": "0, 40", **mix})
     csvs = []
     for n in ("1", "2"):
         out = tmp_path / f"out{n}.csv"
