@@ -8,6 +8,8 @@ text goes to stderr, each line carrying the prefix `error:`.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .config import ESTIMATOR_NAMES, MIN_SNR_DB, load_config, snr_is_valid
@@ -91,14 +93,21 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    created = not os.path.exists(args.out)
     try:  # before any trial; append mode leaves an existing file as it is
         open(args.out, "a").close()
     except OSError as exc:
         raise OSError(f"cannot write --out '{args.out}': {exc.strerror or exc}") from None
-    table = snr_sweep(
-        cfg, cfg.profile, cfg.snr_db, cfg.estimators, cfg.n_trials, cfg.master_seed
-    )
-    write_csv(table, args.out)
+    try:
+        table = snr_sweep(
+            cfg, cfg.profile, cfg.snr_db, cfg.estimators, cfg.n_trials, cfg.master_seed
+        )
+        write_csv(table, args.out)
+    except BaseException:  # a file the check made must not pass for a result
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
+        raise
     print(f"wrote {args.out} ({len(table.rows)} rows)")
     return 0
 

@@ -329,7 +329,7 @@ def csf_ongrid(p: PeriodCSF, cfg: "SystemConfig") -> DDGrid:
 
 def _machine_floor(p: PeriodCSF) -> float:
     """Magnitude below which period entries count as numerically zero."""
-    return p.data.size * np.finfo(np.float64).eps * float(p.magnitude.max())
+    return p.data.size * np.finfo(np.float64).eps * float(p.column_peaks[1].max())
 
 
 def _occupied_columns(p: PeriodCSF, noise_var: float, cfg: "SystemConfig") -> np.ndarray:
@@ -342,7 +342,7 @@ def _occupied_columns(p: PeriodCSF, noise_var: float, cfg: "SystemConfig") -> np
     machine-precision floor stands in so that exact zeros never count.
     """
     _check_noise_var(noise_var)
-    peaks = p.magnitude.max(axis=0)
+    peaks = p.column_peaks[1]
     if noise_var > 0:
         thr = cfg.gamma_threshold * np.sqrt(noise_var * cfg.d_t * cfg.d_f)
     else:
@@ -375,8 +375,7 @@ def recover_paths_offgrid(p: PeriodCSF, n_paths: int):
     if n_paths < 1:
         raise ContractViolationError(f"n_paths must be >= 1, got {n_paths}")
     mags = p.magnitude
-    rows = mags.argmax(axis=0)
-    peaks = mags[rows, np.arange(p.n_delay)]
+    rows, peaks = p.column_peaks
     order = np.argsort(-peaks, kind="stable")  # ties keep delay order
     l0s = order[peaks[order] > _machine_floor(p)][:n_paths]
     if l0s.size == 0:

@@ -153,6 +153,16 @@ class PeriodCSF:
         mag.setflags(write=False)
         return mag
 
+    @cached_property
+    def column_peaks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (rows, peaks) of each delay column of `magnitude`: the
+        first row at the column's maximum, and that maximum."""
+        rows = self.magnitude.argmax(axis=0)
+        peaks = self.magnitude[rows, np.arange(self.n_delay)]
+        rows.setflags(write=False)
+        peaks.setflags(write=False)
+        return rows, peaks
+
     def value(self, k: int, l: int) -> complex:
         """Entry at centered Doppler k and delay l, periodic in both axes."""
         row = (k - self.k_min) % self.n_doppler

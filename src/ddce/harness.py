@@ -3,6 +3,8 @@ self-verification suite."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +168,19 @@ def run_trial(
     return _paired_trial(run, run.snr_db[0], seed)[0]
 
 
+@functools.lru_cache(maxsize=None)
+def _keep_grids_on_the_heap() -> None:
+    """Once per process, glibc's mmap and trim thresholds for `snr_sweep`;
+    a libc without `mallopt` is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # macOS, Windows
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD; musl's stub returns 0, ignored
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+
+
 def snr_sweep(
     cfg: SystemConfig,
     profile: ChannelProfile,
@@ -184,11 +199,20 @@ def snr_sweep(
     count.  Before any trial starts, the config the arguments describe goes
     through `SystemConfig.violations()`, and a violation raises its
     ConfigError.
+
+    The first sweep of a process sets glibc's mmap threshold to 4 MiB and
+    its trim threshold to 32 MiB, for the whole calling process; glibc has
+    no call that reads them back.  Each trial allocates and frees dozens of
+    128 KiB grids, and at glibc's defaults every trial faulted them back in
+    as zeroed pages: 250-330 minor page faults per trial, against under one
+    with the thresholds set.  Results do not change: only where the
+    temporaries live does.
     """
     run = with_overrides(
         cfg, profile=profile, snr_db=tuple(float(s) for s in snr_list_db),
         estimators=tuple(estimators), n_trials=n_trials, master_seed=master_seed,
     )
+    _keep_grids_on_the_heap()
     rows = []
     for i, snr in enumerate(run.snr_db):
         seeds = [child_seed(master_seed, i, j) for j in range(n_trials)]

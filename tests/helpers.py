@@ -1,8 +1,17 @@
-"""Config factories shared by the test modules."""
+"""Config factories and a fresh-interpreter runner shared by the test modules."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 from ddce.channel import ChannelProfile
 from ddce.config import SystemConfig
 
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+SRC = os.path.join(ROOT, "src")
+PAPER_CFG = os.path.join(ROOT, "paper.cfg")
 ONE_TAP = ChannelProfile((0.0,), (0.0,), v_kmh=0.0, f_c_hz=2.1e9)
 
 
@@ -15,3 +24,19 @@ def small_cfg():
     """Validated two-tap 32x16 config at 250 km/h, cheap enough for whole sweeps."""
     prof = ChannelProfile((0.0, 4166.666666666667), (0.0, -3.0), v_kmh=250.0, f_c_hz=2.1e9)
     return SystemConfig(M=32, N=16, delta_f_hz=15e3, d_t=4, d_f=4, profile=prof).validated()
+
+
+def run_python(code, env_extra=None, timeout=300):
+    """Run code in a fresh interpreter with ddce importable; its last stdout
+    line, parsed as JSON."""
+    env = {**os.environ, "PYTHONPATH": SRC, **(env_extra or {})}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])

@@ -221,6 +221,29 @@ def test_sweep_out_check_leaves_an_existing_file_until_the_table_is_written(
     assert out.read_text().startswith("snr_db,estimator,")
 
 
+@pytest.mark.parametrize("existed", [False, True], ids=["new-path", "existing-file"])
+def test_a_failed_sweep_removes_only_an_out_file_its_check_created(
+    cfg_file, tmp_path, capsys, monkeypatch, existed
+):
+    """An empty CSV left behind would look like a result; a file that was
+    already there stays as it was."""
+    out = tmp_path / "x.csv"
+    if existed:
+        out.write_text("old\n")
+
+    def fail(*args):
+        assert out.exists()  # the check has opened the path before the first trial
+        raise RuntimeError("trial failed")
+
+    monkeypatch.setattr(harness, "_paired_trial", fail)
+    assert main(["sweep", "--config", cfg_file, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: trial failed\n"
+    if existed:
+        assert out.read_text() == "old\n"
+    else:
+        assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "delays, powers", [("0.0", "4000"), ("0.0, 4166.666666666667", "-4000, -4000")]

@@ -371,6 +371,50 @@ def test_a_paired_trial_takes_the_period_magnitude_once(monkeypatch):
     assert len(calls) == 3 and len({id(p) for p in calls}) == 3
 
 
+def test_a_paired_trial_takes_the_column_peaks_once(monkeypatch):
+    """csf-ongrid's detection, csf-offgrid's detection and its recovery's
+    argmax rows and floor all read one cached pair of column peaks: |p| is
+    reduced over its Doppler axis once per trial."""
+    cfg = default_config()
+    calls, reductions = [], []
+
+    class Counted(np.ndarray):
+        def max(self, *args, **kw):
+            reductions.append("max")
+            return super().max(*args, **kw)
+
+        def argmax(self, *args, **kw):
+            reductions.append("argmax")
+            return super().argmax(*args, **kw)
+
+    def magnitude(p):
+        return real_magnitude(p).view(Counted)
+
+    def column_peaks(p):
+        calls.append(p)
+        return tuple(np.asarray(a) for a in real_peaks(p))
+
+    real_magnitude = grids.PeriodCSF.magnitude.func
+    real_peaks = grids.PeriodCSF.column_peaks.func
+    for name, func in (("magnitude", magnitude), ("column_peaks", column_peaks)):
+        counted = functools.cached_property(func)
+        counted.__set_name__(grids.PeriodCSF, name)
+        monkeypatch.setattr(grids.PeriodCSF, name, counted)
+    for seed in range(3):
+        harness._paired_trial(cfg, 10.0, seed)
+    assert len(calls) == 3 and len({id(p) for p in calls}) == 3
+    assert reductions == ["argmax"] * 3
+
+
+def test_column_peaks_are_the_read_only_column_maxima():
+    cfg = default_config()
+    p = harness._Trial(cfg, 10.0, 5).period
+    rows, peaks = p.column_peaks
+    assert np.array_equal(peaks, p.magnitude.max(axis=0))
+    assert np.array_equal(rows, p.magnitude.argmax(axis=0))
+    assert not rows.flags.writeable and not peaks.flags.writeable
+
+
 @pytest.mark.parametrize("threads", ["2", "-1", "1000000"])
 def test_a_threads_line_is_accepted_and_ignored(tmp_path, threads):
     """Files from when sweeps had worker threads still load, to the same

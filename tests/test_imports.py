@@ -5,34 +5,15 @@ trials serially, and only `scipy.linalg` imports it.  Each case runs in a fresh
 interpreter, since the module table of this one depends on which tests ran
 before."""
 
-import json
 import os
 import subprocess
 import sys
-import textwrap
 
 import pytest
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-SRC = os.path.join(ROOT, "src")
-PAPER_CFG = os.path.join(ROOT, "paper.cfg")
+from helpers import PAPER_CFG, ROOT, SRC, run_python
+
 LAZY = ("scipy.linalg", "concurrent.futures")
-
-
-def run_python(code, env_extra=None, timeout=300):
-    """Run code in a fresh interpreter with ddce importable; its last stdout
-    line, parsed as JSON."""
-    env = {**os.environ, "PYTHONPATH": SRC, **(env_extra or {})}
-    proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-        cwd=ROOT,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def small_config(tmp_path, name, **keys):
