@@ -1,4 +1,5 @@
-"""Pin every loaded OpenBLAS to one thread while dense linear algebra runs.
+"""Pin every loaded OpenBLAS to one thread while dense linear algebra runs,
+and bind LAPACK's complex Cholesky pair from the copy numpy already mapped.
 
 A multi-threaded solve rounds differently from a single-threaded one, so the
 pin is what keeps results independent of the BLAS thread count (and of
@@ -12,12 +13,16 @@ outermost entry sets the count to 1 and the last exit restores it.  Saving
 and restoring per entry would race between those threads.
 
 OpenBLAS copies are found when they are mapped, not when this module is
-imported.  numpy maps its copy as it loads, and the first use of the pin finds
-it in the process's memory maps.  scipy maps its own copy only when
-`scipy.linalg` is imported, which ddce does on the first noisy genie-MMSE
-solve, before that solve takes the pin; the import calls `rescan()`.
-A copy found while the pin is held is pinned at once and restored on the last
-exit with the others.
+imported.  numpy maps its copy as it loads, and the first scan finds it in
+the process's memory maps; binding a copy also looks up `zpotrf`/`zpotrs`
+under the names its build exports.  The genie MMSE's noisy solve runs in the
+first copy that has them and a thread setter (`lapack_cholesky`): numpy's
+own on numpy's wheels, so ddce itself never maps scipy's copy.  scipy's copy
+is still mapped where no copy qualifies (a numpy on Accelerate or MKL, or no
+`/proc/self/maps`), since the solve then falls back to `scipy.linalg`, and
+wherever the caller imports `scipy.linalg` itself.  ddce's import of it
+calls `rescan()`.  A copy found while the pin is held is pinned at once and
+restored on the last exit with the others.
 """
 
 from __future__ import annotations
@@ -25,13 +30,23 @@ from __future__ import annotations
 import ctypes
 import threading
 from contextlib import contextmanager
+from typing import Callable, NamedTuple
 
 _MAPS = "/proc/self/maps"
-# (set, get) names: numpy's 64-bit-index copy, scipy's copy, a plain build
+# (set, get) names: numpy >= 2's and numpy 1.x's 64-bit-index copies,
+# scipy's copy, a plain build
 _SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+# (factor, solve, Fortran INTEGER) of LAPACK's complex Cholesky pair: numpy
+# >= 2's copy and numpy 1.x's copy (64-bit indices), a plain LP64 build
+_LAPACK = (
+    ("scipy_zpotrf_64_", "scipy_zpotrs_64_", ctypes.c_int64),
+    ("zpotrf_64_", "zpotrs_64_", ctypes.c_int64),
+    ("zpotrf_", "zpotrs_", ctypes.c_int),
 )
 
 _lock = threading.Lock()
@@ -41,21 +56,57 @@ _depth = 0
 # first scan.
 _libs: dict | None = None
 _saved: list = []  # (set, count) of each pinned copy, to restore on the last exit
+_cholesky = None  # LapackCholesky of the first pinnable copy found that has one
+
+
+class LapackCholesky(NamedTuple):
+    """`zpotrf`/`zpotrs` of one OpenBLAS copy.  Both take F-ordered
+    complex128 arrays, which the caller checks: ctypes passes bare pointers."""
+
+    potrf: Callable
+    potrs: Callable
+    integer: type  # the ctypes type of a Fortran INTEGER in this build
+
+    def factor(self, a, uplo: bytes) -> int:
+        """Factor the n x n a in place; LAPACK's info."""
+        n, lda, info = self.integer(a.shape[0]), self.integer(max(1, a.shape[0])), self.integer()
+        self.potrf(uplo, n, a.ctypes.data, lda, info, 1)
+        return info.value
+
+    def solve(self, c, b, uplo: bytes) -> int:
+        """Overwrite the vector b with the solution on the factor c; LAPACK's
+        info."""
+        n, lda, info = self.integer(c.shape[0]), self.integer(max(1, c.shape[0])), self.integer()
+        self.potrs(uplo, n, self.integer(1), c.ctypes.data, lda, b.ctypes.data, lda, info, 1)
+        return info.value
 
 
 def _bind(path: str):
-    """(set, get) thread-count functions of the library at path, or None."""
+    """((set, get) thread-count functions, LapackCholesky) of the library at
+    path, each None where the library lacks it."""
     try:
         lib = ctypes.CDLL(path)
     except OSError:
-        return None
+        return None, None
+    threads = cholesky = None
     for set_name, get_name in _SYMBOLS:
         if hasattr(lib, set_name) and hasattr(lib, get_name):
             set_fn, get_fn = getattr(lib, set_name), getattr(lib, get_name)
             set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
             get_fn.argtypes, get_fn.restype = [], ctypes.c_int
-            return set_fn, get_fn
-    return None
+            threads = set_fn, get_fn
+            break
+    for potrf_name, potrs_name, integer in _LAPACK:
+        if hasattr(lib, potrf_name) and hasattr(lib, potrs_name):
+            potrf, potrs = getattr(lib, potrf_name), getattr(lib, potrs_name)
+            ref, ptr = ctypes.POINTER(integer), ctypes.c_void_p
+            # trailing: the hidden length of the Fortran UPLO string
+            potrf.argtypes = [ctypes.c_char_p, ref, ptr, ref, ref, ctypes.c_size_t]
+            potrs.argtypes = [ctypes.c_char_p, ref, ref, ptr, ref, ptr, ref, ref, ctypes.c_size_t]
+            potrf.restype = potrs.restype = None
+            cholesky = LapackCholesky(potrf, potrs, integer)
+            break
+    return threads, cholesky
 
 
 def _pin(fns) -> None:
@@ -68,7 +119,7 @@ def _pin(fns) -> None:
 def _scan() -> None:
     """Add every OpenBLAS mapped since the last scan, pinning it if the pin
     is held.  The caller holds _lock."""
-    global _libs
+    global _libs, _cholesky
     if _libs is None:
         _libs = {}
     try:
@@ -77,9 +128,12 @@ def _scan() -> None:
     except OSError:
         return
     for path in sorted(paths - _libs.keys()):
-        fns = _libs[path] = _bind(path)
+        fns, cholesky = _bind(path)
+        _libs[path] = fns
         if fns is not None and _depth:
             _pin(fns)
+        if _cholesky is None and fns is not None:  # only in a copy the pin covers
+            _cholesky = cholesky
 
 
 def _openblas() -> list:
@@ -95,6 +149,15 @@ def rescan() -> None:
     import that may have mapped one."""
     with _lock:
         _scan()
+
+
+def lapack_cholesky() -> LapackCholesky | None:
+    """LAPACK's complex Cholesky pair of the first OpenBLAS found that
+    exports it and a thread setter, or None; the first call scans."""
+    with _lock:
+        if _libs is None:
+            _scan()
+        return _cholesky
 
 
 def blas_thread_counts() -> tuple:

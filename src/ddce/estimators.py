@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.linalg import LinAlgError  # the class scipy.linalg raises as well
 
-from .blas import rescan, single_blas_thread
+from .blas import lapack_cholesky, rescan, single_blas_thread
 from .channel import Path, PathSet, _check_noise_var, path_steering
 from .errors import ContractViolationError
 from .grids import DDGrid, PeriodCSF, TFGrid, _adopt, _freeze_grid, isfft, sfft
@@ -101,9 +101,11 @@ def _interp_axis(arr: np.ndarray, step: int, out_len: int, axis: int) -> np.ndar
 def scipy_linalg():
     """`scipy.linalg`, imported on the first call.
 
-    Only the genie MMSE solves dense systems, and the import costs about a
-    third of a second and 20 MB, so no other run pays for it.  It maps
-    scipy's own OpenBLAS, which the rescan adds to the BLAS pin.
+    Only the fallback Cholesky route uses it: `cho_factor` and `cho_solve`
+    where no mapped OpenBLAS exports `zpotrf`/`zpotrs` (Accelerate, MKL, no
+    `/proc/self/maps`).  The import costs about a third of a second and
+    27 MB, so no other run pays for it.  It maps scipy's own OpenBLAS, which
+    the rescan adds to the BLAS pin.
     """
     import scipy.linalg
 
@@ -111,14 +113,72 @@ def scipy_linalg():
     return scipy.linalg
 
 
-def cho_factor(a, **kw):
-    """`scipy.linalg.cho_factor`, looked up on each call."""
-    return scipy_linalg().cho_factor(a, **kw)
+def _check_square(a) -> None:
+    """A ValueError unless a is an F-ordered square complex128 matrix: the
+    layout LAPACK reads through a bare pointer."""
+    if not (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.complex128
+        and a.ndim == 2
+        and a.shape[0] == a.shape[1]
+        and a.flags.f_contiguous
+    ):
+        raise ValueError(
+            "expected an F-contiguous square complex128 matrix, got "
+            f"{getattr(a, 'dtype', type(a).__name__)} {np.shape(a)}"
+        )
 
 
-def cho_solve(c_and_lower, b, **kw):
-    """`scipy.linalg.cho_solve`, looked up on each call."""
-    return scipy_linalg().cho_solve(c_and_lower, b, **kw)
+def _check_finite(*arrays) -> None:
+    for arr in arrays:
+        if not np.isfinite(arr).all():
+            raise ValueError("array must not contain infs or NaNs")  # scipy's words
+
+
+def cho_factor(a, lower=False, overwrite_a=False, check_finite=True):
+    """`scipy.linalg.cho_factor` for an F-ordered square complex128 matrix,
+    with the same bits: LAPACK `zpotrf` of numpy's OpenBLAS
+    (`blas.lapack_cholesky`), or scipy's own where no mapped copy has it.
+
+    Returns (c, lower); with overwrite_a, c is a, factored in place.  A
+    LinAlgError means a is not positive definite.
+    """
+    _check_square(a)
+    if check_finite:
+        _check_finite(a)
+    chol = lapack_cholesky()
+    if chol is None:
+        return scipy_linalg().cho_factor(a, lower, overwrite_a, check_finite=False)
+    c = a if overwrite_a else a.copy(order="F")
+    info = chol.factor(c, b"L" if lower else b"U")
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument of zpotrf")
+    return c, lower
+
+
+def cho_solve(c_and_lower, b, check_finite=True):
+    """`scipy.linalg.cho_solve` for a `cho_factor` factor and a complex128
+    right-hand side vector, which is copied: LAPACK `zpotrs` on the same
+    route as `cho_factor`."""
+    c, lower = c_and_lower
+    _check_square(c)
+    if not (isinstance(b, np.ndarray) and b.dtype == np.complex128 and b.shape == c.shape[:1]):
+        raise ValueError(
+            f"expected a complex128 right-hand side of shape {c.shape[:1]}, got "
+            f"{getattr(b, 'dtype', type(b).__name__)} {np.shape(b)}"
+        )
+    if check_finite:
+        _check_finite(c, b)
+    chol = lapack_cholesky()
+    if chol is None:
+        return scipy_linalg().cho_solve((c, lower), b, check_finite=False)
+    x = b.copy()
+    info = chol.solve(c, x, b"L" if lower else b"U")
+    if info != 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument of zpotrs")
+    return x
 
 
 class CorrelationPair:
@@ -250,9 +310,11 @@ def mmse_estimate(
     1e-12 * trace/n is added once.  The system is built and factored in
     place, in buffers each thread keeps for its pilot count.  For
     noise_var = 0 the least-norm solution, `CorrelationPair.least_norm`,
-    needs no n_pilot x n_pilot matrix.  The first noisy call imports
-    `scipy.linalg`, before the pin is taken; the dense algebra then runs on
-    one BLAS thread, so the result does not depend on the BLAS thread count.
+    needs no n_pilot x n_pilot matrix.  The Cholesky pair is LAPACK's
+    `zpotrf`/`zpotrs` in numpy's own OpenBLAS, bound on the first noisy
+    call; only where no mapped copy exports them does that call import
+    `scipy.linalg`, before the pin is taken.  The dense algebra runs on one
+    BLAS thread, so the result does not depend on the BLAS thread count.
     """
     _check_noise_var(noise_var)
     _check_lattice(obs, cfg)
@@ -261,10 +323,10 @@ def mmse_estimate(
         raise ContractViolationError(
             f"correlations built for {corr.n_pilot} pilots, observations have {obs_vec.size}"
         )
-    if noise_var > 0:
-        # Only the Cholesky route needs scipy.  Loaded outside the pin: a set-up
-        # importing it inside a held pin measured slower (0.647 s against
-        # 0.615 s, medians of 20 `paper` runs on a 2-vCPU VM).
+    if noise_var > 0 and lapack_cholesky() is None:
+        # Only the fallback Cholesky route needs scipy.  Loaded outside the
+        # pin: a set-up importing it inside a held pin measured slower
+        # (0.647 s against 0.615 s, medians of 20 `paper` runs on a 2-vCPU VM).
         scipy_linalg()
     with single_blas_thread():
         if noise_var == 0:

@@ -159,19 +159,22 @@ def run_trial(
     which estimator is asked for, which is what makes sweeps paired.  Before
     it starts, the one-trial config the arguments describe (seed as
     master_seed) goes through `SystemConfig.violations()`, and a violation
-    raises its ConfigError.
+    raises its ConfigError.  Like `snr_sweep`, the first call of a process
+    sets glibc's allocator thresholds, so a loop of calls reuses its grid
+    temporaries instead of faulting them in again on every trial.
     """
     run = with_overrides(
         cfg, profile=profile, snr_db=(float(snr_db),), estimators=(estimator_name,),
         n_trials=1, master_seed=seed,
     )
+    _keep_grids_on_the_heap()
     return _paired_trial(run, run.snr_db[0], seed)[0]
 
 
 @functools.lru_cache(maxsize=None)
 def _keep_grids_on_the_heap() -> None:
-    """Once per process, glibc's mmap and trim thresholds for `snr_sweep`;
-    a libc without `mallopt` is left as it is."""
+    """Once per process, glibc's mmap and trim thresholds for `snr_sweep`
+    and `run_trial`; a libc without `mallopt` is left as it is."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # macOS, Windows

@@ -69,3 +69,39 @@ def test_the_allocator_thresholds_move_no_bit_of_a_trial():
     assert (got["set_before"], got["set_after"]) == (0, 1)
     assert len(got["before"]) == 2 * 2 * 3 * 5
     assert got["after"] == got["before"]
+
+
+RUN_TRIAL_LOOP = f"""
+import json, resource
+from ddce import harness, load_config, run_trial, with_overrides
+
+cfg = with_overrides(load_config({PAPER_CFG!r}), estimators=("csf-ongrid",), on_grid_doppler=True)
+calls = harness._keep_grids_on_the_heap.cache_info
+seeds = range(3, 39)
+
+def bits(r):
+    return [r.mse.hex(), r.nmse.hex(), r.ber.hex()]
+
+# at glibc's defaults: the thresholds are not set yet
+want = [bits(harness._paired_trial(cfg, 20.0, seed)[0]) for seed in seeds]
+set_before = calls().misses
+run_trial(cfg, cfg.profile, 20.0, "csf-ongrid", 1)  # warm-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+got = [bits(run_trial(cfg, cfg.profile, 20.0, "csf-ongrid", seed)) for seed in seeds]
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(json.dumps({{"set_before": set_before, "set_after": calls().misses, "trials": len(got),
+                   "faults": after - before, "want": want, "got": got}}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's heap behaviour")
+def test_a_run_trial_loop_sets_the_thresholds_without_a_sweep():
+    """A library loop of `run_trial` calls, with no sweep before it, faulted
+    in about 90 pages per 128x64 `csf-ongrid` trial before `run_trial` set
+    the thresholds itself.  The results keep every bit of the trials run at
+    glibc's defaults."""
+    got = run_python(RUN_TRIAL_LOOP)
+    assert (got["set_before"], got["set_after"]) == (0, 1)
+    assert got["trials"] == 36
+    assert got["faults"] / got["trials"] <= 20, got["faults"]
+    assert got["got"] == got["want"]

@@ -1,9 +1,10 @@
-"""What a run loads: the dense solver (`scipy.linalg`) only for the genie MMSE,
-whose solves alone take the BLAS pin over every OpenBLAS copy.  No run loads
-the thread-pool module (`concurrent.futures`) of its own: sweeps run their
-trials serially, and only `scipy.linalg` imports it.  Each case runs in a fresh
-interpreter, since the module table of this one depends on which tests ran
-before."""
+"""What a run loads: the dense solver (`scipy.linalg`) only for a genie-MMSE
+solve on the fallback route, where no mapped OpenBLAS exports LAPACK's
+`zpotrf`/`zpotrs`; the genie-MMSE solves alone take the BLAS pin over every
+OpenBLAS copy.  No run loads the thread-pool module (`concurrent.futures`) of
+its own: sweeps run their trials serially, and only `scipy.linalg` imports
+it.  Each case runs in a fresh interpreter, since the module table of this
+one depends on which tests ran before."""
 
 import os
 import subprocess
@@ -31,6 +32,13 @@ def small_config(tmp_path, name, **keys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
 
+
+# prepended to a probe: the LAPACK lookup finds nothing, as on a numpy built
+# on Accelerate or MKL, so the genie MMSE takes the scipy.linalg route
+FORCED_FALLBACK = """
+from ddce import blas
+blas._LAPACK = ()
+"""
 
 CLI_THEN_REPORT = """
 import json, sys
@@ -69,15 +77,18 @@ def test_runs_without_the_genie_mmse_load_neither(case, tmp_path):
     assert got == {"code": 0, "loaded": []}
 
 
-def test_a_genie_mmse_sweep_loads_the_dense_solver(tmp_path):
-    """The positive case, so that the absence above is not vacuous.
-    `concurrent.futures` comes with `scipy.linalg`, which imports it."""
+def test_a_genie_mmse_sweep_loads_the_dense_solver_only_on_the_fallback(tmp_path):
+    """A noisy genie-MMSE sweep factors in numpy's OpenBLAS and loads
+    neither.  The same sweep with the LAPACK lookup finding nothing loads
+    both, so that the absence is not vacuous: `concurrent.futures` comes with
+    `scipy.linalg`, which imports it."""
     cfg = small_config(
         tmp_path, "mmse.cfg", estimators="mmse-genie", snr_db="10", n_trials=2, threads=2
     )
     argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out.csv")]
-    got = run_python(CLI_THEN_REPORT.format(argv=argv, lazy=LAZY))
-    assert got == {"code": 0, "loaded": list(LAZY)}
+    probe = CLI_THEN_REPORT.format(argv=argv, lazy=LAZY)
+    assert run_python(probe) == {"code": 0, "loaded": []}
+    assert run_python(FORCED_FALLBACK + probe) == {"code": 0, "loaded": list(LAZY)}
 
 
 @pytest.mark.parametrize(
@@ -153,9 +164,11 @@ print(json.dumps({{"unloaded": unloaded, "before": before, "seen": seen,
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool-workers"])
 def test_first_solve_inside_an_open_pin_pins_scipys_openblas(pooled):
-    """scipy's OpenBLAS is mapped by the first solve, after the pin was
-    taken: it is pinned for the solve and restored with the others."""
-    got = run_python(FIRST_SOLVE_UNDER_AN_OPEN_PIN.format(pooled=pooled), {"OPENBLAS_NUM_THREADS": "2"})
+    """On the fallback route, scipy's OpenBLAS is mapped by the first solve,
+    after the pin was taken: it is pinned for the solve and restored with
+    the others."""
+    probe = FORCED_FALLBACK + FIRST_SOLVE_UNDER_AN_OPEN_PIN.format(pooled=pooled)
+    got = run_python(probe, {"OPENBLAS_NUM_THREADS": "2"})
     assert got["unloaded"] and got["depth"] == 0
     assert got["before"] == [2]  # numpy's copy only
     assert got["after"] == [2, 2]  # and scipy's, both back where they started

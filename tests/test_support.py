@@ -1,0 +1,86 @@
+"""The support theorem across pilot lattices: noiseless on-grid paths inside
+one period of the lattice-sampled image are recovered exactly by both CSF
+modes, and a path one Doppler bin past the period leaves exactly the
+aliasing error `doppler_alias_difference` predicts."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ddce.channel import Path, PathSet, apply_channel_diag, csf_from_paths, ctf_from_paths
+from ddce.estimators import CSF_MODES, estimate_csf
+from ddce.grids import isfft
+from ddce.kernels import doppler_alias_difference
+from ddce.txrx import PilotPattern, build_frame, make_layout
+from helpers import tiny_cfg
+
+
+@st.composite
+def _lattices(draw, min_log_d_t=0):
+    """(M, N, d_t, d_f): powers of two with M*N <= 4096 and spacings that
+    divide the grid, leaving an even number N/d_t >= 2 of Doppler rows."""
+    log_n = draw(st.integers(max(1, min_log_d_t + 1), 10))
+    log_m = draw(st.integers(0, 12 - log_n))
+    d_t = 2 ** draw(st.integers(min_log_d_t, log_n - 1))
+    d_f = 2 ** draw(st.integers(0, log_m))
+    return 2**log_m, 2**log_n, d_t, d_f
+
+
+def _gain(draw):
+    return draw(st.floats(0.1, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+
+
+@st.composite
+def _in_support_paths(draw, big_m, big_n, d_t, d_f):
+    """One path per delay bin in [0, M/d_f), at integer Dopplers in
+    [-N/(2 d_t), N/(2 d_t)), both edges included."""
+    half = big_n // (2 * d_t)
+    delays = draw(
+        st.lists(st.integers(0, big_m // d_f - 1), min_size=1, max_size=5, unique=True)
+    )
+    return [Path(_gain(draw), l, float(draw(st.integers(-half, half - 1)))) for l in delays]
+
+
+def _noiseless_rx(ps, cfg):
+    pattern = PilotPattern(cfg.d_t, cfg.d_f)
+    layout = make_layout(pattern, cfg)
+    x, _ = build_frame(np.zeros(layout.n_data, dtype=complex), pattern, cfg)
+    return apply_channel_diag(x, ps, 0.0, np.random.default_rng(0)), x, layout
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_noiseless_csf_ctfs_are_exact_inside_the_support(data):
+    big_m, big_n, d_t, d_f = data.draw(_lattices(), label="lattice")
+    cfg = tiny_cfg(big_m, big_n, d_t, d_f)
+    ps = PathSet(tuple(data.draw(_in_support_paths(big_m, big_n, d_t, d_f), label="paths")))
+    y, x, layout = _noiseless_rx(ps, cfg)
+    want = ctf_from_paths(ps, cfg).data
+    for mode in CSF_MODES:
+        est = estimate_csf(y, x, layout, cfg, mode, 0.0)
+        assert np.abs(isfft(est.full_dd, cfg).data - want).max() <= 1e-9, mode
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_a_path_one_bin_past_the_support_leaves_the_predicted_alias(data):
+    """The error image is the outside path's gain times sqrt(M) times the
+    kernel difference down its delay column, and zero everywhere else; the
+    other paths are inside the support and exact."""
+    big_m, big_n, d_t, d_f = data.draw(_lattices(min_log_d_t=1), label="lattice")
+    cfg = tiny_cfg(big_m, big_n, d_t, d_f)
+    half = big_n // (2 * d_t)
+    inside = data.draw(_in_support_paths(big_m, big_n, d_t, d_f), label="inside")
+    past = data.draw(st.sampled_from((half, -half - 1)), label="past")
+    outside = Path(_gain(data.draw), inside[0].delay_idx, float(past))
+    ps = PathSet((outside, *inside[1:]))
+    y, x, layout = _noiseless_rx(ps, cfg)
+    ks = np.arange(-big_n // 2, big_n // 2)
+    want = np.zeros((big_n, big_m), dtype=complex)
+    want[ks % big_n, outside.delay_idx] = (
+        outside.gain * np.sqrt(big_m) * doppler_alias_difference(outside.doppler, ks, big_n, d_t)
+    )
+    true_dd = csf_from_paths(ps, cfg).data
+    for mode in CSF_MODES:
+        est = estimate_csf(y, x, layout, cfg, mode, 0.0)
+        assert np.abs(true_dd - est.full_dd.data - want).max() <= 1e-9, mode
