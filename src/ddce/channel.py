@@ -177,10 +177,11 @@ def max_doppler_index(profile: ChannelProfile, cfg: "SystemConfig") -> float:
     """
     k_max = cfg.N * cfg.T * profile.nu_max_hz
     k_bound = cfg.N / (2 * cfg.d_t) - 1
-    if k_max > k_bound:
+    # an exact-edge speed may round an ulp past the edge; 17 digits tell them apart
+    if k_max > k_bound * (1 + 4 * np.finfo(np.float64).eps):
         raise SupportError(
-            f"Doppler support violated: N*T*nu_max = {k_max:.4g} exceeds "
-            f"N/(2*d_t) - 1 = {k_bound:.4g}; need nu_max <= 1/(2*d_t*T) - 1/(N*T)"
+            f"Doppler support violated: N*T*nu_max = {k_max:.17g} exceeds "
+            f"N/(2*d_t) - 1 = {k_bound:.17g}; need nu_max <= 1/(2*d_t*T) - 1/(N*T)"
         )
     return k_max
 

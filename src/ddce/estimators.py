@@ -15,7 +15,6 @@ implemented in `recover_paths_offgrid`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
@@ -27,6 +26,7 @@ from .blas import lapack_cholesky, rescan, single_blas_thread
 from .channel import Path, PathSet, _check_noise_var, path_steering
 from .errors import ContractViolationError
 from .grids import DDGrid, PeriodCSF, TFGrid, _adopt, _freeze_grid, isfft, sfft
+from .grids import _keep_grids_on_the_heap
 from .kernels import csf_closed_form, delay_kernel, doppler_kernel
 from .txrx import FrameLayout
 
@@ -189,7 +189,7 @@ class CorrelationPair:
     auto-correlation (channel part only, no noise).  Both follow from
     R[(m,n),(m',n')] = sum_i p_i e^{j2pi k_i (n-n')/N} e^{-j2pi l_i (m-m')/M},
     so R1 = A_all P A_pilot^H and R2 = B B^H, B = A_pilot sqrt(P).  Only the
-    factors are kept; R2 is formed only inside the noisy `_system`.
+    factors are kept; R2 is formed afresh by each call of the noisy `_system`.
     """
 
     def __init__(self, steering_all: np.ndarray, steering_pilot: np.ndarray, powers: np.ndarray):
@@ -207,10 +207,9 @@ class CorrelationPair:
     def n_pilot(self) -> int:
         return self._a_pilot.shape[0]
 
-    def _system(self, noise_var: float, ws: "_Workspace") -> np.ndarray:
-        """R2 + noise_var*I, built in ws's buffers."""
-        np.matmul(self._a_pilot * self._p, self._a_pilot.conj().T, out=ws.r2)
-        return ws.system(noise_var)
+    def _system(self, noise_var: float) -> np.ndarray:
+        """R2 + noise_var*I in two fresh buffers (`_hermitian_system`)."""
+        return _hermitian_system((self._a_pilot * self._p) @ self._a_pilot.conj().T, noise_var)
 
     def apply_r1(self, vec: np.ndarray) -> np.ndarray:
         """R1 @ vec through the steering factors, without forming R1."""
@@ -230,54 +229,27 @@ class CorrelationPair:
         return self._a_all @ (sqrt_p * g)
 
 
-class _Workspace:
-    """Buffers of one n x n pilot system: the product R = A P A^H and the
-    system, held transposed."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.r2 = np.empty((n, n), dtype=np.complex128)
-        self.at = np.empty((n, n), dtype=np.complex128)
-
-    def diagonal(self) -> np.ndarray:
-        """Writable view of the system's diagonal."""
-        return self.at.reshape(-1)[:: self.n + 1]
-
-    def system(self, noise_var: float) -> np.ndarray:
-        """(r2 + r2^H)/2 + noise_var*I for the product in r2, which is kept.
-
-        The result lives in `at`, which holds its transpose, so the returned
-        matrix is Fortran-ordered and LAPACK can factor it in place.  Every
-        step is elementwise on the operands of the textbook
-        `(r2 + r2.conj().T) / 2.0 + noise_var * np.eye(n)`, so the bits
-        match it exactly.
-        """
-        r2, at = self.r2, self.at
-        # transposed, r2 + r2^H is r2.T + conj(r2)
-        np.conjugate(r2, out=at)
-        np.add(r2.T, at, out=at)
-        # Halving the float parts differs from the complex halving only in
-        # the sign of zeros; adding +0.0 clears that, as the zeros of
-        # noise_var * eye do.
-        parts = at.view(np.float64)
-        parts *= 0.5
-        parts += 0.0
-        self.diagonal().real += noise_var
-        return at.T
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of a contiguous square matrix's diagonal."""
+    return a.ravel(order="K")[:: a.shape[0] + 1]
 
 
-# One workspace per thread, reused while the pilot count stays the same:
-# fresh 4 MiB temporaries cost a page fault per 4 KiB on every solve.  A
-# thread's workspace goes away with the thread.
-_local = threading.local()
-
-
-def _workspace(n: int) -> _Workspace:
-    ws = getattr(_local, "ws", None)
-    if ws is None or ws.n != n:
-        _local.ws = None  # drop the old buffers before allocating new ones
-        ws = _local.ws = _Workspace(n)
-    return ws
+def _hermitian_system(r2: np.ndarray, noise_var: float) -> np.ndarray:
+    """(r2 + r2^H)/2 + noise_var*I for the square product r2, which is kept,
+    in one fresh buffer holding its transpose: the result is Fortran-ordered,
+    and LAPACK factors it in place.  Each step is elementwise on the operands
+    of the textbook `(r2 + r2.conj().T) / 2.0 + noise_var * np.eye(n)`, so
+    the bits match it, without its three n x n temporaries and its eye."""
+    # transposed, r2 + r2^H is r2.T + conj(r2)
+    at = np.conjugate(r2)
+    np.add(r2.T, at, out=at)
+    # Halving the float parts differs from the complex halving only in the sign
+    # of zeros; adding +0.0 clears that, as the zeros of noise_var * eye do.
+    parts = at.view(np.float64)
+    parts *= 0.5
+    parts += 0.0
+    _diagonal(at).real += noise_var
+    return at.T
 
 
 def genie_correlations(ps: PathSet, cfg: "SystemConfig", layout: FrameLayout) -> CorrelationPair:
@@ -307,14 +279,15 @@ def mmse_estimate(
     Solves (R2 + noise_var*I) z = obs and returns R1 z.  The system matrix is
     Hermitian positive definite for noise_var > 0 and is attacked with a
     Cholesky factorization; if that fails a diagonal jitter of
-    1e-12 * trace/n is added once.  The system is built and factored in
-    place, in buffers each thread keeps for its pilot count.  For
-    noise_var = 0 the least-norm solution, `CorrelationPair.least_norm`,
-    needs no n_pilot x n_pilot matrix.  The Cholesky pair is LAPACK's
-    `zpotrf`/`zpotrs` in numpy's own OpenBLAS, bound on the first noisy
-    call; only where no mapped copy exports them does that call import
-    `scipy.linalg`, before the pin is taken.  The dense algebra runs on one
-    BLAS thread, so the result does not depend on the BLAS thread count.
+    1e-12 * trace/n is added once.  The system is built in two fresh buffers
+    (glibc's heap hands them back once the first noisy call has set its
+    thresholds) and factored in place.  For noise_var = 0 the least-norm
+    solution, `CorrelationPair.least_norm`, needs no n_pilot x n_pilot
+    matrix.  The Cholesky pair is LAPACK's `zpotrf`/`zpotrs` in numpy's own
+    OpenBLAS, bound on the first noisy call; only where no mapped copy
+    exports them does that call import `scipy.linalg`, before the pin is
+    taken.  The dense algebra runs on one BLAS thread, so the result does
+    not depend on the BLAS thread count.
     """
     _check_noise_var(noise_var)
     _check_lattice(obs, cfg)
@@ -332,15 +305,13 @@ def mmse_estimate(
         if noise_var == 0:
             h_vec = corr.least_norm(obs_vec)
         else:
-            ws = _workspace(corr.n_pilot)
+            _keep_grids_on_the_heap()  # so the system's buffers are reused, not faulted in
             try:
-                a = corr._system(noise_var, ws)
-                factor = cho_factor(a, lower=True, overwrite_a=True)
+                factor = cho_factor(corr._system(noise_var), lower=True, overwrite_a=True)
             except LinAlgError:
-                # the failed factorization overwrote the system, not the
-                # product it is built from: build it again
-                a = ws.system(noise_var)
-                ws.diagonal().real += 1e-12 * np.trace(a).real / a.shape[0]
+                # the failed factorization overwrote the system: build it again
+                a = corr._system(noise_var)
+                _diagonal(a).real += 1e-12 * np.trace(a).real / a.shape[0]
                 factor = cho_factor(a, lower=True, overwrite_a=True)
             # cho_factor checked the system for non-finite entries, and the
             # observations are finite by construction: no second scan

@@ -13,12 +13,28 @@ time (n -> Doppler k), both orthonormal.  `isfft` is the exact inverse.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import ContractViolationError
+
+
+@cache
+def _keep_grids_on_the_heap() -> None:
+    """Once per process, glibc's mmap threshold to 8 MiB (a 512-pilot system
+    is exactly 4 MiB) and its trim threshold to 32 MiB, so freed grids and
+    genie-MMSE systems are reused, not faulted in afresh.  A libc without
+    `mallopt` is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # macOS, Windows
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD; musl's stub returns 0, ignored
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
 
 
 def _freeze_grid(data, what: str) -> np.ndarray:

@@ -3,8 +3,6 @@ self-verification suite."""
 
 from __future__ import annotations
 
-import ctypes
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,7 @@ from .estimators import (
     periodic_csf,
     recover_paths_offgrid,
 )
-from .grids import TFGrid, isfft, sfft
+from .grids import TFGrid, _keep_grids_on_the_heap, isfft, sfft
 from .kernels import doppler_alias_difference, doppler_kernel
 from .txrx import (
     PilotPattern,
@@ -159,9 +157,8 @@ def run_trial(
     which estimator is asked for, which is what makes sweeps paired.  Before
     it starts, the one-trial config the arguments describe (seed as
     master_seed) goes through `SystemConfig.violations()`, and a violation
-    raises its ConfigError.  Like `snr_sweep`, the first call of a process
-    sets glibc's allocator thresholds, so a loop of calls reuses its grid
-    temporaries instead of faulting them in again on every trial.
+    raises its ConfigError.  Like `snr_sweep`, it sets glibc's allocator
+    thresholds first, so a loop of calls reuses its grid temporaries.
     """
     run = with_overrides(
         cfg, profile=profile, snr_db=(float(snr_db),), estimators=(estimator_name,),
@@ -169,19 +166,6 @@ def run_trial(
     )
     _keep_grids_on_the_heap()
     return _paired_trial(run, run.snr_db[0], seed)[0]
-
-
-@functools.lru_cache(maxsize=None)
-def _keep_grids_on_the_heap() -> None:
-    """Once per process, glibc's mmap and trim thresholds for `snr_sweep`
-    and `run_trial`; a libc without `mallopt` is left as it is."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # macOS, Windows
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD; musl's stub returns 0, ignored
-    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
 
 
 def snr_sweep(
@@ -203,13 +187,11 @@ def snr_sweep(
     through `SystemConfig.violations()`, and a violation raises its
     ConfigError.
 
-    The first sweep of a process sets glibc's mmap threshold to 4 MiB and
-    its trim threshold to 32 MiB, for the whole calling process; glibc has
-    no call that reads them back.  Each trial allocates and frees dozens of
-    128 KiB grids, and at glibc's defaults every trial faulted them back in
-    as zeroed pages: 250-330 minor page faults per trial, against under one
-    with the thresholds set.  Results do not change: only where the
-    temporaries live does.
+    The first sweep of a process sets glibc's allocator thresholds for the
+    whole process (`grids._keep_grids_on_the_heap`).  At glibc's defaults
+    every trial faulted its dozens of 128 KiB grids back in as zeroed pages,
+    250-330 minor faults per trial, against under one with them set.
+    Results do not change: only where the temporaries live does.
     """
     run = with_overrides(
         cfg, profile=profile, snr_db=tuple(float(s) for s in snr_list_db),

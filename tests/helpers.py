@@ -26,12 +26,12 @@ def small_cfg():
     return SystemConfig(M=32, N=16, delta_f_hz=15e3, d_t=4, d_f=4, profile=prof).validated()
 
 
-def run_python(code, env_extra=None, timeout=300):
-    """Run code in a fresh interpreter with ddce importable; its last stdout
-    line, parsed as JSON."""
+def run_python(code, env_extra=None, timeout=300, args=()):
+    """Run code in a fresh interpreter with ddce importable and args as
+    sys.argv[1:]; its last stdout line, parsed as JSON."""
     env = {**os.environ, "PYTHONPATH": SRC, **(env_extra or {})}
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
+        [sys.executable, "-c", textwrap.dedent(code), *args],
         capture_output=True,
         text=True,
         env=env,

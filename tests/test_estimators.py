@@ -1,9 +1,6 @@
 """Estimator stages against independent brute-force oracles."""
 
-import gc
-import threading
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -591,33 +588,15 @@ def test_mmse_equals_dense_formulation_bit_for_bit(seed):
         assert got.tobytes() == _dense_mmse_reference(obs, corr, noise_var, cfg).tobytes()
 
 
-def test_mmse_bitwise_across_lattices_and_workspace_sizes():
-    """A non-square lattice (d_t = 2, d_f = 4), and one thread alternating
-    pilot counts, so that its workspace is rebuilt between calls."""
+def test_mmse_bitwise_across_lattices():
+    """A non-square lattice (d_t = 2, d_f = 4), and pilot counts that
+    alternate from call to call."""
     cfgs = (tiny_cfg(64, 64, 2, 4), tiny_cfg(32, 16, 4, 4), tiny_cfg(64, 32, 4, 4))
     for i, cfg in enumerate(cfgs + cfgs[::-1] + cfgs):
         obs, corr = _random_mmse_case(cfg, 10 + i)
         noise_var = 10.0 ** (-(i % 5))
         got = mmse_estimate(obs, corr, noise_var, cfg).grid.data
         assert got.tobytes() == _dense_mmse_reference(obs, corr, noise_var, cfg).tobytes()
-        assert estimators._local.ws.n == corr.n_pilot
-
-
-def test_thread_releases_its_workspace_when_it_exits():
-    cfg = tiny_cfg(32, 16, 4, 4)
-    obs, corr = _random_mmse_case(cfg, 7)
-    refs = []
-
-    def work():
-        mmse_estimate(obs, corr, 0.1, cfg)
-        refs.append(weakref.ref(estimators._local.ws))
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    gc.collect()
-    assert len(refs) == 1 and refs[0]() is None
 
 
 def test_mmse_jitter_fallback_rebuilds_the_overwritten_system(monkeypatch):
@@ -689,7 +668,7 @@ def test_noiseless_mmse_forms_no_pilot_square_matrix(monkeypatch):
         raise AssertionError("the noiseless solve reached the noisy system")
 
     monkeypatch.setattr(estimators, "cho_factor", refuse)
-    monkeypatch.setattr(estimators, "_workspace", refuse)
+    monkeypatch.setattr(estimators.CorrelationPair, "_system", refuse)
     cfg = default_config()
     assert (cfg.M, cfg.N) == (128, 64)
     trial = harness._Trial(cfg, float("inf"), 3)
@@ -718,17 +697,16 @@ def _crafted_product(n=6, seed=3):
     return r2
 
 
-def test_workspace_system_matches_textbook_symmetrisation_bitwise():
+def test_hermitian_system_matches_textbook_symmetrisation_bitwise():
     r2 = _crafted_product()
-    ws = estimators._Workspace(r2.shape[0])
-    ws.r2[...] = r2
+    kept = r2.copy()
     half = (r2 + r2.conj().T) / 2.0
     for noise_var in (1e-3, 0.5):
         want = half + noise_var * np.eye(r2.shape[0])
-        got = ws.system(noise_var)
+        got = estimators._hermitian_system(r2, noise_var)
         assert got.flags.f_contiguous
         assert got.tobytes() == want.tobytes()
-        assert ws.r2.tobytes() == r2.tobytes()  # the product is kept
+        assert r2.tobytes() == kept.tobytes()  # the product is left unchanged
 
 
 @pytest.mark.parametrize("bad", [-0.1, np.nan])

@@ -1,13 +1,26 @@
 """The support theorem across pilot lattices: noiseless on-grid paths inside
 one period of the lattice-sampled image are recovered exactly by both CSF
-modes, and a path one Doppler bin past the period leaves exactly the
-aliasing error `doppler_alias_difference` predicts."""
+modes, a path one Doppler bin past the period leaves exactly the aliasing
+error `doppler_alias_difference` predicts, and validation draws the line
+exactly at the support's edges."""
+
+import re
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddce.channel import Path, PathSet, apply_channel_diag, csf_from_paths, ctf_from_paths
+from ddce.channel import (
+    C_LIGHT,
+    ChannelProfile,
+    Path,
+    PathSet,
+    apply_channel_diag,
+    csf_from_paths,
+    ctf_from_paths,
+)
+from ddce.config import SystemConfig
 from ddce.estimators import CSF_MODES, estimate_csf
 from ddce.grids import isfft
 from ddce.kernels import doppler_alias_difference
@@ -84,3 +97,37 @@ def test_a_path_one_bin_past_the_support_leaves_the_predicted_alias(data):
     for mode in CSF_MODES:
         est = estimate_csf(y, x, layout, cfg, mode, 0.0)
         assert np.abs(true_dd - est.full_dd.data - want).max() <= 1e-9, mode
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_validation_accepts_each_support_edge_and_rejects_just_past_it(data):
+    """A one-tap profile at delay bin M/d_f - 1, moving at the speed whose
+    k_max = N*T*nu_max is N/(2 d_t) - 1, each as the double nearest the
+    exact edge, passes; one bin later, or 1e-12 of the edge faster, fails
+    with that rule's message alone, and the message's two numbers differ."""
+    big_m, big_n, d_t, d_f = data.draw(_lattices(), label="lattice")
+    delta_f = data.draw(st.sampled_from((7.5e3, 15e3, 30e3, 60e3)), label="delta_f")
+    f_c = data.draw(st.sampled_from((0.9e9, 2.1e9, 3.5e9, 28e9)), label="f_c")
+    l_edge = big_m // d_f - 1
+    k_edge = Fraction(big_n, 2 * d_t) - 1
+    ns_per_bin = Fraction(10**9) / (big_m * Fraction(delta_f))
+    kmh_per_bin = Fraction(delta_f) * Fraction(36, 10) * Fraction(C_LIGHT) / (big_n * Fraction(f_c))
+
+    def violations(l_bins, k_max):
+        prof = ChannelProfile(
+            (float(l_bins * ns_per_bin),), (0.0,), v_kmh=float(k_max * kmh_per_bin), f_c_hz=f_c
+        )
+        cfg = SystemConfig(
+            M=big_m, N=big_n, delta_f_hz=delta_f, d_t=d_t, d_f=d_f, profile=prof,
+            estimators=("csf-offgrid",),  # no pilot cap: only the support rules apply
+        )
+        return cfg.violations()
+
+    assert violations(l_edge, k_edge) == []
+    [late] = violations(l_edge + 1, k_edge)
+    assert "exceeds M/d_f - 1" in late
+    [fast] = violations(l_edge, k_edge + (k_edge or 1) / Fraction(10**12))
+    assert "Doppler support violated" in fast
+    got, bound = re.findall(r"= ([^ ;]+)", fast)[:2]
+    assert float(got) > float(bound)
