@@ -155,11 +155,11 @@ _REQUIRED = (
 )
 
 
-def _parse_value(key: str, raw: str, kind):
+def _parse_value(raw: str, kind):
     if kind is bool:
         low = raw.lower()
         if low not in ("true", "false"):
-            raise ValueError(f"{key}: expected true or false, got '{raw}'")
+            raise ValueError(f"expected true or false, got '{raw}'")
         return low == "true"
     if kind in (int, float):
         return kind(raw)
@@ -183,6 +183,7 @@ def load_config(path: str) -> SystemConfig:
     """
     problems = []
     values = {}
+    seen = set()  # keys with a line, parsed or not
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -201,15 +202,16 @@ def load_config(path: str) -> SystemConfig:
         if key not in _KEYS:
             problems.append(f"line {ln}: unknown key '{key}'")
             continue
-        if key in values:
+        if key in seen:
             problems.append(f"line {ln}: duplicate key '{key}'")
             continue
+        seen.add(key)
         try:
-            values[key] = _parse_value(key, raw, _KEYS[key])
+            values[key] = _parse_value(raw, _KEYS[key])
         except ValueError as exc:
-            problems.append(f"line {ln}: {exc}")
+            problems.append(f"line {ln}: {key}: {exc}")
     for key in _REQUIRED:
-        if key not in values:
+        if key not in seen:
             problems.append(f"missing required key '{key}'")
     if problems:
         raise ConfigError("\n".join(problems))

@@ -96,6 +96,22 @@ def test_syntax_problems_are_collected_with_line_numbers(tmp_path):
         assert fragment in msg
 
 
+def test_unparsable_value_names_its_key_and_is_not_also_missing(tmp_path):
+    text = (
+        GOOD.replace("M = 64", "M = 12x")
+        .replace("master_seed = 1", "master_seed = 1e3")
+        .replace("snr_db = 0, 10, 20", "snr_db = 0, ten")
+    )
+    with pytest.raises(ConfigError) as err:
+        load_config(write_cfg(tmp_path, text))
+    lines = str(err.value).splitlines()
+    assert lines == [
+        "line 2: M: invalid literal for int() with base 10: '12x'",
+        "line 10: snr_db: could not convert string to float: 'ten'",
+        "line 12: master_seed: invalid literal for int() with base 10: '1e3'",
+    ]
+
+
 def test_missing_required_keys_reported_together(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write_cfg(tmp_path, "M = 64\n"))

@@ -697,16 +697,46 @@ def _crafted_product(n=6, seed=3):
     return r2
 
 
+def _random_product(n, seed=7):
+    """A rank-3 Hermitian product with rounding-size asymmetry."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    r2 = b @ b.conj().T
+    r2 += 1e-14 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return r2
+
+
 def test_hermitian_system_matches_textbook_symmetrisation_bitwise():
-    r2 = _crafted_product()
-    kept = r2.copy()
-    half = (r2 + r2.conj().T) / 2.0
-    for noise_var in (1e-3, 0.5):
-        want = half + noise_var * np.eye(r2.shape[0])
-        got = estimators._hermitian_system(r2, noise_var)
-        assert got.flags.f_contiguous
-        assert got.tobytes() == want.tobytes()
-        assert r2.tobytes() == kept.tobytes()  # the product is left unchanged
+    """The lower triangle that LAPACK reads, built band by band over the
+    product's own buffer, at sizes about one band and over several."""
+    band = estimators._BAND
+    sizes = (1, band - 1, band, band + 1, 100, 512)
+    for product in [_crafted_product()] + [_random_product(n) for n in sizes]:
+        n = product.shape[0]
+        lower = np.tril_indices(n)
+        for noise_var in (1e-3, 0.5):
+            want = (product + product.conj().T) / 2.0 + noise_var * np.eye(n)
+            r2 = product.copy()
+            got = estimators._hermitian_system(r2, noise_var)
+            assert got.flags.f_contiguous and np.shares_memory(got, r2)
+            assert got[lower].tobytes() == want[lower].tobytes()
+
+
+@pytest.mark.parametrize("m", [128, 256])
+def test_noisy_mmse_holds_one_pilot_square_matrix(m):
+    """The product A P A^H is the system's buffer: a noisy solve at 512 or
+    1024 pilots peaks near one n_pilot x n_pilot array, and a second n x n
+    buffer would put it at two."""
+    cfg = tiny_cfg(m, 64, 4, 4)
+    obs, corr = _random_mmse_case(cfg, 6)
+    mmse_estimate(obs, corr, 1e-2, cfg)  # first-call set-up is not the solve's
+    tracemalloc.start()
+    try:
+        mmse_estimate(obs, corr, 1e-2, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * corr.n_pilot**2 * 16
 
 
 @pytest.mark.parametrize("bad", [-0.1, np.nan])
