@@ -1,5 +1,5 @@
 """Pin every loaded OpenBLAS to one thread while dense linear algebra runs,
-and bind LAPACK's complex Cholesky pair from the copy numpy already mapped.
+and choose the one complex Cholesky pair the genie MMSE solves with.
 
 A multi-threaded solve rounds differently from a single-threaded one, so the
 pin is what keeps results independent of the BLAS thread count (and of
@@ -15,14 +15,14 @@ and restoring per entry would race between those threads.
 OpenBLAS copies are found when they are mapped, not when this module is
 imported.  numpy maps its copy as it loads, and the first scan finds it in
 the process's memory maps; binding a copy also looks up `zpotrf`/`zpotrs`
-under the names its build exports.  The genie MMSE's noisy solve runs in the
-first copy that has them and a thread setter (`lapack_cholesky`): numpy's
-own on numpy's wheels, so ddce itself never maps scipy's copy.  scipy's copy
-is still mapped where no copy qualifies (a numpy on Accelerate or MKL, or no
-`/proc/self/maps`), since the solve then falls back to `scipy.linalg`, and
-wherever the caller imports `scipy.linalg` itself.  ddce's import of it
-calls `rescan()`.  A copy found while the pin is held is pinned at once and
-restored on the last exit with the others.
+under the names its build exports.  `lapack_cholesky` chooses the pair once:
+LAPACK's `zpotrf`/`zpotrs` bound with ctypes from the first copy that has
+them and a thread setter (numpy's own on numpy's wheels, so ddce itself
+never maps scipy's copy), or else the same routines through
+`scipy.linalg.lapack` (a numpy on Accelerate or MKL, or no `/proc/self/maps`).
+That import maps scipy's copy, and so does a caller's own import of
+`scipy.linalg`; `rescan()` adds it.  A copy found while the pin is held is
+pinned at once and restored on the last exit with the others.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ import ctypes
 import threading
 from contextlib import contextmanager
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 _MAPS = "/proc/self/maps"
 # (set, get) names: numpy >= 2's and numpy 1.x's 64-bit-index copies,
@@ -56,29 +58,67 @@ _depth = 0
 # first scan.
 _libs: dict | None = None
 _saved: list = []  # (set, count) of each pinned copy, to restore on the last exit
-_cholesky = None  # LapackCholesky of the first pinnable copy found that has one
+_cholesky = None  # the pair lapack_cholesky chose; a LapackCholesky as soon as a scan finds one
 
 
 class LapackCholesky(NamedTuple):
-    """`zpotrf`/`zpotrs` of one OpenBLAS copy.  Both take F-ordered
-    complex128 arrays, which the caller checks: ctypes passes bare pointers."""
+    """`zpotrf`/`zpotrs` of one OpenBLAS copy, on the lower triangle.  ctypes
+    passes bare pointers, so both check the layout first."""
 
     potrf: Callable
     potrs: Callable
     integer: type  # the ctypes type of a Fortran INTEGER in this build
 
-    def factor(self, a, uplo: bytes) -> int:
-        """Factor the n x n a in place; LAPACK's info."""
+    def factor(self, a) -> int:
+        """Factor the lower triangle of a in place; LAPACK's info."""
+        _check_layout(a)
         n, lda, info = self.integer(a.shape[0]), self.integer(max(1, a.shape[0])), self.integer()
-        self.potrf(uplo, n, a.ctypes.data, lda, info, 1)
+        self.potrf(b"L", n, a.ctypes.data, lda, info, 1)
         return info.value
 
-    def solve(self, c, b, uplo: bytes) -> int:
-        """Overwrite the vector b with the solution on the factor c; LAPACK's
-        info."""
+    def solve(self, c, b) -> np.ndarray:
+        """The solution x of (c c^H) x = b on the factor c, for a complex128
+        vector b, which is copied."""
+        _check_layout(c)
+        if not (isinstance(b, np.ndarray) and b.dtype == np.complex128 and b.shape == c.shape[:1]):
+            raise ValueError(
+                f"expected a complex128 right-hand side of shape {c.shape[:1]}, got "
+                f"{getattr(b, 'dtype', type(b).__name__)} {np.shape(b)}"
+            )
+        x = b.copy()
         n, lda, info = self.integer(c.shape[0]), self.integer(max(1, c.shape[0])), self.integer()
-        self.potrs(uplo, n, self.integer(1), c.ctypes.data, lda, b.ctypes.data, lda, info, 1)
-        return info.value
+        self.potrs(b"L", n, self.integer(1), c.ctypes.data, lda, x.ctypes.data, lda, info, 1)
+        return x
+
+
+class ScipyCholesky(NamedTuple):
+    """The same pair through `scipy.linalg.lapack`, called as scipy.linalg's
+    own lower, in-place factor and its solve call them, so the same bits."""
+
+    lapack: object  # the scipy.linalg.lapack module
+
+    def factor(self, a) -> int:
+        _check_layout(a)  # anything else f2py would copy, not factor in place
+        return self.lapack.zpotrf(a, lower=1, overwrite_a=1, clean=0)[1]
+
+    def solve(self, c, b) -> np.ndarray:
+        return self.lapack.zpotrs(c, b, lower=1)[0]
+
+
+def _check_layout(a) -> None:
+    """A ValueError unless a is an F-ordered square complex128 matrix: the
+    layout LAPACK factors in place."""
+    if not (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.complex128
+        and a.ndim == 2
+        and a.shape[0] == a.shape[1]
+        and a.flags.f_contiguous
+    ):
+        raise ValueError(
+            "expected an F-contiguous square complex128 matrix, got "
+            f"{getattr(a, 'dtype', type(a).__name__)} {np.shape(a)}"
+        )
 
 
 def _bind(path: str):
@@ -151,12 +191,23 @@ def rescan() -> None:
         _scan()
 
 
-def lapack_cholesky() -> LapackCholesky | None:
-    """LAPACK's complex Cholesky pair of the first OpenBLAS found that
-    exports it and a thread setter, or None; the first call scans."""
+def lapack_cholesky() -> LapackCholesky | ScipyCholesky:
+    """LAPACK's complex Cholesky pair, chosen on the first call: the ctypes
+    pair of the first OpenBLAS found that exports it and a thread setter,
+    else `ScipyCholesky`.  The first call scans."""
+    global _cholesky
     with _lock:
         if _libs is None:
             _scan()
+        if _cholesky is not None:
+            return _cholesky
+    # imported outside _lock; the rescan then finds scipy's OpenBLAS, pinned if the pin is held
+    from scipy.linalg import lapack
+
+    rescan()
+    with _lock:
+        if _cholesky is None:
+            _cholesky = ScipyCholesky(lapack)
         return _cholesky
 
 

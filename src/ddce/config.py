@@ -112,8 +112,8 @@ class SystemConfig:
             out.append(f"n_trials must be <= {MAX_TRIALS}, got {self.n_trials}")
         if not 0 < self.gamma_threshold < math.inf:
             out.append(f"gamma_threshold must be positive and finite, got {self.gamma_threshold}")
-        if not (self.M % self.d_f or self.N % self.d_t):
-            # the support theorem, through the rules gen_paths itself applies
+        if not (self.M % self.d_f or self.N % self.d_t) and self.M * self.N <= MAX_GRID_RES:
+            # the support theorem, through gen_paths' own rules, which take M and N as floats
             for rule in (max_doppler_index, quantize_delays):
                 try:
                     rule(self.profile, self)
@@ -187,7 +187,7 @@ def load_config(path: str) -> SystemConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for ln, line in enumerate(lines, start=1):
         stripped = line.strip()

@@ -16,13 +16,12 @@ implemented in `recover_paths_offgrid`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.linalg import LinAlgError  # the class scipy.linalg raises as well
+from numpy.linalg import LinAlgError
 
-from .blas import lapack_cholesky, rescan, single_blas_thread
+from .blas import lapack_cholesky, single_blas_thread
 from .channel import Path, PathSet, _check_noise_var, path_steering
 from .errors import ContractViolationError
 from .grids import DDGrid, PeriodCSF, TFGrid, _adopt, _freeze_grid, isfft, sfft
@@ -97,90 +96,6 @@ def _interp_axis(arr: np.ndarray, step: int, out_len: int, axis: int) -> np.ndar
     return np.moveaxis(out, 0, axis)
 
 
-@cache
-def scipy_linalg():
-    """`scipy.linalg`, imported on the first call.
-
-    Only the fallback Cholesky route uses it: `cho_factor` and `cho_solve`
-    where no mapped OpenBLAS exports `zpotrf`/`zpotrs` (Accelerate, MKL, no
-    `/proc/self/maps`).  The import costs about a third of a second and
-    27 MB, so no other run pays for it.  It maps scipy's own OpenBLAS, which
-    the rescan adds to the BLAS pin.
-    """
-    import scipy.linalg
-
-    rescan()
-    return scipy.linalg
-
-
-def _check_square(a) -> None:
-    """A ValueError unless a is an F-ordered square complex128 matrix: the
-    layout LAPACK reads through a bare pointer."""
-    if not (
-        isinstance(a, np.ndarray)
-        and a.dtype == np.complex128
-        and a.ndim == 2
-        and a.shape[0] == a.shape[1]
-        and a.flags.f_contiguous
-    ):
-        raise ValueError(
-            "expected an F-contiguous square complex128 matrix, got "
-            f"{getattr(a, 'dtype', type(a).__name__)} {np.shape(a)}"
-        )
-
-
-def _check_finite(*arrays) -> None:
-    for arr in arrays:
-        if not np.isfinite(arr).all():
-            raise ValueError("array must not contain infs or NaNs")  # scipy's words
-
-
-def cho_factor(a, lower=False, overwrite_a=False, check_finite=True):
-    """`scipy.linalg.cho_factor` for an F-ordered square complex128 matrix,
-    with the same bits: LAPACK `zpotrf` of numpy's OpenBLAS
-    (`blas.lapack_cholesky`), or scipy's own where no mapped copy has it.
-
-    Returns (c, lower); with overwrite_a, c is a, factored in place.  A
-    LinAlgError means a is not positive definite.
-    """
-    _check_square(a)
-    if check_finite:
-        _check_finite(a)
-    chol = lapack_cholesky()
-    if chol is None:
-        return scipy_linalg().cho_factor(a, lower, overwrite_a, check_finite=False)
-    c = a if overwrite_a else a.copy(order="F")
-    info = chol.factor(c, b"L" if lower else b"U")
-    if info > 0:
-        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    if info < 0:
-        raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument of zpotrf")
-    return c, lower
-
-
-def cho_solve(c_and_lower, b, check_finite=True):
-    """`scipy.linalg.cho_solve` for a `cho_factor` factor and a complex128
-    right-hand side vector, which is copied: LAPACK `zpotrs` on the same
-    route as `cho_factor`."""
-    c, lower = c_and_lower
-    _check_square(c)
-    if not (isinstance(b, np.ndarray) and b.dtype == np.complex128 and b.shape == c.shape[:1]):
-        raise ValueError(
-            f"expected a complex128 right-hand side of shape {c.shape[:1]}, got "
-            f"{getattr(b, 'dtype', type(b).__name__)} {np.shape(b)}"
-        )
-    if check_finite:
-        _check_finite(c, b)
-    chol = lapack_cholesky()
-    if chol is None:
-        return scipy_linalg().cho_solve((c, lower), b, check_finite=False)
-    x = b.copy()
-    info = chol.solve(c, x, b"L" if lower else b"U")
-    if info != 0:
-        raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument of zpotrs")
-    return x
-
-
 class CorrelationPair:
     """Exact second-order CTF statistics for a known path support.
 
@@ -193,8 +108,10 @@ class CorrelationPair:
     """
 
     def __init__(self, steering_all: np.ndarray, steering_pilot: np.ndarray, powers: np.ndarray):
-        self._a_all = steering_all
-        self._a_pilot = steering_pilot
+        self._a_all, self._a_pilot = np.asarray(steering_all), np.asarray(steering_pilot)
+        for name, a in (("steering_all", self._a_all), ("steering_pilot", self._a_pilot)):
+            if a.dtype != np.complex128 or a.ndim != 2:  # what the noisy solve's LAPACK takes
+                raise ContractViolationError(f"{name} must be 2-D complex128: {a.dtype} {a.shape}")
         self._p = np.asarray(powers, dtype=np.float64)
         if self._a_all.shape[1] != self._p.size or self._a_pilot.shape[1] != self._p.size:
             raise ContractViolationError("steering matrices and powers disagree on path count")
@@ -309,11 +226,11 @@ def mmse_estimate(
     one fresh buffer, the product's own (glibc's heap hands it back once the
     first noisy call has set its thresholds), and factored in place.  For
     noise_var = 0 the least-norm solution, `CorrelationPair.least_norm`,
-    needs no n_pilot x n_pilot matrix.  The Cholesky pair is LAPACK's
-    `zpotrf`/`zpotrs` in numpy's own OpenBLAS, bound on the first noisy
-    call; only where no mapped copy exports them does that call import
-    `scipy.linalg`, before the pin is taken.  The dense algebra runs on one
-    BLAS thread, so the result does not depend on the BLAS thread count.
+    needs no n_pilot x n_pilot matrix.  The Cholesky pair is the one
+    `blas.lapack_cholesky` chose, taken before the pin, since the first
+    noisy call may import `scipy.linalg` for it.  A non-finite system raises
+    ValueError.  The dense algebra runs on one BLAS thread, so the result
+    does not depend on the BLAS thread count.
     """
     _check_noise_var(noise_var)
     _check_lattice(obs, cfg)
@@ -322,27 +239,24 @@ def mmse_estimate(
         raise ContractViolationError(
             f"correlations built for {corr.n_pilot} pilots, observations have {obs_vec.size}"
         )
-    if noise_var > 0 and lapack_cholesky() is None:
-        # Only the fallback Cholesky route needs scipy.  Loaded outside the
-        # pin: a set-up importing it inside a held pin measured slower
-        # (0.647 s against 0.615 s, medians of 20 `paper` runs on a 2-vCPU VM).
-        scipy_linalg()
+    chol = lapack_cholesky() if noise_var > 0 else None  # outside the pin: it may import scipy
     with single_blas_thread():
         if noise_var == 0:
             h_vec = corr.least_norm(obs_vec)
         else:
             _keep_grids_on_the_heap()  # so the system's buffers are reused, not faulted in
-            try:
-                factor = cho_factor(corr._system(noise_var), lower=True, overwrite_a=True)
-            except LinAlgError:
+            a = corr._system(noise_var)
+            # the observations are finite by construction: only the system is scanned
+            if not np.isfinite(a).all():
+                raise ValueError("array must not contain infs or NaNs")
+            if chol.factor(a) > 0:
                 # the failed factorization overwrote the system: build it again
                 a = corr._system(noise_var)
                 _diagonal(a).real += 1e-12 * np.trace(a).real / a.shape[0]
-                factor = cho_factor(a, lower=True, overwrite_a=True)
-            # cho_factor checked the system for non-finite entries, and the
-            # observations are finite by construction: no second scan
-            z = cho_solve(factor, obs_vec, check_finite=False)
-            h_vec = corr.apply_r1(z)
+                info = chol.factor(a)
+                if info > 0:
+                    raise LinAlgError(f"{info}-th leading minor is not positive definite")
+            h_vec = corr.apply_r1(chol.solve(a, obs_vec))
     grid = _adopt(TFGrid, h_vec.reshape(cfg.M, cfg.N, order="F"))
     return MmseEstimate(grid, used_least_norm=noise_var == 0)
 

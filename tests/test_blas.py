@@ -2,11 +2,12 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ddce import blas, estimators, harness
+from ddce import blas, harness
 from ddce.blas import blas_thread_counts, single_blas_thread
 from ddce.channel import gen_paths
 from ddce.config import default_config, with_overrides
@@ -17,9 +18,11 @@ from ddce.txrx import PilotPattern, make_layout
 @pytest.fixture
 def two_blas_threads():
     """Every OpenBLAS at 2 threads, so that a restore to anything else shows;
-    the previous counts come back afterwards.  The dense solver is loaded
-    first, so that scipy's copy is mapped and found too."""
-    estimators.scipy_linalg()
+    the previous counts come back afterwards.  scipy's copy is mapped and
+    found first, so that it is covered too."""
+    import scipy.linalg  # noqa: F401
+
+    blas.rescan()
     before = blas_thread_counts()
     for set_fn, _ in blas._openblas():
         set_fn(2)
@@ -61,13 +64,13 @@ def test_concurrent_mmse_equals_serial_bit_for_bit(two_blas_threads):
 
 def test_pin_holds_inside_and_restores_after(two_blas_threads, monkeypatch):
     seen = []
-    real_cho_solve = estimators.cho_solve
+    chol = blas.lapack_cholesky()
 
-    def spy(*args, **kw):
+    def spy(c, b):
         seen.append(blas_thread_counts())
-        return real_cho_solve(*args, **kw)
+        return chol.solve(c, b)
 
-    monkeypatch.setattr(estimators, "cho_solve", spy)
+    monkeypatch.setattr(blas, "_cholesky", SimpleNamespace(factor=chol.factor, solve=spy))
     cfg = default_config()
     (obs, corr, noise_var), = _mmse_cases(cfg, 1)
     mmse_estimate(obs, corr, noise_var, cfg)
@@ -82,7 +85,7 @@ def test_pin_holds_inside_and_restores_after(two_blas_threads, monkeypatch):
     def boom(*args, **kw):
         raise RuntimeError("injected failure")
 
-    monkeypatch.setattr(estimators, "cho_solve", boom)
+    monkeypatch.setattr(blas, "_cholesky", SimpleNamespace(factor=chol.factor, solve=boom))
     with pytest.raises(RuntimeError, match="injected failure"):
         mmse_estimate(obs, corr, noise_var, cfg)
     assert blas_thread_counts() == two_blas_threads

@@ -1,7 +1,7 @@
-"""The genie MMSE's Cholesky pair, `estimators.cho_factor`/`cho_solve`, against
-`scipy.linalg`'s, bit for bit: LAPACK `zpotrf`/`zpotrs` bound from numpy's
-OpenBLAS, and the scipy route it falls back to where no mapped copy exports
-them."""
+"""The genie MMSE's Cholesky pair, `blas.lapack_cholesky`, against
+`scipy.linalg.cho_factor`/`cho_solve` on the lower triangle, bit for bit:
+LAPACK `zpotrf`/`zpotrs` bound from numpy's OpenBLAS, and the
+`scipy.linalg.lapack` pair chosen where no mapped copy exports them."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -11,24 +11,27 @@ import pytest
 import scipy.linalg
 from numpy.linalg import LinAlgError
 
-from ddce import blas, estimators
-from ddce.blas import LapackCholesky, lapack_cholesky, single_blas_thread
-from helpers import run_python
+from ddce import blas
+from ddce.blas import LapackCholesky, ScipyCholesky, lapack_cholesky, single_blas_thread
+from ddce.estimators import CorrelationPair, PilotObservations, mmse_estimate
+from helpers import run_python, tiny_cfg
 
 ROUTES = ["lapack", "fallback"]
 
 
 @pytest.fixture(params=ROUTES)
 def route(request, monkeypatch):
-    """The route under test: numpy's OpenBLAS, or the lookup forced to find
-    nothing."""
+    """The pair under test: numpy's OpenBLAS, or the one chosen when the
+    lookup found nothing."""
+    chol = lapack_cholesky()
     if request.param == "lapack":
-        if lapack_cholesky() is None:
+        if not isinstance(chol, LapackCholesky):
             pytest.skip("no mapped OpenBLAS exports zpotrf/zpotrs")
-    else:
-        lapack_cholesky()  # scan first, so that the forced None stays
-        monkeypatch.setattr(blas, "_cholesky", None)
-    return request.param
+        return chol
+    monkeypatch.setattr(blas, "_cholesky", None)  # after the scan, so that it stays None
+    chol = lapack_cholesky()
+    assert isinstance(chol, ScipyCholesky)
+    return chol
 
 
 def _hpd(n, seed):
@@ -48,41 +51,42 @@ def test_factor_and_solution_equal_scipys_bit_for_bit(n, route):
     a, b = _hpd(n, n), _rhs(n, n)
     kept = b.copy()
     with single_blas_thread():
-        for lower in (True, False):
-            want_c, _ = scipy.linalg.cho_factor(a, lower=lower)
-            got_c, got_lower = estimators.cho_factor(a, lower=lower)
-            assert got_lower == lower and got_c is not a  # copied without overwrite_a
-            assert np.array_equal(got_c, want_c)  # the factor, and the other triangle kept
-            want_x = scipy.linalg.cho_solve((want_c, lower), b)
-            assert np.array_equal(estimators.cho_solve((got_c, lower), b), want_x)
-            assert np.array_equal(b, kept)  # the right-hand side is copied
         want_c, _ = scipy.linalg.cho_factor(a, lower=True)
-        in_place = a.copy(order="F")
-        assert estimators.cho_factor(in_place, lower=True, overwrite_a=True)[0] is in_place
-        assert np.array_equal(in_place, want_c)
+        want_x = scipy.linalg.cho_solve((want_c, True), b)
+        c = a.copy(order="F")
+        assert route.factor(c) == 0
+        assert np.array_equal(c, want_c)  # in place, and the upper triangle kept
+        assert np.array_equal(route.solve(c, b), want_x)
+        assert np.array_equal(b, kept)  # the right-hand side is copied
 
 
-def test_indefinite_matrix_raises_linalg_error(route):
-    a = _hpd(6, 2)
+def _mmse_on_system(system, monkeypatch):
+    """A noisy `mmse_estimate` whose system is a copy of the given 16 x 16
+    matrix, on the route's pair."""
+    cfg = tiny_cfg(8, 8, 2, 2)
+    corr = CorrelationPair(np.ones((64, 1), complex), np.ones((16, 1), complex), np.ones(1))
+    monkeypatch.setattr(corr, "_system", lambda noise_var: system.copy(order="F"))
+    return mmse_estimate(PilotObservations(np.ones((4, 4)), d_t=2, d_f=2), corr, 0.1, cfg)
+
+
+def test_indefinite_matrix_raises_linalg_error(route, monkeypatch):
+    """The pair reports the failing leading minor; the solve retries once
+    with jitter and then raises."""
+    a = _hpd(16, 2)
     a[3, 3] = -50.0
-    with pytest.raises(LinAlgError):
-        estimators.cho_factor(a, lower=True)
+    assert route.factor(a.copy(order="F")) == 4
+    with pytest.raises(LinAlgError, match="4-th leading minor is not positive definite"):
+        _mmse_on_system(a, monkeypatch)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_input_raises_value_error(bad, route):
-    a = _hpd(5, 3)
-    c, _ = estimators.cho_factor(a, lower=True)
-    spoilt = a.copy(order="F")
-    spoilt[2, 1] = bad
+def test_non_finite_input_raises_value_error(bad, route, monkeypatch):
+    """A non-finite system is refused before the pair factors it: in the
+    upper triangle too, which the lower-triangle pair never reads."""
+    a = _hpd(16, 3)
+    a[1, 2] = bad
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        estimators.cho_factor(spoilt, lower=True)
-    b = _rhs(5, 3)
-    b[4] = bad
-    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        estimators.cho_solve((c, True), b)
-    # check_finite=False skips the scan on the caller's word
-    assert estimators.cho_solve((c, True), b, check_finite=False).shape == (5,)
+        _mmse_on_system(a, monkeypatch)
 
 
 def _refusing_pair():
@@ -93,9 +97,7 @@ def _refusing_pair():
 
 
 @pytest.mark.parametrize("case", ["c-ordered", "complex64", "float64", "not-square", "list"])
-def test_wrong_layout_or_dtype_raises_before_any_pointer_is_passed(case, monkeypatch):
-    lapack_cholesky()
-    monkeypatch.setattr(blas, "_cholesky", _refusing_pair())
+def test_wrong_layout_or_dtype_raises_before_any_pointer_is_passed(case):
     a = _hpd(4, 4)
     bad = {
         "c-ordered": np.ascontiguousarray(a),
@@ -104,17 +106,17 @@ def test_wrong_layout_or_dtype_raises_before_any_pointer_is_passed(case, monkeyp
         "not-square": np.asfortranarray(a[:, :3]),
         "list": a.tolist(),
     }[case]
+    # the scipy pair checks too: f2py would factor a copy, not bad itself
+    for pair in (_refusing_pair(), ScipyCholesky(scipy.linalg.lapack)):
+        with pytest.raises(ValueError, match="F-contiguous square complex128"):
+            pair.factor(bad)
     with pytest.raises(ValueError, match="F-contiguous square complex128"):
-        estimators.cho_factor(bad, lower=True)
-    with pytest.raises(ValueError, match="F-contiguous square complex128"):
-        estimators.cho_solve((bad, True), _rhs(4, 4))
+        _refusing_pair().solve(bad, _rhs(4, 4))
 
 
 @pytest.mark.parametrize("case", ["complex64", "float64", "rows", "2-d", "list"])
-def test_wrong_right_hand_side_raises_before_any_pointer_is_passed(case, monkeypatch):
+def test_wrong_right_hand_side_raises_before_any_pointer_is_passed(case):
     c, _ = scipy.linalg.cho_factor(_hpd(4, 5), lower=True)
-    lapack_cholesky()
-    monkeypatch.setattr(blas, "_cholesky", _refusing_pair())
     b = _rhs(4, 5)
     bad = {
         "complex64": b.astype(np.complex64),
@@ -124,22 +126,22 @@ def test_wrong_right_hand_side_raises_before_any_pointer_is_passed(case, monkeyp
         "list": b.tolist(),
     }[case]
     with pytest.raises(ValueError, match="complex128 right-hand side of shape"):
-        estimators.cho_solve((c, True), bad)
+        _refusing_pair().solve(c, bad)
 
 
 def test_a_copy_the_pin_cannot_cover_is_not_used():
     """A Cholesky in an OpenBLAS without a thread setter would round by
-    `OPENBLAS_NUM_THREADS`; with no setter found, the solve takes the
-    scipy route."""
+    `OPENBLAS_NUM_THREADS`; with no setter found, the scipy pair is chosen."""
     got = run_python(
         """
         import json, sys
         from ddce import blas
         blas._SYMBOLS = ()
-        print(json.dumps([blas.lapack_cholesky() is None, "scipy.linalg" in sys.modules]))
+        chol = blas.lapack_cholesky()
+        print(json.dumps([type(chol).__name__, "scipy.linalg" in sys.modules]))
         """
     )
-    assert got == [True, False]
+    assert got == ["ScipyCholesky", True]
 
 
 def test_solves_from_more_threads_than_cores_keep_the_serial_bits(route):
@@ -149,7 +151,9 @@ def test_solves_from_more_threads_than_cores_keep_the_serial_bits(route):
 
     def solve(case):
         a, b = case
-        return estimators.cho_solve(estimators.cho_factor(a, lower=True), b)
+        c = a.copy(order="F")
+        assert route.factor(c) == 0
+        return route.solve(c, b)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

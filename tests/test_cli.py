@@ -100,6 +100,13 @@ def test_missing_config_file(capsys):
     assert "error: cannot read config file" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(("# café\n" + FAST_CFG).encode("latin-1"))
+    assert main(["verify", "--config", str(bad)]) == 1
+    assert "error: cannot read config file: 'utf-8' codec" in capsys.readouterr().err
+
+
 def test_config_violations_reported(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(FAST_CFG.replace("v_kmh = 250.0", "v_kmh = 5000.0"))
@@ -122,6 +129,9 @@ def test_config_violations_reported(tmp_path, capsys):
         ({"n_trials = 2": "n_trials = 100001"}, None, "n_trials must be <="),
         ({"ls-interp, ideal": "ideal, ideal"}, None, "estimators must not repeat"),
         ({"M = 32": "M = 256", "N = 16": "N = 256"}, "mmse-genie", "mmse-genie needs n_pilot"),
+        # past the float range: the grid bound stops the float-valued support rules
+        ({"M = 32": "M = 1" + "0" * 400}, None, "resource elements"),
+        ({"N = 16": "N = 1" + "0" * 400}, None, "resource elements"),
     ],
 )
 def test_resource_bounds_exit_1_before_any_work(tmp_path, capsys, edit, estimator, message):

@@ -211,6 +211,13 @@ def test_missing_file_is_a_config_error():
         load_config("/no/such/file.cfg")
 
 
+def test_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(("# café\n" + GOOD).encode("latin-1"))
+    with pytest.raises(ConfigError, match="cannot read config file: 'utf-8' codec"):
+        load_config(str(path))
+
+
 def test_semantic_violations_are_aggregated(tmp_path):
     text = GOOD.replace("v_kmh = 120", "v_kmh = 5000").replace(
         "estimators = ideal, ls-interp", "estimators = ideal, warp-drive"
@@ -308,6 +315,9 @@ def test_resource_bounds():
     no_mmse = ("ls-interp", "csf-offgrid")
     assert violations(M=1024, N=MAX_GRID_RES // 1024, estimators=no_mmse) == ""
     assert "resource elements" in violations(M=4096, N=4096, d_t=1, d_f=1, estimators=no_mmse)
+    # past the float range: the grid bound keeps the float-valued support rules from running
+    assert "resource elements" in violations(M=10**400)
+    assert "resource elements" in violations(N=10**400)
     assert violations(n_trials=MAX_TRIALS) == ""
     assert f"n_trials must be <= {MAX_TRIALS}" in violations(n_trials=MAX_TRIALS + 1)
     assert replace(cfg, M=256, N=128).n_pilot == MAX_MMSE_PILOTS
@@ -372,6 +382,7 @@ _VALUES = st.one_of(
     st.integers(-(10**30), 10**30).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(("0", "-1", "1e-320", "1e308", "inf", "-inf", "nan", "true", "", ",", "qam4")),
+    st.just("1" + "0" * 400),  # an int past the float range
     st.lists(st.floats(-1e4, 1e5).map(repr), max_size=4).map(", ".join),
 )
 _LINES = st.one_of(

@@ -1,14 +1,16 @@
 """Estimator stages against independent brute-force oracles."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from ddce import estimators, harness
+from ddce import blas, estimators, harness
 from ddce.blas import single_blas_thread
 from ddce.channel import (
     ChannelProfile,
@@ -602,21 +604,41 @@ def test_mmse_bitwise_across_lattices():
 def test_mmse_jitter_fallback_rebuilds_the_overwritten_system(monkeypatch):
     cfg = tiny_cfg(64, 32, 4, 4)
     obs, corr = _random_mmse_case(cfg, 5)
-    real_cho_factor = estimators.cho_factor
-    calls = []
+    chol = blas.lapack_cholesky()
+    systems = []
 
-    def fail_once(a, **kw):
-        calls.append(kw)
-        if len(calls) == 1:
+    def fail_once(a):
+        systems.append(a)
+        if len(systems) == 1:
             a[...] = np.nan  # a failed in-place factorization leaves its input spoilt
-            raise LinAlgError("injected")
-        return real_cho_factor(a, **kw)
+            return 3
+        return chol.factor(a)
 
-    monkeypatch.setattr(estimators, "cho_factor", fail_once)
+    monkeypatch.setattr(blas, "_cholesky", SimpleNamespace(factor=fail_once, solve=chol.solve))
     got = mmse_estimate(obs, corr, 1e-3, cfg)
-    assert len(calls) == 2 and all(kw["overwrite_a"] for kw in calls)
+    assert len(systems) == 2 and systems[1] is not systems[0]
     want = _dense_mmse_reference(obs, corr, 1e-3, cfg, jitter=True)
     assert got.grid.data.tobytes() == want.tobytes()
+    # a jittered system that fails as well is an error
+    monkeypatch.setattr(blas, "_cholesky", SimpleNamespace(factor=lambda a: 2, solve=chol.solve))
+    with pytest.raises(LinAlgError, match="2-th leading minor is not positive definite"):
+        mmse_estimate(obs, corr, 1e-3, cfg)
+
+
+@pytest.mark.parametrize("model", ["diag", "full"])
+def test_mmse_bytes_do_not_depend_on_the_cholesky_route(model, monkeypatch):
+    """The pair bound from numpy's OpenBLAS and the `scipy.linalg.lapack`
+    pair give the same bytes on paired trials of the paper grid."""
+    cfg = with_overrides(default_config(), channel_model=model)
+    pairs = (blas.lapack_cholesky(), blas.ScipyCholesky(scipy.linalg.lapack))
+    for snr_db in (0.0, 20.0, 40.0):
+        trial = harness._Trial(cfg, snr_db, 11)
+        corr = genie_correlations(trial.ps, cfg, trial.layout)
+        got = []
+        for pair in pairs:
+            monkeypatch.setattr(blas, "_cholesky", pair)
+            got.append(mmse_estimate(trial.obs, corr, trial.noise_var, cfg).grid.data.tobytes())
+        assert got[0] == got[1]
 
 
 def _least_norm_case(case):
@@ -667,7 +689,7 @@ def test_noiseless_mmse_forms_no_pilot_square_matrix(monkeypatch):
     def refuse(*args, **kw):
         raise AssertionError("the noiseless solve reached the noisy system")
 
-    monkeypatch.setattr(estimators, "cho_factor", refuse)
+    monkeypatch.setattr(blas, "_cholesky", SimpleNamespace(factor=refuse, solve=refuse))
     monkeypatch.setattr(estimators.CorrelationPair, "_system", refuse)
     cfg = default_config()
     assert (cfg.M, cfg.N) == (128, 64)
@@ -746,6 +768,23 @@ def test_correlations_reject_negative_or_nan_powers(bad):
         CorrelationPair(steering, steering, np.array([0.5, bad]))
 
 
+@pytest.mark.parametrize("case", ["float64-all", "float64-pilot", "1-d-pilot", "list-pilot"])
+def test_correlations_take_only_2d_complex128_steering(case):
+    """Steering the noisy solve's LAPACK pair could not take is refused here,
+    naming the argument; a complex list is taken as its array."""
+    steering = np.ones((4, 2), dtype=complex)
+    a_all, a_pilot = {
+        "float64-all": (steering.real, steering),
+        "float64-pilot": (steering, steering.real),
+        "1-d-pilot": (steering, steering[:, 0]),
+        "list-pilot": (steering, steering.real.tolist()),
+    }[case]
+    name = "steering_all" if case.endswith("all") else "steering_pilot"
+    with pytest.raises(ContractViolationError, match=f"{name} must be 2-D complex128: "):
+        CorrelationPair(a_all, a_pilot, np.array([0.5, 0.5]))
+    assert CorrelationPair(steering, steering.tolist(), np.array([0.5, 0.5])).n_pilot == 4
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(
     n=st.integers(1, 12),
@@ -782,11 +821,12 @@ def test_non_finite_steering_fails_the_finite_check_before_any_solve(bad, monkey
     a_pilot[3, 1] = bad
     corr = CorrelationPair(np.ones((64, 2), dtype=complex), a_pilot, np.array([0.6, 0.4]))
     obs = PilotObservations(np.ones((4, 4)), d_t=2, d_f=2)
-    solves = []
-    monkeypatch.setattr(estimators, "cho_solve", lambda *a, **kw: solves.append(a))
+    calls = []
+    record = lambda *a: calls.append(a)  # noqa: E731
+    monkeypatch.setattr(blas, "_cholesky", SimpleNamespace(factor=record, solve=record))
     with pytest.raises(ValueError, match="must not contain infs or NaNs"), np.errstate(invalid="ignore"):
         mmse_estimate(obs, corr, 0.1, cfg)
-    assert solves == []
+    assert calls == []
 
 
 # ------------------------------------------------------------ full pipeline

@@ -34,7 +34,7 @@ def small_config(tmp_path, name, **keys):
 
 
 # prepended to a probe: the LAPACK lookup finds nothing, as on a numpy built
-# on Accelerate or MKL, so the genie MMSE takes the scipy.linalg route
+# on Accelerate or MKL, so the genie MMSE solves with the scipy.linalg pair
 FORCED_FALLBACK = """
 from ddce import blas
 blas._LAPACK = ()
@@ -121,7 +121,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ddce import blas, estimators
+from ddce import blas
 from ddce.blas import blas_thread_counts, single_blas_thread
 from ddce.config import default_config
 from ddce.estimators import PilotObservations, genie_correlations, mmse_estimate
@@ -136,13 +136,14 @@ shape = (cfg.M // cfg.d_f, cfg.N // cfg.d_t)
 obs = PilotObservations(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), cfg.d_t, cfg.d_f)
 
 seen = []
-real_cho_solve = estimators.cho_solve
+real_solve = blas.ScipyCholesky.solve
 
-def spy(*args, **kw):
+def spy(*args):
     seen.append(blas_thread_counts())
-    return real_cho_solve(*args, **kw)
+    return real_solve(*args)
 
-estimators.cho_solve = spy
+# the pair's class, since the first solve builds the pair itself
+blas.ScipyCholesky.solve = spy
 before = blas_thread_counts()
 unloaded = "scipy.linalg" not in sys.modules
 interval = sys.getswitchinterval()
