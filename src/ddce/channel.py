@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -105,7 +106,8 @@ class Path:
 
 @dataclass(frozen=True)
 class PathSet:
-    """A non-empty set of paths, at most one per delay bin."""
+    """A non-empty set of paths, at most one per delay bin.  Its gains,
+    delays and dopplers are read-only arrays, each built once."""
 
     paths: tuple
 
@@ -120,17 +122,17 @@ class PathSet:
     def __len__(self) -> int:
         return len(self.paths)
 
-    @property
+    @cached_property
     def gains(self) -> np.ndarray:
-        return np.array([p.gain for p in self.paths], dtype=np.complex128)
+        return _frozen(np.array([p.gain for p in self.paths], dtype=np.complex128))
 
-    @property
+    @cached_property
     def delays(self) -> np.ndarray:
-        return np.array([p.delay_idx for p in self.paths], dtype=np.int64)
+        return _frozen(np.array([p.delay_idx for p in self.paths], dtype=np.int64))
 
-    @property
+    @cached_property
     def dopplers(self) -> np.ndarray:
-        return np.array([p.doppler for p in self.paths], dtype=np.float64)
+        return _frozen(np.array([p.doppler for p in self.paths], dtype=np.float64))
 
     @property
     def powers(self) -> np.ndarray:
@@ -139,6 +141,11 @@ class PathSet:
             [p.power if p.power is not None else abs(p.gain) ** 2 for p in self.paths],
             dtype=np.float64,
         )
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _delay_bins(profile: ChannelProfile, cfg: "SystemConfig") -> np.ndarray:
@@ -214,9 +221,7 @@ def gen_paths(cfg: "SystemConfig", profile: ChannelProfile, rng: np.random.Gener
     units (k_max = N * T * nu_max), delays quantized to grid indices.  With
     cfg.on_grid_doppler the Doppler indices are rounded to integers.
     """
-    delays = quantize_delays(profile, cfg)
-    k_max = max_doppler_index(profile, cfg)
-    p_lin = profile.tap_powers_lin
+    delays, k_max, p_lin = _draw_constants(profile, cfg)
     n = profile.n_taps
     re = rng.standard_normal(n)
     im = rng.standard_normal(n)
@@ -233,12 +238,32 @@ def gen_paths(cfg: "SystemConfig", profile: ChannelProfile, rng: np.random.Gener
     )
 
 
+@lru_cache(maxsize=16)
+def _draw_constants(profile: ChannelProfile, cfg: "SystemConfig"):
+    """What every draw of `gen_paths` reads from (profile, cfg): the
+    quantized delays, k_max and the linear tap powers, checked and derived
+    once per pair (a few hundred bytes each)."""
+    return (
+        _frozen(quantize_delays(profile, cfg)),
+        max_doppler_index(profile, cfg),
+        _frozen(profile.tap_powers_lin),
+    )
+
+
+@lru_cache(maxsize=16)
+def _delay_steering(delays: tuple, n_subcarriers: int) -> np.ndarray:
+    """Read-only e^{-j2pi*l_i*m/M} as an (M, P) array, once per delay tuple:
+    a sweep's path sets all sit on its profile's delay bins."""
+    m = np.arange(n_subcarriers)
+    return _frozen(np.exp(-2j * np.pi * np.outer(m, delays) / n_subcarriers))
+
+
 def path_steering(ps: PathSet, n_subcarriers: int, n_symbols: int):
     """Per-path steering vectors: e^{-j2pi*l_i*m/M} as an (M, P) array and
-    e^{+j2pi*k_i*n/N} as a (P, N) array."""
-    m = np.arange(n_subcarriers)
+    e^{+j2pi*k_i*n/N} as a (P, N) array.  The delay half is shared and
+    read-only."""
     n = np.arange(n_symbols)
-    freq = np.exp(-2j * np.pi * np.outer(m, ps.delays) / n_subcarriers)
+    freq = _delay_steering(tuple(ps.delays.tolist()), n_subcarriers)
     time = np.exp(2j * np.pi * np.outer(ps.dopplers, n) / n_symbols)
     return freq, time
 

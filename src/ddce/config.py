@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .channel import (
@@ -28,6 +29,9 @@ MAX_MMSE_PILOTS = 2048
 # pilot noise by less than 3x per axis, and 3**4 * MAX_GRID_RES * noise_var
 # < 1.8e308 up to -3003.2 dB (the noise variance alone overflows at -3082.5).
 MIN_SNR_DB = -3000.0
+# The scalar fields a caller may set to a Python int of any size (snr_db's
+# entries are checked too).
+_NUMERIC_KEYS = ("M", "N", "delta_f_hz", "d_t", "d_f", "n_trials", "master_seed", "gamma_threshold")
 
 
 def snr_is_valid(snr_db: float) -> bool:
@@ -66,7 +70,9 @@ class SystemConfig:
 
     def violations(self) -> list:
         """Collect every constraint violation instead of stopping at the first."""
-        out = []
+        out = self._past_float_range()
+        if out:
+            return out  # no rule below can compare, convert or print such a number
         if self.M < 1 or self.N < 1:
             out.append(f"grid dimensions must be positive, got M={self.M}, N={self.N}")
         if self.d_t < 1 or self.d_f < 1:
@@ -119,6 +125,23 @@ class SystemConfig:
                     rule(self.profile, self)
                 except (ProfileError, SupportError) as exc:
                     out.append(str(exc))
+        return out
+
+    def _past_float_range(self) -> list:
+        """A Python int past the float64 range passes every comparison of
+        `violations`, then overflows where a rule or a trial takes its float
+        and, past 4300 digits, where a message prints it.  Each such number
+        is named by its key and its size; a grid side that large is past
+        the grid bound too, and reported as such."""
+        numbers = [(key, getattr(self, key)) for key in _NUMERIC_KEYS]
+        out = []
+        for key, value in numbers + [("snr_db", s) for s in self.snr_db]:
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                size = f"an integer of {abs(value).bit_length()} bits"
+                if key in ("M", "N") and value > 0:
+                    out.append(f"grid M*N exceeds {MAX_GRID_RES} resource elements: {key} is {size}")
+                else:
+                    out.append(f"{key} must lie within the float64 range, got {size}")
         return out
 
     def validated(self) -> "SystemConfig":

@@ -57,11 +57,11 @@ def ls_pilot(y: TFGrid, x: TFGrid, layout: FrameLayout) -> PilotObservations:
         raise ContractViolationError(
             f"grid shapes differ: y {y.data.shape} vs x {x.data.shape}"
         )
-    xp = x.data[layout.pilot_m, layout.pilot_n]
+    xp = x.data.ravel().take(layout.pilot_flat)
     if np.any(np.abs(xp) < 1e-300):
         raise ContractViolationError("zero-valued pilot symbol, LS division impossible")
-    yp = y.data[layout.pilot_m, layout.pilot_n]
-    vals = yp / xp
+    vals = y.data.ravel().take(layout.pilot_flat)
+    vals /= xp
     # positions are symbol-major with subcarrier fastest, so the lattice
     # restores as (n', m') and transposes to (m', n')
     n_freq = int(np.count_nonzero(layout.pilot_n == layout.pilot_n[0]))
@@ -280,7 +280,9 @@ def periodic_csf(obs: PilotObservations, cfg: "SystemConfig") -> PeriodCSF:
     """
     _check_lattice(obs, cfg)
     period = np.sqrt(cfg.d_t * cfg.d_f) * sfft(_adopt(TFGrid, obs.values)).data  # k standard order
-    return _adopt(PeriodCSF, np.fft.fftshift(period, axes=0), d_t=cfg.d_t, d_f=cfg.d_f)
+    half = period.shape[0] // 2  # fftshift along k: the negative rows first
+    centered = np.concatenate((period[half:], period[:half]))
+    return _adopt(PeriodCSF, centered, d_t=cfg.d_t, d_f=cfg.d_f)
 
 
 def csf_ongrid(p: PeriodCSF, cfg: "SystemConfig") -> DDGrid:
@@ -295,8 +297,9 @@ def csf_ongrid(p: PeriodCSF, cfg: "SystemConfig") -> DDGrid:
             f"period covers a {p.full_n}x{p.full_m} grid, config wants {cfg.N}x{cfg.M}"
         )
     full = np.zeros((cfg.N, cfg.M), dtype=np.complex128)
-    rows = p.doppler_axis % cfg.N
-    full[rows[:, None], np.arange(p.n_delay)[None, :]] = p.data
+    half = p.n_doppler // 2  # rows k = -half .. -1 go last, k = 0 .. half - 1 first
+    full[:half, : p.n_delay] = p.data[half:]
+    full[cfg.N - half :, : p.n_delay] = p.data[:half]
     return _adopt(DDGrid, full)
 
 

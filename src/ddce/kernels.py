@@ -24,14 +24,13 @@ def _dirichlet(delta, total: int, spacing: int, phase_sign: int) -> np.ndarray:
     period = total // spacing
     delta = np.asarray(delta, dtype=np.float64)
     dw = (delta + period / 2.0) % period - period / 2.0
-    out = np.full(dw.shape, np.sqrt(total), dtype=np.complex128)
-    regular = np.abs(dw) >= 1e-9
-    d = dw[regular]
-    phase = np.exp(1j * phase_sign * np.pi * d * spacing * (period - 1) / total)
-    out[regular] = (
-        spacing / np.sqrt(total) * phase * np.sin(np.pi * d) / np.sin(np.pi * spacing * d / total)
-    )
-    return out
+    # evaluated everywhere, each entry by the same operations; near-zero
+    # offsets, whose 0/0 is discarded, take the peak value instead
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = np.exp(1j * phase_sign * np.pi * dw * spacing * (period - 1) / total)
+        ratio = spacing / np.sqrt(total) * phase * np.sin(np.pi * dw)
+        ratio /= np.sin(np.pi * spacing * dw / total)
+    return np.where(np.abs(dw) >= 1e-9, ratio, np.complex128(np.sqrt(total)))
 
 
 def doppler_kernel(k_i: float, k, n_symbols: int, d_t: int = 1):
@@ -82,6 +81,10 @@ def csf_closed_form(gains, delays, dopplers, n_subcarriers: int, n_symbols: int)
     cols = _dirichlet(np.asarray(dopplers)[:, None] - k_axis, n_symbols, 1, +1)  # (P, N)
     rows = _dirichlet(np.asarray(delays)[:, None] - l_axis, n_subcarriers, 1, -1)  # (P, M)
     acc = np.zeros((n_symbols, n_subcarriers), dtype=np.complex128)
+    term = np.empty_like(acc)
     for g, col, row in zip(gains, cols, rows):
-        acc += g * np.outer(col, row)
+        # g * np.outer(col, row), in one buffer for every path
+        np.multiply(col[:, None], row[None, :], out=term)
+        np.multiply(g, term, out=term)
+        acc += term
     return acc

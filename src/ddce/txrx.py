@@ -39,18 +39,20 @@ class FrameLayout:
     """Index arrays for pilot and data resource elements.
 
     Positions are ordered symbol-major with the subcarrier index fastest,
-    and the arrays are what all vectorized grid lookups use.  data_flat
-    holds the data positions as indices into the row-major flattened grid.
+    and the arrays are what all vectorized grid lookups use.  pilot_flat
+    and data_flat hold the same positions as indices into the row-major
+    flattened grid.
     """
 
     pilot_m: np.ndarray
     pilot_n: np.ndarray
     data_m: np.ndarray
     data_n: np.ndarray
+    pilot_flat: np.ndarray
     data_flat: np.ndarray
 
     def __post_init__(self):
-        for name in ("pilot_m", "pilot_n", "data_m", "data_n", "data_flat"):
+        for name in ("pilot_m", "pilot_n", "data_m", "data_n", "pilot_flat", "data_flat"):
             arr = np.asarray(getattr(self, name), dtype=np.intp)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -74,12 +76,23 @@ def _layout(big_m: int, big_n: int, d_t: int, d_f: int) -> FrameLayout:
     is_pilot[::d_t, ::d_f] = True
     pn, pm = np.nonzero(is_pilot)
     dn, dm = np.nonzero(~is_pilot)
-    return FrameLayout(pm, pn, dm, dn, dm * big_n + dn)
+    return FrameLayout(pm, pn, dm, dn, pm * big_n + pn, dm * big_n + dn)
 
 
 def make_layout(pattern: PilotPattern, cfg: "SystemConfig") -> FrameLayout:
     """Deterministic pilot/data layout of an M x N frame (shared, read-only)."""
     return _layout(cfg.M, cfg.N, pattern.d_t, pattern.d_f)
+
+
+def _qam4_table() -> np.ndarray:
+    """The points at index 2*b1 + b0, by the mapping's formula and its bits."""
+    b1, b0 = np.divmod(np.arange(4.0), 2.0)
+    points = ((1.0 - 2.0 * b1) + 1j * (1.0 - 2.0 * b0)) / np.sqrt(2.0)
+    points.setflags(write=False)
+    return points
+
+
+_QAM4 = _qam4_table()
 
 
 def qam4_mod(bits) -> np.ndarray:
@@ -89,9 +102,10 @@ def qam4_mod(bits) -> np.ndarray:
         raise ContractViolationError(f"bit array must be 1-D with even length, got shape {b.shape}")
     if not ((b == 0) | (b == 1)).all():
         raise ContractViolationError("bits must be 0 or 1")
-    b1 = b[0::2].astype(np.float64)
-    b0 = b[1::2].astype(np.float64)
-    return ((1.0 - 2.0 * b1) + 1j * (1.0 - 2.0 * b0)) / np.sqrt(2.0)
+    index = b[0::2].astype(np.intp)
+    index <<= 1
+    index |= b[1::2].astype(np.intp)
+    return _QAM4.take(index)
 
 
 def qam4_demod(symbols) -> np.ndarray:
@@ -117,8 +131,9 @@ def build_frame(data_syms, pattern: PilotPattern, cfg: "SystemConfig"):
     if not np.isfinite(syms).all():
         raise ContractViolationError("data symbols must all be finite")
     grid = np.zeros((cfg.M, cfg.N), dtype=np.complex128)
-    grid[layout.pilot_m, layout.pilot_n] = PILOT_VALUE
-    grid[layout.data_m, layout.data_n] = syms
+    flat = grid.ravel()  # a view: the grid is C-ordered
+    flat[layout.pilot_flat] = PILOT_VALUE
+    flat[layout.data_flat] = syms
     return _adopt(TFGrid, grid), layout
 
 
@@ -137,12 +152,8 @@ def equalize_single_tap(y: TFGrid, h_hat: TFGrid, layout: FrameLayout):
         raise ContractViolationError(
             f"grid shapes differ: y {y.data.shape} vs h_hat {h_hat.data.shape}"
         )
-    return equalize_values(extract_data(y, layout), extract_data(h_hat, layout))
-
-
-def equalize_values(yv: np.ndarray, hv: np.ndarray):
-    """`equalize_single_tap` on values already gathered at the data positions."""
+    hv = extract_data(h_hat, layout)
     bad = np.abs(hv) < NEAR_SINGULAR_TOL
-    x_hat = yv / np.where(bad, 1.0, hv)
+    x_hat = extract_data(y, layout) / np.where(bad, 1.0, hv)
     x_hat[bad] = 0.0
     return x_hat, int(bad.sum())

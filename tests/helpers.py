@@ -6,6 +6,8 @@ import subprocess
 import sys
 import textwrap
 
+from hypothesis import strategies as st
+
 from ddce.channel import ChannelProfile
 from ddce.config import SystemConfig
 
@@ -24,6 +26,17 @@ def small_cfg():
     """Validated two-tap 32x16 config at 250 km/h, cheap enough for whole sweeps."""
     prof = ChannelProfile((0.0, 4166.666666666667), (0.0, -3.0), v_kmh=250.0, f_c_hz=2.1e9)
     return SystemConfig(M=32, N=16, delta_f_hz=15e3, d_t=4, d_f=4, profile=prof).validated()
+
+
+@st.composite
+def lattices(draw, min_log_d_t=0):
+    """(M, N, d_t, d_f): powers of two with M*N <= 4096 and spacings that
+    divide the grid, leaving an even number N/d_t >= 2 of Doppler rows."""
+    log_n = draw(st.integers(max(1, min_log_d_t + 1), 10))
+    log_m = draw(st.integers(0, 12 - log_n))
+    d_t = 2 ** draw(st.integers(min_log_d_t, log_n - 1))
+    d_f = 2 ** draw(st.integers(0, log_m))
+    return 2**log_m, 2**log_n, d_t, d_f
 
 
 def run_python(code, env_extra=None, timeout=300, args=()):

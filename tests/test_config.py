@@ -300,6 +300,37 @@ def test_violations_cover_scalar_bounds():
     assert "gamma_threshold must be positive" in msgs
 
 
+@pytest.mark.parametrize(
+    "key, sign, exponent, message",
+    [
+        # passed validation, then overflowed inside a trial
+        ("gamma_threshold", 1, 400, "gamma_threshold must lie within the float64 range"),
+        # overflowed in the support rules
+        ("delta_f_hz", 1, 400, "delta_f_hz must lie within the float64 range"),
+        # past str()'s digit limit while a message printed M*N
+        ("M", 1, 5000, "grid M*N exceeds 1048576 resource elements: M is an integer"),
+        ("N", -1, 5000, "N must lie within the float64 range"),
+        ("d_t", 1, 400, "d_t must lie within the float64 range"),
+        ("n_trials", 1, 5000, "n_trials must lie within the float64 range"),
+        ("master_seed", -1, 5000, "master_seed must lie within the float64 range"),
+        ("snr_db", 1, 400, "snr_db must lie within the float64 range"),
+    ],
+)
+def test_a_number_past_the_float_range_is_one_config_error_naming_its_key(
+    key, sign, exponent, message
+):
+    value = sign * 10**exponent
+    with pytest.raises(ConfigError) as info:
+        with_overrides(default_config(), **{key: (0.0, value) if key == "snr_db" else value})
+    msg = str(info.value)
+    assert msg.startswith(message) and "\n" not in msg
+
+
+def test_a_seed_inside_the_float_range_stays_valid():
+    # run_trial validates each child seed, a uint64, as master_seed
+    assert with_overrides(default_config(), master_seed=2**64 - 1).master_seed == 2**64 - 1
+
+
 def test_repeated_estimators_rejected():
     msgs = "\n".join(replace(default_config(), estimators=("ideal", "ideal")).violations())
     assert "estimators must not repeat" in msgs

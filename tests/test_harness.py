@@ -34,7 +34,7 @@ from ddce.estimators import (
     ls_pilot,
     mmse_estimate,
 )
-from ddce.grids import isfft
+from ddce.grids import TFGrid, isfft
 from ddce.harness import (
     CSV_HEADER,
     SweepRow,
@@ -51,6 +51,7 @@ from ddce.txrx import (
     PilotPattern,
     build_frame,
     equalize_single_tap,
+    extract_data,
     make_layout,
     qam4_demod,
     qam4_mod,
@@ -155,17 +156,69 @@ def public_chain_trial(cfg, snr_db, name, seed):
     return float(np.mean(np.abs(h_hat.data - h_true.data) ** 2)), ber, n_sing
 
 
-@pytest.mark.parametrize("channel_model", ["diag", "full"])
-def test_run_trial_equals_public_call_chain_bit_for_bit(channel_model):
-    cfg = with_overrides(small_cfg(), channel_model=channel_model)
+_MIXES = {
+    "ongrid": dict(estimators=("csf-ongrid", "ideal"), on_grid_doppler=True),
+    "dd-full": dict(estimators=("ls-interp", "csf-ongrid", "csf-offgrid", "ideal"),
+                    channel_model="full"),
+    "paper": dict(),
+}
+
+
+# the 32x16 grid on both channel models, and the benchmark's three mixes on
+# the shipped 128x64 grid
+@pytest.mark.parametrize("case", ["diag", "full", *_MIXES])
+def test_run_trial_equals_public_call_chain_bit_for_bit(case):
+    if case in _MIXES:
+        cfg, seeds = with_overrides(default_config(), **_MIXES[case]), range(3)
+    else:
+        cfg, seeds = with_overrides(small_cfg(), channel_model=case), range(6)
     assert tuple(PUBLIC_CHAINS) == ESTIMATOR_NAMES
-    for seed in range(6):
+    for seed in seeds:
         for snr in (0.0, 25.0, float("inf")):
-            for name in ESTIMATOR_NAMES:
+            for name in cfg.estimators:
                 res = run_trial(cfg, cfg.profile, snr, name, seed)
                 assert (res.mse, res.ber, res.near_singular_count) == public_chain_trial(
                     cfg, snr, name, seed
                 ), (name, snr, seed)
+
+
+def _scoring_case(seed, singular):
+    """(y, h_hat, h_true, layout, bits) of a frame whose received values and
+    estimate hold signed zeros in both parts, with none, some or all
+    estimate REs below NEAR_SINGULAR_TOL."""
+    cfg = small_cfg()
+    rng = np.random.default_rng(seed)
+    layout = make_layout(PilotPattern(cfg.d_t, cfg.d_f), cfg)
+    shape = (cfg.M, cfg.N)
+
+    def parts(values):
+        return rng.choice(values, shape) + 1j * rng.choice(values, shape)
+
+    y = parts([-1.5, -0.0, 0.0, 0.25])
+    h_hat = parts([-2.0, -0.0, 0.0, 0.5])
+    h_hat[h_hat == 0] = 1.0  # the "none" case keeps every RE regular
+    tiny = parts([-3e-13, -0.0, 0.0, 2e-13])
+    below = {"none": np.zeros(shape, bool), "all": np.ones(shape, bool)}.get(
+        singular, rng.random(shape) < 0.3
+    )
+    h_hat[below] = tiny[below]
+    bits = rng.integers(0, 2, 2 * layout.n_data)
+    return TFGrid(y), TFGrid(h_hat), TFGrid(parts([-1.0, -0.0, 0.0, 1.0])), layout, bits
+
+
+@pytest.mark.parametrize("singular", ["none", "some", "all"])
+def test_scoring_equals_the_public_chain_bit_for_bit(singular):
+    for seed in range(4):
+        y, h_hat, h_true, layout, bits = _scoring_case(seed, singular)
+        x_hat, n_sing = equalize_single_tap(y, h_hat, layout)
+        ber = float(np.mean(qam4_demod(x_hat) != bits))
+        assert {"none": n_sing == 0, "all": n_sing == x_hat.size}.get(singular, 0 < n_sing)
+        got = harness._ber(
+            extract_data(y, layout), extract_data(h_hat, layout), bits[0::2] == 1, bits[1::2] == 1
+        )
+        assert got == (ber, n_sing) and got[0].hex() == ber.hex()
+        mse = float(np.mean(np.abs(h_hat.data - h_true.data) ** 2))
+        assert harness._mean_square(h_hat.data - h_true.data).hex() == mse.hex()
 
 
 def test_sweep_is_paired_with_run_trial():
@@ -263,14 +316,6 @@ def test_bad_run_arguments_raise_config_error_before_any_trial(monkeypatch, case
     if len(args["snrs"]) == 1 and len(args["estimators"]) == 1 and args["n_trials"] == 1:
         with pytest.raises(ConfigError, match=message):
             run_trial(cfg, profile, args["snrs"][0], args["estimators"][0], args["seed"])
-
-
-_MIXES = {
-    "ongrid": dict(estimators=("csf-ongrid", "ideal"), on_grid_doppler=True),
-    "dd-full": dict(estimators=("ls-interp", "csf-ongrid", "csf-offgrid", "ideal"),
-                    channel_model="full"),
-    "paper": dict(),
-}
 
 
 @pytest.mark.parametrize("mix", sorted(_MIXES))

@@ -1,0 +1,168 @@
+"""The lean routes of the per-trial path against the routes they replaced,
+bit for bit: the qam4 table, flat-index frame assembly and pilot gathering,
+the sliced period centering and embedding, the whole-array Dirichlet kernel
+and the one-buffer closed-form image.  Each reference below is the replaced code."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ddce import kernels
+from ddce.estimators import PilotObservations, csf_ongrid, ls_pilot, periodic_csf
+from ddce.grids import PeriodCSF, TFGrid, sfft
+from ddce.kernels import csf_closed_form
+from ddce.txrx import PILOT_VALUE, PilotPattern, build_frame, make_layout, qam4_mod
+from helpers import lattices, tiny_cfg
+
+ROUTES = settings(max_examples=60, deadline=None, database=None)
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def qam4_formula(bits):
+    b = np.asarray(bits)
+    b1 = b[0::2].astype(np.float64)
+    b0 = b[1::2].astype(np.float64)
+    return ((1.0 - 2.0 * b1) + 1j * (1.0 - 2.0 * b0)) / np.sqrt(2.0)
+
+
+@ROUTES
+@given(
+    st.lists(st.integers(0, 1), max_size=64).filter(lambda b: len(b) % 2 == 0),
+    st.sampled_from((np.int64, np.int8, np.uint8, bool, np.float64, "-0.0")),
+)
+def test_qam4_table_equals_the_formula(bits, dtype):
+    if dtype == "-0.0":  # float bits whose zeros carry a sign
+        arr = np.where(np.array(bits, dtype=bool), 1.0, -0.0)
+    else:
+        arr = np.array(bits, dtype=dtype)
+    got = qam4_mod(arr)
+    assert got.dtype == np.complex128 and got.tobytes() == qam4_formula(arr).tobytes()
+
+
+def fancy_frame(syms, layout, big_m, big_n):
+    grid = np.zeros((big_m, big_n), dtype=np.complex128)
+    grid[layout.pilot_m, layout.pilot_n] = PILOT_VALUE
+    grid[layout.data_m, layout.data_n] = syms
+    return grid
+
+
+def fancy_ls_pilot(y, x, layout):
+    vals = y.data[layout.pilot_m, layout.pilot_n] / x.data[layout.pilot_m, layout.pilot_n]
+    n_freq = int(np.count_nonzero(layout.pilot_n == layout.pilot_n[0]))
+    n_time = layout.n_pilot // n_freq
+    grid = vals.reshape(n_time, n_freq).T
+    return grid, y.n_symbols // n_time, y.n_subcarriers // n_freq
+
+
+@ROUTES
+@given(lattices(), st.integers(0, 2**32 - 1))
+def test_flat_frame_and_pilot_gather_equal_the_fancy_index_routes(lattice, seed):
+    big_m, big_n, d_t, d_f = lattice
+    cfg = tiny_cfg(big_m, big_n, d_t, d_f)
+    rng = np.random.default_rng(seed)
+    pattern = PilotPattern(d_t, d_f)
+    layout = make_layout(pattern, cfg)
+    syms = _complex(rng, layout.n_data)
+    x, _ = build_frame(syms, pattern, cfg)
+    assert x.data.tobytes() == fancy_frame(syms, layout, big_m, big_n).tobytes()
+    y = TFGrid(_complex(rng, (big_m, big_n)))
+    obs = ls_pilot(y, x, layout)
+    want, want_d_t, want_d_f = fancy_ls_pilot(y, x, layout)
+    assert obs.values.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert (obs.d_t, obs.d_f) == (want_d_t, want_d_f) == (d_t, d_f)
+
+
+def fancy_embedding(p, big_m, big_n):
+    full = np.zeros((big_n, big_m), dtype=np.complex128)
+    rows = p.doppler_axis % big_n
+    full[rows[:, None], np.arange(p.n_delay)[None, :]] = p.data
+    return full
+
+
+@ROUTES
+@given(lattices(), st.integers(0, 2**32 - 1))
+def test_sliced_period_embedding_equals_the_fancy_index_route(lattice, seed):
+    big_m, big_n, d_t, d_f = lattice
+    data = _complex(np.random.default_rng(seed), (big_n // d_t, big_m // d_f))
+    period = PeriodCSF(data, d_t, d_f)
+    got = csf_ongrid(period, tiny_cfg(big_m, big_n, d_t, d_f)).data
+    assert got.tobytes() == fancy_embedding(period, big_m, big_n).tobytes()
+
+
+@ROUTES
+@given(lattices(), st.integers(0, 2**32 - 1))
+def test_sliced_period_centering_equals_fftshift(lattice, seed):
+    big_m, big_n, d_t, d_f = lattice
+    values = _complex(np.random.default_rng(seed), (big_m // d_f, big_n // d_t))
+    period = periodic_csf(PilotObservations(values, d_t, d_f), tiny_cfg(big_m, big_n, d_t, d_f))
+    scaled = np.sqrt(d_t * d_f) * sfft(TFGrid(values)).data
+    assert period.data.tobytes() == np.fft.fftshift(scaled, axes=0).tobytes()
+
+
+def masked_dirichlet(delta, total, spacing, phase_sign):
+    period = total // spacing
+    delta = np.asarray(delta, dtype=np.float64)
+    dw = (delta + period / 2.0) % period - period / 2.0
+    out = np.full(dw.shape, np.sqrt(total), dtype=np.complex128)
+    regular = np.abs(dw) >= 1e-9
+    d = dw[regular]
+    phase = np.exp(1j * phase_sign * np.pi * d * spacing * (period - 1) / total)
+    out[regular] = (
+        spacing / np.sqrt(total) * phase * np.sin(np.pi * d) / np.sin(np.pi * spacing * d / total)
+    )
+    return out
+
+
+@st.composite
+def _offsets(draw, period):
+    """Offsets anywhere, near whole periods (within 1e-9 and just past it)
+    and at whole periods exactly."""
+    whole = draw(st.integers(-3, 3)) * period
+    near = st.floats(-2e-9, 2e-9, allow_subnormal=True)
+    return draw(
+        st.one_of(
+            st.floats(-4.0 * period, 4.0 * period),
+            st.just(float(whole)),
+            near.map(lambda e: whole + e),
+        )
+    )
+
+
+@ROUTES
+@given(lattices(), st.sampled_from((1, -1)), st.data())
+def test_whole_array_dirichlet_equals_the_masked_route(lattice, phase_sign, data):
+    big_m, big_n, d_t, _ = lattice
+    period = big_n // d_t
+    offsets = data.draw(st.lists(_offsets(period), min_size=1, max_size=24), label="offsets")
+    for delta in (np.array(offsets), np.float64(offsets[0])):  # an array and a scalar
+        got = kernels._dirichlet(delta, big_n, d_t, phase_sign)
+        want = masked_dirichlet(delta, big_n, d_t, phase_sign)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def closed_form_per_path(gains, delays, dopplers, big_m, big_n):
+    k_axis, l_axis = np.arange(big_n), np.arange(big_m)
+    cols = kernels._dirichlet(np.asarray(dopplers)[:, None] - k_axis, big_n, 1, +1)
+    rows = kernels._dirichlet(np.asarray(delays)[:, None] - l_axis, big_m, 1, -1)
+    acc = np.zeros((big_n, big_m), dtype=np.complex128)
+    for g, col, row in zip(gains, cols, rows):
+        acc += g * np.outer(col, row)
+    return acc
+
+
+@ROUTES
+@given(lattices(), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_one_buffer_closed_form_equals_the_per_path_loop(lattice, n_paths, seed):
+    big_m, big_n, _, _ = lattice
+    rng = np.random.default_rng(seed)
+    gains = _complex(rng, n_paths)
+    delays = rng.integers(0, big_m, n_paths)
+    dopplers = rng.uniform(-big_n / 2, big_n / 2, n_paths)
+    dopplers[: n_paths // 2] = np.rint(dopplers[: n_paths // 2])  # on-grid ones too
+    got = csf_closed_form(gains, delays, dopplers, big_m, big_n)
+    want = closed_form_per_path(gains, delays, dopplers, big_m, big_n)
+    assert got.tobytes() == want.tobytes()
+

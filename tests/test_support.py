@@ -25,18 +25,7 @@ from ddce.estimators import CSF_MODES, estimate_csf
 from ddce.grids import isfft
 from ddce.kernels import doppler_alias_difference
 from ddce.txrx import PilotPattern, build_frame, make_layout
-from helpers import tiny_cfg
-
-
-@st.composite
-def _lattices(draw, min_log_d_t=0):
-    """(M, N, d_t, d_f): powers of two with M*N <= 4096 and spacings that
-    divide the grid, leaving an even number N/d_t >= 2 of Doppler rows."""
-    log_n = draw(st.integers(max(1, min_log_d_t + 1), 10))
-    log_m = draw(st.integers(0, 12 - log_n))
-    d_t = 2 ** draw(st.integers(min_log_d_t, log_n - 1))
-    d_f = 2 ** draw(st.integers(0, log_m))
-    return 2**log_m, 2**log_n, d_t, d_f
+from helpers import lattices, tiny_cfg
 
 
 def _gain(draw):
@@ -64,7 +53,7 @@ def _noiseless_rx(ps, cfg):
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.data())
 def test_noiseless_csf_ctfs_are_exact_inside_the_support(data):
-    big_m, big_n, d_t, d_f = data.draw(_lattices(), label="lattice")
+    big_m, big_n, d_t, d_f = data.draw(lattices(), label="lattice")
     cfg = tiny_cfg(big_m, big_n, d_t, d_f)
     ps = PathSet(tuple(data.draw(_in_support_paths(big_m, big_n, d_t, d_f), label="paths")))
     y, x, layout = _noiseless_rx(ps, cfg)
@@ -80,7 +69,7 @@ def test_a_path_one_bin_past_the_support_leaves_the_predicted_alias(data):
     """The error image is the outside path's gain times sqrt(M) times the
     kernel difference down its delay column, and zero everywhere else; the
     other paths are inside the support and exact."""
-    big_m, big_n, d_t, d_f = data.draw(_lattices(min_log_d_t=1), label="lattice")
+    big_m, big_n, d_t, d_f = data.draw(lattices(min_log_d_t=1), label="lattice")
     cfg = tiny_cfg(big_m, big_n, d_t, d_f)
     half = big_n // (2 * d_t)
     inside = data.draw(_in_support_paths(big_m, big_n, d_t, d_f), label="inside")
@@ -106,7 +95,7 @@ def test_validation_accepts_each_support_edge_and_rejects_just_past_it(data):
     k_max = N*T*nu_max is N/(2 d_t) - 1, each as the double nearest the
     exact edge, passes; one bin later, or 1e-12 of the edge faster, fails
     with that rule's message alone, and the message's two numbers differ."""
-    big_m, big_n, d_t, d_f = data.draw(_lattices(), label="lattice")
+    big_m, big_n, d_t, d_f = data.draw(lattices(), label="lattice")
     delta_f = data.draw(st.sampled_from((7.5e3, 15e3, 30e3, 60e3)), label="delta_f")
     f_c = data.draw(st.sampled_from((0.9e9, 2.1e9, 3.5e9, 28e9)), label="f_c")
     l_edge = big_m // d_f - 1
