@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+import numbers
+import sys
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ContractViolationError, ProfileError, SupportError
+from .errors import ConfigError, ContractViolationError, ProfileError, SupportError
 from .grids import DDGrid, TFGrid, _adopt
 from .kernels import csf_closed_form
 
@@ -36,9 +38,40 @@ EVA_TAP_DELAYS_NS = (0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510
 EVA_TAP_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
 
 
+def as_number(key: str, value, ok=None, rule="", kind=float):
+    """A number field, as a Python `kind`: from an int or numpy int (int) or any real number
+    (float), never a bool; within the float64 range and passing `ok`, or one ConfigError."""
+    noun, types = ("an integer", numbers.Integral) if kind is int else ("a real number", numbers.Real)
+    if type(value) is not kind and (isinstance(value, (bool, np.bool_)) or not isinstance(value, types)):
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
+    try:
+        float(out := kind(value))
+    except OverflowError:
+        size = f"an integer of {abs(int(value)).bit_length()} bits"
+        raise ConfigError(f"{key} must lie within the float64 range, got {size}") from None
+    if ok is not None and not ok(out):  # each rule is written so that nan fails it
+        raise ConfigError(f"{key} must be {rule}, got {out}")
+    return out
+
+
+positive_float = partial(as_number, ok=lambda x: 0 < x < math.inf, rule="positive and finite")
+non_negative_float = partial(as_number, ok=lambda x: 0 <= x < math.inf, rule="non-negative and finite")
+
+
+def as_tuple(key: str, value, kind=None) -> tuple:
+    """Any iterable but a string, as a tuple; each entry, given `kind`, of that kind."""
+    try:
+        if isinstance(value, (str, bytes)):
+            raise TypeError
+        return tuple(value) if kind is None else tuple(kind(key, v) for v in value)
+    except TypeError:
+        raise ConfigError(f"{key} must be a list, not {type(value).__name__}") from None
+
+
 @dataclass(frozen=True)
 class ChannelProfile:
-    """Power-delay profile plus the mobility numbers that set the Doppler spread."""
+    """Power-delay profile plus the mobility numbers that set the Doppler spread; its numbers
+    follow SystemConfig's float rule, as Python floats, and any other value is one ProfileError."""
 
     tap_delays_ns: tuple
     tap_powers_db: tuple
@@ -46,25 +79,25 @@ class ChannelProfile:
     f_c_hz: float
 
     def __post_init__(self):
-        if len(self.tap_delays_ns) == 0 or len(self.tap_delays_ns) != len(self.tap_powers_db):
+        try:
+            delays = as_tuple("tap_delays_ns", self.tap_delays_ns, as_number)
+            powers = as_tuple("tap_powers_db", self.tap_powers_db, as_number)
+            mobility = non_negative_float("v_kmh", self.v_kmh), positive_float("f_c_hz", self.f_c_hz)
+        except ConfigError as exc:
+            raise ProfileError(str(exc)) from None
+        if len(delays) == 0 or len(delays) != len(powers):
             raise ProfileError(
                 "profile needs matching, non-empty delay and power lists "
-                f"(got {len(self.tap_delays_ns)} delays, {len(self.tap_powers_db)} powers)"
+                f"(got {len(delays)} delays, {len(powers)} powers)"
             )
-        if not all(0 <= d < math.inf for d in self.tap_delays_ns):
+        if not all(0 <= d < math.inf for d in delays):
             raise ProfileError("tap delays must be finite and non-negative")
-        if not all(math.isfinite(p) for p in self.tap_powers_db):
+        if not all(math.isfinite(p) for p in powers):
             raise ProfileError("tap powers must be finite")
-        top = max(self.tap_powers_db)
-        if abs(top) > MAX_TAP_DB:  # 10**(top/10) must be finite and non-zero
+        if abs(top := max(powers)) > MAX_TAP_DB:  # 10**(top/10) must be finite and non-zero
             raise ProfileError(f"tap powers must peak within +-{MAX_TAP_DB:g} dB, got {top:g} dB")
-        # written so that nan fails too: a nan speed would pass every support check
-        if not 0 <= self.v_kmh < math.inf:
-            raise ProfileError(f"v_kmh must be non-negative and finite, got {self.v_kmh}")
-        if not 0 < self.f_c_hz < math.inf:
-            raise ProfileError(f"f_c_hz must be positive and finite, got {self.f_c_hz}")
-        object.__setattr__(self, "tap_delays_ns", tuple(float(d) for d in self.tap_delays_ns))
-        object.__setattr__(self, "tap_powers_db", tuple(float(p) for p in self.tap_powers_db))
+        for f, value in zip(fields(self), (delays, powers, *mobility)):
+            object.__setattr__(self, f.name, value)
 
     @property
     def n_taps(self) -> int:
@@ -96,11 +129,13 @@ class Path:
     def __post_init__(self):
         # written so that nan and inf fail before the int() cast
         if not 0 <= self.delay_idx < 2**63 or self.delay_idx != int(self.delay_idx):
-            raise ContractViolationError(
-                f"delay_idx must be a non-negative int64 integer, got {self.delay_idx}"
-            )
+            raise ContractViolationError(f"delay_idx must be a non-negative int64 integer, got {self.delay_idx}")
         power = 0.0 if self.power is None else self.power
-        if not (cmath.isfinite(self.gain) and math.isfinite(self.doppler) and math.isfinite(power)):
+        try:
+            finite = cmath.isfinite(self.gain) and math.isfinite(self.doppler) and math.isfinite(power)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise ContractViolationError(f"path gain, doppler and power must be finite: {self}")
 
 
@@ -289,8 +324,8 @@ def csf_from_paths(ps: PathSet, cfg: "SystemConfig") -> DDGrid:
 
 
 def _check_noise_var(noise_var: float) -> None:
-    """The noise-variance rule of every public call that takes one (nan fails too)."""
-    if not 0 <= noise_var < math.inf:
+    """The noise-variance rule of every public call that takes one (nan and huge ints fail too)."""
+    if not 0 <= noise_var <= sys.float_info.max:
         raise ContractViolationError(f"noise_var must be finite and >= 0, got {noise_var}")
 
 

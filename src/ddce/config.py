@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
+
+import numpy as np
 
 from .channel import (
     EVA_TAP_DELAYS_NS,
     EVA_TAP_POWERS_DB,
     ChannelProfile,
+    as_number,
+    as_tuple,
     max_doppler_index,
     merge_profile_taps,
+    positive_float,
     quantize_delays,
 )
 from .errors import ConfigError, ProfileError, SupportError
@@ -29,21 +34,47 @@ MAX_MMSE_PILOTS = 2048
 # pilot noise by less than 3x per axis, and 3**4 * MAX_GRID_RES * noise_var
 # < 1.8e308 up to -3003.2 dB (the noise variance alone overflows at -3082.5).
 MIN_SNR_DB = -3000.0
-# The scalar fields a caller may set to a Python int of any size (snr_db's
-# entries are checked too).
-_NUMERIC_KEYS = ("M", "N", "delta_f_hz", "d_t", "d_f", "n_trials", "master_seed", "gamma_threshold")
 
 
 def snr_is_valid(snr_db: float) -> bool:
-    """At least MIN_SNR_DB and finite, or +inf for a noiseless run; nan and
-    -inf have no noise level."""
+    """At least MIN_SNR_DB and finite, or +inf (noiseless); nan and -inf have no noise level."""
     return MIN_SNR_DB <= snr_db <= math.inf
+
+
+positive_int = partial(as_number, ok=lambda n: n >= 1, rule=">= 1", kind=int)
+
+
+def _grid_side(key: str, value) -> int:
+    """A positive int; one past the float range is past the grid bound, and said so."""
+    if isinstance(value, int) and value >= 2**1024:
+        size = f"an integer of {value.bit_length()} bits"
+        raise ConfigError(f"grid M*N exceeds {MAX_GRID_RES} resource elements: {key} is {size}")
+    return positive_int(key, value)
+
+
+def _as_bool(key: str, value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{key} must be true or false, not {type(value).__name__}")
+    return bool(value)
+
+
+_FIELD_KINDS = {  # the profile's fields are checked when it is built
+    **dict.fromkeys(("M", "N"), _grid_side),
+    **dict.fromkeys(("d_t", "d_f", "n_trials"), positive_int),
+    "master_seed": partial(as_number, ok=lambda n: n >= 0, rule=">= 0", kind=int),
+    **dict.fromkeys(("delta_f_hz", "gamma_threshold"), positive_float),
+    "snr_db": partial(as_tuple, kind=as_number),
+    "estimators": as_tuple,
+    "on_grid_doppler": _as_bool,
+}
 
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Everything a simulation run needs, validated as a whole.  Mobility
-    (speed and carrier) lives on the channel profile."""
+    """Everything a simulation run needs, validated as a whole (mobility lives on the
+    profile).  Field kinds are in `_FIELD_KINDS`: an int field takes an int or numpy int
+    (not a bool or 128.0), a float field any real number but a bool; `validated()`
+    returns the config with each as a Python int or float."""
 
     M: int
     N: int
@@ -70,127 +101,81 @@ class SystemConfig:
 
     def violations(self) -> list:
         """Collect every constraint violation instead of stopping at the first."""
-        out = self._past_float_range()
-        if out:
-            return out  # no rule below can compare, convert or print such a number
-        if self.M < 1 or self.N < 1:
-            out.append(f"grid dimensions must be positive, got M={self.M}, N={self.N}")
-        if self.d_t < 1 or self.d_f < 1:
-            out.append(f"pilot spacings must be positive, got d_t={self.d_t}, d_f={self.d_f}")
-        if not 0 < self.delta_f_hz < math.inf:  # nan fails too
-            out.append(f"delta_f_hz must be positive and finite, got {self.delta_f_hz}")
-        if out:
-            return out  # the derived checks below would divide by zero
-        if self.M * self.N > MAX_GRID_RES:
-            out.append(f"grid M*N = {self.M * self.N} exceeds {MAX_GRID_RES} resource elements")
-        if "mmse-genie" in self.estimators and self.n_pilot > MAX_MMSE_PILOTS:
-            out.append(
-                f"mmse-genie needs n_pilot <= {MAX_MMSE_PILOTS} for its dense pilot correlation, "
-                f"got (M/d_f)*(N/d_t) = {self.n_pilot}"
-            )
-        if self.N % self.d_t:
-            out.append(f"N = {self.N} is not divisible by d_t = {self.d_t}")
-        elif (self.N // self.d_t) % 2:
-            out.append(
-                f"N/d_t = {self.N // self.d_t} must be even so the Doppler period splits around zero"
-            )
-        if self.M % self.d_f:
-            out.append(f"M = {self.M} is not divisible by d_f = {self.d_f}")
+        return self._checked()[1]
+
+    def _checked(self):  # (self with each field that passed its kind canonical, every violation)
+        out, values = [], {}
+        for key, kind in _FIELD_KINDS.items():
+            try:
+                values[key] = kind(key, getattr(self, key))
+            except ConfigError as exc:
+                out.append(str(exc))
         if self.channel_model not in CHANNEL_MODELS:
-            out.append(
-                f"unsupported channel_model '{self.channel_model}', supported: {CHANNEL_MODELS}"
-            )
-        bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
-        if bad or not self.estimators:
+            out.append(f"unsupported channel_model '{self.channel_model}', supported: {CHANNEL_MODELS}")
+        names = values.get("estimators", ESTIMATOR_NAMES)
+        bad = [e for e in names if e not in ESTIMATOR_NAMES]
+        if bad or not names:
             out.append(f"unknown estimators {bad}, valid names: {ESTIMATOR_NAMES}")
-        if len(set(self.estimators)) != len(self.estimators):
-            out.append(f"estimators must not repeat, got {list(self.estimators)}")
-        if not self.snr_db:
+        elif len(set(names)) != len(names):
+            out.append(f"estimators must not repeat, got {list(names)}")
+        if values.get("snr_db") == ():
             out.append("snr_db list must not be empty")
-        bad_snr = [s for s in self.snr_db if not snr_is_valid(s)]
-        if bad_snr:
+        if bad_snr := [s for s in values.get("snr_db", ()) if not snr_is_valid(s)]:
             out.append(f"snr_db entries must be finite and >= {MIN_SNR_DB}, or +inf, got {bad_snr}")
-        if self.master_seed < 0:
-            out.append(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.n_trials < 1:
-            out.append(f"n_trials must be >= 1, got {self.n_trials}")
-        elif self.n_trials > MAX_TRIALS:
-            out.append(f"n_trials must be <= {MAX_TRIALS}, got {self.n_trials}")
-        if not 0 < self.gamma_threshold < math.inf:
-            out.append(f"gamma_threshold must be positive and finite, got {self.gamma_threshold}")
-        if not (self.M % self.d_f or self.N % self.d_t) and self.M * self.N <= MAX_GRID_RES:
+        if values.get("n_trials", 0) > MAX_TRIALS:
+            out.append(f"n_trials must be <= {MAX_TRIALS}, got {values['n_trials']}")
+        run = replace(self, **values)
+        if not {"M", "N", "delta_f_hz", "d_t", "d_f"} <= values.keys():
+            return run, out  # the lattice rules below compute with the grid's fields
+        M, N, d_t, d_f = run.M, run.N, run.d_t, run.d_f
+        if M * N > MAX_GRID_RES:
+            out.append(f"grid M*N = {M * N} exceeds {MAX_GRID_RES} resource elements")
+        if "mmse-genie" in values.get("estimators", ()) and run.n_pilot > MAX_MMSE_PILOTS:
+            out.append(f"mmse-genie needs n_pilot <= {MAX_MMSE_PILOTS} for its dense pilot "
+                       f"correlation, got (M/d_f)*(N/d_t) = {run.n_pilot}")
+        if N % d_t:
+            out.append(f"N = {N} is not divisible by d_t = {d_t}")
+        elif (N // d_t) % 2:
+            out.append(f"N/d_t = {N // d_t} must be even so the Doppler period splits around zero")
+        if M % d_f:
+            out.append(f"M = {M} is not divisible by d_f = {d_f}")
+        if not (M % d_f or N % d_t) and M * N <= MAX_GRID_RES:
             # the support theorem, through gen_paths' own rules, which take M and N as floats
             for rule in (max_doppler_index, quantize_delays):
                 try:
-                    rule(self.profile, self)
+                    rule(self.profile, run)
                 except (ProfileError, SupportError) as exc:
                     out.append(str(exc))
-        return out
-
-    def _past_float_range(self) -> list:
-        """A Python int past the float64 range passes every comparison of
-        `violations`, then overflows where a rule or a trial takes its float
-        and, past 4300 digits, where a message prints it.  Each such number
-        is named by its key and its size; a grid side that large is past
-        the grid bound too, and reported as such."""
-        numbers = [(key, getattr(self, key)) for key in _NUMERIC_KEYS]
-        out = []
-        for key, value in numbers + [("snr_db", s) for s in self.snr_db]:
-            if isinstance(value, int) and abs(value) > sys.float_info.max:
-                size = f"an integer of {abs(value).bit_length()} bits"
-                if key in ("M", "N") and value > 0:
-                    out.append(f"grid M*N exceeds {MAX_GRID_RES} resource elements: {key} is {size}")
-                else:
-                    out.append(f"{key} must lie within the float64 range, got {size}")
-        return out
+        return run, out
 
     def validated(self) -> "SystemConfig":
-        errs = self.violations()
+        """The config with each field canonical, or one ConfigError listing every violation."""
+        run, errs = self._checked()
         if errs:
             raise ConfigError("\n".join(errs))
-        return self
+        return run
 
 
-_KEYS = {
-    "M": int,
-    "N": int,
-    "delta_f_hz": float,
-    "f_c_hz": float,
-    "v_kmh": float,
-    "d_t": int,
-    "d_f": int,
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got '{raw}'")
+    return raw.lower() == "true"
+
+
+def _split(raw: str, kind=str) -> tuple:
+    return tuple(kind(part.strip()) for part in raw.split(",") if part.strip() != "")
+
+
+_KEYS = {  # key -> the parse of its text; SystemConfig and ChannelProfile check what it gives
+    **dict.fromkeys(("M", "N", "d_t", "d_f", "n_trials", "master_seed"), int),
+    **dict.fromkeys(("delta_f_hz", "f_c_hz", "v_kmh", "gamma_threshold"), float),
+    **dict.fromkeys(("snr_db", "tap_delays_ns", "tap_powers_db"), partial(_split, kind=float)),
+    "estimators": _split,
     "channel_model": str,
-    "on_grid_doppler": bool,
-    "estimators": "str_list",
-    "snr_db": "float_list",
-    "n_trials": int,
-    "master_seed": int,
-    "gamma_threshold": float,
+    "on_grid_doppler": _parse_bool,
     "threads": int,  # accepted from older files; load_config drops it
-    "tap_delays_ns": "float_list",
-    "tap_powers_db": "float_list",
 }
-
-_REQUIRED = (
-    "M", "N", "delta_f_hz", "f_c_hz", "v_kmh", "d_t", "d_f",
-    "estimators", "snr_db", "n_trials", "master_seed",
-    "tap_delays_ns", "tap_powers_db",
-)
-
-
-def _parse_value(raw: str, kind):
-    if kind is bool:
-        low = raw.lower()
-        if low not in ("true", "false"):
-            raise ValueError(f"expected true or false, got '{raw}'")
-        return low == "true"
-    if kind in (int, float):
-        return kind(raw)
-    if kind == "float_list":
-        return tuple(float(part.strip()) for part in raw.split(",") if part.strip() != "")
-    if kind == "str_list":
-        return tuple(part.strip() for part in raw.split(",") if part.strip() != "")
-    return raw
+_OPTIONAL = ("channel_model", "on_grid_doppler", "gamma_threshold", "threads")
 
 
 def load_config(path: str) -> SystemConfig:
@@ -204,9 +189,7 @@ def load_config(path: str) -> SystemConfig:
     A `threads` line, left from when sweeps had worker threads, must hold
     an integer and is otherwise ignored.
     """
-    problems = []
-    values = {}
-    seen = set()  # keys with a line, parsed or not
+    problems, values, seen = [], {}, set()  # seen: the keys with a line, parsed or not
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -219,9 +202,7 @@ def load_config(path: str) -> SystemConfig:
         if "=" not in stripped:
             problems.append(f"line {ln}: expected 'key = value', got '{stripped}'")
             continue
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
+        key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _KEYS:
             problems.append(f"line {ln}: unknown key '{key}'")
             continue
@@ -230,27 +211,18 @@ def load_config(path: str) -> SystemConfig:
             continue
         seen.add(key)
         try:
-            values[key] = _parse_value(raw, _KEYS[key])
+            values[key] = _KEYS[key](raw)
         except ValueError as exc:
             problems.append(f"line {ln}: {key}: {exc}")
-    for key in _REQUIRED:
-        if key not in seen:
-            problems.append(f"missing required key '{key}'")
+    problems += [f"missing required key '{k}'" for k in _KEYS if k not in seen and k not in _OPTIONAL]
     if problems:
         raise ConfigError("\n".join(problems))
     values.pop("threads", None)
-
     try:
-        profile = ChannelProfile(
-            tap_delays_ns=values.pop("tap_delays_ns"),
-            tap_powers_db=values.pop("tap_powers_db"),
-            v_kmh=values.pop("v_kmh"),
-            f_c_hz=values.pop("f_c_hz"),
-        )
+        profile = ChannelProfile(**{f.name: values.pop(f.name) for f in fields(ChannelProfile)})
     except ProfileError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = SystemConfig(profile=profile, **values)
-    return cfg.validated()
+    return SystemConfig(profile=profile, **values).validated()
 
 
 def default_config() -> SystemConfig:
@@ -261,15 +233,7 @@ def default_config() -> SystemConfig:
     what the tap lists in paper.cfg spell out explicitly.
     """
     base = ChannelProfile(EVA_TAP_DELAYS_NS, EVA_TAP_POWERS_DB, v_kmh=250.0, f_c_hz=2.1e9)
-    cfg = SystemConfig(
-        M=128,
-        N=64,
-        delta_f_hz=15e3,
-        d_t=4,
-        d_f=4,
-        profile=base,
-        master_seed=20250819,
-    )
+    cfg = SystemConfig(M=128, N=64, delta_f_hz=15e3, d_t=4, d_f=4, profile=base, master_seed=20250819)
     return with_overrides(cfg, profile=merge_profile_taps(base, cfg))
 
 

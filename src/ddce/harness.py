@@ -188,11 +188,11 @@ def run_trial(
     thresholds first, so a loop of calls reuses its grid temporaries.
     """
     run = with_overrides(
-        cfg, profile=profile, snr_db=(float(snr_db),), estimators=(estimator_name,),
+        cfg, profile=profile, snr_db=(snr_db,), estimators=(estimator_name,),
         n_trials=1, master_seed=seed,
     )
     _keep_grids_on_the_heap()
-    return _paired_trial(run, run.snr_db[0], seed)[0]
+    return _paired_trial(run, run.snr_db[0], run.master_seed)[0]
 
 
 def snr_sweep(
@@ -221,17 +221,17 @@ def snr_sweep(
     Results do not change: only where the temporaries live does.
     """
     run = with_overrides(
-        cfg, profile=profile, snr_db=tuple(float(s) for s in snr_list_db),
-        estimators=tuple(estimators), n_trials=n_trials, master_seed=master_seed,
+        cfg, profile=profile, snr_db=snr_list_db, estimators=estimators,
+        n_trials=n_trials, master_seed=master_seed,
     )
     _keep_grids_on_the_heap()
     rows = []
     for i, snr in enumerate(run.snr_db):
-        seeds = [child_seed(master_seed, i, j) for j in range(n_trials)]
+        seeds = [child_seed(run.master_seed, i, j) for j in range(run.n_trials)]
         paired = [_paired_trial(run, snr, seed) for seed in seeds]
         for name, trials in zip(run.estimators, zip(*paired)):
             bers = np.array([t.ber for t in trials])
-            ci = 1.96 * bers.std(ddof=1) / np.sqrt(n_trials) if n_trials > 1 else 0.0
+            ci = 1.96 * bers.std(ddof=1) / np.sqrt(run.n_trials) if run.n_trials > 1 else 0.0
             rows.append(
                 SweepRow(
                     snr_db=snr,
@@ -239,7 +239,7 @@ def snr_sweep(
                     mean_mse=float(np.mean([t.mse for t in trials])),
                     mean_nmse=float(np.mean([t.nmse for t in trials])),
                     mean_ber=float(bers.mean()),
-                    n_trials=n_trials,
+                    n_trials=run.n_trials,
                     ci95_ber=float(ci),
                 )
             )

@@ -351,9 +351,12 @@ def test_path_and_pathset_validation():
         dict(delay_idx=np.nan),
         dict(delay_idx=np.inf),
         dict(delay_idx=2**63),
+        dict(gain=10**400),
+        dict(doppler=10**400),
+        dict(power=10**400),
     ],
     ids=["nan-gain", "inf-gain", "nan-doppler", "inf-doppler", "nan-power", "inf-power",
-         "nan-delay", "inf-delay", "int64-delay"],
+         "nan-delay", "inf-delay", "int64-delay", "huge-gain", "huge-doppler", "huge-power"],
 )
 def test_path_rejects_non_finite_fields(fields):
     args = dict(gain=1.0 + 0.0j, delay_idx=1, doppler=0.5, power=1.0)
@@ -362,7 +365,7 @@ def test_path_rejects_non_finite_fields(fields):
         Path(**args)
 
 
-@pytest.mark.parametrize("noise_var", [np.nan, np.inf])
+@pytest.mark.parametrize("noise_var", [np.nan, np.inf, pytest.param(10**400, id="huge")])
 def test_channels_reject_bad_noise_var(noise_var):
     cfg = tiny_cfg(8, 4)
     ps = PathSet((Path(1.0 + 0.0j, 1, 0.5),))

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddce.channel import ChannelProfile, gen_paths
@@ -25,6 +25,8 @@ from ddce.config import (
     with_overrides,
 )
 from ddce.errors import ConfigError, ProfileError, SupportError
+from ddce.harness import run_trial
+from helpers import small_cfg
 
 REPO_CFG = os.path.join(os.path.dirname(__file__), "..", "paper.cfg")
 
@@ -278,8 +280,8 @@ def test_violations_cover_scalar_bounds():
     cfg = default_config()
     bad = SystemConfig(M=0, N=-2, delta_f_hz=0.0, d_t=0, d_f=0, profile=cfg.profile)
     msgs = "\n".join(bad.violations())
-    assert "grid dimensions must be positive" in msgs
-    assert "pilot spacings must be positive" in msgs
+    assert "M must be >= 1, got 0\nN must be >= 1, got -2" in msgs
+    assert "d_t must be >= 1, got 0\nd_f must be >= 1, got 0" in msgs
     assert "delta_f_hz must be positive" in msgs
     # mobility is the profile's, which checks it when it is built
     with pytest.raises(ProfileError, match="f_c_hz must be positive"):
@@ -300,22 +302,22 @@ def test_violations_cover_scalar_bounds():
     assert "gamma_threshold must be positive" in msgs
 
 
-@pytest.mark.parametrize(
-    "key, sign, exponent, message",
-    [
-        # passed validation, then overflowed inside a trial
-        ("gamma_threshold", 1, 400, "gamma_threshold must lie within the float64 range"),
-        # overflowed in the support rules
-        ("delta_f_hz", 1, 400, "delta_f_hz must lie within the float64 range"),
-        # past str()'s digit limit while a message printed M*N
-        ("M", 1, 5000, "grid M*N exceeds 1048576 resource elements: M is an integer"),
-        ("N", -1, 5000, "N must lie within the float64 range"),
-        ("d_t", 1, 400, "d_t must lie within the float64 range"),
-        ("n_trials", 1, 5000, "n_trials must lie within the float64 range"),
-        ("master_seed", -1, 5000, "master_seed must lie within the float64 range"),
-        ("snr_db", 1, 400, "snr_db must lie within the float64 range"),
-    ],
-)
+_PAST_FLOAT_RANGE = [
+    # passed validation, then overflowed inside a trial
+    ("gamma_threshold", 1, 400, "gamma_threshold must lie within the float64 range"),
+    # overflowed in the support rules
+    ("delta_f_hz", 1, 400, "delta_f_hz must lie within the float64 range"),
+    # past str()'s digit limit while a message printed M*N
+    ("M", 1, 5000, "grid M*N exceeds 1048576 resource elements: M is an integer"),
+    ("N", -1, 5000, "N must lie within the float64 range"),
+    ("d_t", 1, 400, "d_t must lie within the float64 range"),
+    ("n_trials", 1, 5000, "n_trials must lie within the float64 range"),
+    ("master_seed", -1, 5000, "master_seed must lie within the float64 range"),
+    ("snr_db", 1, 400, "snr_db must lie within the float64 range"),
+]
+
+
+@pytest.mark.parametrize("key, sign, exponent, message", _PAST_FLOAT_RANGE)
 def test_a_number_past_the_float_range_is_one_config_error_naming_its_key(
     key, sign, exponent, message
 ):
@@ -329,6 +331,94 @@ def test_a_number_past_the_float_range_is_one_config_error_naming_its_key(
 def test_a_seed_inside_the_float_range_stays_valid():
     # run_trial validates each child seed, a uint64, as master_seed
     assert with_overrides(default_config(), master_seed=2**64 - 1).master_seed == 2**64 - 1
+
+
+_PROFILE_KEYS = ("tap_delays_ns", "tap_powers_db", "v_kmh", "f_c_hz")
+
+
+def _with(cfg, key, value):
+    """cfg with one field set; a profile field is set on its profile."""
+    if key in _PROFILE_KEYS:
+        return with_overrides(cfg, profile=replace(cfg.profile, **{key: value}))
+    return with_overrides(cfg, **{key: value})
+
+
+_WRONG_KIND = {  # name: (key, value); each passed validation or escaped it as another error
+    "float M": ("M", 128.0),
+    "float N": ("N", 64.0),
+    "fractional n_trials": ("n_trials", 2.5),
+    "fractional master_seed": ("master_seed", 1.5),
+    "str M": ("M", "128"),
+    "None M": ("M", None),
+    "bool M": ("M", True),
+    "str gamma_threshold": ("gamma_threshold", "4"),
+    "complex delta_f_hz": ("delta_f_hz", 1j),
+    "str on_grid_doppler": ("on_grid_doppler", "yes"),
+    "str snr entry": ("snr_db", ("20",)),
+    "complex snr entry": ("snr_db", (1j,)),
+    "None snr entry": ("snr_db", (None,)),
+    "bare snr string": ("snr_db", "20"),
+    "bare estimator string": ("estimators", "ideal"),
+    "huge tap delay": ("tap_delays_ns", (0.0, 10**400)),
+    "huge tap power": ("tap_powers_db", (0.0, 10**400)),
+    "huge speed": ("v_kmh", 10**400),
+    "huge carrier": ("f_c_hz", 10**400),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_KIND))
+def test_a_value_of_another_kind_is_one_error_naming_its_key(case):
+    key, value = _WRONG_KIND[case]
+    with pytest.raises((ConfigError, ProfileError)) as info:
+        _with(default_config(), key, value)
+    msg = str(info.value)
+    assert msg.startswith(f"{key} must ") and "\n" not in msg
+
+
+_ODD_VALUES = st.one_of(
+    st.sampled_from(
+        (10**400, -(10**400), 10**5000, math.nan, math.inf, -math.inf, -0.0, True, "4", 1j, None)
+    ),
+    st.integers(-2, 300),
+    st.integers(-2, 300).map(float),
+    st.floats(),
+    st.sampled_from((np.int64(16), np.uint64(2**64 - 1), np.float64(2.5), np.float32(4.0))),
+    st.sampled_from((np.bool_(True), np.complex128(1.0), np.float64(np.nan))),
+    st.text(max_size=3),
+    st.complex_numbers(max_magnitude=1e3),
+)
+
+
+def _with_past_float_range_examples(test):
+    """The cases of _PAST_FLOAT_RANGE, as explicit examples of a property."""
+    for key, sign, exponent, _ in _PAST_FLOAT_RANGE:
+        test = example(key, sign * 10**exponent)(test)
+    return test
+
+
+@_with_past_float_range_examples
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.sampled_from(
+        ("M", "N", "d_t", "d_f", "n_trials", "master_seed", "delta_f_hz", "gamma_threshold",
+         "on_grid_doppler", "snr_db") + _PROFILE_KEYS
+    ),
+    _ODD_VALUES,
+)
+def test_any_field_value_is_one_config_or_profile_error_or_a_config_that_runs(key, value):
+    """A value set on one field (as the one SNR, or as the second tap of a
+    list) is refused with a ConfigError or ProfileError, or gives a config
+    on which a trial runs."""
+    if key == "snr_db":
+        value = (value,)
+    elif key in ("tap_delays_ns", "tap_powers_db"):
+        value = (0.0, value)
+    try:
+        run = _with(small_cfg(), key, value)
+    except (ConfigError, ProfileError):
+        return
+    run_trial(run, run.profile, run.snr_db[0], "ideal", 0)
+
 
 
 def test_repeated_estimators_rejected():

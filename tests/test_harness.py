@@ -287,6 +287,9 @@ _BAD_RUNS = {
     "unknown estimator": (dict(estimators=("nope",)), "unknown estimators"),
     "repeated estimator": (dict(estimators=("ideal", "ideal")), "must not repeat"),
     "no estimator": (dict(estimators=()), "unknown estimators"),
+    "bare estimator string": (dict(estimators="ideal"), "estimators must be a list, not str"),
+    "bare snr string": (dict(snrs="20"), "snr_db must be a list, not str"),
+    "bool snr": (dict(snrs=(True,)), "snr_db must be a real number, got True"),
     "no snr": (dict(snrs=()), "snr_db list must not be empty"),
     "nan snr": (dict(snrs=(float("nan"),)), "snr_db entries"),
     "-inf snr": (dict(snrs=(10.0, float("-inf"))), "snr_db entries"),
