@@ -127,16 +127,36 @@ class Path:
     power: float | None = None
 
     def __post_init__(self):
-        # written so that nan and inf fail before the int() cast
-        if not 0 <= self.delay_idx < 2**63 or self.delay_idx != int(self.delay_idx):
-            raise ContractViolationError(f"delay_idx must be a non-negative int64 integer, got {self.delay_idx}")
-        power = 0.0 if self.power is None else self.power
-        try:
-            finite = cmath.isfinite(self.gain) and math.isfinite(self.doppler) and math.isfinite(power)
-        except OverflowError:  # an int past the float range
-            finite = False
-        if not finite:
-            raise ContractViolationError(f"path gain, doppler and power must be finite: {self}")
+        _path_field("delay_idx", self.delay_idx, _REAL, _is_int64_index, "a non-negative int64 integer")
+        _path_field("gain", self.gain, _COMPLEX, cmath.isfinite, "finite")
+        _path_field("doppler", self.doppler, _REAL, math.isfinite, "finite")
+        if self.power is not None:
+            _path_field("power", self.power, _REAL, math.isfinite, "finite")
+
+
+# the built-in types first: isinstance stops at them before the slower ABC
+_REAL = (float, int, numbers.Real)
+_COMPLEX = (complex, float, int, numbers.Complex)
+
+
+def _is_int64_index(l) -> bool:
+    return 0 <= l < 2**63 and l == int(l)  # nan and inf fail before the int() cast
+
+
+def _path_field(key: str, value, kind, ok, rule: str) -> None:
+    """A ContractViolationError naming the field unless value is a `kind`
+    number that passes `ok`; an int past the float range fails, shown by its
+    bit length, as `as_number` shows it."""
+    if not isinstance(value, kind):
+        raise ContractViolationError(f"{key} must be a number, got {type(value).__name__}")
+    try:
+        passed = ok(value)
+    except OverflowError:  # an int past the float range
+        passed = False
+    if not passed:
+        if isinstance(value, numbers.Integral) and abs(int(value)).bit_length() > 1024:
+            value = f"an integer of {abs(int(value)).bit_length()} bits"
+        raise ContractViolationError(f"{key} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -58,14 +58,27 @@ def _as_bool(key: str, value) -> bool:
     return bool(value)
 
 
-_FIELD_KINDS = {  # the profile's fields are checked when it is built
+def _as_profile(key: str, value) -> ChannelProfile:
+    if not isinstance(value, ChannelProfile):  # its own fields are checked when it is built
+        raise ConfigError(f"{key} must be a ChannelProfile, not {type(value).__name__}")
+    return value
+
+
+def _as_name(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a list of names, got a {type(value).__name__} entry")
+    return str(value)
+
+
+_FIELD_KINDS = {
     **dict.fromkeys(("M", "N"), _grid_side),
     **dict.fromkeys(("d_t", "d_f", "n_trials"), positive_int),
     "master_seed": partial(as_number, ok=lambda n: n >= 0, rule=">= 0", kind=int),
     **dict.fromkeys(("delta_f_hz", "gamma_threshold"), positive_float),
     "snr_db": partial(as_tuple, kind=as_number),
-    "estimators": as_tuple,
+    "estimators": partial(as_tuple, kind=_as_name),
     "on_grid_doppler": _as_bool,
+    "profile": _as_profile,
 }
 
 
@@ -139,7 +152,7 @@ class SystemConfig:
             out.append(f"N/d_t = {N // d_t} must be even so the Doppler period splits around zero")
         if M % d_f:
             out.append(f"M = {M} is not divisible by d_f = {d_f}")
-        if not (M % d_f or N % d_t) and M * N <= MAX_GRID_RES:
+        if not (M % d_f or N % d_t) and M * N <= MAX_GRID_RES and "profile" in values:
             # the support theorem, through gen_paths' own rules, which take M and N as floats
             for rule in (max_doppler_index, quantize_delays):
                 try:

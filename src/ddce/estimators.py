@@ -104,16 +104,21 @@ class CorrelationPair:
     auto-correlation (channel part only, no noise).  Both follow from
     R[(m,n),(m',n')] = sum_i p_i e^{j2pi k_i (n-n')/N} e^{-j2pi l_i (m-m')/M},
     so R1 = A_all P A_pilot^H and R2 = B B^H, B = A_pilot sqrt(P).  Only the
-    factors are kept; R2 is formed afresh by each call of the noisy `_system`.
+    factors are kept: A_all's separable halves, the (M, P) delay steering
+    and the (P, N) Doppler steering, and A_pilot.  R2 is formed afresh by
+    each call of the noisy `_system`, and the (M*N, P) A_all only inside
+    `apply_r1` and `least_norm`, after any system is gone.
     """
 
-    def __init__(self, steering_all: np.ndarray, steering_pilot: np.ndarray, powers: np.ndarray):
-        self._a_all, self._a_pilot = np.asarray(steering_all), np.asarray(steering_pilot)
-        for name, a in (("steering_all", self._a_all), ("steering_pilot", self._a_pilot)):
+    def __init__(self, steering_freq, steering_time, steering_pilot, powers):
+        factors = [np.asarray(a) for a in (steering_freq, steering_time, steering_pilot)]
+        for name, a in zip(("steering_freq", "steering_time", "steering_pilot"), factors):
             if a.dtype != np.complex128 or a.ndim != 2:  # what the noisy solve's LAPACK takes
                 raise ContractViolationError(f"{name} must be 2-D complex128: {a.dtype} {a.shape}")
+        self._freq, self._time, self._a_pilot = factors
         self._p = np.asarray(powers, dtype=np.float64)
-        if self._a_all.shape[1] != self._p.size or self._a_pilot.shape[1] != self._p.size:
+        n_paths = (self._freq.shape[1], self._time.shape[0], self._a_pilot.shape[1])
+        if any(n != self._p.size for n in n_paths):
             raise ContractViolationError("steering matrices and powers disagree on path count")
         # `not >=` so that nan fails too.  With P >= 0, A P A^H is Hermitian
         # to rounding for any finite A, and the symmetrisation makes it exact.
@@ -124,6 +129,13 @@ class CorrelationPair:
     def n_pilot(self) -> int:
         return self._a_pilot.shape[0]
 
+    def _steering_all(self) -> np.ndarray:
+        """A_all, the (M*N, P) steering grid: per path as (P, N, M), whose
+        transposed (P, M*N) view is the F-ordered grid, flattened
+        symbol-major (subcarrier fastest)."""
+        freq, time = self._freq, self._time
+        return np.multiply(freq.T[:, None, :], time[:, :, None]).reshape(len(self._p), -1).T
+
     def _system(self, noise_var: float) -> np.ndarray:
         """The lower triangle of R2 + noise_var*I, built over a fresh product
         A P A^H, its one n_pilot x n_pilot buffer (`_hermitian_system`)."""
@@ -131,7 +143,7 @@ class CorrelationPair:
 
     def apply_r1(self, vec: np.ndarray) -> np.ndarray:
         """R1 @ vec through the steering factors, without forming R1."""
-        return self._a_all @ (self._p * (self._a_pilot.conj().T @ vec))
+        return self._steering_all() @ (self._p * (self._a_pilot.conj().T @ vec))
 
     def least_norm(self, vec: np.ndarray) -> np.ndarray:
         """R1 z for the least-norm z of R2 z = vec: A_all sqrt(P) B^+ vec, as
@@ -144,7 +156,7 @@ class CorrelationPair:
         """
         sqrt_p = np.sqrt(self._p)
         g, *_ = np.linalg.lstsq(self._a_pilot * sqrt_p, vec, rcond=None)
-        return self._a_all @ (sqrt_p * g)
+        return self._steering_all() @ (sqrt_p * g)
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
@@ -187,6 +199,19 @@ def _hermitian_system(r2: np.ndarray, noise_var: float) -> np.ndarray:
     return r2.T
 
 
+# Columns per block of `_all_finite`.  On a 2-vCPU VM a 512-pilot system
+# scanned in 0.49 ms in 64- or 128-column blocks, as in one whole-matrix
+# pass; 32-column blocks took 0.54 ms.
+_SCAN = 64
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """`np.isfinite(a).all()` over the F-ordered system, strict upper
+    triangle included, one block of _SCAN contiguous columns at a time: the
+    same scan with no n x n boolean array."""
+    return all(np.isfinite(a[:, j : j + _SCAN]).all() for j in range(0, a.shape[1], _SCAN))
+
+
 def _halve(a: np.ndarray) -> None:
     # Halving the float parts differs from the complex halving only in the sign
     # of zeros; adding +0.0 clears that, as the zeros of noise_var * eye do.
@@ -199,11 +224,7 @@ def genie_correlations(ps: PathSet, cfg: "SystemConfig", layout: FrameLayout) ->
     """Correlations a genie would hand the MMSE estimator: exact path support
     (delays and Dopplers) with ensemble gain variances."""
     freq, time = path_steering(ps, cfg.M, cfg.N)  # (M, P) and (P, N)
-    # steering grid per path as (P, N, M): its transposed (P, M*N) view is
-    # the F-ordered (M*N, P) grid, flattened symbol-major (subcarrier fastest)
-    a_all = np.multiply(freq.T[:, None, :], time[:, :, None]).reshape(len(ps), -1).T
-    a_pilot = freq[layout.pilot_m] * time.T[layout.pilot_n]
-    return CorrelationPair(a_all, a_pilot, ps.powers)
+    return CorrelationPair(freq, time, freq[layout.pilot_m] * time.T[layout.pilot_n], ps.powers)
 
 
 @dataclass(frozen=True)
@@ -224,7 +245,8 @@ def mmse_estimate(
     Cholesky factorization; if that fails a diagonal jitter of
     1e-12 * trace/n is added once.  The system's lower triangle is built in
     one fresh buffer, the product's own (glibc's heap hands it back once the
-    first noisy call has set its thresholds), and factored in place.  For
+    first noisy call has set its thresholds), factored in place, and dropped
+    before `apply_r1` forms the (M*N) x P steering grid.  For
     noise_var = 0 the least-norm solution, `CorrelationPair.least_norm`,
     needs no n_pilot x n_pilot matrix.  The Cholesky pair is the one
     `blas.lapack_cholesky` chose, taken before the pin, since the first
@@ -247,7 +269,7 @@ def mmse_estimate(
             _keep_grids_on_the_heap()  # so the system's buffers are reused, not faulted in
             a = corr._system(noise_var)
             # the observations are finite by construction: only the system is scanned
-            if not np.isfinite(a).all():
+            if not _all_finite(a):
                 raise ValueError("array must not contain infs or NaNs")
             if chol.factor(a) > 0:
                 # the failed factorization overwrote the system: build it again
@@ -256,7 +278,9 @@ def mmse_estimate(
                 info = chol.factor(a)
                 if info > 0:
                     raise LinAlgError(f"{info}-th leading minor is not positive definite")
-            h_vec = corr.apply_r1(chol.solve(a, obs_vec))
+            z = chol.solve(a, obs_vec)
+            del a  # so the system is gone before apply_r1 builds A_all
+            h_vec = corr.apply_r1(z)
     grid = _adopt(TFGrid, h_vec.reshape(cfg.M, cfg.N, order="F"))
     return MmseEstimate(grid, used_least_norm=noise_var == 0)
 

@@ -95,23 +95,27 @@ def _noise_var(snr_db: float) -> float:
 class _Trial:
     """One frame, one channel and one noise draw, with its pilot
     observations and their delay-Doppler period: what every estimator of a
-    paired trial sees."""
+    paired trial sees.  Of the frames it keeps only what scoring reads: the
+    received values at the data positions and the split bits."""
 
     def __init__(self, cfg: SystemConfig, snr_db: float, seed: int):
         rng = np.random.default_rng(seed)
         pattern = PilotPattern(cfg.d_t, cfg.d_f)
         self.cfg = cfg
-        self.bits = rng.integers(0, 2, 2 * make_layout(pattern, cfg).n_data)
-        self.x, self.layout = build_frame(qam4_mod(self.bits), pattern, cfg)
+        bits = rng.integers(0, 2, 2 * make_layout(pattern, cfg).n_data)
+        x, self.layout = build_frame(qam4_mod(bits), pattern, cfg)
         self.ps = gen_paths(cfg, cfg.profile, rng)
         self.noise_var = _noise_var(snr_db)
         self.h_true = ctf_from_paths(self.ps, cfg)
         if cfg.channel_model == "full":
-            self.y = apply_channel_full(self.x, self.ps, self.noise_var, rng)
+            y = apply_channel_full(x, self.ps, self.noise_var, rng)
         else:
-            self.y = apply_response_diag(self.x, self.h_true, self.noise_var, rng)
-        self.obs = ls_pilot(self.y, self.x, self.layout)
+            y = apply_response_diag(x, self.h_true, self.noise_var, rng)
+        self.obs = ls_pilot(y, x, self.layout)
         self.period = periodic_csf(self.obs, cfg)
+        self.y_data = extract_data(y, self.layout)
+        self.b_re, self.b_im = bits[0::2] == 1, bits[1::2] == 1
+        self.n_bits = bits.size
 
 
 def _ber(y_data: np.ndarray, hv: np.ndarray, b_re: np.ndarray, b_im: np.ndarray):
@@ -144,14 +148,12 @@ def _mean_square(a: np.ndarray) -> float:
 def _paired_trial(cfg, snr_db, seed):
     """One frame, one channel, one noise draw, every estimator of cfg."""
     trial = _Trial(cfg, snr_db, seed)
-    h_true, bits, layout = trial.h_true, trial.bits, trial.layout
-    y_data = extract_data(trial.y, layout)
-    b_re, b_im = bits[0::2] == 1, bits[1::2] == 1
+    h_true = trial.h_true
     h_power = _mean_square(h_true.data)
     results = []
     for name in cfg.estimators:
         h_hat, failed = ESTIMATORS[name](trial)
-        ber, n_sing = _ber(y_data, extract_data(h_hat, layout), b_re, b_im)
+        ber, n_sing = _ber(trial.y_data, extract_data(h_hat, trial.layout), trial.b_re, trial.b_im)
         # the true grid itself scores 0.0, as the mean of its zero errors does
         mse = 0.0 if h_hat is h_true else _mean_square(h_hat.data - h_true.data)
         results.append(
@@ -161,7 +163,7 @@ def _paired_trial(cfg, snr_db, seed):
                 mse=mse,
                 nmse=mse / h_power,
                 ber=ber,
-                n_bits=bits.size,
+                n_bits=trial.n_bits,
                 near_singular_count=n_sing,
                 seed=seed,
                 failed=failed,

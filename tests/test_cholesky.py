@@ -64,7 +64,8 @@ def _mmse_on_system(system, monkeypatch):
     """A noisy `mmse_estimate` whose system is a copy of the given 16 x 16
     matrix, on the route's pair."""
     cfg = tiny_cfg(8, 8, 2, 2)
-    corr = CorrelationPair(np.ones((64, 1), complex), np.ones((16, 1), complex), np.ones(1))
+    ones = np.ones((8, 1), complex)
+    corr = CorrelationPair(ones, ones.T, np.ones((16, 1), complex), np.ones(1))
     monkeypatch.setattr(corr, "_system", lambda noise_var: system.copy(order="F"))
     return mmse_estimate(PilotObservations(np.ones((4, 4)), d_t=2, d_f=2), corr, 0.1, cfg)
 

@@ -359,6 +359,9 @@ _WRONG_KIND = {  # name: (key, value); each passed validation or escaped it as a
     "None snr entry": ("snr_db", (None,)),
     "bare snr string": ("snr_db", "20"),
     "bare estimator string": ("estimators", "ideal"),
+    "array estimator name": ("estimators", (np.array(["ideal", "x"]),)),
+    "None profile": ("profile", None),
+    "str profile": ("profile", "x"),
     "huge tap delay": ("tap_delays_ns", (0.0, 10**400)),
     "huge tap power": ("tap_powers_db", (0.0, 10**400)),
     "huge speed": ("v_kmh", 10**400),

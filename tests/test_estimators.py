@@ -528,7 +528,7 @@ def test_mmse_input_guards():
     with pytest.raises(ContractViolationError):
         mmse_estimate(PilotObservations(np.ones((2, 2)), d_t=2, d_f=2), corr, 0.1, cfg)
     with pytest.raises(ContractViolationError):
-        CorrelationPair(np.ones((4, 2)), np.ones((2, 2)), np.ones(3))
+        CorrelationPair(np.ones((4, 2)), np.ones((2, 2)), np.ones((2, 2)), np.ones(3))
 
 
 def test_correlations_use_declared_ensemble_powers():
@@ -538,7 +538,7 @@ def test_correlations_use_declared_ensemble_powers():
     corr = genie_correlations(strong, cfg, lay)
     # diagonal of the pilot autocorrelation is the total ensemble power
     assert np.allclose(np.abs(corr._a_pilot) ** 2 @ corr._p, 5.0)
-    r1 = (corr._a_all * corr._p) @ corr._a_pilot.conj().T
+    r1 = (corr._steering_all() * corr._p) @ corr._a_pilot.conj().T
     vec = np.arange(corr.n_pilot, dtype=complex)
     assert np.allclose(corr.apply_r1(vec), r1 @ vec, atol=1e-10)
 
@@ -765,24 +765,27 @@ def test_noisy_mmse_holds_one_pilot_square_matrix(m):
 def test_correlations_reject_negative_or_nan_powers(bad):
     steering = np.ones((4, 2), dtype=complex)
     with pytest.raises(ContractViolationError, match="path powers must be >= 0"):
-        CorrelationPair(steering, steering, np.array([0.5, bad]))
+        CorrelationPair(steering, steering.T, steering, np.array([0.5, bad]))
 
 
-@pytest.mark.parametrize("case", ["float64-all", "float64-pilot", "1-d-pilot", "list-pilot"])
+@pytest.mark.parametrize(
+    "case", ["float64-freq", "float64-time", "float64-pilot", "1-d-pilot", "list-pilot"]
+)
 def test_correlations_take_only_2d_complex128_steering(case):
     """Steering the noisy solve's LAPACK pair could not take is refused here,
     naming the argument; a complex list is taken as its array."""
     steering = np.ones((4, 2), dtype=complex)
-    a_all, a_pilot = {
-        "float64-all": (steering.real, steering),
-        "float64-pilot": (steering, steering.real),
-        "1-d-pilot": (steering, steering[:, 0]),
-        "list-pilot": (steering, steering.real.tolist()),
+    freq, time, a_pilot = {
+        "float64-freq": (steering.real, steering.T, steering),
+        "float64-time": (steering, steering.T.real, steering),
+        "float64-pilot": (steering, steering.T, steering.real),
+        "1-d-pilot": (steering, steering.T, steering[:, 0]),
+        "list-pilot": (steering, steering.T, steering.real.tolist()),
     }[case]
-    name = "steering_all" if case.endswith("all") else "steering_pilot"
+    name = "steering_" + case.split("-")[-1]
     with pytest.raises(ContractViolationError, match=f"{name} must be 2-D complex128: "):
-        CorrelationPair(a_all, a_pilot, np.array([0.5, 0.5]))
-    assert CorrelationPair(steering, steering.tolist(), np.array([0.5, 0.5])).n_pilot == 4
+        CorrelationPair(freq, time, a_pilot, np.array([0.5, 0.5]))
+    assert CorrelationPair(steering, steering.T, steering.tolist(), np.array([0.5, 0.5])).n_pilot == 4
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -807,7 +810,7 @@ def test_pilot_product_is_hermitian_to_rounding_for_nonnegative_powers(
     a = mag * np.exp(2j * np.pi * rng.uniform(size=(n, n_paths)))
     powers = 10.0**p_decades * rng.uniform(0.5, 2.0, n_paths)
     powers[: min(zeros, n_paths - 1)] = 0.0
-    corr = CorrelationPair(a, a, powers)
+    corr = CorrelationPair(a, a.T, a, powers)
     r2 = (corr._a_pilot * corr._p) @ corr._a_pilot.conj().T  # the product `_system` forms
     assert np.all(np.isfinite(r2))
     assert np.abs(r2 - r2.conj().T).max() <= 1e-10 * np.abs(r2).max()
@@ -819,7 +822,8 @@ def test_non_finite_steering_fails_the_finite_check_before_any_solve(bad, monkey
     rng = np.random.default_rng(4)
     a_pilot = np.exp(2j * np.pi * rng.uniform(size=(16, 2)))
     a_pilot[3, 1] = bad
-    corr = CorrelationPair(np.ones((64, 2), dtype=complex), a_pilot, np.array([0.6, 0.4]))
+    steering = np.ones((8, 2), dtype=complex)
+    corr = CorrelationPair(steering, steering.T, a_pilot, np.array([0.6, 0.4]))
     obs = PilotObservations(np.ones((4, 4)), d_t=2, d_f=2)
     calls = []
     record = lambda *a: calls.append(a)  # noqa: E731

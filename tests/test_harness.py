@@ -4,6 +4,7 @@ import functools
 import os
 import re
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -338,6 +339,26 @@ def test_a_paired_trial_checks_only_its_pilot_observations(monkeypatch, mix):
     monkeypatch.setattr(estimators, "_freeze_grid", counted)
     snr_sweep(cfg, cfg.profile, (10.0,), cfg.estimators, 1, 5)
     assert made == ["PilotObservations"]
+
+
+
+@pytest.mark.parametrize("model", ["diag", "full"])
+def test_a_paired_paper_trial_peaks_near_one_pilot_system(model):
+    """While the genie MMSE factors its 512-pilot system, nothing else of
+    grid size or larger is alive: not the (M*N) x P steering grid, a
+    boolean copy of the system from the finite scan, or the trial's frames.
+    With them the traced peak of a paired trial read about 5.7 MiB."""
+    cfg = with_overrides(default_config(), channel_model=model)
+    grids._keep_grids_on_the_heap()
+    harness._paired_trial(cfg, 20.0, 1)  # first-call set-up is not the trial's
+    tracemalloc.start()
+    try:
+        harness._paired_trial(cfg, 20.0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.n_pilot == 512 and "mmse-genie" in cfg.estimators
+    assert peak <= cfg.n_pilot**2 * 16 + 2**20
 
 
 # small_cfg() as a config file, with the sweep's own keys

@@ -1,14 +1,26 @@
 """The lean routes of the per-trial path against the routes they replaced,
 bit for bit: the qam4 table, flat-index frame assembly and pilot gathering,
-the sliced period centering and embedding, the whole-array Dirichlet kernel
-and the one-buffer closed-form image.  Each reference below is the replaced code."""
+the sliced period centering and embedding, the whole-array Dirichlet kernel,
+the one-buffer closed-form image and the genie MMSE's steering grid formed
+after its solve.  Each reference below is the replaced code."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddce import kernels
-from ddce.estimators import PilotObservations, csf_ongrid, ls_pilot, periodic_csf
+from ddce import harness, kernels
+from ddce.channel import path_steering
+from ddce.config import default_config, with_overrides
+from ddce.estimators import (
+    ESTIMATORS,
+    CorrelationPair,
+    PilotObservations,
+    csf_ongrid,
+    ls_pilot,
+    mmse_estimate,
+    periodic_csf,
+)
 from ddce.grids import PeriodCSF, TFGrid, sfft
 from ddce.kernels import csf_closed_form
 from ddce.txrx import PILOT_VALUE, PilotPattern, build_frame, make_layout, qam4_mod
@@ -166,3 +178,33 @@ def test_one_buffer_closed_form_equals_the_per_path_loop(lattice, n_paths, seed)
     want = closed_form_per_path(gains, delays, dopplers, big_m, big_n)
     assert got.tobytes() == want.tobytes()
 
+
+
+class EagerCorrelationPair(CorrelationPair):
+    """The pair as it was when it held the (M*N) x P steering grid A_all,
+    built up front by genie_correlations, instead of its separable factors."""
+
+    def __init__(self, ps, cfg, layout):
+        freq, time = path_steering(ps, cfg.M, cfg.N)
+        a_all = np.multiply(freq.T[:, None, :], time[:, :, None]).reshape(len(ps), -1).T
+        a_pilot = freq[layout.pilot_m] * time.T[layout.pilot_n]
+        super().__init__(freq, time, a_pilot, ps.powers)
+        self._a_all = a_all
+
+    def _steering_all(self):
+        return self._a_all
+
+
+@pytest.mark.parametrize("model", ["diag", "full"])
+def test_factor_holding_pair_equals_the_eager_steering_grid(model):
+    """The sweep's mmse-genie grid, whose A_all is formed after the solve,
+    equals the one on the steering grid built with the pair, noisy and
+    (at inf, the least-norm route) noiseless."""
+    cfg = with_overrides(default_config(), channel_model=model)
+    for snr_db in (0.0, 20.0, 40.0, float("inf")):
+        for seed in (1, 2):
+            t = harness._Trial(cfg, snr_db, seed)
+            got, _ = ESTIMATORS["mmse-genie"](t)
+            want = mmse_estimate(t.obs, EagerCorrelationPair(t.ps, cfg, t.layout), t.noise_var, cfg)
+            assert want.used_least_norm == (snr_db == float("inf"))
+            assert got.data.tobytes() == want.grid.data.tobytes()
