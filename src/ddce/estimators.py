@@ -272,7 +272,9 @@ def mmse_estimate(
             if not _all_finite(a):
                 raise ValueError("array must not contain infs or NaNs")
             if chol.factor(a) > 0:
-                # the failed factorization overwrote the system: build it again
+                # the failed factorization overwrote the system: build it again,
+                # after dropping it, so that one system is alive at a time
+                del a
                 a = corr._system(noise_var)
                 _diagonal(a).real += 1e-12 * np.trace(a).real / a.shape[0]
                 info = chol.factor(a)

@@ -529,6 +529,9 @@ def test_mmse_input_guards():
         mmse_estimate(PilotObservations(np.ones((2, 2)), d_t=2, d_f=2), corr, 0.1, cfg)
     with pytest.raises(ContractViolationError):
         CorrelationPair(np.ones((4, 2)), np.ones((2, 2)), np.ones((2, 2)), np.ones(3))
+    steering = np.ones((4, 2), dtype=complex)
+    with pytest.raises(ContractViolationError, match="disagree on path count"):
+        CorrelationPair(steering, np.ones((3, 4), dtype=complex), steering, np.ones(2))
 
 
 def test_correlations_use_declared_ensemble_powers():
@@ -758,6 +761,32 @@ def test_noisy_mmse_holds_one_pilot_square_matrix(m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 1.25 * corr.n_pilot**2 * 16
+
+
+def test_mmse_jitter_fallback_holds_one_pilot_square_matrix(monkeypatch):
+    """The failed system is dropped before the jittered one is built: a
+    fallback solve at 512 pilots peaks near one n_pilot x n_pilot array,
+    where holding both put it at 8.4 MiB."""
+    cfg = tiny_cfg(128, 64, 4, 4)
+    obs, corr = _random_mmse_case(cfg, 6)
+    mmse_estimate(obs, corr, 1e-2, cfg)  # first-call set-up is not the solve's
+    chol, failed = blas.lapack_cholesky(), []
+
+    def fail_once(a):
+        if failed:
+            return chol.factor(a)
+        failed.append(a.shape)
+        return 3
+
+    monkeypatch.setattr(blas, "_cholesky", SimpleNamespace(factor=fail_once, solve=chol.solve))
+    tracemalloc.start()
+    try:
+        mmse_estimate(obs, corr, 1e-2, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failed == [(512, 512)]
     assert peak <= 1.25 * corr.n_pilot**2 * 16
 
 
