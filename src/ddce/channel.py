@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
-import sys
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, ProfileError, SupportError
+from .errors import ConfigError, ContractViolationError, ProfileError, SupportError, argument
+from .errors import as_number, as_tuple, non_negative_float, positive_float
 from .grids import DDGrid, TFGrid, _adopt
 from .kernels import csf_closed_form
 
@@ -36,36 +35,6 @@ MAX_TAP_DB = 3000.0  # linear tap powers overflow or vanish past about +-3082 dB
 # Extended Vehicular A power-delay profile (delay ns, mean power dB).
 EVA_TAP_DELAYS_NS = (0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0)
 EVA_TAP_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
-
-
-def as_number(key: str, value, ok=None, rule="", kind=float):
-    """A number field, as a Python `kind`: from an int or numpy int (int) or any real number
-    (float), never a bool; within the float64 range and passing `ok`, or one ConfigError."""
-    noun, types = ("an integer", numbers.Integral) if kind is int else ("a real number", numbers.Real)
-    if type(value) is not kind and (isinstance(value, (bool, np.bool_)) or not isinstance(value, types)):
-        raise ConfigError(f"{key} must be {noun}, got {value!r}")
-    try:
-        float(out := kind(value))
-    except OverflowError:
-        size = f"an integer of {abs(int(value)).bit_length()} bits"
-        raise ConfigError(f"{key} must lie within the float64 range, got {size}") from None
-    if ok is not None and not ok(out):  # each rule is written so that nan fails it
-        raise ConfigError(f"{key} must be {rule}, got {out}")
-    return out
-
-
-positive_float = partial(as_number, ok=lambda x: 0 < x < math.inf, rule="positive and finite")
-non_negative_float = partial(as_number, ok=lambda x: 0 <= x < math.inf, rule="non-negative and finite")
-
-
-def as_tuple(key: str, value, kind=None) -> tuple:
-    """Any iterable but a string, as a tuple; each entry, given `kind`, of that kind."""
-    try:
-        if isinstance(value, (str, bytes)):
-            raise TypeError
-        return tuple(value) if kind is None else tuple(kind(key, v) for v in value)
-    except TypeError:
-        raise ConfigError(f"{key} must be a list, not {type(value).__name__}") from None
 
 
 @dataclass(frozen=True)
@@ -117,7 +86,9 @@ class ChannelProfile:
 
 @dataclass(frozen=True)
 class Path:
-    """One resolved propagation path on the sampling grid."""
+    """One resolved propagation path on the sampling grid.  Each field is
+    checked by its kind in `_PATH_KINDS` and stored as a Python complex, int
+    or float; a refused one is a ContractViolationError naming it."""
 
     gain: complex
     delay_idx: int
@@ -127,36 +98,16 @@ class Path:
     power: float | None = None
 
     def __post_init__(self):
-        _path_field("delay_idx", self.delay_idx, _REAL, _is_int64_index, "a non-negative int64 integer")
-        _path_field("gain", self.gain, _COMPLEX, cmath.isfinite, "finite")
-        _path_field("doppler", self.doppler, _REAL, math.isfinite, "finite")
-        if self.power is not None:
-            _path_field("power", self.power, _REAL, math.isfinite, "finite")
+        for key, kind in _PATH_KINDS.items():
+            if (value := getattr(self, key)) is not None or key != "power":
+                object.__setattr__(self, key, argument(kind, key, value))
 
 
-# the built-in types first: isinstance stops at them before the slower ABC
-_REAL = (float, int, numbers.Real)
-_COMPLEX = (complex, float, int, numbers.Complex)
-
-
-def _is_int64_index(l) -> bool:
-    return 0 <= l < 2**63 and l == int(l)  # nan and inf fail before the int() cast
-
-
-def _path_field(key: str, value, kind, ok, rule: str) -> None:
-    """A ContractViolationError naming the field unless value is a `kind`
-    number that passes `ok`; an int past the float range fails, shown by its
-    bit length, as `as_number` shows it."""
-    if not isinstance(value, kind):
-        raise ContractViolationError(f"{key} must be a number, got {type(value).__name__}")
-    try:
-        passed = ok(value)
-    except OverflowError:  # an int past the float range
-        passed = False
-    if not passed:
-        if isinstance(value, numbers.Integral) and abs(int(value)).bit_length() > 1024:
-            value = f"an integer of {abs(int(value)).bit_length()} bits"
-        raise ContractViolationError(f"{key} must be {rule}, got {value}")
+_PATH_KINDS = {  # each field's kind, built once
+    "gain": partial(as_number, ok=cmath.isfinite, rule="finite", kind=complex),
+    "delay_idx": partial(as_number, ok=lambda l: 0 <= l < 2**63, rule="in [0, 2**63)", kind=int),
+    **dict.fromkeys(("doppler", "power"), partial(as_number, ok=math.isfinite, rule="finite")),
+}
 
 
 @dataclass(frozen=True)
@@ -343,10 +294,8 @@ def csf_from_paths(ps: PathSet, cfg: "SystemConfig") -> DDGrid:
     return _adopt(DDGrid, csf_closed_form(ps.gains, ps.delays, ps.dopplers, cfg.M, cfg.N))
 
 
-def _check_noise_var(noise_var: float) -> None:
-    """The noise-variance rule of every public call that takes one (nan and huge ints fail too)."""
-    if not 0 <= noise_var <= sys.float_info.max:
-        raise ContractViolationError(f"noise_var must be finite and >= 0, got {noise_var}")
+# the noise-variance rule of every public call that takes one; returns it as a float
+_check_noise_var = partial(argument, non_negative_float, "noise_var")
 
 
 def _draw_noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarray:
@@ -366,7 +315,7 @@ def apply_channel_diag(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.
 def apply_response_diag(x: TFGrid, h: TFGrid, noise_var: float, rng: np.random.Generator) -> TFGrid:
     """`apply_channel_diag` for a path set whose response h over the frame is
     already known (the same draws and the same bits)."""
-    _check_noise_var(noise_var)
+    noise_var = _check_noise_var(noise_var)
     if h.data.shape != x.data.shape:
         raise ContractViolationError(f"grid shapes differ: x {x.data.shape} vs h {h.data.shape}")
     y = h.data * x.data
@@ -383,7 +332,7 @@ def apply_channel_full(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.
     to the frequency domain.  With all k_i = 0 this reduces exactly to the
     diagonal model (identical noise draw included).
     """
-    _check_noise_var(noise_var)
+    noise_var = _check_noise_var(noise_var)
     big_m, big_n = x.data.shape
     xt = np.fft.ifft(x.data, axis=0, norm="ortho")  # per-symbol time samples
     samples = np.arange(big_m)

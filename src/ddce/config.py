@@ -8,26 +8,18 @@ from functools import partial
 
 import numpy as np
 
-from .channel import (
-    EVA_TAP_DELAYS_NS,
-    EVA_TAP_POWERS_DB,
-    ChannelProfile,
-    as_number,
-    as_tuple,
-    max_doppler_index,
-    merge_profile_taps,
-    positive_float,
-    quantize_delays,
-)
-from .errors import ConfigError, ProfileError, SupportError
+from .channel import EVA_TAP_DELAYS_NS, EVA_TAP_POWERS_DB, ChannelProfile
+from .channel import max_doppler_index, merge_profile_taps, quantize_delays
+from .errors import ConfigError, ProfileError, SupportError, as_number, as_tuple
+from .errors import non_negative_int, positive_float, positive_int
 from .estimators import ESTIMATORS
+from .grids import MAX_GRID_RES
 
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
 CHANNEL_MODELS = ("diag", "full")
 # Resource ceilings, far above the shipped setup (128 x 64 grid, 500 trials,
-# 512 pilots): one grid array at MAX_GRID_RES is 16 MB, and the dense
-# genie-MMSE pilot correlation at MAX_MMSE_PILOTS is 64 MB.
-MAX_GRID_RES = 1 << 20
+# 512 pilots): one grid array at MAX_GRID_RES (grids.py) is 16 MB, and the
+# dense genie-MMSE pilot correlation at MAX_MMSE_PILOTS is 64 MB.
 MAX_TRIALS = 100_000
 MAX_MMSE_PILOTS = 2048
 # A trial squares and sums errors of the noise's size: ls-interp extrapolates
@@ -39,9 +31,6 @@ MIN_SNR_DB = -3000.0
 def snr_is_valid(snr_db: float) -> bool:
     """At least MIN_SNR_DB and finite, or +inf (noiseless); nan and -inf have no noise level."""
     return MIN_SNR_DB <= snr_db <= math.inf
-
-
-positive_int = partial(as_number, ok=lambda n: n >= 1, rule=">= 1", kind=int)
 
 
 def _grid_side(key: str, value) -> int:
@@ -73,7 +62,7 @@ def _as_name(key: str, value) -> str:
 _FIELD_KINDS = {
     **dict.fromkeys(("M", "N"), _grid_side),
     **dict.fromkeys(("d_t", "d_f", "n_trials"), positive_int),
-    "master_seed": partial(as_number, ok=lambda n: n >= 0, rule=">= 0", kind=int),
+    "master_seed": non_negative_int,
     **dict.fromkeys(("delta_f_hz", "gamma_threshold"), positive_float),
     "snr_db": partial(as_tuple, kind=as_number),
     "estimators": partial(as_tuple, kind=_as_name),

@@ -23,9 +23,9 @@ from numpy.linalg import LinAlgError
 
 from .blas import lapack_cholesky, single_blas_thread
 from .channel import Path, PathSet, _check_noise_var, path_steering
-from .errors import ContractViolationError
+from .errors import ContractViolationError, argument, positive_int
 from .grids import DDGrid, PeriodCSF, TFGrid, _adopt, _freeze_grid, isfft, sfft
-from .grids import _keep_grids_on_the_heap
+from .grids import _keep_grids_on_the_heap, _set_spacings
 from .kernels import csf_closed_form, delay_kernel, doppler_kernel
 from .txrx import FrameLayout
 
@@ -49,6 +49,7 @@ class PilotObservations:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze_grid(self.values, "PilotObservations"))
+        _set_spacings(self)
 
 
 def ls_pilot(y: TFGrid, x: TFGrid, layout: FrameLayout) -> PilotObservations:
@@ -254,7 +255,7 @@ def mmse_estimate(
     ValueError.  The dense algebra runs on one BLAS thread, so the result
     does not depend on the BLAS thread count.
     """
-    _check_noise_var(noise_var)
+    noise_var = _check_noise_var(noise_var)
     _check_lattice(obs, cfg)
     obs_vec = obs.values.flatten(order="F")  # symbol-major, subcarrier fastest
     if obs_vec.size != corr.n_pilot:
@@ -343,7 +344,7 @@ def _occupied_columns(p: PeriodCSF, noise_var: float, cfg: "SystemConfig") -> np
     gamma * sqrt(noise_var * d_t * d_f).  In the noiseless case a
     machine-precision floor stands in so that exact zeros never count.
     """
-    _check_noise_var(noise_var)
+    noise_var = _check_noise_var(noise_var)
     peaks = p.column_peaks[1]
     if noise_var > 0:
         thr = cfg.gamma_threshold * np.sqrt(noise_var * cfg.d_t * cfg.d_f)
@@ -374,8 +375,7 @@ def recover_paths_offgrid(p: PeriodCSF, n_paths: int):
     numerical floor, truncated=True when fewer than n_paths columns held
     signal.
     """
-    if n_paths < 1:
-        raise ContractViolationError(f"n_paths must be >= 1, got {n_paths}")
+    n_paths = argument(positive_int, "n_paths", n_paths)
     mags = p.magnitude
     rows, peaks = p.column_peaks
     order = np.argsort(-peaks, kind="stable")  # ties keep delay order

@@ -19,7 +19,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, argument, positive_int
+
+MAX_GRID_RES = 1 << 20  # resource elements of the largest grid a config or kernel may build
 
 
 @cache
@@ -49,6 +51,13 @@ def _freeze_grid(data, what: str) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _set_spacings(obj) -> None:
+    """Check a frozen lattice object's pilot spacings d_t, d_f, and set each
+    as a Python int."""
+    for key in ("d_t", "d_f"):
+        object.__setattr__(obj, key, argument(positive_int, key, getattr(obj, key)))
 
 
 def _adopt(cls, data: np.ndarray, **fields):
@@ -133,9 +142,8 @@ class PeriodCSF:
             raise ContractViolationError(
                 f"PeriodCSF Doppler axis must have even length, got {arr.shape[0]}"
             )
-        if self.d_t < 1 or self.d_f < 1:
-            raise ContractViolationError("PeriodCSF pilot spacings must be >= 1")
         object.__setattr__(self, "data", arr)
+        _set_spacings(self)
 
     @property
     def n_doppler(self) -> int:

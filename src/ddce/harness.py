@@ -4,6 +4,7 @@ self-verification suite."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .channel import (
     gen_paths,
 )
 from .config import SystemConfig, with_overrides
+from .errors import argument, non_negative_int
 from .estimators import (
     ESTIMATORS,
     PilotObservations,
@@ -29,14 +31,7 @@ from .estimators import (
 )
 from .grids import TFGrid, _keep_grids_on_the_heap, isfft, sfft
 from .kernels import doppler_alias_difference, doppler_kernel
-from .txrx import (
-    NEAR_SINGULAR_TOL,
-    PilotPattern,
-    build_frame,
-    extract_data,
-    make_layout,
-    qam4_mod,
-)
+from .txrx import PilotPattern, _single_tap, build_frame, extract_data, make_layout, qam4_mod
 
 
 @dataclass(frozen=True)
@@ -83,8 +78,11 @@ class SweepTable:
 
 def child_seed(master_seed: int, snr_index: int, trial_index: int) -> int:
     """Deterministic per-trial seed, identical across estimators so that all
-    estimators of one trial see the same bits, channel and noise."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=(snr_index, trial_index))
+    estimators of one trial see the same bits, channel and noise.  Each
+    argument is an int >= 0."""
+    index = partial(argument, non_negative_int)
+    spawn_key = (index("snr_index", snr_index), index("trial_index", trial_index))
+    seq = np.random.SeedSequence(index("master_seed", master_seed), spawn_key=spawn_key)
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -124,15 +122,8 @@ def _ber(y_data: np.ndarray, hv: np.ndarray, b_re: np.ndarray, b_im: np.ndarray)
     `np.mean(... != bits)` in fewer calls.  A hard decision is the sign of
     each part, so the errors are two counts of sign mismatches against the
     trial's split bits, and their sum over the bit count is the mean of the
-    bool array: exact integers, divided once.  hv is overwritten; the mask
-    work runs only when some RE is near-singular."""
-    bad = np.abs(hv) < NEAR_SINGULAR_TOL
-    n_sing = int(np.count_nonzero(bad))
-    if n_sing:
-        x_hat = y_data / np.where(bad, 1.0, hv)
-        x_hat[bad] = 0.0
-    else:
-        x_hat = np.divide(y_data, hv, out=hv)
+    bool array: exact integers, divided once.  hv is overwritten."""
+    x_hat, n_sing = _single_tap(y_data, hv)
     errors = np.count_nonzero((x_hat.real < 0) != b_re)
     errors += np.count_nonzero((x_hat.imag < 0) != b_im)
     return errors / (b_re.size + b_im.size), n_sing

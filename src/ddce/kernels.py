@@ -11,12 +11,18 @@ run over the N/d_t x M/d_f lattice and collapse to ratios of sines:
 with dlt the Doppler (resp. delay) offset k_i - k (resp. l_i - l).  Both peak
 at sqrt(N) (resp. sqrt(M)) when the offset vanishes and are exactly periodic
 in the offset with period N/d_t (resp. M/d_f).  Setting d_t = d_f = 1 gives
-the kernels of the full grid.
+the kernels of the full grid.  Sizes are ints >= 1 and a spacing must divide
+its size; any other value is a ContractViolationError naming the argument.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
+
+from .errors import argument, as_number, positive_int
+from .grids import MAX_GRID_RES
 
 
 def _dirichlet(delta, total: int, spacing: int, phase_sign: int) -> np.ndarray:
@@ -33,12 +39,24 @@ def _dirichlet(delta, total: int, spacing: int, phase_sign: int) -> np.ndarray:
     return np.where(np.abs(dw) >= 1e-9, ratio, np.complex128(np.sqrt(total)))
 
 
+def _int(key: str, value, ok, rule: str) -> int:
+    """An int argument passing `ok`, or a ContractViolationError naming it."""
+    return argument(partial(as_number, ok=ok, rule=rule, kind=int), key, value)
+
+
+def _lattice(size_key: str, size, spacing_key: str, spacing) -> tuple:
+    """A kernel's (size, spacing) as Python ints: size >= 1 and a spacing that divides it."""
+    size = argument(positive_int, size_key, size)
+    return size, _int(spacing_key, spacing, lambda d: d >= 1 and size % d == 0, f"a divisor of {size}")
+
+
 def doppler_kernel(k_i: float, k, n_symbols: int, d_t: int = 1):
     """Doppler-axis kernel sum_{n'} e^{+j2pi n' d_t (k_i-k)/N} / sqrt(N/d_t^2).
 
     Evaluates to sqrt(N) at k = k_i (mod N/d_t) and to zero at every other
     integer offset.  `k` may be an array.
     """
+    n_symbols, d_t = _lattice("n_symbols", n_symbols, "d_t", d_t)
     res = _dirichlet(np.asarray(k_i) - np.asarray(k), n_symbols, d_t, +1)
     return res if res.shape else complex(res)
 
@@ -49,6 +67,7 @@ def delay_kernel(l_i: float, l, n_subcarriers: int, d_f: int = 1):
     Mirror image of `doppler_kernel` with the opposite phase sign; peak value
     sqrt(M) at l = l_i (mod M/d_f).
     """
+    n_subcarriers, d_f = _lattice("n_subcarriers", n_subcarriers, "d_f", d_f)
     res = _dirichlet(np.asarray(l_i) - np.asarray(l), n_subcarriers, d_f, -1)
     return res if res.shape else complex(res)
 
@@ -73,7 +92,12 @@ def csf_closed_form(gains, delays, dopplers, n_subcarriers: int, n_symbols: int)
     """Full N x M delay-Doppler image of a path set, by closed-form kernels.
 
     Returns rows in standard Doppler order (r = k mod N), matching `DDGrid`.
+    The grid may hold at most MAX_GRID_RES resource elements.
     """
+    cap = MAX_GRID_RES
+    n_subcarriers = _int("n_subcarriers", n_subcarriers, lambda m: 1 <= m <= cap, f"in [1, {cap}]")
+    rest = cap // n_subcarriers
+    n_symbols = _int("n_symbols", n_symbols, lambda n: 1 <= n <= rest, f"in [1, {rest}]")
     k_axis = np.arange(n_symbols)
     l_axis = np.arange(n_subcarriers)
     # every path's kernels in one call each; elementwise, so each row equals

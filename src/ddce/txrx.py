@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractViolationError
-from .grids import TFGrid, _adopt
+from .grids import TFGrid, _adopt, _set_spacings
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SystemConfig
@@ -28,10 +28,7 @@ class PilotPattern:
     d_f: int
 
     def __post_init__(self):
-        if self.d_t < 1 or self.d_f < 1:
-            raise ContractViolationError(
-                f"pilot spacings must be >= 1, got d_t={self.d_t}, d_f={self.d_f}"
-            )
+        _set_spacings(self)
 
 
 @dataclass(frozen=True)
@@ -152,8 +149,18 @@ def equalize_single_tap(y: TFGrid, h_hat: TFGrid, layout: FrameLayout):
         raise ContractViolationError(
             f"grid shapes differ: y {y.data.shape} vs h_hat {h_hat.data.shape}"
         )
-    hv = extract_data(h_hat, layout)
+    return _single_tap(extract_data(y, layout), extract_data(h_hat, layout))
+
+
+def _single_tap(y_data: np.ndarray, hv: np.ndarray):
+    """(y_data / hv, near-singular count) over data-position values, with
+    the REs where |hv| < NEAR_SINGULAR_TOL set to 0.  hv is overwritten; the
+    mask work runs only when some RE is near-singular, and with nothing
+    masked the division is the same IEEE one."""
     bad = np.abs(hv) < NEAR_SINGULAR_TOL
-    x_hat = extract_data(y, layout) / np.where(bad, 1.0, hv)
+    n_sing = int(np.count_nonzero(bad))
+    if not n_sing:
+        return np.divide(y_data, hv, out=hv), 0
+    x_hat = y_data / np.where(bad, 1.0, hv)
     x_hat[bad] = 0.0
-    return x_hat, int(bad.sum())
+    return x_hat, n_sing

@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import math
 import textwrap
 
+import numpy as np
 from hypothesis import strategies as st
 
 from ddce.channel import ChannelProfile
@@ -26,6 +28,23 @@ def small_cfg():
     """Validated two-tap 32x16 config at 250 km/h, cheap enough for whole sweeps."""
     prof = ChannelProfile((0.0, 4166.666666666667), (0.0, -3.0), v_kmh=250.0, f_c_hz=2.1e9)
     return SystemConfig(M=32, N=16, delta_f_hz=15e3, d_t=4, d_f=4, profile=prof).validated()
+
+
+# Adversarial numbers: past the float range, past str()'s digit limit, nan,
+# infinities, -0.0, bools, numpy scalars, integral and fractional floats,
+# strings, complex numbers and None.
+ODD_VALUES = st.one_of(
+    st.sampled_from(
+        (10**400, -(10**400), 10**5000, math.nan, math.inf, -math.inf, -0.0, True, "4", 1j, None)
+    ),
+    st.integers(-2, 300),
+    st.integers(-2, 300).map(float),
+    st.floats(),
+    st.sampled_from((np.int64(16), np.uint64(2**64 - 1), np.float64(2.5), np.float32(4.0))),
+    st.sampled_from((np.bool_(True), np.complex128(1.0), np.float64(np.nan))),
+    st.text(max_size=3),
+    st.complex_numbers(max_magnitude=1e3),
+)
 
 
 @st.composite

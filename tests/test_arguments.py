@@ -1,0 +1,131 @@
+"""Numeric arguments of library calls: one ContractViolationError naming the
+argument, or a call that completes."""
+
+from functools import cache
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ddce.channel import (
+    Path,
+    PathSet,
+    apply_channel_diag,
+    apply_channel_full,
+    apply_response_diag,
+    ctf_from_paths,
+)
+from ddce.errors import ContractViolationError
+from ddce.estimators import (
+    PilotObservations,
+    estimate_num_paths,
+    genie_correlations,
+    ls_pilot,
+    mmse_estimate,
+    periodic_csf,
+    recover_paths_offgrid,
+)
+from ddce.grids import PeriodCSF
+from ddce.harness import child_seed
+from ddce.kernels import csf_closed_form, delay_kernel, doppler_kernel
+from ddce.txrx import PilotPattern, build_frame, make_layout
+from helpers import ODD_VALUES, small_cfg
+
+
+@cache
+def _trial():
+    """A noiseless frame on the small config and what the calls under test read of it."""
+    cfg = small_cfg()
+    pattern = PilotPattern(cfg.d_t, cfg.d_f)
+    x, layout = build_frame(np.ones(make_layout(pattern, cfg).n_data), pattern, cfg)
+    ps = PathSet((Path(0.8 - 0.6j, 1, 0.25, 1.0), Path(0.5j, 3, -1.0, 0.25)))
+    h = ctf_from_paths(ps, cfg)
+    obs = ls_pilot(apply_response_diag(x, h, 0.0, np.random.default_rng(0)), x, layout)
+    corr = genie_correlations(ps, cfg, layout)
+    return SimpleNamespace(cfg=cfg, x=x, h=h, ps=ps, obs=obs, period=periodic_csf(obs, cfg), corr=corr)
+
+
+def _rng():
+    return np.random.default_rng(1)
+
+
+_PATH = dict(gain=1.0 + 0.0j, delay_idx=1, doppler=0.5, power=1.0)
+_GRID = np.ones((4, 8))
+
+# "<call>.<argument>": the call with that argument set to v and every other valid
+CALLS = {
+    **{f"Path.{key}": (lambda key: lambda v: Path(**{**_PATH, key: v}))(key) for key in _PATH},
+    "PilotPattern.d_t": lambda v: PilotPattern(v, 4),
+    "PilotPattern.d_f": lambda v: PilotPattern(4, v),
+    "PeriodCSF.d_t": lambda v: PeriodCSF(_GRID, v, 4),
+    "PeriodCSF.d_f": lambda v: PeriodCSF(_GRID, 4, v),
+    "PilotObservations.d_t": lambda v: PilotObservations(_GRID, v, 4),
+    "PilotObservations.d_f": lambda v: PilotObservations(_GRID, 4, v),
+    "recover_paths_offgrid.n_paths": lambda v: recover_paths_offgrid(_trial().period, v),
+    "apply_channel_diag.noise_var": lambda v: apply_channel_diag(_trial().x, _trial().ps, v, _rng()),
+    "apply_channel_full.noise_var": lambda v: apply_channel_full(_trial().x, _trial().ps, v, _rng()),
+    "apply_response_diag.noise_var": lambda v: apply_response_diag(_trial().x, _trial().h, v, _rng()),
+    "estimate_num_paths.noise_var": lambda v: estimate_num_paths(_trial().period, v, _trial().cfg),
+    "mmse_estimate.noise_var": lambda v: mmse_estimate(_trial().obs, _trial().corr, v, _trial().cfg),
+    "child_seed.master_seed": lambda v: child_seed(v, 0, 0),
+    "child_seed.snr_index": lambda v: child_seed(7, v, 0),
+    "child_seed.trial_index": lambda v: child_seed(7, 0, v),
+    "doppler_kernel.n_symbols": lambda v: doppler_kernel(0.5, np.arange(4), v, 1),
+    "doppler_kernel.d_t": lambda v: doppler_kernel(0.5, np.arange(4), 64, v),
+    "delay_kernel.n_subcarriers": lambda v: delay_kernel(1.0, np.arange(4), v, 1),
+    "delay_kernel.d_f": lambda v: delay_kernel(1.0, np.arange(4), 64, v),
+    "csf_closed_form.n_subcarriers": lambda v: csf_closed_form([1.0], [0], [0.5], v, 8),
+    "csf_closed_form.n_symbols": lambda v: csf_closed_form([1.0], [0], [0.5], 8, v),
+}
+
+_PROBES = [
+    ("PilotPattern.d_t", 2.0),
+    ("PilotPattern.d_t", "2"),
+    ("PilotPattern.d_t", None),
+    ("PilotPattern.d_t", True),
+    ("PeriodCSF.d_t", 2.0),
+    ("PeriodCSF.d_t", "2"),
+    ("PilotObservations.d_t", None),
+    ("recover_paths_offgrid.n_paths", 2.5),
+    ("recover_paths_offgrid.n_paths", "2"),
+    *((f"{call}.noise_var", v) for call in ("apply_channel_diag", "apply_channel_full",
+      "apply_response_diag", "estimate_num_paths", "mmse_estimate") for v in ("1", None, 1j)),
+    ("child_seed.master_seed", 1.5),
+    ("child_seed.master_seed", -1),
+    ("doppler_kernel.n_symbols", 0),
+    ("doppler_kernel.d_t", 0),
+    ("doppler_kernel.d_t", 2.5),
+    ("delay_kernel.n_subcarriers", 0),
+    ("Path.delay_idx", True),
+    ("Path.delay_idx", 2.0),
+    ("csf_closed_form.n_symbols", np.uint64(2**64 - 1)),
+]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.sampled_from(sorted(CALLS)), ODD_VALUES)
+def test_any_argument_value_is_one_contract_error_naming_it_or_a_call_that_runs(case, value):
+    """Any error is a ContractViolationError whose one-line message starts
+    with the argument's name: no TypeError, ZeroDivisionError, numpy error
+    or RuntimeWarning (an error under the test settings)."""
+    key = case.split(".")[1]
+    try:
+        CALLS[case](value)
+    except ContractViolationError as exc:
+        msg = str(exc)
+        assert msg.startswith(f"{key} must ") and "\n" not in msg, msg
+
+
+def test_each_known_bad_value_is_refused():
+    """Values a call must refuse, not run with: a bool or a float where an
+    int is needed, a string, None, a complex noise variance, a negative seed,
+    a spacing that does not divide its size, and a grid past the bound."""
+    for case, value in _PROBES:
+        key = case.split(".")[1]
+        try:
+            CALLS[case](value)
+        except ContractViolationError as exc:
+            assert str(exc).startswith(f"{key} must "), (case, value, str(exc))
+        else:
+            raise AssertionError(f"{case} accepted {value!r}")

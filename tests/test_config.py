@@ -26,7 +26,7 @@ from ddce.config import (
 )
 from ddce.errors import ConfigError, ProfileError, SupportError
 from ddce.harness import run_trial
-from helpers import small_cfg
+from helpers import ODD_VALUES, small_cfg
 
 REPO_CFG = os.path.join(os.path.dirname(__file__), "..", "paper.cfg")
 
@@ -378,20 +378,6 @@ def test_a_value_of_another_kind_is_one_error_naming_its_key(case):
     assert msg.startswith(f"{key} must ") and "\n" not in msg
 
 
-_ODD_VALUES = st.one_of(
-    st.sampled_from(
-        (10**400, -(10**400), 10**5000, math.nan, math.inf, -math.inf, -0.0, True, "4", 1j, None)
-    ),
-    st.integers(-2, 300),
-    st.integers(-2, 300).map(float),
-    st.floats(),
-    st.sampled_from((np.int64(16), np.uint64(2**64 - 1), np.float64(2.5), np.float32(4.0))),
-    st.sampled_from((np.bool_(True), np.complex128(1.0), np.float64(np.nan))),
-    st.text(max_size=3),
-    st.complex_numbers(max_magnitude=1e3),
-)
-
-
 def _with_past_float_range_examples(test):
     """The cases of _PAST_FLOAT_RANGE, as explicit examples of a property."""
     for key, sign, exponent, _ in _PAST_FLOAT_RANGE:
@@ -406,7 +392,7 @@ def _with_past_float_range_examples(test):
         ("M", "N", "d_t", "d_f", "n_trials", "master_seed", "delta_f_hz", "gamma_threshold",
          "on_grid_doppler", "snr_db") + _PROFILE_KEYS
     ),
-    _ODD_VALUES,
+    ODD_VALUES,
 )
 def test_any_field_value_is_one_config_or_profile_error_or_a_config_that_runs(key, value):
     """A value set on one field (as the one SNR, or as the second tap of a

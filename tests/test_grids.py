@@ -187,8 +187,8 @@ def test_public_grid_constructors_reject_bad_arrays(name, bad):
 
 
 def test_period_rejects_each_spacing_below_one():
-    for d_t, d_f in ((0, 1), (1, 0), (-2, 2)):
-        with pytest.raises(ContractViolationError, match="spacings"):
+    for d_t, d_f, key in ((0, 1, "d_t"), (1, 0, "d_f"), (-2, 2, "d_t")):
+        with pytest.raises(ContractViolationError, match=f"^{key} must be >= 1, got -?[0-9]+$"):
             PeriodCSF(np.ones((4, 4)), d_t=d_t, d_f=d_f)
 
 
