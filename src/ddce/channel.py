@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache, partial
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, ProfileError, SupportError, argument
-from .errors import as_number, as_tuple, non_negative_float, positive_float
+from .errors import ContractViolationError, ProfileError, SupportError, non_negative_float, number
+from .errors import positive_float, tuple_of
 from .grids import DDGrid, TFGrid, _adopt
 from .kernels import csf_closed_form
 
@@ -36,11 +36,16 @@ MAX_TAP_DB = 3000.0  # linear tap powers overflow or vanish past about +-3082 dB
 EVA_TAP_DELAYS_NS = (0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0)
 EVA_TAP_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
 
+finite_float = number(math.isfinite, "finite")  # the kind of tap powers, Dopplers and path powers
+_PROFILE_KINDS = {"tap_delays_ns": tuple_of(non_negative_float), "tap_powers_db": tuple_of(finite_float),
+                  "v_kmh": non_negative_float, "f_c_hz": positive_float}
+
 
 @dataclass(frozen=True)
 class ChannelProfile:
-    """Power-delay profile plus the mobility numbers that set the Doppler spread; its numbers
-    follow SystemConfig's float rule, as Python floats, and any other value is one ProfileError."""
+    """Power-delay profile plus the mobility numbers that set the Doppler spread.  Each field
+    is checked by its kind in `_PROFILE_KINDS` and stored as Python floats; a refused one is
+    one ProfileError naming it."""
 
     tap_delays_ns: tuple
     tap_powers_db: tuple
@@ -49,24 +54,19 @@ class ChannelProfile:
 
     def __post_init__(self):
         try:
-            delays = as_tuple("tap_delays_ns", self.tap_delays_ns, as_number)
-            powers = as_tuple("tap_powers_db", self.tap_powers_db, as_number)
-            mobility = non_negative_float("v_kmh", self.v_kmh), positive_float("f_c_hz", self.f_c_hz)
-        except ConfigError as exc:
+            values = {key: kind(key, getattr(self, key)) for key, kind in _PROFILE_KINDS.items()}
+        except ContractViolationError as exc:
             raise ProfileError(str(exc)) from None
+        delays, powers = values["tap_delays_ns"], values["tap_powers_db"]
         if len(delays) == 0 or len(delays) != len(powers):
             raise ProfileError(
                 "profile needs matching, non-empty delay and power lists "
                 f"(got {len(delays)} delays, {len(powers)} powers)"
             )
-        if not all(0 <= d < math.inf for d in delays):
-            raise ProfileError("tap delays must be finite and non-negative")
-        if not all(math.isfinite(p) for p in powers):
-            raise ProfileError("tap powers must be finite")
         if abs(top := max(powers)) > MAX_TAP_DB:  # 10**(top/10) must be finite and non-zero
             raise ProfileError(f"tap powers must peak within +-{MAX_TAP_DB:g} dB, got {top:g} dB")
-        for f, value in zip(fields(self), (delays, powers, *mobility)):
-            object.__setattr__(self, f.name, value)
+        for key, value in values.items():
+            object.__setattr__(self, key, value)
 
     @property
     def n_taps(self) -> int:
@@ -100,13 +100,13 @@ class Path:
     def __post_init__(self):
         for key, kind in _PATH_KINDS.items():
             if (value := getattr(self, key)) is not None or key != "power":
-                object.__setattr__(self, key, argument(kind, key, value))
+                object.__setattr__(self, key, kind(key, value))
 
 
-_PATH_KINDS = {  # each field's kind, built once
-    "gain": partial(as_number, ok=cmath.isfinite, rule="finite", kind=complex),
-    "delay_idx": partial(as_number, ok=lambda l: 0 <= l < 2**63, rule="in [0, 2**63)", kind=int),
-    **dict.fromkeys(("doppler", "power"), partial(as_number, ok=math.isfinite, rule="finite")),
+_PATH_KINDS = {
+    "gain": number(cmath.isfinite, "finite", complex),
+    "delay_idx": number(lambda l: 0 <= l < 2**63, "in [0, 2**63)", int),
+    **dict.fromkeys(("doppler", "power"), finite_float),
 }
 
 
@@ -294,10 +294,6 @@ def csf_from_paths(ps: PathSet, cfg: "SystemConfig") -> DDGrid:
     return _adopt(DDGrid, csf_closed_form(ps.gains, ps.delays, ps.dopplers, cfg.M, cfg.N))
 
 
-# the noise-variance rule of every public call that takes one; returns it as a float
-_check_noise_var = partial(argument, non_negative_float, "noise_var")
-
-
 def _draw_noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarray:
     w = np.empty(shape, dtype=np.complex128)
     w.real = rng.standard_normal(shape)
@@ -315,7 +311,7 @@ def apply_channel_diag(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.
 def apply_response_diag(x: TFGrid, h: TFGrid, noise_var: float, rng: np.random.Generator) -> TFGrid:
     """`apply_channel_diag` for a path set whose response h over the frame is
     already known (the same draws and the same bits)."""
-    noise_var = _check_noise_var(noise_var)
+    noise_var = non_negative_float("noise_var", noise_var)
     if h.data.shape != x.data.shape:
         raise ContractViolationError(f"grid shapes differ: x {x.data.shape} vs h {h.data.shape}")
     y = h.data * x.data
@@ -332,7 +328,7 @@ def apply_channel_full(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.
     to the frequency domain.  With all k_i = 0 this reduces exactly to the
     diagonal model (identical noise draw included).
     """
-    noise_var = _check_noise_var(noise_var)
+    noise_var = non_negative_float("noise_var", noise_var)
     big_m, big_n = x.data.shape
     xt = np.fft.ifft(x.data, axis=0, norm="ortho")  # per-symbol time samples
     samples = np.arange(big_m)

@@ -10,8 +10,8 @@ import numpy as np
 
 from .channel import EVA_TAP_DELAYS_NS, EVA_TAP_POWERS_DB, ChannelProfile
 from .channel import max_doppler_index, merge_profile_taps, quantize_delays
-from .errors import ConfigError, ProfileError, SupportError, as_number, as_tuple
-from .errors import non_negative_int, positive_float, positive_int
+from .errors import ConfigError, ContractViolationError, ProfileError, SupportError
+from .errors import non_negative_int, number, positive_float, positive_int, tuple_of
 from .estimators import ESTIMATORS
 from .grids import MAX_GRID_RES
 
@@ -33,14 +33,6 @@ def snr_is_valid(snr_db: float) -> bool:
     return MIN_SNR_DB <= snr_db <= math.inf
 
 
-def _grid_side(key: str, value) -> int:
-    """A positive int; one past the float range is past the grid bound, and said so."""
-    if isinstance(value, int) and value >= 2**1024:
-        size = f"an integer of {value.bit_length()} bits"
-        raise ConfigError(f"grid M*N exceeds {MAX_GRID_RES} resource elements: {key} is {size}")
-    return positive_int(key, value)
-
-
 def _as_bool(key: str, value) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise ConfigError(f"{key} must be true or false, not {type(value).__name__}")
@@ -60,12 +52,11 @@ def _as_name(key: str, value) -> str:
 
 
 _FIELD_KINDS = {
-    **dict.fromkeys(("M", "N"), _grid_side),
-    **dict.fromkeys(("d_t", "d_f", "n_trials"), positive_int),
+    **dict.fromkeys(("M", "N", "d_t", "d_f", "n_trials"), positive_int),
     "master_seed": non_negative_int,
     **dict.fromkeys(("delta_f_hz", "gamma_threshold"), positive_float),
-    "snr_db": partial(as_tuple, kind=as_number),
-    "estimators": partial(as_tuple, kind=_as_name),
+    "snr_db": tuple_of(number()),
+    "estimators": tuple_of(_as_name),
     "on_grid_doppler": _as_bool,
     "profile": _as_profile,
 }
@@ -110,7 +101,7 @@ class SystemConfig:
         for key, kind in _FIELD_KINDS.items():
             try:
                 values[key] = kind(key, getattr(self, key))
-            except ConfigError as exc:
+            except (ConfigError, ContractViolationError) as exc:
                 out.append(str(exc))
         if self.channel_model not in CHANNEL_MODELS:
             out.append(f"unsupported channel_model '{self.channel_model}', supported: {CHANNEL_MODELS}")

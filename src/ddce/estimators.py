@@ -22,8 +22,8 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .blas import lapack_cholesky, single_blas_thread
-from .channel import Path, PathSet, _check_noise_var, path_steering
-from .errors import ContractViolationError, argument, positive_int
+from .channel import Path, PathSet, path_steering
+from .errors import ContractViolationError, non_negative_float, positive_int
 from .grids import DDGrid, PeriodCSF, TFGrid, _adopt, _freeze_grid, isfft, sfft
 from .grids import _keep_grids_on_the_heap, _set_spacings
 from .kernels import csf_closed_form, delay_kernel, doppler_kernel
@@ -78,12 +78,12 @@ def interp_linear(obs: PilotObservations, cfg: "SystemConfig") -> TFGrid:
     the final segment's slope is carried on (linear extrapolation).
     """
     _check_lattice(obs, cfg)
-    half = _interp_axis(obs.values, cfg.d_t, cfg.N, axis=1)
-    full = _interp_axis(half, cfg.d_f, cfg.M, axis=0)
+    half = _lerp_axis(obs.values, cfg.d_t, cfg.N, axis=1)
+    full = _lerp_axis(half, cfg.d_f, cfg.M, axis=0)
     return _adopt(TFGrid, full)
 
 
-def _interp_axis(arr: np.ndarray, step: int, out_len: int, axis: int) -> np.ndarray:
+def _lerp_axis(arr: np.ndarray, step: int, out_len: int, axis: int) -> np.ndarray:
     arr = np.moveaxis(arr, axis, 0)
     knots = arr.shape[0]
     t = np.arange(out_len)
@@ -255,7 +255,7 @@ def mmse_estimate(
     ValueError.  The dense algebra runs on one BLAS thread, so the result
     does not depend on the BLAS thread count.
     """
-    noise_var = _check_noise_var(noise_var)
+    noise_var = non_negative_float("noise_var", noise_var)
     _check_lattice(obs, cfg)
     obs_vec = obs.values.flatten(order="F")  # symbol-major, subcarrier fastest
     if obs_vec.size != corr.n_pilot:
@@ -344,7 +344,7 @@ def _occupied_columns(p: PeriodCSF, noise_var: float, cfg: "SystemConfig") -> np
     gamma * sqrt(noise_var * d_t * d_f).  In the noiseless case a
     machine-precision floor stands in so that exact zeros never count.
     """
-    noise_var = _check_noise_var(noise_var)
+    noise_var = non_negative_float("noise_var", noise_var)
     peaks = p.column_peaks[1]
     if noise_var > 0:
         thr = cfg.gamma_threshold * np.sqrt(noise_var * cfg.d_t * cfg.d_f)
@@ -375,7 +375,7 @@ def recover_paths_offgrid(p: PeriodCSF, n_paths: int):
     numerical floor, truncated=True when fewer than n_paths columns held
     signal.
     """
-    n_paths = argument(positive_int, "n_paths", n_paths)
+    n_paths = positive_int("n_paths", n_paths)
     mags = p.magnitude
     rows, peaks = p.column_peaks
     order = np.argsort(-peaks, kind="stable")  # ties keep delay order

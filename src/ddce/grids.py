@@ -19,7 +19,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError, argument, positive_int
+from .errors import ContractViolationError, positive_int
 
 MAX_GRID_RES = 1 << 20  # resource elements of the largest grid a config or kernel may build
 
@@ -57,7 +57,7 @@ def _set_spacings(obj) -> None:
     """Check a frozen lattice object's pilot spacings d_t, d_f, and set each
     as a Python int."""
     for key in ("d_t", "d_f"):
-        object.__setattr__(obj, key, argument(positive_int, key, getattr(obj, key)))
+        object.__setattr__(obj, key, positive_int(key, getattr(obj, key)))
 
 
 def _adopt(cls, data: np.ndarray, **fields):

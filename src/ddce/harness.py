@@ -4,7 +4,6 @@ self-verification suite."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .channel import (
     gen_paths,
 )
 from .config import SystemConfig, with_overrides
-from .errors import argument, non_negative_int
+from .errors import non_negative_int
 from .estimators import (
     ESTIMATORS,
     PilotObservations,
@@ -80,9 +79,8 @@ def child_seed(master_seed: int, snr_index: int, trial_index: int) -> int:
     """Deterministic per-trial seed, identical across estimators so that all
     estimators of one trial see the same bits, channel and noise.  Each
     argument is an int >= 0."""
-    index = partial(argument, non_negative_int)
-    spawn_key = (index("snr_index", snr_index), index("trial_index", trial_index))
-    seq = np.random.SeedSequence(index("master_seed", master_seed), spawn_key=spawn_key)
+    spawn_key = (non_negative_int("snr_index", snr_index), non_negative_int("trial_index", trial_index))
+    seq = np.random.SeedSequence(non_negative_int("master_seed", master_seed), spawn_key=spawn_key)
     return int(seq.generate_state(1, np.uint64)[0])
 
 

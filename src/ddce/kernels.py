@@ -17,11 +17,9 @@ its size; any other value is a ContractViolationError naming the argument.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
-from .errors import argument, as_number, positive_int
+from .errors import ContractViolationError, integer, number, positive_int
 from .grids import MAX_GRID_RES
 
 
@@ -39,15 +37,15 @@ def _dirichlet(delta, total: int, spacing: int, phase_sign: int) -> np.ndarray:
     return np.where(np.abs(dw) >= 1e-9, ratio, np.complex128(np.sqrt(total)))
 
 
-def _int(key: str, value, ok, rule: str) -> int:
-    """An int argument passing `ok`, or a ContractViolationError naming it."""
-    return argument(partial(as_number, ok=ok, rule=rule, kind=int), key, value)
+_SIDE = number(lambda n: 1 <= n <= MAX_GRID_RES, f"in [1, {MAX_GRID_RES}]", int)
 
 
 def _lattice(size_key: str, size, spacing_key: str, spacing) -> tuple:
     """A kernel's (size, spacing) as Python ints: size >= 1 and a spacing that divides it."""
-    size = argument(positive_int, size_key, size)
-    return size, _int(spacing_key, spacing, lambda d: d >= 1 and size % d == 0, f"a divisor of {size}")
+    size, spacing = positive_int(size_key, size), integer(spacing_key, spacing)
+    if spacing < 1 or size % spacing:
+        raise ContractViolationError(f"{spacing_key} must be a divisor of {size}, got {spacing}")
+    return size, spacing
 
 
 def doppler_kernel(k_i: float, k, n_symbols: int, d_t: int = 1):
@@ -94,10 +92,10 @@ def csf_closed_form(gains, delays, dopplers, n_subcarriers: int, n_symbols: int)
     Returns rows in standard Doppler order (r = k mod N), matching `DDGrid`.
     The grid may hold at most MAX_GRID_RES resource elements.
     """
-    cap = MAX_GRID_RES
-    n_subcarriers = _int("n_subcarriers", n_subcarriers, lambda m: 1 <= m <= cap, f"in [1, {cap}]")
-    rest = cap // n_subcarriers
-    n_symbols = _int("n_symbols", n_symbols, lambda n: 1 <= n <= rest, f"in [1, {rest}]")
+    n_subcarriers = _SIDE("n_subcarriers", n_subcarriers)
+    n_symbols, rest = integer("n_symbols", n_symbols), MAX_GRID_RES // n_subcarriers
+    if not 1 <= n_symbols <= rest:
+        raise ContractViolationError(f"n_symbols must be in [1, {rest}], got {n_symbols}")
     k_axis = np.arange(n_symbols)
     l_axis = np.arange(n_subcarriers)
     # every path's kernels in one call each; elementwise, so each row equals

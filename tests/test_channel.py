@@ -78,10 +78,10 @@ def test_profile_validation_and_normalization():
         ("v_kmh", math.inf, "v_kmh must be non-negative"),
         ("f_c_hz", 0.0, "f_c_hz must be positive"),
         ("f_c_hz", math.nan, "f_c_hz must be positive"),
-        ("tap_delays_ns", (0.0, math.inf), "tap delays must be finite"),
-        ("tap_delays_ns", (0.0, math.nan), "tap delays must be finite"),
-        ("tap_powers_db", (0.0, math.nan), "tap powers must be finite"),
-        ("tap_powers_db", (math.inf, 0.0), "tap powers must be finite"),
+        ("tap_delays_ns", (0.0, math.inf), "tap_delays_ns must be non-negative and finite"),
+        ("tap_delays_ns", (0.0, math.nan), "tap_delays_ns must be non-negative and finite"),
+        ("tap_powers_db", (0.0, math.nan), "tap_powers_db must be finite"),
+        ("tap_powers_db", (math.inf, 0.0), "tap_powers_db must be finite"),
         ("tap_powers_db", (4000.0, 0.0), "tap powers must peak within"),
         ("tap_powers_db", (-4000.0, -4000.0), "tap powers must peak within"),
     ],
