@@ -35,19 +35,19 @@ def snr_is_valid(snr_db: float) -> bool:
 
 def _as_bool(key: str, value) -> bool:
     if not isinstance(value, (bool, np.bool_)):
-        raise ConfigError(f"{key} must be true or false, not {type(value).__name__}")
+        raise ContractViolationError(f"{key} must be true or false, not {type(value).__name__}")
     return bool(value)
 
 
 def _as_profile(key: str, value) -> ChannelProfile:
     if not isinstance(value, ChannelProfile):  # its own fields are checked when it is built
-        raise ConfigError(f"{key} must be a ChannelProfile, not {type(value).__name__}")
+        raise ContractViolationError(f"{key} must be a ChannelProfile, not {type(value).__name__}")
     return value
 
 
 def _as_name(key: str, value) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a list of names, got a {type(value).__name__} entry")
+        raise ContractViolationError(f"{key} must be a list of names, got a {type(value).__name__} entry")
     return str(value)
 
 
@@ -101,7 +101,7 @@ class SystemConfig:
         for key, kind in _FIELD_KINDS.items():
             try:
                 values[key] = kind(key, getattr(self, key))
-            except (ConfigError, ContractViolationError) as exc:
+            except ContractViolationError as exc:
                 out.append(str(exc))
         if self.channel_model not in CHANNEL_MODELS:
             out.append(f"unsupported channel_model '{self.channel_model}', supported: {CHANNEL_MODELS}")
@@ -231,5 +231,8 @@ def default_config() -> SystemConfig:
 
 
 def with_overrides(cfg: SystemConfig, **kw) -> SystemConfig:
-    """Functional update helper; revalidates the result."""
+    """Functional update helper; revalidates the result.  A keyword that names no field is a
+    ConfigError naming it."""
+    if unknown := kw.keys() - {f.name for f in fields(cfg)}:
+        raise ConfigError("\n".join(f"unknown config field '{key}'" for key in sorted(unknown)))
     return replace(cfg, **kw).validated()

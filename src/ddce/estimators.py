@@ -58,10 +58,10 @@ def ls_pilot(y: TFGrid, x: TFGrid, layout: FrameLayout) -> PilotObservations:
         raise ContractViolationError(
             f"grid shapes differ: y {y.data.shape} vs x {x.data.shape}"
         )
-    xp = x.data.ravel().take(layout.pilot_flat)
+    xp = layout.flat(x).take(layout.pilot_flat)
     if np.any(np.abs(xp) < 1e-300):
         raise ContractViolationError("zero-valued pilot symbol, LS division impossible")
-    vals = y.data.ravel().take(layout.pilot_flat)
+    vals = layout.flat(y).take(layout.pilot_flat)
     vals /= xp
     # positions are symbol-major with subcarrier fastest, so the lattice
     # restores as (n', m') and transposes to (m', n')

@@ -19,7 +19,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError, positive_int
+from .errors import ContractViolationError, integer, positive_int
 
 MAX_GRID_RES = 1 << 20  # resource elements of the largest grid a config or kernel may build
 
@@ -118,8 +118,8 @@ class DDGrid:
         return self.data.shape[1]
 
     def at_centered(self, k: int, l: int) -> complex:
-        """Entry at centered Doppler index k and delay l (both wrap cyclically)."""
-        return complex(self.data[k % self.n_doppler, l % self.n_delay])
+        """Entry at centered Doppler index k and delay l (both ints, wrapping cyclically)."""
+        return complex(self.data[integer("k", k) % self.n_doppler, integer("l", l) % self.n_delay])
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,9 @@ class PeriodCSF:
         return rows, peaks
 
     def value(self, k: int, l: int) -> complex:
-        """Entry at centered Doppler k and delay l, periodic in both axes."""
-        row = (k - self.k_min) % self.n_doppler
-        return complex(self.data[row, l % self.n_delay])
+        """Entry at centered Doppler k and delay l (both ints), periodic in both axes."""
+        row = (integer("k", k) - self.k_min) % self.n_doppler
+        return complex(self.data[row, integer("l", l) % self.n_delay])
 
 
 def sfft(tf: TFGrid, cfg=None) -> DDGrid:

@@ -78,6 +78,7 @@ def doppler_alias_difference(k_i: float, k, n_symbols: int, d_t: int):
     embedding is zero, it is the full-grid kernel itself.  This is the exact
     per-path aliasing error of estimating the DD image from lattice pilots.
     """
+    n_symbols, d_t = _lattice("n_symbols", n_symbols, "d_t", d_t)
     k = np.asarray(k)
     half = n_symbols // (2 * d_t)
     inside = (k >= -half) & (k < half)
@@ -90,8 +91,12 @@ def csf_closed_form(gains, delays, dopplers, n_subcarriers: int, n_symbols: int)
     """Full N x M delay-Doppler image of a path set, by closed-form kernels.
 
     Returns rows in standard Doppler order (r = k mod N), matching `DDGrid`.
-    The grid may hold at most MAX_GRID_RES resource elements.
+    The grid may hold at most MAX_GRID_RES resource elements, and the three
+    path arrays must have one length.
     """
+    if len(gains) != len(delays) or len(gains) != len(dopplers):
+        raise ContractViolationError(f"gains, delays and dopplers must have one length, "
+                                     f"got {len(gains)}, {len(delays)} and {len(dopplers)}")
     n_subcarriers = _SIDE("n_subcarriers", n_subcarriers)
     n_symbols, rest = integer("n_symbols", n_symbols), MAX_GRID_RES // n_subcarriers
     if not 1 <= n_symbols <= rest:

@@ -38,7 +38,7 @@ class FrameLayout:
     Positions are ordered symbol-major with the subcarrier index fastest,
     and the arrays are what all vectorized grid lookups use.  pilot_flat
     and data_flat hold the same positions as indices into the row-major
-    flattened grid.
+    flattened M x N grid, whose (M, N) is shape.
     """
 
     pilot_m: np.ndarray
@@ -47,12 +47,14 @@ class FrameLayout:
     data_n: np.ndarray
     pilot_flat: np.ndarray
     data_flat: np.ndarray
+    shape: tuple
 
     def __post_init__(self):
         for name in ("pilot_m", "pilot_n", "data_m", "data_n", "pilot_flat", "data_flat"):
             arr = np.asarray(getattr(self, name), dtype=np.intp)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "shape", tuple(self.shape))
 
     @property
     def n_pilot(self) -> int:
@@ -61,6 +63,14 @@ class FrameLayout:
     @property
     def n_data(self) -> int:
         return self.data_m.size
+
+    def flat(self, tf: TFGrid) -> np.ndarray:
+        """tf's data as a row-major flat view, if tf is the M x N grid this layout indexes."""
+        if tf.data.shape != self.shape:
+            raise ContractViolationError(
+                f"TF grid shape {tf.data.shape} does not match the layout's (M, N) = {self.shape}"
+            )
+        return tf.data.ravel()
 
 
 @lru_cache(maxsize=16)
@@ -73,7 +83,7 @@ def _layout(big_m: int, big_n: int, d_t: int, d_f: int) -> FrameLayout:
     is_pilot[::d_t, ::d_f] = True
     pn, pm = np.nonzero(is_pilot)
     dn, dm = np.nonzero(~is_pilot)
-    return FrameLayout(pm, pn, dm, dn, pm * big_n + pn, dm * big_n + dn)
+    return FrameLayout(pm, pn, dm, dn, pm * big_n + pn, dm * big_n + dn, (big_m, big_n))
 
 
 def make_layout(pattern: PilotPattern, cfg: "SystemConfig") -> FrameLayout:
@@ -136,7 +146,7 @@ def build_frame(data_syms, pattern: PilotPattern, cfg: "SystemConfig"):
 
 def extract_data(tf: TFGrid, layout: FrameLayout) -> np.ndarray:
     """Data-position values of a frame, in layout order."""
-    return tf.data.ravel().take(layout.data_flat)
+    return layout.flat(tf).take(layout.data_flat)
 
 
 def equalize_single_tap(y: TFGrid, h_hat: TFGrid, layout: FrameLayout):

@@ -26,9 +26,9 @@ from ddce.estimators import (
     periodic_csf,
     recover_paths_offgrid,
 )
-from ddce.grids import PeriodCSF
+from ddce.grids import DDGrid, PeriodCSF
 from ddce.harness import child_seed
-from ddce.kernels import csf_closed_form, delay_kernel, doppler_kernel
+from ddce.kernels import csf_closed_form, delay_kernel, doppler_alias_difference, doppler_kernel
 from ddce.txrx import PilotPattern, build_frame, make_layout
 from helpers import ODD_VALUES, small_cfg
 
@@ -53,13 +53,18 @@ def _rng():
 _PATH = dict(gain=1.0 + 0.0j, delay_idx=1, doppler=0.5, power=1.0)
 _GRID = np.ones((4, 8))
 
-# "<call>.<argument>": the call with that argument set to v and every other valid
+# "<call>.<argument>": the call (a method as "<class>.<method>") with that
+# argument set to v and every other valid
 CALLS = {
     **{f"Path.{key}": (lambda key: lambda v: Path(**{**_PATH, key: v}))(key) for key in _PATH},
     "PilotPattern.d_t": lambda v: PilotPattern(v, 4),
     "PilotPattern.d_f": lambda v: PilotPattern(4, v),
     "PeriodCSF.d_t": lambda v: PeriodCSF(_GRID, v, 4),
     "PeriodCSF.d_f": lambda v: PeriodCSF(_GRID, 4, v),
+    "PeriodCSF.value.k": lambda v: PeriodCSF(_GRID, 2, 2).value(v, 0),
+    "PeriodCSF.value.l": lambda v: PeriodCSF(_GRID, 2, 2).value(0, v),
+    "DDGrid.at_centered.k": lambda v: DDGrid(_GRID).at_centered(v, 0),
+    "DDGrid.at_centered.l": lambda v: DDGrid(_GRID).at_centered(0, v),
     "PilotObservations.d_t": lambda v: PilotObservations(_GRID, v, 4),
     "PilotObservations.d_f": lambda v: PilotObservations(_GRID, 4, v),
     "recover_paths_offgrid.n_paths": lambda v: recover_paths_offgrid(_trial().period, v),
@@ -75,6 +80,8 @@ CALLS = {
     "doppler_kernel.d_t": lambda v: doppler_kernel(0.5, np.arange(4), 64, v),
     "delay_kernel.n_subcarriers": lambda v: delay_kernel(1.0, np.arange(4), v, 1),
     "delay_kernel.d_f": lambda v: delay_kernel(1.0, np.arange(4), 64, v),
+    "doppler_alias_difference.n_symbols": lambda v: doppler_alias_difference(0.5, np.arange(4), v, 1),
+    "doppler_alias_difference.d_t": lambda v: doppler_alias_difference(0.5, np.arange(4), 64, v),
     "csf_closed_form.n_subcarriers": lambda v: csf_closed_form([1.0], [0], [0.5], v, 8),
     "csf_closed_form.n_symbols": lambda v: csf_closed_form([1.0], [0], [0.5], 8, v),
 }
@@ -87,6 +94,8 @@ _PROBES = [
     ("PeriodCSF.d_t", 2.0),
     ("PeriodCSF.d_t", "2"),
     ("PilotObservations.d_t", None),
+    *((f"{call}.{key}", v) for call in ("PeriodCSF.value", "DDGrid.at_centered") for key in "kl"
+      for v in (1.5, "1", None, True)),
     ("recover_paths_offgrid.n_paths", 2.5),
     ("recover_paths_offgrid.n_paths", "2"),
     *((f"{call}.noise_var", v) for call in ("apply_channel_diag", "apply_channel_full",
@@ -97,9 +106,11 @@ _PROBES = [
     ("doppler_kernel.d_t", 0),
     ("doppler_kernel.d_t", 2.5),
     ("delay_kernel.n_subcarriers", 0),
+    ("doppler_alias_difference.d_t", 0),
     ("Path.delay_idx", True),
     ("Path.delay_idx", 2.0),
     ("csf_closed_form.n_symbols", np.uint64(2**64 - 1)),
+    ("csf_closed_form.n_symbols", 0),
 ]
 
 
@@ -109,7 +120,7 @@ def test_any_argument_value_is_one_contract_error_naming_it_or_a_call_that_runs(
     """Any error is a ContractViolationError whose one-line message starts
     with the argument's name: no TypeError, ZeroDivisionError, numpy error
     or RuntimeWarning (an error under the test settings)."""
-    key = case.split(".")[1]
+    key = case.rsplit(".", 1)[1]
     try:
         CALLS[case](value)
     except ContractViolationError as exc:
@@ -122,7 +133,7 @@ def test_each_known_bad_value_is_refused():
     int is needed, a string, None, a complex noise variance, a negative seed,
     a spacing that does not divide its size, and a grid past the bound."""
     for case, value in _PROBES:
-        key = case.split(".")[1]
+        key = case.rsplit(".", 1)[1]
         try:
             CALLS[case](value)
         except ContractViolationError as exc:

@@ -276,6 +276,15 @@ def test_with_overrides_revalidates():
     assert faster.n_trials == 7 and cfg.n_trials == 500
 
 
+def test_an_unknown_override_is_one_config_error_naming_it():
+    with pytest.raises(ConfigError) as info:
+        with_overrides(default_config(), foo=1)
+    assert str(info.value) == "unknown config field 'foo'"
+    with pytest.raises(ConfigError) as info:
+        with_overrides(default_config(), n_trials=7, zeta=0, alpha=1)
+    assert str(info.value) == "unknown config field 'alpha'\nunknown config field 'zeta'"
+
+
 def test_violations_cover_scalar_bounds():
     cfg = default_config()
     bad = SystemConfig(M=0, N=-2, delta_f_hz=0.0, d_t=0, d_f=0, profile=cfg.profile)

@@ -157,6 +157,7 @@ def test_period_wraps_both_axes():
     assert p.value(-2, 0) == data[0, 0]
     assert p.value(2, 3) == data[0, 0]  # one period over in both axes
     assert p.value(1, -1) == data[3, 2]
+    assert p.value(np.int64(1), np.int32(-1)) == data[3, 2]  # numpy ints are ints
 
 
 # ------------------------------------------------------ boundary constructors

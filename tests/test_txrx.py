@@ -4,7 +4,9 @@ import unittest
 
 import numpy as np
 
+from ddce.config import default_config
 from ddce.errors import ContractViolationError
+from ddce.estimators import ls_pilot
 from ddce.grids import TFGrid
 from ddce.txrx import (
     NEAR_SINGULAR_TOL,
@@ -69,6 +71,7 @@ class LayoutTests(unittest.TestCase):
         self.assertEqual(lay.data_n[:6].tolist(), [0] * 6)
         self.assertEqual(lay.n_pilot, 4)
         self.assertEqual(lay.n_data, 28)
+        self.assertEqual(lay.shape, (8, 4))
 
     def test_positions_cover_grid_without_overlap(self):
         cfg = tiny_cfg(12, 6, 3, 2)
@@ -81,6 +84,17 @@ class LayoutTests(unittest.TestCase):
     def test_non_dividing_lattice_rejected(self):
         with self.assertRaises(ContractViolationError):
             make_layout(PilotPattern(d_t=3, d_f=4), tiny_cfg(8, 4, 2, 4))  # 4 % 3 != 0
+
+    def test_layout_made_for_another_grid_is_refused(self):
+        """Each call that reads a grid through a layout checks the grid is the
+        layout's: a smaller grid, and the transposed one of the same size."""
+        lay = make_layout(PilotPattern(d_t=4, d_f=4), default_config())  # 128 x 64
+        for shape in ((4, 4), (64, 128)):
+            grid = TFGrid(np.ones(shape))
+            for call in (extract_data, lambda g, lay: equalize_single_tap(g, g, lay),
+                         lambda g, lay: ls_pilot(g, g, lay)):
+                with self.assertRaisesRegex(ContractViolationError, r"the layout's \(M, N\) = \(128, 64\)"):
+                    call(grid, lay)
 
     def test_pattern_validation(self):
         with self.assertRaises(ContractViolationError):
