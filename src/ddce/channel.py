@@ -326,7 +326,10 @@ def apply_channel_full(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.
     path, the symbol-level phase e^{j2pi*k_i*n/N} and the intra-symbol ramp
     e^{j2pi*k_i*m/(M*N)}, get cyclically shifted by l_i samples, and return
     to the frequency domain.  With all k_i = 0 this reduces exactly to the
-    diagonal model (identical noise draw included).
+    diagonal model (identical noise draw included).  The ramped samples of
+    every path are written straight into the rows `np.roll` would move
+    them to, in one buffer, and the time samples are gone before the noise
+    is drawn.
     """
     noise_var = non_negative_float("noise_var", noise_var)
     big_m, big_n = x.data.shape
@@ -334,11 +337,18 @@ def apply_channel_full(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.
     samples = np.arange(big_m)
     symbols = np.arange(big_n)
     y = np.zeros_like(x.data)
+    t = np.empty_like(xt)
     for p in ps.paths:
-        t = xt * np.exp(2j * np.pi * p.doppler * samples / (big_m * big_n))[:, None]
+        ramp = np.exp(2j * np.pi * p.doppler * samples / (big_m * big_n))[:, None]
+        # sample m goes to row (m + l) mod M: the rows of np.roll(xt * ramp, l, axis=0)
+        cut = big_m - p.delay_idx % big_m
+        np.multiply(xt[:cut], ramp[:cut], out=t[big_m - cut :])
+        np.multiply(xt[cut:], ramp[cut:], out=t[: big_m - cut])
         t *= np.exp(2j * np.pi * p.doppler * symbols / big_n)[None, :]
-        f = np.fft.fft(np.roll(t, p.delay_idx, axis=0), axis=0, norm="ortho")
+        f = np.fft.fft(t, axis=0, norm="ortho")
         # gain first: complex products round differently with swapped operands
         y += np.multiply(p.gain, f, out=f)
+        del f  # freed before the next path's FFT allocates its own
+    del xt, t
     y += _draw_noise(x.data.shape, noise_var, rng)
     return _adopt(TFGrid, y)

@@ -60,6 +60,35 @@ positive_int = number(lambda n: n >= 1, ">= 1", int)
 non_negative_int = number(lambda n: n >= 0, ">= 0", int)
 
 
+_ARRAY_NOUNS = {float: ("real numbers", "iuf"), complex: ("numbers", "iufc")}
+
+
+def finite_array(kind=float):
+    """The check(key, value) of an array kind: any array-like of integers or floats (float)
+    or of any numbers (complex), never bools, whose entries are all finite, checked by one
+    vectorised pass and handed back as numpy reads it; or one ContractViolationError naming
+    `key`."""
+    noun, dtype_kinds = _ARRAY_NOUNS[kind]
+
+    def check(key: str, value) -> np.ndarray:
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # a ragged nesting
+            raise ContractViolationError(f"{key} must be an array of {noun}") from None
+        if arr.dtype.kind not in dtype_kinds:
+            raise ContractViolationError(f"{key} must hold {noun}, got dtype {arr.dtype}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ContractViolationError(f"{key} must be finite, got {arr[~finite][0]}")
+        return arr
+
+    return check
+
+
+finite_reals = finite_array()
+finite_complexes = finite_array(complex)
+
+
 def tuple_of(kind):
     """The check(key, value) of a list kind: any iterable but a string, as a tuple of `kind`."""
 

@@ -93,7 +93,11 @@ def _lerp_axis(arr: np.ndarray, step: int, out_len: int, axis: int) -> np.ndarra
     j = np.minimum(t // step, knots - 2)
     frac = (t - j * step) / step
     shape = (out_len,) + (1,) * (arr.ndim - 1)
-    out = arr[j] + (arr[j + 1] - arr[j]) * frac.reshape(shape)
+    # arr[j] + (arr[j + 1] - arr[j]) * frac, with each knot's slope taken
+    # once and gathered, and the multiply-add done in the gathered buffer
+    out = (arr[1:] - arr[:-1])[j]
+    out *= frac.reshape(shape)
+    np.add(arr[j], out, out=out)
     return np.moveaxis(out, 0, axis)
 
 

@@ -92,7 +92,10 @@ class _Trial:
     """One frame, one channel and one noise draw, with its pilot
     observations and their delay-Doppler period: what every estimator of a
     paired trial sees.  Of the frames it keeps only what scoring reads: the
-    received values at the data positions and the split bits."""
+    received values at the data positions and the split bits.  The int64
+    bits are split as soon as the frame is built, and on the `full` model
+    the true response is built after the channel has run (no draw falls
+    between the two), so neither is alive at the channel's peak."""
 
     def __init__(self, cfg: SystemConfig, snr_db: float, seed: int):
         rng = np.random.default_rng(seed)
@@ -100,18 +103,20 @@ class _Trial:
         self.cfg = cfg
         bits = rng.integers(0, 2, 2 * make_layout(pattern, cfg).n_data)
         x, self.layout = build_frame(qam4_mod(bits), pattern, cfg)
+        self.b_re, self.b_im = bits[0::2] == 1, bits[1::2] == 1
+        self.n_bits = bits.size
+        del bits
         self.ps = gen_paths(cfg, cfg.profile, rng)
         self.noise_var = _noise_var(snr_db)
-        self.h_true = ctf_from_paths(self.ps, cfg)
         if cfg.channel_model == "full":
             y = apply_channel_full(x, self.ps, self.noise_var, rng)
+            self.h_true = ctf_from_paths(self.ps, cfg)
         else:
+            self.h_true = ctf_from_paths(self.ps, cfg)
             y = apply_response_diag(x, self.h_true, self.noise_var, rng)
         self.obs = ls_pilot(y, x, self.layout)
         self.period = periodic_csf(self.obs, cfg)
         self.y_data = extract_data(y, self.layout)
-        self.b_re, self.b_im = bits[0::2] == 1, bits[1::2] == 1
-        self.n_bits = bits.size
 
 
 def _ber(y_data: np.ndarray, hv: np.ndarray, b_re: np.ndarray, b_im: np.ndarray):

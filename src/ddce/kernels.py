@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolationError, integer, number, positive_int
+from .errors import ContractViolationError, finite_complexes, finite_reals, integer, number, positive_int
 from .grids import MAX_GRID_RES
 
 
@@ -52,10 +52,10 @@ def doppler_kernel(k_i: float, k, n_symbols: int, d_t: int = 1):
     """Doppler-axis kernel sum_{n'} e^{+j2pi n' d_t (k_i-k)/N} / sqrt(N/d_t^2).
 
     Evaluates to sqrt(N) at k = k_i (mod N/d_t) and to zero at every other
-    integer offset.  `k` may be an array.
+    integer offset.  `k_i` and `k` may be arrays of finite reals that broadcast.
     """
     n_symbols, d_t = _lattice("n_symbols", n_symbols, "d_t", d_t)
-    res = _dirichlet(np.asarray(k_i) - np.asarray(k), n_symbols, d_t, +1)
+    res = _dirichlet(finite_reals("k_i", k_i) - finite_reals("k", k), n_symbols, d_t, +1)
     return res if res.shape else complex(res)
 
 
@@ -66,7 +66,7 @@ def delay_kernel(l_i: float, l, n_subcarriers: int, d_f: int = 1):
     sqrt(M) at l = l_i (mod M/d_f).
     """
     n_subcarriers, d_f = _lattice("n_subcarriers", n_subcarriers, "d_f", d_f)
-    res = _dirichlet(np.asarray(l_i) - np.asarray(l), n_subcarriers, d_f, -1)
+    res = _dirichlet(finite_reals("l_i", l_i) - finite_reals("l", l), n_subcarriers, d_f, -1)
     return res if res.shape else complex(res)
 
 
@@ -79,7 +79,7 @@ def doppler_alias_difference(k_i: float, k, n_symbols: int, d_t: int):
     per-path aliasing error of estimating the DD image from lattice pilots.
     """
     n_symbols, d_t = _lattice("n_symbols", n_symbols, "d_t", d_t)
-    k = np.asarray(k)
+    k_i, k = finite_reals("k_i", k_i), finite_reals("k", k)
     half = n_symbols // (2 * d_t)
     inside = (k >= -half) & (k < half)
     full = doppler_kernel(k_i, k, n_symbols, 1)
@@ -91,22 +91,37 @@ def csf_closed_form(gains, delays, dopplers, n_subcarriers: int, n_symbols: int)
     """Full N x M delay-Doppler image of a path set, by closed-form kernels.
 
     Returns rows in standard Doppler order (r = k mod N), matching `DDGrid`.
-    The grid may hold at most MAX_GRID_RES resource elements, and the three
-    path arrays must have one length.
+    The grid may hold at most MAX_GRID_RES resource elements.  The three
+    path arrays are 1-D, of one length and finite: gains complex, delays
+    and dopplers real, and each gain's parts small enough that no sum of
+    the image overflows.
     """
-    if len(gains) != len(delays) or len(gains) != len(dopplers):
+    paths = {"gains": finite_complexes("gains", gains), "delays": finite_reals("delays", delays),
+             "dopplers": finite_reals("dopplers", dopplers)}
+    for key, arr in paths.items():
+        if arr.ndim != 1:
+            raise ContractViolationError(f"{key} must be a 1-D array, got shape {arr.shape}")
+    gains, delays, dopplers = paths.values()
+    if not gains.size == delays.size == dopplers.size:
         raise ContractViolationError(f"gains, delays and dopplers must have one length, "
-                                     f"got {len(gains)}, {len(delays)} and {len(dopplers)}")
+                                     f"got {gains.size}, {delays.size} and {dopplers.size}")
     n_subcarriers = _SIDE("n_subcarriers", n_subcarriers)
     n_symbols, rest = integer("n_symbols", n_symbols), MAX_GRID_RES // n_subcarriers
     if not 1 <= n_symbols <= rest:
         raise ContractViolationError(f"n_symbols must be in [1, {rest}], got {n_symbols}")
+    # an entry sums P terms g * col * row with |col * row| <= sqrt(M*N), so each
+    # part of a term is at most 2 max(|Re g|, |Im g|) sqrt(M*N); the bound keeps
+    # P of them, with a factor 2 left for rounding, inside the float64 range
+    limit = np.finfo(np.float64).max / (4 * max(gains.size, 1) * np.sqrt(n_subcarriers * n_symbols))
+    if (top := np.max(np.abs([gains.real, gains.imag]), initial=0.0)) > limit:
+        raise ContractViolationError(f"gains must have parts of at most {limit:.6g} on this grid, "
+                                     f"got {top:.6g}")
     k_axis = np.arange(n_symbols)
     l_axis = np.arange(n_subcarriers)
     # every path's kernels in one call each; elementwise, so each row equals
     # that path's own doppler_kernel / delay_kernel evaluation
-    cols = _dirichlet(np.asarray(dopplers)[:, None] - k_axis, n_symbols, 1, +1)  # (P, N)
-    rows = _dirichlet(np.asarray(delays)[:, None] - l_axis, n_subcarriers, 1, -1)  # (P, M)
+    cols = _dirichlet(dopplers[:, None] - k_axis, n_symbols, 1, +1)  # (P, N)
+    rows = _dirichlet(delays[:, None] - l_axis, n_subcarriers, 1, -1)  # (P, M)
     acc = np.zeros((n_symbols, n_subcarriers), dtype=np.complex128)
     term = np.empty_like(acc)
     for g, col, row in zip(gains, cols, rows):

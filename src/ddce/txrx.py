@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, positive_int, tuple_of
 from .grids import TFGrid, _adopt, _set_spacings
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,7 +38,10 @@ class FrameLayout:
     Positions are ordered symbol-major with the subcarrier index fastest,
     and the arrays are what all vectorized grid lookups use.  pilot_flat
     and data_flat hold the same positions as indices into the row-major
-    flattened M x N grid, whose (M, N) is shape.
+    flattened M x N grid, whose (M, N) is shape.  Each side is an int >= 1;
+    each index array is 1-D, of integers inside the grid, as long as the
+    other two of its kind (pilot or data), and is stored as a read-only
+    intp copy.  Any other field is one ContractViolationError naming it.
     """
 
     pilot_m: np.ndarray
@@ -50,11 +53,19 @@ class FrameLayout:
     shape: tuple
 
     def __post_init__(self):
-        for name in ("pilot_m", "pilot_n", "data_m", "data_n", "pilot_flat", "data_flat"):
-            arr = np.asarray(getattr(self, name), dtype=np.intp)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "shape", tuple(self.shape))
+        shape = tuple_of(positive_int)("shape", self.shape)
+        if len(shape) != 2:
+            raise ContractViolationError(f"shape must be (M, N), got {len(shape)} sides")
+        object.__setattr__(self, "shape", shape)
+        sizes = {"m": shape[0], "n": shape[1], "flat": shape[0] * shape[1]}
+        for kind in ("pilot", "data"):
+            keys = [f"{kind}_{axis}" for axis in sizes]
+            for key, size in zip(keys, sizes.values()):
+                object.__setattr__(self, key, _indices(key, getattr(self, key), size))
+            lengths = [getattr(self, key).size for key in keys]
+            if len(set(lengths)) > 1:
+                raise ContractViolationError(f"{keys[0]}, {keys[1]} and {keys[2]} must have one length, "
+                                             f"got {lengths[0]}, {lengths[1]} and {lengths[2]}")
 
     @property
     def n_pilot(self) -> int:
@@ -71,6 +82,23 @@ class FrameLayout:
                 f"TF grid shape {tf.data.shape} does not match the layout's (M, N) = {self.shape}"
             )
         return tf.data.ravel()
+
+
+def _indices(key: str, value, size: int) -> np.ndarray:
+    """value as a read-only 1-D intp array of indices in [0, size), or one
+    ContractViolationError naming key."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        raise ContractViolationError(f"{key} must be a 1-D array of integers") from None
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):  # [] reads as float64
+        raise ContractViolationError(f"{key} must be a 1-D array of integers, got {arr.dtype} {arr.shape}")
+    if arr.size and not (0 <= int(arr.min()) and int(arr.max()) < size):
+        raise ContractViolationError(f"{key} must lie in [0, {size}), "
+                                     f"got values from {arr.min()} to {arr.max()}")
+    arr = arr.astype(np.intp)
+    arr.setflags(write=False)
+    return arr
 
 
 @lru_cache(maxsize=16)

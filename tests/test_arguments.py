@@ -1,10 +1,12 @@
 """Numeric arguments of library calls: one ContractViolationError naming the
 argument, or a call that completes."""
 
+import math
 from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +86,16 @@ CALLS = {
     "doppler_alias_difference.d_t": lambda v: doppler_alias_difference(0.5, np.arange(4), 64, v),
     "csf_closed_form.n_subcarriers": lambda v: csf_closed_form([1.0], [0], [0.5], v, 8),
     "csf_closed_form.n_symbols": lambda v: csf_closed_form([1.0], [0], [0.5], 8, v),
+    # the kernels' values; csf_closed_form's path arrays take v as their one entry
+    "doppler_kernel.k_i": lambda v: doppler_kernel(v, np.arange(4), 8, 1),
+    "doppler_kernel.k": lambda v: doppler_kernel(0.5, v, 8, 1),
+    "delay_kernel.l_i": lambda v: delay_kernel(v, np.arange(4), 8, 1),
+    "delay_kernel.l": lambda v: delay_kernel(1.0, v, 8, 1),
+    "doppler_alias_difference.k_i": lambda v: doppler_alias_difference(v, np.arange(4), 8, 2),
+    "doppler_alias_difference.k": lambda v: doppler_alias_difference(0.5, v, 8, 2),
+    "csf_closed_form.gains": lambda v: csf_closed_form([v], [0], [0.5], 8, 8),
+    "csf_closed_form.delays": lambda v: csf_closed_form([1.0], [v], [0.5], 8, 8),
+    "csf_closed_form.dopplers": lambda v: csf_closed_form([1.0], [0], [v], 8, 8),
 }
 
 _PROBES = [
@@ -111,6 +123,18 @@ _PROBES = [
     ("Path.delay_idx", 2.0),
     ("csf_closed_form.n_symbols", np.uint64(2**64 - 1)),
     ("csf_closed_form.n_symbols", 0),
+    ("csf_closed_form.dopplers", "a"),
+    ("csf_closed_form.gains", math.nan),
+    ("csf_closed_form.gains", 1e308),
+    ("csf_closed_form.gains", True),
+    ("csf_closed_form.delays", math.inf),
+    ("csf_closed_form.dopplers", 1j),
+    ("doppler_kernel.k_i", "a"),
+    ("doppler_kernel.k", True),
+    ("delay_kernel.l", None),
+    ("delay_kernel.l_i", math.nan),
+    ("doppler_alias_difference.k", "x"),
+    ("doppler_alias_difference.k_i", 10**400),
 ]
 
 
@@ -131,7 +155,9 @@ def test_any_argument_value_is_one_contract_error_naming_it_or_a_call_that_runs(
 def test_each_known_bad_value_is_refused():
     """Values a call must refuse, not run with: a bool or a float where an
     int is needed, a string, None, a complex noise variance, a negative seed,
-    a spacing that does not divide its size, and a grid past the bound."""
+    a spacing that does not divide its size, a grid past the bound, a kernel
+    value that is not a finite real (or, for a gain, a finite number), and a
+    gain large enough to overflow the image."""
     for case, value in _PROBES:
         key = case.rsplit(".", 1)[1]
         try:
@@ -140,3 +166,34 @@ def test_each_known_bad_value_is_refused():
             assert str(exc).startswith(f"{key} must "), (case, value, str(exc))
         else:
             raise AssertionError(f"{case} accepted {value!r}")
+
+
+@pytest.mark.parametrize(
+    "gains, delays, dopplers, message",
+    [
+        pytest.param(1.0, [0], [0.0], r"gains must be a 1-D array, got shape \(\)$", id="gains=1.0"),
+        pytest.param([[1.0]], [0], [0.0], r"gains must be a 1-D array, got shape \(1, 1\)$",
+                     id="gains=[[1.0]]"),
+        pytest.param([1.0], [[0], [1, 2]], [0.0], "delays must be an array of real numbers$",
+                     id="delays=ragged"),
+        pytest.param([1.0], [0], np.zeros((1, 1)), "dopplers must be a 1-D array",
+                     id="dopplers=zeros((1, 1))"),
+        pytest.param([1.0, math.nan], [0, 1], [0.0, 0.5], "gains must be finite, got nan$",
+                     id="gains=[1, nan]"),
+        pytest.param([1e307j], [0], [0.0], "gains must have parts of at most .* on this grid, got 1e\\+307$",
+                     id="gains=[1e307j]"),
+    ],
+)
+def test_closed_form_path_arrays_are_refused_whole(gains, delays, dopplers, message):
+    """Path arrays that are not 1-D arrays of finite values, and a gain that
+    would overflow the 8x8 image, are one error naming the array."""
+    with pytest.raises(ContractViolationError, match=f"^{message}"):
+        csf_closed_form(gains, delays, dopplers, 8, 8)
+
+
+def test_the_largest_allowed_gain_keeps_the_image_finite():
+    """At the gain bound every path's parts add up in one entry without overflow."""
+    limit = np.finfo(np.float64).max / (4 * 3 * np.sqrt(64))
+    gains = np.full(3, limit * (1 + 1j))
+    image = csf_closed_form(gains, [0, 1, 2], [0.0, 0.0, 0.0], 8, 8)
+    assert np.isfinite(image).all() and np.abs(image).max() > limit

@@ -78,10 +78,15 @@ def test_profile_validation_and_normalization():
         ("v_kmh", math.inf, "v_kmh must be non-negative"),
         ("f_c_hz", 0.0, "f_c_hz must be positive"),
         ("f_c_hz", math.nan, "f_c_hz must be positive"),
-        ("tap_delays_ns", (0.0, math.inf), "tap_delays_ns must be non-negative and finite"),
-        ("tap_delays_ns", (0.0, math.nan), "tap_delays_ns must be non-negative and finite"),
-        ("tap_powers_db", (0.0, math.nan), "tap_powers_db must be finite"),
-        ("tap_powers_db", (math.inf, 0.0), "tap_powers_db must be finite"),
+        # ids naming the input, so that rewording a message renames no test
+        pytest.param("tap_delays_ns", (0.0, math.inf), "tap_delays_ns must be non-negative and finite",
+                     id="tap_delays_ns=(0.0, inf)"),
+        pytest.param("tap_delays_ns", (0.0, math.nan), "tap_delays_ns must be non-negative and finite",
+                     id="tap_delays_ns=(0.0, nan)"),
+        pytest.param("tap_powers_db", (0.0, math.nan), "tap_powers_db must be finite",
+                     id="tap_powers_db=(0.0, nan)"),
+        pytest.param("tap_powers_db", (math.inf, 0.0), "tap_powers_db must be finite",
+                     id="tap_powers_db=(inf, 0.0)"),
         ("tap_powers_db", (4000.0, 0.0), "tap powers must peak within"),
         ("tap_powers_db", (-4000.0, -4000.0), "tap powers must peak within"),
     ],
@@ -294,6 +299,10 @@ def _full_channel_loop(x, ps, noise_var, rng):
         ((0.9 + 0.1j, 0, 0.0), (0.4 - 0.6j, 3, 0.0)),  # zero Doppler: the diag model
         ((0.8 - 0.3j, 1, 1.37), (-0.2 + 0.5j, 4, -2.81), (0.1 + 0.1j, 7, 0.49)),
         ((0.7 + 0.2j, 0, 0.0), (0.3 - 0.4j, 2, -1.5)),
+        # the delayed rows split at M - l: a delay of M/2, M - 1, and M or more
+        # (np.roll shifts by l mod M)
+        ((0.6 - 0.2j, 64, 0.73), (0.3 + 0.4j, 127, -1.21)),
+        ((0.5 + 0.5j, 128, 1.1), (-0.2 + 0.1j, 389, -0.4), (0.1 - 0.3j, 2**62 + 5, 2.4)),
     ],
 )
 def test_full_model_equals_per_path_loop_bitwise(paths):

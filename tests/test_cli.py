@@ -129,9 +129,12 @@ def test_config_violations_reported(tmp_path, capsys):
         ({"n_trials = 2": "n_trials = 100001"}, None, "n_trials must be <="),
         ({"ls-interp, ideal": "ideal, ideal"}, None, "estimators must not repeat"),
         ({"M = 32": "M = 256", "N = 16": "N = 256"}, "mmse-genie", "mmse-genie needs n_pilot"),
-        # past the float range: the int rule stops the float-valued support rules
-        ({"M = 32": "M = 1" + "0" * 400}, None, "M must lie within the float64 range"),
-        ({"N = 16": "N = 1" + "0" * 400}, None, "N must lie within the float64 range"),
+        # past the float range: the int rule stops the float-valued support rules;
+        # ids naming the input, so that rewording a message renames no test
+        pytest.param({"M = 32": "M = 1" + "0" * 400}, None, "M must lie within the float64 range",
+                     id="M=10**400"),
+        pytest.param({"N = 16": "N = 1" + "0" * 400}, None, "N must lie within the float64 range",
+                     id="N=10**400"),
     ],
 )
 def test_resource_bounds_exit_1_before_any_work(tmp_path, capsys, edit, estimator, message):

@@ -316,8 +316,9 @@ _PAST_FLOAT_RANGE = [
     ("gamma_threshold", 1, 400, "gamma_threshold must lie within the float64 range"),
     # overflowed in the support rules
     ("delta_f_hz", 1, 400, "delta_f_hz must lie within the float64 range"),
-    # past str()'s digit limit while a message printed M*N
-    ("M", 1, 5000, "M must lie within the float64 range"),
+    # past str()'s digit limit while a message printed M*N; its id names the
+    # input, so that rewording the message renames no test
+    pytest.param("M", 1, 5000, "M must lie within the float64 range", id="M=10**5000"),
     ("N", -1, 5000, "N must lie within the float64 range"),
     ("d_t", 1, 400, "d_t must lie within the float64 range"),
     ("n_trials", 1, 5000, "n_trials must lie within the float64 range"),
@@ -389,7 +390,8 @@ def test_a_value_of_another_kind_is_one_error_naming_its_key(case):
 
 def _with_past_float_range_examples(test):
     """The cases of _PAST_FLOAT_RANGE, as explicit examples of a property."""
-    for key, sign, exponent, _ in _PAST_FLOAT_RANGE:
+    for case in _PAST_FLOAT_RANGE:
+        key, sign, exponent, _ = getattr(case, "values", case)  # a pytest.param holds its values
         test = example(key, sign * 10**exponent)(test)
     return test
 

@@ -1,12 +1,13 @@
 """The lean routes of the per-trial path against the routes they replaced,
 bit for bit: the qam4 table, flat-index frame assembly and pilot gathering,
 the sliced period centering and embedding, the whole-array Dirichlet kernel,
-the one-buffer closed-form image and the genie MMSE's steering grid formed
-after its solve.  Each reference below is the replaced code."""
+the one-buffer closed-form image, the genie MMSE's steering grid formed
+after its solve and the gathered-slope pilot interpolation.  Each reference
+below is the replaced code."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddce import harness, kernels
@@ -17,6 +18,7 @@ from ddce.estimators import (
     CorrelationPair,
     PilotObservations,
     csf_ongrid,
+    interp_linear,
     ls_pilot,
     mmse_estimate,
     periodic_csf,
@@ -208,3 +210,29 @@ def test_factor_holding_pair_equals_the_eager_steering_grid(model):
             want = mmse_estimate(t.obs, EagerCorrelationPair(t.ps, cfg, t.layout), t.noise_var, cfg)
             assert want.used_least_norm == (snr_db == float("inf"))
             assert got.data.tobytes() == want.grid.data.tobytes()
+
+
+def textbook_lerp(arr, step, out_len, axis):
+    """Linear interpolation along one axis, `arr[j] + (arr[j + 1] - arr[j]) * frac`."""
+    arr = np.moveaxis(arr, axis, 0)
+    knots = arr.shape[0]
+    t = np.arange(out_len)
+    if knots == 1:
+        return np.moveaxis(np.repeat(arr, out_len, axis=0), 0, axis)
+    j = np.minimum(t // step, knots - 2)
+    frac = ((t - j * step) / step).reshape((out_len,) + (1,) * (arr.ndim - 1))
+    return np.moveaxis(arr[j] + (arr[j + 1] - arr[j]) * frac, 0, axis)
+
+
+@ROUTES
+@given(st.integers(1, 9), st.integers(1, 7), st.integers(1, 9), st.integers(1, 7), st.integers(0, 2**32 - 1))
+@example(3, 5, 3, 3, 5)  # 15x9: odd segments, the last one extrapolated on both axes
+def test_gathered_slope_interpolation_equals_the_textbook_formula(n_f, d_f, n_t, d_t, seed):
+    """Time axis first, then frequency, on any lattice: odd sides and
+    spacings, and a single pilot row or column (the constant branch)."""
+    big_m, big_n = n_f * d_f, n_t * d_t
+    values = _complex(np.random.default_rng(seed), (n_f, n_t))
+    got = interp_linear(PilotObservations(values, d_t, d_f), tiny_cfg(big_m, big_n, d_t, d_f)).data
+    want = textbook_lerp(textbook_lerp(values, d_t, big_n, axis=1), d_f, big_m, axis=0)
+    assert got.shape == (big_m, big_n) and got.tobytes() == np.ascontiguousarray(want).tobytes()
+

@@ -3,6 +3,7 @@
 import unittest
 
 import numpy as np
+import pytest
 
 from ddce.config import default_config
 from ddce.errors import ContractViolationError
@@ -11,6 +12,7 @@ from ddce.grids import TFGrid
 from ddce.txrx import (
     NEAR_SINGULAR_TOL,
     PILOT_VALUE,
+    FrameLayout,
     PilotPattern,
     build_frame,
     equalize_single_tap,
@@ -99,6 +101,47 @@ class LayoutTests(unittest.TestCase):
     def test_pattern_validation(self):
         with self.assertRaises(ContractViolationError):
             PilotPattern(d_t=0, d_f=1)
+
+
+# one pilot at (0, 0) and one data RE at (1, 0) of a 4x4 grid
+_LAYOUT = dict(pilot_m=[0], pilot_n=[0], data_m=[1], data_n=[0], pilot_flat=[0], data_flat=[4], shape=(4, 4))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        pytest.param(key, value, message, id=f"{key}={value!r}")
+        for key, value, message in [
+            ("pilot_flat", [10**6], r"pilot_flat must lie in \[0, 16\), got values from 1000000 to 1000000$"),
+            ("shape", [4, 4.0], "shape must be an integer, got 4.0$"),
+            ("shape", (4, 4, 1), r"shape must be \(M, N\), got 3 sides$"),
+            ("shape", 4, "shape must be a list, not int$"),
+            ("shape", (0, 4), "shape must be >= 1, got 0$"),
+            ("pilot_m", [4], r"pilot_m must lie in \[0, 4\), got values from 4 to 4$"),
+            ("data_n", [-1], r"data_n must lie in \[0, 4\), got values from -1 to -1$"),
+            ("data_m", [0.5], r"data_m must be a 1-D array of integers, got float64 \(1,\)$"),
+            ("data_flat", [True], r"data_flat must be a 1-D array of integers, got bool \(1,\)$"),
+            ("pilot_n", [[0]], r"pilot_n must be a 1-D array of integers, got int\d+ \(1, 1\)$"),
+            ("data_flat", [[0], [1, 2]], "data_flat must be a 1-D array of integers$"),
+            ("pilot_n", [0, 1], "pilot_m, pilot_n and pilot_flat must have one length, got 1, 2 and 1$"),
+            ("data_flat", [], "data_m, data_n and data_flat must have one length, got 1, 1 and 0$"),
+        ]
+    ],
+)
+def test_a_hand_built_layout_is_checked_against_its_shape(key, value, message):
+    """Each side an int >= 1, each index array 1-D integers inside the grid,
+    and the pilot and data arrays of one length: anything else is one error
+    naming the field."""
+    with pytest.raises(ContractViolationError, match=f"^{message}"):
+        FrameLayout(**{**_LAYOUT, key: value})
+
+
+def test_a_hand_built_layout_stores_int_sides_and_read_only_copies():
+    mine = np.array([0])
+    lay = FrameLayout(**{**_LAYOUT, "pilot_m": mine, "shape": [np.int64(4), 4]})
+    assert lay.shape == (4, 4) and all(type(side) is int for side in lay.shape)
+    assert lay.pilot_m.dtype == np.intp and not lay.pilot_m.flags.writeable
+    assert mine.flags.writeable  # the caller's array is not frozen
 
 
 class FrameTests(unittest.TestCase):
