@@ -13,16 +13,15 @@ classic cosine model k_i = k_max * cos(theta_i), theta_i ~ U[0, 2pi).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ContractViolationError, ProfileError, SupportError, non_negative_float, number
-from .errors import positive_float, tuple_of
+from .errors import ContractViolationError, ProfileError, SupportError, finite_complexes, finite_integers
+from .errors import finite_reals, non_negative_float, number, one_length, positive_float, tuple_of
 from .grids import DDGrid, TFGrid, _adopt
 from .kernels import csf_closed_form
 
@@ -36,8 +35,8 @@ MAX_TAP_DB = 3000.0  # linear tap powers overflow or vanish past about +-3082 dB
 EVA_TAP_DELAYS_NS = (0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0)
 EVA_TAP_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
 
-finite_float = number(math.isfinite, "finite")  # the kind of tap powers, Dopplers and path powers
-_PROFILE_KINDS = {"tap_delays_ns": tuple_of(non_negative_float), "tap_powers_db": tuple_of(finite_float),
+_PROFILE_KINDS = {"tap_delays_ns": tuple_of(non_negative_float),
+                  "tap_powers_db": tuple_of(number(math.isfinite, "finite")),
                   "v_kmh": non_negative_float, "f_c_hz": positive_float}
 
 
@@ -84,69 +83,44 @@ class ChannelProfile:
         return (self.v_kmh / 3.6) * self.f_c_hz / C_LIGHT
 
 
-@dataclass(frozen=True)
-class Path:
-    """One resolved propagation path on the sampling grid.  Each field is
-    checked by its kind in `_PATH_KINDS` and stored as a Python complex, int
-    or float; a refused one is a ContractViolationError naming it."""
-
-    gain: complex
-    delay_idx: int
-    doppler: float
-    # Ensemble gain variance; kept so statistics-aided estimators can build
-    # exact correlations.  Falls back to |gain|^2 for hand-built sets.
-    power: float | None = None
-
-    def __post_init__(self):
-        for key, kind in _PATH_KINDS.items():
-            if (value := getattr(self, key)) is not None or key != "power":
-                object.__setattr__(self, key, kind(key, value))
-
-
-_PATH_KINDS = {
-    "gain": number(cmath.isfinite, "finite", complex),
-    "delay_idx": number(lambda l: 0 <= l < 2**63, "in [0, 2**63)", int),
-    **dict.fromkeys(("doppler", "power"), finite_float),
-}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSet:
-    """A non-empty set of paths, at most one per delay bin.  Its gains,
-    delays and dopplers are read-only arrays, each built once."""
+    """A non-empty set of resolved propagation paths on the sampling grid, at
+    most one per delay bin, as four read-only 1-D arrays of one length: the
+    complex gains h_i, the integer delay indices l_i >= 0, the real Doppler
+    indices k_i, and the ensemble gain variances, kept so statistics-aided
+    estimators can build exact correlations (|h_i|^2 where not given).  Each
+    array is checked once, on construction, and stored as a copy; a refused
+    one is a ContractViolationError naming it."""
 
-    paths: tuple
+    gains: np.ndarray
+    delays: np.ndarray
+    dopplers: np.ndarray
+    powers: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.paths) < 1:
+        given = {"gains": finite_complexes("gains", self.gains).astype(np.complex128),
+                 "delays": finite_integers("delays", self.delays),
+                 "dopplers": finite_reals("dopplers", self.dopplers).astype(np.float64)}
+        if self.powers is not None:
+            given["powers"] = finite_reals("powers", self.powers).astype(np.float64)
+        gains, delays, dopplers, *powers = one_length(**given)
+        if delays.size < 1:
             raise ContractViolationError("PathSet needs at least one path")
-        delays = [p.delay_idx for p in self.paths]
-        if len(set(delays)) != len(delays):
-            raise ContractViolationError(f"duplicate delay bins in PathSet: {sorted(delays)}")
-        object.__setattr__(self, "paths", tuple(self.paths))
+        bins = sorted(delays.tolist())  # Python ints: np.unique would import numpy.ma, 0.8 MB
+        if not 0 <= bins[0] <= bins[-1] < 2**63:  # so no uint64 wraps in the cast
+            raise ContractViolationError(f"delays must be in [0, 2**63), got {delays.tolist()}")
+        if len(set(bins)) != len(bins):
+            raise ContractViolationError(f"delays must be distinct bins, got {bins}")
+        if not powers:
+            with np.errstate(over="ignore"):
+                powers = [finite_reals("|gains|^2", np.abs(gains) ** 2)]
+        for key, arr in zip(("gains", "delays", "dopplers", "powers"),
+                            (gains, delays.astype(np.int64), dopplers, *powers)):
+            object.__setattr__(self, key, _frozen(arr))
 
     def __len__(self) -> int:
-        return len(self.paths)
-
-    @cached_property
-    def gains(self) -> np.ndarray:
-        return _frozen(np.array([p.gain for p in self.paths], dtype=np.complex128))
-
-    @cached_property
-    def delays(self) -> np.ndarray:
-        return _frozen(np.array([p.delay_idx for p in self.paths], dtype=np.int64))
-
-    @cached_property
-    def dopplers(self) -> np.ndarray:
-        return _frozen(np.array([p.doppler for p in self.paths], dtype=np.float64))
-
-    @property
-    def powers(self) -> np.ndarray:
-        """Ensemble gain variances, defaulting to |gain|^2 where unset."""
-        return np.array(
-            [p.power if p.power is not None else abs(p.gain) ** 2 for p in self.paths],
-            dtype=np.float64,
-        )
+        return self.gains.size
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -236,12 +210,7 @@ def gen_paths(cfg: "SystemConfig", profile: ChannelProfile, rng: np.random.Gener
     dopplers = k_max * np.cos(theta)
     if cfg.on_grid_doppler:
         dopplers = np.rint(dopplers)
-    return PathSet(
-        tuple(
-            Path(gain=complex(g), delay_idx=int(l), doppler=float(k), power=float(p))
-            for g, l, k, p in zip(gains, delays, dopplers, p_lin)
-        )
-    )
+    return PathSet(gains, delays, dopplers, p_lin)
 
 
 @lru_cache(maxsize=16)
@@ -338,16 +307,17 @@ def apply_channel_full(x: TFGrid, ps: PathSet, noise_var: float, rng: np.random.
     symbols = np.arange(big_n)
     y = np.zeros_like(x.data)
     t = np.empty_like(xt)
-    for p in ps.paths:
-        ramp = np.exp(2j * np.pi * p.doppler * samples / (big_m * big_n))[:, None]
+    # as Python scalars, the operands each path's products have always taken
+    for gain, delay, doppler in zip(ps.gains.tolist(), ps.delays.tolist(), ps.dopplers.tolist()):
+        ramp = np.exp(2j * np.pi * doppler * samples / (big_m * big_n))[:, None]
         # sample m goes to row (m + l) mod M: the rows of np.roll(xt * ramp, l, axis=0)
-        cut = big_m - p.delay_idx % big_m
+        cut = big_m - delay % big_m
         np.multiply(xt[:cut], ramp[:cut], out=t[big_m - cut :])
         np.multiply(xt[cut:], ramp[cut:], out=t[: big_m - cut])
-        t *= np.exp(2j * np.pi * p.doppler * symbols / big_n)[None, :]
+        t *= np.exp(2j * np.pi * doppler * symbols / big_n)[None, :]
         f = np.fft.fft(t, axis=0, norm="ortho")
         # gain first: complex products round differently with swapped operands
-        y += np.multiply(p.gain, f, out=f)
+        y += np.multiply(gain, f, out=f)
         del f  # freed before the next path's FFT allocates its own
     del xt, t
     y += _draw_noise(x.data.shape, noise_var, rng)

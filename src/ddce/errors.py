@@ -60,14 +60,15 @@ positive_int = number(lambda n: n >= 1, ">= 1", int)
 non_negative_int = number(lambda n: n >= 0, ">= 0", int)
 
 
-_ARRAY_NOUNS = {float: ("real numbers", "iuf"), complex: ("numbers", "iufc")}
+_ARRAY_NOUNS = {int: ("integers", "iu"), float: ("real numbers", "iuf"), complex: ("numbers", "iufc")}
 
 
 def finite_array(kind=float):
-    """The check(key, value) of an array kind: any array-like of integers or floats (float)
-    or of any numbers (complex), never bools, whose entries are all finite, checked by one
-    vectorised pass and handed back as numpy reads it; or one ContractViolationError naming
-    `key`."""
+    """The check(key, value) of an array kind: any array-like of integers (int), of integers
+    or floats (float) or of any numbers (complex), never bools, whose entries are all finite,
+    checked by one vectorised pass and handed back as numpy reads it; or one
+    ContractViolationError naming `key`.  An empty list, which numpy reads as float64, is of
+    every kind."""
     noun, dtype_kinds = _ARRAY_NOUNS[kind]
 
     def check(key: str, value) -> np.ndarray:
@@ -75,7 +76,7 @@ def finite_array(kind=float):
             arr = np.asarray(value)
         except ValueError:  # a ragged nesting
             raise ContractViolationError(f"{key} must be an array of {noun}") from None
-        if arr.dtype.kind not in dtype_kinds:
+        if arr.dtype.kind not in dtype_kinds and (arr.size or arr.dtype != np.float64):
             raise ContractViolationError(f"{key} must hold {noun}, got dtype {arr.dtype}")
         finite = np.isfinite(arr)
         if not finite.all():
@@ -85,8 +86,23 @@ def finite_array(kind=float):
     return check
 
 
+finite_integers = finite_array(int)
 finite_reals = finite_array()
 finite_complexes = finite_array(complex)
+
+
+def one_length(**arrays) -> tuple:
+    """The arrays, each 1-D and all of one length, or one ContractViolationError naming the
+    first that is not 1-D, or all of them."""
+    for key, arr in arrays.items():
+        if arr.ndim != 1:
+            raise ContractViolationError(f"{key} must be a 1-D array, got shape {arr.shape}")
+    if len({arr.size for arr in arrays.values()}) > 1:
+        *keys, last = arrays
+        sizes = [str(arr.size) for arr in arrays.values()]
+        raise ContractViolationError(f"{', '.join(keys)} and {last} must have one length, "
+                                     f"got {', '.join(sizes[:-1])} and {sizes[-1]}")
+    return tuple(arrays.values())
 
 
 def tuple_of(kind):

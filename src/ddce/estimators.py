@@ -22,7 +22,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .blas import lapack_cholesky, single_blas_thread
-from .channel import Path, PathSet, path_steering
+from .channel import PathSet, path_steering
 from .errors import ContractViolationError, non_negative_float, positive_int
 from .grids import DDGrid, PeriodCSF, TFGrid, _adopt, _freeze_grid, isfft, sfft
 from .grids import _keep_grids_on_the_heap, _set_spacings
@@ -65,10 +65,8 @@ def ls_pilot(y: TFGrid, x: TFGrid, layout: FrameLayout) -> PilotObservations:
     vals /= xp
     # positions are symbol-major with subcarrier fastest, so the lattice
     # restores as (n', m') and transposes to (m', n')
-    n_freq = int(np.count_nonzero(layout.pilot_n == layout.pilot_n[0]))
-    n_time = layout.n_pilot // n_freq
-    grid = vals.reshape(n_time, n_freq).T
-    return PilotObservations(grid, d_t=y.n_symbols // n_time, d_f=y.n_subcarriers // n_freq)
+    grid = vals.reshape(layout.shape[1] // layout.d_t, layout.shape[0] // layout.d_f).T
+    return PilotObservations(grid, d_t=layout.d_t, d_f=layout.d_f)
 
 
 def interp_linear(obs: PilotObservations, cfg: "SystemConfig") -> TFGrid:
@@ -393,8 +391,7 @@ def recover_paths_offgrid(p: PeriodCSF, n_paths: int):
     k_hats = k0s + np.clip(np.where(a_plus >= a_minus, a1, -a1) / (a0 + a1), -0.5, 0.5)
     denom = delay_kernel(l0s, l0s, p.full_m, p.d_f) * doppler_kernel(k_hats, k0s, p.full_n, p.d_t)
     gains = p.data[row0s, l0s] / denom
-    paths = [Path(complex(g), int(l), float(k)) for g, l, k in zip(gains, l0s, k_hats)]
-    return PathSet(paths), l0s.size < n_paths
+    return PathSet(gains, l0s, k_hats), l0s.size < n_paths
 
 
 @dataclass(frozen=True)

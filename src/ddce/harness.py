@@ -9,7 +9,6 @@ import numpy as np
 
 from .channel import (
     ChannelProfile,
-    Path,
     PathSet,
     apply_channel_diag,
     apply_channel_full,
@@ -371,7 +370,7 @@ def check_alias_difference() -> CheckResult:
     cfg = _tiny_cfg(big_m, big_n, d_t, d_f)
     worst = 0.0
     for k_i, l_i in ((1.7, 1), (-3.3, 2), (0.49, 0)):
-        ps = PathSet((Path(1.0 + 0.0j, l_i, k_i),))
+        ps = PathSet([1.0 + 0.0j], [l_i], [k_i])
         period = _noiseless_period(ps, cfg)
         embedded = csf_ongrid(period, cfg)
         true_dd = csf_from_paths(ps, cfg)
@@ -397,7 +396,7 @@ def check_ongrid_exact_recovery(placements=None) -> CheckResult:
         placements = [(k, l) for k in range(-k_half, k_half) for l in range(l_lim)]
     worst = 0.0
     for k_i, l_i in placements:
-        ps = PathSet((Path(0.8 - 0.6j, l_i, float(k_i)),))
+        ps = PathSet([0.8 - 0.6j], [l_i], [k_i])
         period = _noiseless_period(ps, cfg)
         true_dd = csf_from_paths(ps, cfg)
         for k in range(-k_half, k_half):
@@ -417,14 +416,14 @@ def check_offgrid_recovery_sweep() -> CheckResult:
     worst = 0.0
     for kf in np.arange(-0.45, 0.451, 0.05):
         k_i = 2.0 + float(kf)
-        ps = PathSet((Path(1.0 + 0.0j, 3, k_i),))
+        ps = PathSet([1.0 + 0.0j], [3], [k_i])
         period = _noiseless_period(ps, cfg)
         ps_hat, _ = recover_paths_offgrid(period, 1)
-        if ps_hat is None or ps_hat.paths[0].delay_idx != 3:
+        if ps_hat is None or ps_hat.delays[0] != 3:
             worst = max(worst, 1.0)
             continue
-        err_k = abs(ps_hat.paths[0].doppler - k_i)
-        err_g = abs(ps_hat.paths[0].gain - 1.0)
+        err_k = abs(ps_hat.dopplers[0] - k_i)
+        err_g = abs(ps_hat.gains[0] - 1.0)
         # ceilings calibrated on this grid; the ratio rule's bias peaks
         # around |offset| ~ 0.2 at 6.2e-4 (Doppler) and 1.9e-3 (gain)
         worst = max(worst, err_k / 7e-4, err_g / 2.1e-3)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolationError, finite_complexes, finite_reals, integer, number, positive_int
+from .errors import ContractViolationError, finite_complexes, finite_reals, integer, number, one_length
+from .errors import positive_int
 from .grids import MAX_GRID_RES
 
 
@@ -48,14 +49,23 @@ def _lattice(size_key: str, size, spacing_key: str, spacing) -> tuple:
     return size, spacing
 
 
+def _offset(key_i: str, value_i, key: str, value) -> np.ndarray:
+    """value_i - value, each a finite real array, as a finite offset: a difference past the
+    float64 range is one ContractViolationError naming both arguments."""
+    with np.errstate(over="ignore"):
+        offset = finite_reals(key_i, value_i) - finite_reals(key, value)
+    return finite_reals(f"{key_i} - {key}", offset)
+
+
 def doppler_kernel(k_i: float, k, n_symbols: int, d_t: int = 1):
     """Doppler-axis kernel sum_{n'} e^{+j2pi n' d_t (k_i-k)/N} / sqrt(N/d_t^2).
 
     Evaluates to sqrt(N) at k = k_i (mod N/d_t) and to zero at every other
-    integer offset.  `k_i` and `k` may be arrays of finite reals that broadcast.
+    integer offset.  `k_i` and `k` may be arrays of finite reals that broadcast, with
+    a finite difference.
     """
     n_symbols, d_t = _lattice("n_symbols", n_symbols, "d_t", d_t)
-    res = _dirichlet(finite_reals("k_i", k_i) - finite_reals("k", k), n_symbols, d_t, +1)
+    res = _dirichlet(_offset("k_i", k_i, "k", k), n_symbols, d_t, +1)
     return res if res.shape else complex(res)
 
 
@@ -66,7 +76,7 @@ def delay_kernel(l_i: float, l, n_subcarriers: int, d_f: int = 1):
     sqrt(M) at l = l_i (mod M/d_f).
     """
     n_subcarriers, d_f = _lattice("n_subcarriers", n_subcarriers, "d_f", d_f)
-    res = _dirichlet(finite_reals("l_i", l_i) - finite_reals("l", l), n_subcarriers, d_f, -1)
+    res = _dirichlet(_offset("l_i", l_i, "l", l), n_subcarriers, d_f, -1)
     return res if res.shape else complex(res)
 
 
@@ -96,15 +106,9 @@ def csf_closed_form(gains, delays, dopplers, n_subcarriers: int, n_symbols: int)
     and dopplers real, and each gain's parts small enough that no sum of
     the image overflows.
     """
-    paths = {"gains": finite_complexes("gains", gains), "delays": finite_reals("delays", delays),
-             "dopplers": finite_reals("dopplers", dopplers)}
-    for key, arr in paths.items():
-        if arr.ndim != 1:
-            raise ContractViolationError(f"{key} must be a 1-D array, got shape {arr.shape}")
-    gains, delays, dopplers = paths.values()
-    if not gains.size == delays.size == dopplers.size:
-        raise ContractViolationError(f"gains, delays and dopplers must have one length, "
-                                     f"got {gains.size}, {delays.size} and {dopplers.size}")
+    gains, delays, dopplers = one_length(gains=finite_complexes("gains", gains),
+                                         delays=finite_reals("delays", delays),
+                                         dopplers=finite_reals("dopplers", dopplers))
     n_subcarriers = _SIDE("n_subcarriers", n_subcarriers)
     n_symbols, rest = integer("n_symbols", n_symbols), MAX_GRID_RES // n_subcarriers
     if not 1 <= n_symbols <= rest:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import ContractViolationError, positive_int, tuple_of
 from .grids import TFGrid, _adopt, _set_spacings
+from .kernels import _lattice
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SystemConfig
@@ -33,47 +34,49 @@ class PilotPattern:
 
 @dataclass(frozen=True)
 class FrameLayout:
-    """Index arrays for pilot and data resource elements.
+    """Pilot and data positions of an M x N frame, shape = (M, N), whose
+    pilots sit on every d_f-th subcarrier of every d_t-th symbol.  Each side
+    and spacing is an int >= 1 and each spacing divides its side, or one
+    ContractViolationError names it.
 
-    Positions are ordered symbol-major with the subcarrier index fastest,
-    and the arrays are what all vectorized grid lookups use.  pilot_flat
-    and data_flat hold the same positions as indices into the row-major
-    flattened M x N grid, whose (M, N) is shape.  Each side is an int >= 1;
-    each index array is 1-D, of integers inside the grid, as long as the
-    other two of its kind (pilot or data), and is stored as a read-only
-    intp copy.  Any other field is one ContractViolationError naming it.
+    Positions are ordered symbol-major with the subcarrier index fastest.
+    pilot_flat and data_flat index the row-major flattened grid, and
+    pilot_m, pilot_n are the pilots' subcarrier and symbol indices; all four
+    are derived once from the lattice, as read-only intp arrays.
     """
 
-    pilot_m: np.ndarray
-    pilot_n: np.ndarray
-    data_m: np.ndarray
-    data_n: np.ndarray
-    pilot_flat: np.ndarray
-    data_flat: np.ndarray
     shape: tuple
+    d_t: int
+    d_f: int
+    pilot_m: np.ndarray = field(init=False, repr=False, compare=False)
+    pilot_n: np.ndarray = field(init=False, repr=False, compare=False)
+    pilot_flat: np.ndarray = field(init=False, repr=False, compare=False)
+    data_flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = tuple_of(positive_int)("shape", self.shape)
         if len(shape) != 2:
             raise ContractViolationError(f"shape must be (M, N), got {len(shape)} sides")
-        object.__setattr__(self, "shape", shape)
-        sizes = {"m": shape[0], "n": shape[1], "flat": shape[0] * shape[1]}
-        for kind in ("pilot", "data"):
-            keys = [f"{kind}_{axis}" for axis in sizes]
-            for key, size in zip(keys, sizes.values()):
-                object.__setattr__(self, key, _indices(key, getattr(self, key), size))
-            lengths = [getattr(self, key).size for key in keys]
-            if len(set(lengths)) > 1:
-                raise ContractViolationError(f"{keys[0]}, {keys[1]} and {keys[2]} must have one length, "
-                                             f"got {lengths[0]}, {lengths[1]} and {lengths[2]}")
+        big_m, d_f = _lattice("M", shape[0], "d_f", self.d_f)
+        big_n, d_t = _lattice("N", shape[1], "d_t", self.d_t)
+        is_pilot = np.zeros((big_n, big_m), dtype=bool)  # symbol-major
+        is_pilot[::d_t, ::d_f] = True
+        pn, pm = map(np.ascontiguousarray, np.nonzero(is_pilot))  # nonzero's are strided views
+        dn, dm = np.nonzero(~is_pilot)
+        derived = {"pilot_m": pm, "pilot_n": pn, "pilot_flat": pm * big_n + pn,
+                   "data_flat": dm * big_n + dn}
+        for key, value in {"shape": shape, "d_t": d_t, "d_f": d_f, **derived}.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, key, value)
 
     @property
     def n_pilot(self) -> int:
-        return self.pilot_m.size
+        return self.pilot_flat.size
 
     @property
     def n_data(self) -> int:
-        return self.data_m.size
+        return self.data_flat.size
 
     def flat(self, tf: TFGrid) -> np.ndarray:
         """tf's data as a row-major flat view, if tf is the M x N grid this layout indexes."""
@@ -84,39 +87,12 @@ class FrameLayout:
         return tf.data.ravel()
 
 
-def _indices(key: str, value, size: int) -> np.ndarray:
-    """value as a read-only 1-D intp array of indices in [0, size), or one
-    ContractViolationError naming key."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # a ragged nesting
-        raise ContractViolationError(f"{key} must be a 1-D array of integers") from None
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):  # [] reads as float64
-        raise ContractViolationError(f"{key} must be a 1-D array of integers, got {arr.dtype} {arr.shape}")
-    if arr.size and not (0 <= int(arr.min()) and int(arr.max()) < size):
-        raise ContractViolationError(f"{key} must lie in [0, {size}), "
-                                     f"got values from {arr.min()} to {arr.max()}")
-    arr = arr.astype(np.intp)
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=16)
-def _layout(big_m: int, big_n: int, d_t: int, d_f: int) -> FrameLayout:
-    if big_n % d_t or big_m % d_f:
-        raise ContractViolationError(
-            f"pilot lattice must divide the grid: M={big_m} vs d_f={d_f}, N={big_n} vs d_t={d_t}"
-        )
-    is_pilot = np.zeros((big_n, big_m), dtype=bool)  # symbol-major
-    is_pilot[::d_t, ::d_f] = True
-    pn, pm = np.nonzero(is_pilot)
-    dn, dm = np.nonzero(~is_pilot)
-    return FrameLayout(pm, pn, dm, dn, pm * big_n + pn, dm * big_n + dn, (big_m, big_n))
+_layout = lru_cache(maxsize=16)(FrameLayout)
 
 
 def make_layout(pattern: PilotPattern, cfg: "SystemConfig") -> FrameLayout:
     """Deterministic pilot/data layout of an M x N frame (shared, read-only)."""
-    return _layout(cfg.M, cfg.N, pattern.d_t, pattern.d_f)
+    return _layout((cfg.M, cfg.N), pattern.d_t, pattern.d_f)
 
 
 def _qam4_table() -> np.ndarray:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from ddce.channel import (
-    Path,
     PathSet,
     apply_channel_diag,
     csf_from_paths,
@@ -79,7 +78,7 @@ def test_acceptance_1_ongrid_exactness(capsys):
     worst_h = 0.0
     for k_i in range(-k_half, k_half):
         for l_i in range(l_lim):
-            ps = PathSet((Path(0.8 - 0.6j, l_i, float(k_i)),))
+            ps = PathSet([0.8 - 0.6j], [l_i], [k_i])
             y = apply_channel_diag(x, ps, 0.0, rng)
             period = periodic_csf(ls_pilot(y, x, layout), cfg)
             true_dd = csf_from_paths(ps, cfg)
@@ -145,14 +144,14 @@ def test_acceptance_3_fractional_doppler_recovery(capsys):
     for step in range(-9, 10):
         kf = 0.05 * step
         k_i = 2.0 + kf
-        ps = PathSet((Path(1.0 + 0.0j, 3, k_i),))
+        ps = PathSet([1.0 + 0.0j], [3], [k_i])
         y = apply_channel_diag(x, ps, 0.0, rng)
         period = periodic_csf(ls_pilot(y, x, layout), cfg)
         ps_hat, _ = recover_paths_offgrid(period, 1)
-        assert ps_hat is not None and ps_hat.paths[0].delay_idx == 3
+        assert ps_hat is not None and ps_hat.delays[0] == 3
         tol_k, tol_g = FRACTIONAL_TOL[round(abs(kf), 2)]
-        err_k = abs(ps_hat.paths[0].doppler - k_i)
-        err_g = abs(ps_hat.paths[0].gain - 1.0)
+        err_k = abs(ps_hat.dopplers[0] - k_i)
+        err_g = abs(ps_hat.gains[0] - 1.0)
         worst_ratio = max(worst_ratio, err_k / tol_k, err_g / tol_g)
     elapsed = time.perf_counter() - t0
     ok = worst_ratio <= 1.0 and elapsed < 30.0
@@ -297,10 +296,7 @@ def test_acceptance_5_mmse_dense_equivalence(capsys):
     cfg = tiny_cfg(8, 8, 2, 2)
     pattern = PilotPattern(cfg.d_t, cfg.d_f)
     layout = make_layout(pattern, cfg)
-    ps = PathSet((
-        Path(0.9 + 0.1j, 1, 1.3, power=0.7),
-        Path(-0.4 + 0.55j, 3, -0.7, power=0.3),
-    ))
+    ps = PathSet([0.9 + 0.1j, -0.4 + 0.55j], [1, 3], [1.3, -0.7], [0.7, 0.3])
     rng = np.random.default_rng(11)
     obs_vals = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     obs = PilotObservations(obs_vals, d_t=2, d_f=2)
@@ -383,11 +379,7 @@ def test_acceptance_7_complexity_scaling(capsys):
     for big_m, big_n in shapes:
         cfg = tiny_cfg(big_m, big_n, 4, 4)
         x, layout = _pilot_frame(cfg)
-        ps = PathSet((
-            Path(1.0 + 0.0j, 0, 0.3, power=0.5),
-            Path(0.6 - 0.2j, 2, -1.2, power=0.3),
-            Path(0.3 + 0.4j, 5, 1.4, power=0.2),
-        ))
+        ps = PathSet([1.0 + 0.0j, 0.6 - 0.2j, 0.3 + 0.4j], [0, 2, 5], [0.3, -1.2, 1.4], [0.5, 0.3, 0.2])
         y = apply_channel_diag(x, ps, noise_var, np.random.default_rng(1))
         csf_times.append(
             _best_time(lambda: estimate_csf(y, x, layout, cfg, "offgrid", noise_var))

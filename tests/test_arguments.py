@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddce.channel import (
-    Path,
     PathSet,
     apply_channel_diag,
     apply_channel_full,
@@ -41,7 +40,7 @@ def _trial():
     cfg = small_cfg()
     pattern = PilotPattern(cfg.d_t, cfg.d_f)
     x, layout = build_frame(np.ones(make_layout(pattern, cfg).n_data), pattern, cfg)
-    ps = PathSet((Path(0.8 - 0.6j, 1, 0.25, 1.0), Path(0.5j, 3, -1.0, 0.25)))
+    ps = PathSet([0.8 - 0.6j, 0.5j], [1, 3], [0.25, -1.0], [1.0, 0.25])
     h = ctf_from_paths(ps, cfg)
     obs = ls_pilot(apply_response_diag(x, h, 0.0, np.random.default_rng(0)), x, layout)
     corr = genie_correlations(ps, cfg, layout)
@@ -52,13 +51,14 @@ def _rng():
     return np.random.default_rng(1)
 
 
-_PATH = dict(gain=1.0 + 0.0j, delay_idx=1, doppler=0.5, power=1.0)
+_PATH = dict(gains=[1.0 + 0.0j], delays=[1], dopplers=[0.5], powers=[1.0])
 _GRID = np.ones((4, 8))
 
 # "<call>.<argument>": the call (a method as "<class>.<method>") with that
 # argument set to v and every other valid
 CALLS = {
-    **{f"Path.{key}": (lambda key: lambda v: Path(**{**_PATH, key: v}))(key) for key in _PATH},
+    # a path set of one path, v as the entry of that array
+    **{f"PathSet.{key}": (lambda key: lambda v: PathSet(**{**_PATH, key: [v]}))(key) for key in _PATH},
     "PilotPattern.d_t": lambda v: PilotPattern(v, 4),
     "PilotPattern.d_f": lambda v: PilotPattern(4, v),
     "PeriodCSF.d_t": lambda v: PeriodCSF(_GRID, v, 4),
@@ -119,8 +119,13 @@ _PROBES = [
     ("doppler_kernel.d_t", 2.5),
     ("delay_kernel.n_subcarriers", 0),
     ("doppler_alias_difference.d_t", 0),
-    ("Path.delay_idx", True),
-    ("Path.delay_idx", 2.0),
+    ("PathSet.delays", True),
+    ("PathSet.delays", 2.0),
+    ("PathSet.delays", -1),
+    ("PathSet.delays", 2**63),
+    ("PathSet.gains", math.nan),
+    ("PathSet.dopplers", math.inf),
+    ("PathSet.powers", math.nan),
     ("csf_closed_form.n_symbols", np.uint64(2**64 - 1)),
     ("csf_closed_form.n_symbols", 0),
     ("csf_closed_form.dopplers", "a"),
@@ -154,7 +159,8 @@ def test_any_argument_value_is_one_contract_error_naming_it_or_a_call_that_runs(
 
 def test_each_known_bad_value_is_refused():
     """Values a call must refuse, not run with: a bool or a float where an
-    int is needed, a string, None, a complex noise variance, a negative seed,
+    int is needed, a string, None, a complex noise variance, a negative seed
+    or delay, a delay past the int64 range, a path field that is not finite,
     a spacing that does not divide its size, a grid past the bound, a kernel
     value that is not a finite real (or, for a gain, a finite number), and a
     gain large enough to overflow the image."""
@@ -197,3 +203,16 @@ def test_the_largest_allowed_gain_keeps_the_image_finite():
     gains = np.full(3, limit * (1 + 1j))
     image = csf_closed_form(gains, [0, 1, 2], [0.0, 0.0, 0.0], 8, 8)
     assert np.isfinite(image).all() and np.abs(image).max() > limit
+
+
+@pytest.mark.parametrize("kernel, name", [(doppler_kernel, "k"), (delay_kernel, "l")],
+                         ids=["doppler_kernel", "delay_kernel"])
+@pytest.mark.parametrize("value_i, value", [(1.7e308, -1.7e308), (-1.7e308, [0.0, 1.7e308])],
+                         ids=["scalars", "array"])
+def test_a_kernel_offset_past_the_float_range_is_one_error_naming_both_values(
+    kernel, name, value_i, value
+):
+    """Two finite values whose difference overflows are refused, with no
+    overflow warning, rather than read as a nan offset at the kernel's peak."""
+    with pytest.raises(ContractViolationError, match=f"^{name}_i - {name} must be finite, got -?inf$"):
+        kernel(value_i, value, 8, 1)

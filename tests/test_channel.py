@@ -11,7 +11,6 @@ from ddce.channel import (
     EVA_TAP_DELAYS_NS,
     EVA_TAP_POWERS_DB,
     ChannelProfile,
-    Path,
     PathSet,
     apply_channel_diag,
     apply_channel_full,
@@ -35,9 +34,9 @@ def ctf_direct(ps, big_m, big_n):
     h = np.zeros((big_m, big_n), dtype=complex)
     for m in range(big_m):
         for n in range(big_n):
-            for p in ps.paths:
-                h[m, n] += p.gain * np.exp(
-                    2j * np.pi * (p.doppler * n / big_n - p.delay_idx * m / big_m)
+            for gain, delay, doppler in zip(ps.gains, ps.delays, ps.dopplers):
+                h[m, n] += gain * np.exp(
+                    2j * np.pi * (doppler * n / big_n - delay * m / big_m)
                 )
     return h
 
@@ -105,7 +104,7 @@ def test_a_tap_far_below_the_strongest_gets_zero_power():
     assert prof.tap_powers_lin.tolist() == [1.0, 0.0]
     cfg = with_overrides(cfg, profile=prof)
     ps = gen_paths(cfg, prof, np.random.default_rng(3))
-    assert ps.paths[1].gain == 0 and ps.paths[1].power == 0.0
+    assert ps.gains[1] == 0 and ps.powers[1] == 0.0
     for name in cfg.estimators:
         assert not run_trial(cfg, prof, 20.0, name, 3).failed
 
@@ -212,12 +211,7 @@ def test_gain_and_doppler_statistics():
 
 def test_ctf_matches_direct_loops():
     cfg = tiny_cfg(8, 4)
-    ps = PathSet(
-        (
-            Path(gain=0.8 - 0.2j, delay_idx=1, doppler=0.37),
-            Path(gain=-0.1 + 0.5j, delay_idx=3, doppler=-0.9),
-        )
-    )
+    ps = PathSet([0.8 - 0.2j, -0.1 + 0.5j], [1, 3], [0.37, -0.9])
     got = ctf_from_paths(ps, cfg).data
     assert np.max(np.abs(got - ctf_direct(ps, 8, 4))) < 1e-12
 
@@ -236,12 +230,7 @@ def test_ctf_mean_energy_is_profile_power():
 
 def test_csf_image_agrees_with_transformed_ctf():
     cfg = tiny_cfg(16, 8)
-    ps = PathSet(
-        (
-            Path(gain=1.0 + 0.3j, delay_idx=2, doppler=1.49),
-            Path(gain=0.2 - 0.7j, delay_idx=5, doppler=-0.8),
-        )
-    )
+    ps = PathSet([1.0 + 0.3j, 0.2 - 0.7j], [2, 5], [1.49, -0.8])
     via_tf = sfft(ctf_from_paths(ps, cfg), cfg).data
     got = csf_from_paths(ps, cfg).data
     assert np.max(np.abs(got - via_tf)) < 1e-10
@@ -262,12 +251,7 @@ def test_diag_model_applies_gain_and_noise():
 
 def test_full_model_reduces_to_diag_without_doppler():
     cfg = default_config()
-    ps = PathSet(
-        (
-            Path(gain=0.9 + 0.1j, delay_idx=0, doppler=0.0),
-            Path(gain=0.4 - 0.6j, delay_idx=3, doppler=0.0),
-        )
-    )
+    ps = PathSet([0.9 + 0.1j, 0.4 - 0.6j], [0, 3], [0.0, 0.0])
     x = TFGrid(np.exp(2j * np.pi * np.random.default_rng(8).uniform(size=(cfg.M, cfg.N))))
     y_d = apply_channel_diag(x, ps, 0.25, np.random.default_rng(77))
     y_f = apply_channel_full(x, ps, 0.25, np.random.default_rng(77))
@@ -275,18 +259,19 @@ def test_full_model_reduces_to_diag_without_doppler():
     assert np.max(np.abs(y_d.data - y_f.data)) < 1e-10
 
 
-def _full_channel_loop(x, ps, noise_var, rng):
-    """The full channel as a plain per-path loop: intra-symbol ramp, symbol
-    phase, cyclic delay, FFT, then the gain times the result (gain first),
-    summed over paths before the noise is added."""
+def _full_channel_loop(x, paths, noise_var, rng):
+    """The full channel as a plain per-path loop over (gain, delay, doppler)
+    rows of Python numbers: intra-symbol ramp, symbol phase, cyclic
+    delay, FFT, then the gain times the result (gain first), summed over
+    paths before the noise is added."""
     big_m, big_n = x.shape
     xt = np.fft.ifft(x, axis=0, norm="ortho")
     y = np.zeros_like(x)
-    for p in ps.paths:
-        ramp = np.exp(2j * np.pi * p.doppler * np.arange(big_m) / (big_m * big_n))
-        phase = np.exp(2j * np.pi * p.doppler * np.arange(big_n) / big_n)
+    for gain, delay, doppler in paths:
+        ramp = np.exp(2j * np.pi * doppler * np.arange(big_m) / (big_m * big_n))
+        phase = np.exp(2j * np.pi * doppler * np.arange(big_n) / big_n)
         t = xt * ramp[:, None] * phase[None, :]
-        y = y + p.gain * np.fft.fft(np.roll(t, p.delay_idx, axis=0), axis=0, norm="ortho")
+        y = y + gain * np.fft.fft(np.roll(t, delay, axis=0), axis=0, norm="ortho")
     w = np.empty(x.shape, dtype=complex)
     w.real = rng.standard_normal(x.shape)
     w.imag = rng.standard_normal(x.shape)
@@ -307,18 +292,18 @@ def _full_channel_loop(x, ps, noise_var, rng):
 )
 def test_full_model_equals_per_path_loop_bitwise(paths):
     cfg = default_config()
-    ps = PathSet(tuple(Path(gain=g, delay_idx=l, doppler=k) for g, l, k in paths))
+    ps = PathSet(*zip(*paths))
     rng = np.random.default_rng(31)
     x = TFGrid(rng.standard_normal((cfg.M, cfg.N)) + 1j * rng.standard_normal((cfg.M, cfg.N)))
     for noise_var in (0.0, 0.3):
         got = apply_channel_full(x, ps, noise_var, np.random.default_rng(9)).data
-        want = _full_channel_loop(x.data, ps, noise_var, np.random.default_rng(9))
+        want = _full_channel_loop(x.data, paths, noise_var, np.random.default_rng(9))
         assert got.tobytes() == want.tobytes()
 
 
 def test_full_model_pure_delay_by_hand():
     cfg = tiny_cfg(4, 2)
-    ps = PathSet((Path(gain=1.0 + 0.0j, delay_idx=2, doppler=0.0),))
+    ps = PathSet([1.0 + 0.0j], [2], [0.0])
     rng = np.random.default_rng(4)
     x = TFGrid(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
     y = apply_channel_full(x, ps, 0.0, np.random.default_rng(0))
@@ -330,7 +315,7 @@ def test_full_model_ici_floor_at_high_doppler():
     cfg = default_config()
     x = TFGrid(np.exp(2j * np.pi * np.random.default_rng(21).uniform(size=(cfg.M, cfg.N))))
     for k_i, lo, hi in ((0.0, 0.0, 1e-10), (2.06, 0.08, 0.15)):
-        ps = PathSet((Path(gain=1.0 + 0.0j, delay_idx=2, doppler=k_i),))
+        ps = PathSet([1.0 + 0.0j], [2], [k_i])
         h = ctf_from_paths(ps, cfg).data
         y = apply_channel_full(x, ps, 0.0, np.random.default_rng(0))
         dev = np.linalg.norm(y.data - h * x.data) / np.linalg.norm(h * x.data)
@@ -338,36 +323,52 @@ def test_full_model_ici_floor_at_high_doppler():
 
 
 def test_path_and_pathset_validation():
-    with pytest.raises(ContractViolationError):
-        Path(gain=1.0, delay_idx=-1, doppler=0.0)
-    with pytest.raises(ContractViolationError):
-        PathSet(())
-    with pytest.raises(ContractViolationError):
-        PathSet((Path(1.0, 2, 0.0), Path(0.5, 2, 1.0)))  # duplicate delay bin
-    ps = PathSet((Path(0.6 + 0.8j, 1, 0.25),))
-    assert np.allclose(ps.powers, [1.0])  # falls back to |gain|^2
+    """A negative delay, an empty set, arrays of unequal lengths and a
+    duplicate delay bin are each one error naming the rule.  Powers fall back
+    to |gain|^2, and each array is stored as a read-only copy of one dtype:
+    the caller's own array stays writable."""
+    with pytest.raises(ContractViolationError, match=r"^delays must be in \[0, 2\*\*63\), got \[-1\]$"):
+        PathSet([1.0], [-1], [0.0])
+    with pytest.raises(ContractViolationError, match="^PathSet needs at least one path$"):
+        PathSet([], [], [])
+    with pytest.raises(ContractViolationError,
+                       match="^gains, delays and dopplers must have one length, got 2, 1 and 2$"):
+        PathSet([1.0, 0.5], [2], [0.0, 1.0])
+    with pytest.raises(ContractViolationError,
+                       match="^gains, delays, dopplers and powers must have one length, got 1, 1, 1 and 2$"):
+        PathSet([1.0], [2], [0.0], [1.0, 0.5])
+    with pytest.raises(ContractViolationError, match=r"^delays must be distinct bins, got \[2, 2\]$"):
+        PathSet([1.0, 0.5], [2, 2], [0.0, 1.0])
+    with pytest.raises(ContractViolationError, match=r"^\|gains\|\^2 must be finite, got inf$"):
+        PathSet([1e200], [0], [0.0])
+    gains = np.array([0.6 + 0.8j])
+    ps = PathSet(gains, np.array([1], dtype=np.uint8), [0.25])
+    assert len(ps) == 1 and np.allclose(ps.powers, [1.0])  # falls back to |gain|^2
+    arrays = (ps.gains, ps.delays, ps.dopplers, ps.powers)
+    assert [a.dtype for a in arrays] == [np.complex128, np.int64, np.float64, np.float64]
+    assert not any(a.flags.writeable for a in arrays) and gains.flags.writeable
 
 
 @pytest.mark.parametrize(
     "fields",
     [
-        dict(gain=complex(np.nan, 0.0)),
-        dict(gain=complex(0.0, np.inf)),
-        dict(doppler=np.nan),
-        dict(doppler=-np.inf),
-        dict(power=np.nan),
-        dict(power=np.inf),
-        dict(delay_idx=np.nan),
-        dict(delay_idx=np.inf),
-        dict(delay_idx=2**63),
-        dict(gain=10**400),
-        dict(doppler=10**400),
-        dict(power=10**400),
-        dict(delay_idx=10**5000),
-        dict(gain=10**5000),
-        dict(doppler=10**5000),
-        dict(delay_idx="1"),
-        dict(gain=None),
+        dict(gains=complex(np.nan, 0.0)),
+        dict(gains=complex(0.0, np.inf)),
+        dict(dopplers=np.nan),
+        dict(dopplers=-np.inf),
+        dict(powers=np.nan),
+        dict(powers=np.inf),
+        dict(delays=np.nan),
+        dict(delays=np.inf),
+        dict(delays=2**63),
+        dict(gains=10**400),
+        dict(dopplers=10**400),
+        dict(powers=10**400),
+        dict(delays=10**5000),
+        dict(gains=10**5000),
+        dict(dopplers=10**5000),
+        dict(delays="1"),
+        dict(gains=None),
     ],
     ids=["nan-gain", "inf-gain", "nan-doppler", "inf-doppler", "nan-power", "inf-power",
          "nan-delay", "inf-delay", "int64-delay", "huge-gain", "huge-doppler", "huge-power",
@@ -375,24 +376,21 @@ def test_path_and_pathset_validation():
          "None-gain"],
 )
 def test_path_rejects_non_finite_fields(fields):
-    """Each bad field is one ContractViolationError naming it; an int past
-    the float range is shown by its bit length, never by its digits."""
-    args = dict(gain=1.0 + 0.0j, delay_idx=1, doppler=0.5, power=1.0)
+    """A path set whose one path has a bad field is one ContractViolationError
+    naming its array; an int past the float range is refused by the dtype
+    numpy reads it as, never shown by its digits."""
+    args = dict(gains=1.0 + 0.0j, delays=1, dopplers=0.5, powers=1.0)
     args.update(fields)
     key = next(iter(fields))
-    value = fields[key]
-    huge = isinstance(value, int) and value >= 2**1024
-    rule = "must lie within the float64 range, got an integer of " if huge else "must be "
-    with pytest.raises(ContractViolationError, match=f"^{key} {rule}") as info:
-        Path(**args)
-    if huge:
-        assert str(info.value).endswith(f" {value.bit_length()} bits")
+    with pytest.raises(ContractViolationError, match=f"^{key} must ") as info:
+        PathSet(*([value] for value in args.values()))
+    assert "0" * 20 not in str(info.value)
 
 
 @pytest.mark.parametrize("noise_var", [np.nan, np.inf, pytest.param(10**400, id="huge")])
 def test_channels_reject_bad_noise_var(noise_var):
     cfg = tiny_cfg(8, 4)
-    ps = PathSet((Path(1.0 + 0.0j, 1, 0.5),))
+    ps = PathSet([1.0 + 0.0j], [1], [0.5])
     x = TFGrid(np.ones((8, 4)))
     h = ctf_from_paths(ps, cfg)
     rng = np.random.default_rng(0)

@@ -14,7 +14,6 @@ from ddce import blas, estimators, harness
 from ddce.blas import single_blas_thread
 from ddce.channel import (
     ChannelProfile,
-    Path,
     PathSet,
     apply_channel_diag,
     csf_from_paths,
@@ -77,7 +76,7 @@ def test_ls_recovers_lattice_exactly_without_noise():
 def test_ls_noise_variance_matches_channel_noise():
     cfg = tiny_cfg(64, 32, d_t=2, d_f=2)
     pattern = PilotPattern(d_t=2, d_f=2)
-    ps = PathSet((Path(gain=1.0 + 0.0j, delay_idx=0, doppler=0.0),))
+    ps = PathSet([1.0 + 0.0j], [0], [0.0])
     rng = np.random.default_rng(77)
     errs = []
     for _ in range(30):
@@ -167,7 +166,7 @@ def test_period_matches_direct_sum():
 def test_period_peak_for_ongrid_path():
     cfg = tiny_cfg(16, 16, d_t=2, d_f=2)
     gain = 0.8 - 0.6j
-    ps = PathSet((Path(gain=gain, delay_idx=3, doppler=-2.0),))
+    ps = PathSet([gain], [3], [-2.0])
     h = ctf_from_paths(ps, cfg).data
     obs = PilotObservations(h[::2, ::2], d_t=2, d_f=2)
     p = periodic_csf(obs, cfg)
@@ -231,13 +230,7 @@ def test_ongrid_embedding_shape_guard():
 
 def test_detection_exact_without_noise():
     cfg = tiny_cfg(16, 16, d_t=2, d_f=2)
-    ps = PathSet(
-        (
-            Path(gain=1.0, delay_idx=0, doppler=1.3),
-            Path(gain=0.5j, delay_idx=4, doppler=-2.0),
-            Path(gain=-0.25, delay_idx=7, doppler=0.49),
-        )
-    )
+    ps = PathSet([1.0, 0.5j, -0.25], [0, 4, 7], [1.3, -2.0, 0.49])
     h = ctf_from_paths(ps, cfg).data
     obs = PilotObservations(h[::2, ::2], d_t=2, d_f=2)
     p = periodic_csf(obs, cfg)
@@ -273,15 +266,15 @@ def test_detection_under_noise_is_reliable():
 def test_recover_single_ongrid_path_exactly():
     cfg = tiny_cfg(16, 16, d_t=2, d_f=2)
     gain = 0.8 - 0.6j
-    ps = PathSet((Path(gain=gain, delay_idx=5, doppler=3.0),))
+    ps = PathSet([gain], [5], [3.0])
     h = ctf_from_paths(ps, cfg).data
     p = periodic_csf(PilotObservations(h[::2, ::2], d_t=2, d_f=2), cfg)
     got, truncated = recover_paths_offgrid(p, 1)
     assert not truncated
     assert len(got) == 1
-    assert got.paths[0].delay_idx == 5
-    assert abs(got.paths[0].doppler - 3.0) < 1e-12
-    assert abs(got.paths[0].gain - gain) < 1e-10
+    assert got.delays[0] == 5
+    assert abs(got.dopplers[0] - 3.0) < 1e-12
+    assert abs(got.gains[0] - gain) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -291,56 +284,47 @@ def test_recover_single_ongrid_path_exactly():
 def test_recover_fractional_doppler_within_bias_bounds(k_frac, tol_k, tol_g):
     cfg = tiny_cfg(128, 64, d_t=4, d_f=4)
     k_true = 2.0 + k_frac
-    ps = PathSet((Path(gain=1.0 + 0.0j, delay_idx=3, doppler=k_true),))
+    ps = PathSet([1.0 + 0.0j], [3], [k_true])
     h = ctf_from_paths(ps, cfg).data
     p = periodic_csf(PilotObservations(h[::4, ::4], d_t=4, d_f=4), cfg)
     got, truncated = recover_paths_offgrid(p, 1)
     assert not truncated
-    path = got.paths[0]
-    assert path.delay_idx == 3
-    assert abs(path.doppler - k_true) < tol_k
-    assert abs(path.gain - 1.0) < tol_g
+    assert got.delays[0] == 3
+    assert abs(got.dopplers[0] - k_true) < tol_k
+    assert abs(got.gains[0] - 1.0) < tol_g
 
 
 def test_recover_two_paths_with_distinct_delays():
     cfg = tiny_cfg(128, 64, d_t=4, d_f=4)
-    ps = PathSet(
-        (
-            Path(gain=1.0 + 0.5j, delay_idx=2, doppler=1.2),
-            Path(gain=-0.4 + 0.9j, delay_idx=6, doppler=-1.85),
-        )
-    )
+    ps = PathSet([1.0 + 0.5j, -0.4 + 0.9j], [2, 6], [1.2, -1.85])
     h = ctf_from_paths(ps, cfg).data
     p = periodic_csf(PilotObservations(h[::4, ::4], d_t=4, d_f=4), cfg)
     got, truncated = recover_paths_offgrid(p, 2)
     assert not truncated
-    by_delay = {q.delay_idx: q for q in got.paths}
+    by_delay = {l: i for i, l in enumerate(got.delays.tolist())}
     assert set(by_delay) == {2, 6}
-    for true in ps.paths:
-        est = by_delay[true.delay_idx]
-        assert abs(est.doppler - true.doppler) < 1e-3
-        assert abs(est.gain - true.gain) / abs(true.gain) < 3e-3
+    for gain, delay, doppler in zip(ps.gains, ps.delays.tolist(), ps.dopplers):
+        i = by_delay[delay]
+        assert abs(got.dopplers[i] - doppler) < 1e-3
+        assert abs(got.gains[i] - gain) / abs(gain) < 3e-3
 
 
 def test_recover_gains_equal_scalar_kernel_division_bitwise():
     cfg = tiny_cfg(128, 64, d_t=4, d_f=4)
-    ps = PathSet(tuple(
-        Path(gain=g, delay_idx=l, doppler=k)
-        for g, l, k in ((1.0 + 0.5j, 0, 0.3), (-0.4 + 0.9j, 2, -1.85), (0.3 - 0.2j, 5, 2.0),
-                        (0.2 + 0.1j, 9, -4.45))
-    ))
+    ps = PathSet(
+        [1.0 + 0.5j, -0.4 + 0.9j, 0.3 - 0.2j, 0.2 + 0.1j], [0, 2, 5, 9], [0.3, -1.85, 2.0, -4.45]
+    )
     rng = np.random.default_rng(8)
     noise = 0.01 * (rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16)))
     h = ctf_from_paths(ps, cfg).data[::4, ::4] + noise
     p = periodic_csf(PilotObservations(h, d_t=4, d_f=4), cfg)
     got, truncated = recover_paths_offgrid(p, 4)
     assert not truncated and len(got) == 4
-    for path in got.paths:
-        l0 = path.delay_idx
+    for gain, l0, doppler in zip(got.gains.tolist(), got.delays.tolist(), got.dopplers.tolist()):
         row0 = int(np.argmax(np.abs(p.data[:, l0])))
         k0 = row0 + p.k_min
-        denom = delay_kernel(l0, l0, 128, 4) * doppler_kernel(path.doppler, k0, 64, 4)
-        assert path.gain == complex(p.data[row0, l0] / denom)
+        denom = delay_kernel(l0, l0, 128, 4) * doppler_kernel(doppler, k0, 64, 4)
+        assert gain == complex(p.data[row0, l0] / denom)
 
 
 def test_recover_truncates_when_support_runs_out():
@@ -363,10 +347,9 @@ def test_recover_scans_delay_major_on_ties():
     data[2, 1] = 2.0  # centered k = 0
     data[2, 3] = 2.0  # same magnitude, larger delay
     got, _ = recover_paths_offgrid(PeriodCSF(data, d_t=2, d_f=2), 2)
-    assert [q.delay_idx for q in got.paths] == [1, 3]
-    for q in got.paths:
-        assert q.doppler == 0.0
-        assert abs(q.gain - 0.25) < 1e-12
+    assert got.delays.tolist() == [1, 3]
+    assert got.dopplers.tolist() == [0.0, 0.0]
+    assert np.abs(got.gains - 0.25).max() < 1e-12
 
 
 def recover_iteratively(p, n_paths):
@@ -396,8 +379,7 @@ def recover_iteratively(p, n_paths):
         return None, True
     l0s, k0s, k_hats, values = (np.array(col) for col in zip(*found))
     denom = delay_kernel(l0s, l0s, p.full_m, p.d_f) * doppler_kernel(k_hats, k0s, p.full_n, p.d_t)
-    paths = [Path(complex(g), int(l), float(k)) for g, l, k in zip(values / denom, l0s, k_hats)]
-    return PathSet(paths), truncated
+    return PathSet(values / denom, l0s, k_hats), truncated
 
 
 def path_bits(ps):
@@ -405,13 +387,13 @@ def path_bits(ps):
     0.0 differ."""
     if ps is None:
         return None
-    return [(q.delay_idx, q.gain.real.hex(), q.gain.imag.hex(), q.doppler.hex()) for q in ps.paths]
+    arrays = (ps.gains, ps.delays, ps.dopplers, ps.powers)
+    return [(l, g.real.hex(), g.imag.hex(), k.hex(), p.hex()) for g, l, k, p in zip(*(a.tolist() for a in arrays))]
 
 
 def _assert_recovery_matches_oracle(p, n_paths):
     got, truncated = recover_paths_offgrid(p, n_paths)
     want, want_truncated = recover_iteratively(p, n_paths)
-    assert got == want
     assert path_bits(got) == path_bits(want)
     assert truncated is want_truncated
 
@@ -487,19 +469,14 @@ def test_mmse_matches_dense_construction(noise_var):
     big_m = big_n = 8
     d_t = d_f = 2
     cfg = tiny_cfg(big_m, big_n, d_t, d_f)
-    ps = PathSet(
-        (
-            Path(gain=1.0, delay_idx=1, doppler=0.6, power=0.7),
-            Path(gain=1.0, delay_idx=3, doppler=-1.2, power=0.3),
-        )
-    )
+    ps = PathSet([1.0, 1.0], [1, 3], [0.6, -1.2], [0.7, 0.3])
     lay = make_layout(PilotPattern(d_t=d_t, d_f=d_f), cfg)
     rng = np.random.default_rng(13)
     vals = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     obs = PilotObservations(vals, d_t=d_t, d_f=d_f)
     est = mmse_estimate(obs, genie_correlations(ps, cfg, lay), noise_var, cfg)
     want = mmse_direct(
-        vals, [(p.gain, p.delay_idx, p.doppler, p.power) for p in ps.paths],
+        vals, list(zip(*(a.tolist() for a in (ps.gains, ps.delays, ps.dopplers, ps.powers)))),
         big_m, big_n, d_t, d_f, noise_var,
     )
     assert not est.used_least_norm
@@ -508,7 +485,7 @@ def test_mmse_matches_dense_construction(noise_var):
 
 def test_mmse_noiseless_uses_least_norm_and_stays_exact():
     cfg = tiny_cfg(8, 8, 2, 2)
-    ps = PathSet((Path(gain=0.3 + 0.4j, delay_idx=1, doppler=-2.0),))
+    ps = PathSet([0.3 + 0.4j], [1], [-2.0])
     lay = make_layout(PilotPattern(d_t=2, d_f=2), cfg)
     h = ctf_from_paths(ps, cfg).data
     obs = PilotObservations(h[::2, ::2], d_t=2, d_f=2)
@@ -519,7 +496,7 @@ def test_mmse_noiseless_uses_least_norm_and_stays_exact():
 
 def test_mmse_input_guards():
     cfg = tiny_cfg(8, 8, 2, 2)
-    ps = PathSet((Path(gain=1.0, delay_idx=0, doppler=0.0),))
+    ps = PathSet([1.0], [0], [0.0])
     lay = make_layout(PilotPattern(d_t=2, d_f=2), cfg)
     corr = genie_correlations(ps, cfg, lay)
     obs = PilotObservations(np.ones((4, 4)), d_t=2, d_f=2)
@@ -537,7 +514,7 @@ def test_mmse_input_guards():
 def test_correlations_use_declared_ensemble_powers():
     cfg = tiny_cfg(8, 8, 2, 2)
     lay = make_layout(PilotPattern(d_t=2, d_f=2), cfg)
-    strong = PathSet((Path(gain=1e-6, delay_idx=2, doppler=1.0, power=5.0),))
+    strong = PathSet([1e-6], [2], [1.0], [5.0])
     corr = genie_correlations(strong, cfg, lay)
     # diagonal of the pilot autocorrelation is the total ensemble power
     assert np.allclose(np.abs(corr._a_pilot) ** 2 @ corr._p, 5.0)
@@ -553,10 +530,8 @@ def _random_mmse_case(cfg, seed, n_paths=4):
     k_lim = 0.45 * cfg.N / cfg.d_t
     delays = rng.choice(cfg.M // cfg.d_f, size=n_paths, replace=False)
     powers = rng.uniform(0.1, 1.0, n_paths)
-    ps = PathSet(tuple(
-        Path(gain=1.0, delay_idx=int(l), doppler=float(rng.uniform(-k_lim, k_lim)), power=float(w))
-        for l, w in zip(delays, powers / powers.sum())
-    ))
+    dopplers = [rng.uniform(-k_lim, k_lim) for _ in delays]
+    ps = PathSet(np.ones(n_paths), delays, dopplers, powers / powers.sum())
     layout = make_layout(PilotPattern(d_t=cfg.d_t, d_f=cfg.d_f), cfg)
     shape = (cfg.M // cfg.d_f, cfg.N // cfg.d_t)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -653,16 +628,11 @@ def _least_norm_case(case):
     if case.startswith("paper"):
         trial = harness._Trial(with_overrides(cfg, channel_model=case[6:]), float("inf"), 4)
         return cfg, trial.obs, genie_correlations(trial.ps, cfg, trial.layout)
-    second = {
-        # delays l and l + M/d_f at one Doppler have the same pilot samples
-        "alias": Path(gain=1.0, delay_idx=3 + cfg.M // cfg.d_f, doppler=1.3, power=0.3),
-        "zero-power": Path(gain=1.0, delay_idx=9, doppler=-2.2, power=0.0),
-    }[case]
-    ps = PathSet((
-        Path(gain=1.0, delay_idx=3, doppler=1.3, power=0.5),
-        second,
-        Path(gain=1.0, delay_idx=12, doppler=-4.6, power=0.2),
-    ))
+    # the second path's (delay, Doppler, power): delays l and l + M/d_f at
+    # one Doppler have the same pilot samples
+    delay, doppler, power = {"alias": (3 + cfg.M // cfg.d_f, 1.3, 0.3),
+                             "zero-power": (9, -2.2, 0.0)}[case]
+    ps = PathSet(np.ones(3), [3, delay, 12], [1.3, doppler, -4.6], [0.5, power, 0.2])
     layout = make_layout(PilotPattern(d_t=cfg.d_t, d_f=cfg.d_f), cfg)
     rng = np.random.default_rng(8)
     shape = (cfg.M // cfg.d_f, cfg.N // cfg.d_t)
@@ -876,14 +846,14 @@ def run_pipeline(cfg, ps, sigma2, mode, seed=0):
 
 def test_estimate_csf_rejects_unknown_mode():
     cfg = tiny_cfg(8, 8, 2, 2)
-    ps = PathSet((Path(gain=1.0, delay_idx=0, doppler=0.0),))
+    ps = PathSet([1.0], [0], [0.0])
     with pytest.raises(ContractViolationError, match="unknown mode"):
         run_pipeline(cfg, ps, 0.0, "magic")
 
 
 def test_ongrid_mode_gates_noise_only_columns():
     cfg = tiny_cfg(32, 16, 2, 2)
-    ps = PathSet((Path(gain=1.0 + 0.0j, delay_idx=2, doppler=1.0),))
+    ps = PathSet([1.0 + 0.0j], [2], [1.0])
     est, x, y, lay = run_pipeline(cfg, ps, 0.01, "ongrid", seed=3)
     occupied = np.flatnonzero(np.abs(est.full_dd.data).max(axis=0))
     assert occupied.tolist() == [2]
@@ -894,7 +864,7 @@ def test_ongrid_mode_gates_noise_only_columns():
 
 def test_offgrid_mode_returns_zero_image_when_nothing_detected():
     cfg = tiny_cfg(32, 16, 2, 2)
-    ps = PathSet((Path(gain=1e-8, delay_idx=2, doppler=0.4),))
+    ps = PathSet([1e-8], [2], [0.4])
     est, *_ = run_pipeline(cfg, ps, 50.0, "offgrid", seed=5)
     assert est.paths_hat is None
     assert est.truncated
@@ -903,12 +873,7 @@ def test_offgrid_mode_returns_zero_image_when_nothing_detected():
 
 def test_offgrid_pipeline_recovers_clean_channel():
     cfg = tiny_cfg(64, 32, 2, 2)
-    ps = PathSet(
-        (
-            Path(gain=0.9 + 0.1j, delay_idx=1, doppler=0.73),
-            Path(gain=0.2 - 0.5j, delay_idx=4, doppler=-1.2),
-        )
-    )
+    ps = PathSet([0.9 + 0.1j, 0.2 - 0.5j], [1, 4], [0.73, -1.2])
     est, x, y, lay = run_pipeline(cfg, ps, 0.0, "offgrid", seed=11)
     assert est.paths_hat is not None and len(est.paths_hat) == 2
     h_hat = isfft(est.full_dd, cfg).data
@@ -919,18 +884,13 @@ def test_offgrid_pipeline_recovers_clean_channel():
 
 def test_reconstruct_route_equals_direct_formula():
     cfg = tiny_cfg(16, 8, 2, 2)
-    ps_hat = PathSet(
-        (
-            Path(gain=0.7 - 0.1j, delay_idx=2, doppler=1.37),
-            Path(gain=-0.3 + 0.2j, delay_idx=5, doppler=-0.52),
-        )
-    )
+    ps_hat = PathSet([0.7 - 0.1j, -0.3 + 0.2j], [2, 5], [1.37, -0.52])
     via_dd = isfft(csf_from_paths(ps_hat, cfg), cfg).data
     m = np.arange(16)[:, None]
     n = np.arange(8)[None, :]
     want = np.zeros((16, 8), dtype=complex)
-    for p in ps_hat.paths:
-        want += p.gain * np.exp(2j * np.pi * (p.doppler * n / 8 - p.delay_idx * m / 16))
+    for gain, delay, doppler in zip(ps_hat.gains, ps_hat.delays, ps_hat.dopplers):
+        want += gain * np.exp(2j * np.pi * (doppler * n / 8 - delay * m / 16))
     assert np.max(np.abs(via_dd - want)) < 1e-10
 
 
@@ -939,13 +899,13 @@ def _on_grid_path_sets(draw):
     """One to five paths in distinct delay bins of a 32x16 grid with
     d_t = d_f = 2, at integer Dopplers inside the period [-4, 4)."""
     delays = draw(st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True))
-    paths = []
-    for delay in delays:
+    gains, dopplers = [], []
+    for _ in delays:
         mag = draw(st.floats(0.1, 1.0))
         phase = draw(st.floats(0.0, 2.0 * np.pi))
-        doppler = draw(st.integers(-4, 3))
-        paths.append(Path(mag * np.exp(1j * phase), delay, float(doppler)))
-    return PathSet(tuple(paths))
+        gains.append(mag * np.exp(1j * phase))
+        dopplers.append(draw(st.integers(-4, 3)))
+    return PathSet(gains, delays, dopplers)
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -3,8 +3,10 @@ solve on the fallback route, where no mapped OpenBLAS exports LAPACK's
 `zpotrf`/`zpotrs`; the genie-MMSE solves alone take the BLAS pin over every
 OpenBLAS copy.  No run loads the thread-pool module (`concurrent.futures`) of
 its own: sweeps run their trials serially, and only `scipy.linalg` imports
-it.  Each case runs in a fresh interpreter, since the module table of this
-one depends on which tests ran before."""
+it.  Nor does any run load numpy's masked arrays (`numpy.ma`, 0.8 MB of
+resident memory) except through `scipy.linalg`: `np.unique`, for one,
+imports them.  Each case runs in a fresh interpreter, since the module
+table of this one depends on which tests ran before."""
 
 import os
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 
 from helpers import PAPER_CFG, ROOT, SRC, run_python
 
-LAZY = ("scipy.linalg", "concurrent.futures")
+LAZY = ("scipy.linalg", "concurrent.futures", "numpy.ma")
 
 
 def small_config(tmp_path, name, **keys):
@@ -80,8 +82,8 @@ def test_runs_without_the_genie_mmse_load_neither(case, tmp_path):
 def test_a_genie_mmse_sweep_loads_the_dense_solver_only_on_the_fallback(tmp_path):
     """A noisy genie-MMSE sweep factors in numpy's OpenBLAS and loads
     neither.  The same sweep with the LAPACK lookup finding nothing loads
-    both, so that the absence is not vacuous: `concurrent.futures` comes with
-    `scipy.linalg`, which imports it."""
+    all, so that the absence is not vacuous: `concurrent.futures` and
+    `numpy.ma` come with `scipy.linalg`, which imports them."""
     cfg = small_config(
         tmp_path, "mmse.cfg", estimators="mmse-genie", snr_db="10", n_trials=2, threads=2
     )

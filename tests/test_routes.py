@@ -2,8 +2,9 @@
 bit for bit: the qam4 table, flat-index frame assembly and pilot gathering,
 the sliced period centering and embedding, the whole-array Dirichlet kernel,
 the one-buffer closed-form image, the genie MMSE's steering grid formed
-after its solve and the gathered-slope pilot interpolation.  Each reference
-below is the replaced code."""
+after its solve, the gathered-slope pilot interpolation, the array path set
+and the layout derived from its lattice.  Each reference below is the
+replaced code."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddce import harness, kernels
-from ddce.channel import path_steering
+from ddce.channel import _draw_constants, gen_paths, path_steering
 from ddce.config import default_config, with_overrides
 from ddce.estimators import (
     ESTIMATORS,
@@ -25,7 +26,7 @@ from ddce.estimators import (
 )
 from ddce.grids import PeriodCSF, TFGrid, sfft
 from ddce.kernels import csf_closed_form
-from ddce.txrx import PILOT_VALUE, PilotPattern, build_frame, make_layout, qam4_mod
+from ddce.txrx import PILOT_VALUE, FrameLayout, PilotPattern, build_frame, make_layout, qam4_mod
 from helpers import lattices, tiny_cfg
 
 ROUTES = settings(max_examples=60, deadline=None, database=None)
@@ -59,7 +60,7 @@ def test_qam4_table_equals_the_formula(bits, dtype):
 def fancy_frame(syms, layout, big_m, big_n):
     grid = np.zeros((big_m, big_n), dtype=np.complex128)
     grid[layout.pilot_m, layout.pilot_n] = PILOT_VALUE
-    grid[layout.data_m, layout.data_n] = syms
+    grid[np.divmod(layout.data_flat, big_n)] = syms
     return grid
 
 
@@ -181,7 +182,6 @@ def test_one_buffer_closed_form_equals_the_per_path_loop(lattice, n_paths, seed)
     assert got.tobytes() == want.tobytes()
 
 
-
 class EagerCorrelationPair(CorrelationPair):
     """The pair as it was when it held the (M*N) x P steering grid A_all,
     built up front by genie_correlations, instead of its separable factors."""
@@ -236,3 +236,51 @@ def test_gathered_slope_interpolation_equals_the_textbook_formula(n_f, d_f, n_t,
     want = textbook_lerp(textbook_lerp(values, d_t, big_n, axis=1), d_f, big_m, axis=0)
     assert got.shape == (big_m, big_n) and got.tobytes() == np.ascontiguousarray(want).tobytes()
 
+
+
+def per_path_gen_paths(cfg, profile, rng):
+    """`gen_paths` as it was: the same draws, each path's fields taken as a
+    Python complex, int and two floats, then packed back into arrays."""
+    delays, k_max, p_lin = _draw_constants(profile, cfg)
+    n = profile.n_taps
+    re = rng.standard_normal(n)
+    im = rng.standard_normal(n)
+    gains = (re + 1j * im) * np.sqrt(p_lin / 2.0)
+    dopplers = k_max * np.cos(rng.uniform(0.0, 2.0 * np.pi, n))
+    if cfg.on_grid_doppler:
+        dopplers = np.rint(dopplers)
+    paths = [(complex(g), int(l), float(k), float(p)) for g, l, k, p in zip(gains, delays, dopplers, p_lin)]
+    dtypes = (np.complex128, np.int64, np.float64, np.float64)
+    return [np.array(column, dtype=dtype) for column, dtype in zip(zip(*paths), dtypes)]
+
+
+@ROUTES
+@given(st.booleans(), st.integers(0, 2**32 - 1))
+def test_array_path_set_equals_the_per_path_round_trip(on_grid_doppler, seed):
+    """Random gains and Dopplers of the paper profile, off- and on-grid."""
+    cfg = with_overrides(default_config(), on_grid_doppler=on_grid_doppler)
+    got = gen_paths(cfg, cfg.profile, np.random.default_rng(seed))
+    want = per_path_gen_paths(cfg, cfg.profile, np.random.default_rng(seed))
+    for arr, ref in zip((got.gains, got.delays, got.dopplers, got.powers), want):
+        assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes()
+
+
+def six_array_layout(big_m, big_n, d_t, d_f):
+    """The (m, n) pairs and flat indices of the pilots and the data, as the
+    layout once took them."""
+    is_pilot = np.zeros((big_n, big_m), dtype=bool)  # symbol-major
+    is_pilot[::d_t, ::d_f] = True
+    pn, pm = np.nonzero(is_pilot)
+    dn, dm = np.nonzero(~is_pilot)
+    return pm, pn, dm, dn, pm * big_n + pn, dm * big_n + dn
+
+
+@ROUTES
+@given(lattices())
+def test_derived_layout_positions_equal_the_six_array_layout(lattice):
+    big_m, big_n, d_t, d_f = lattice
+    layout = FrameLayout((big_m, big_n), d_t, d_f)
+    got = (layout.pilot_m, layout.pilot_n, *np.divmod(layout.data_flat, big_n), layout.pilot_flat,
+           layout.data_flat)
+    for arr, ref in zip(got, six_array_layout(*lattice)):
+        assert arr.dtype == np.intp and arr.tobytes() == np.ascontiguousarray(ref, dtype=np.intp).tobytes()

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from ddce.channel import (
     C_LIGHT,
     ChannelProfile,
-    Path,
     PathSet,
     apply_channel_diag,
     csf_from_paths,
@@ -34,13 +33,15 @@ def _gain(draw):
 
 @st.composite
 def _in_support_paths(draw, big_m, big_n, d_t, d_f):
-    """One path per delay bin in [0, M/d_f), at integer Dopplers in
-    [-N/(2 d_t), N/(2 d_t)), both edges included."""
+    """The [gains, delays, dopplers] lists of one path per delay bin in
+    [0, M/d_f), at integer Dopplers in [-N/(2 d_t), N/(2 d_t)), both edges
+    included."""
     half = big_n // (2 * d_t)
     delays = draw(
         st.lists(st.integers(0, big_m // d_f - 1), min_size=1, max_size=5, unique=True)
     )
-    return [Path(_gain(draw), l, float(draw(st.integers(-half, half - 1)))) for l in delays]
+    rows = [(_gain(draw), l, float(draw(st.integers(-half, half - 1)))) for l in delays]
+    return [list(column) for column in zip(*rows)]
 
 
 def _noiseless_rx(ps, cfg):
@@ -55,7 +56,7 @@ def _noiseless_rx(ps, cfg):
 def test_noiseless_csf_ctfs_are_exact_inside_the_support(data):
     big_m, big_n, d_t, d_f = data.draw(lattices(), label="lattice")
     cfg = tiny_cfg(big_m, big_n, d_t, d_f)
-    ps = PathSet(tuple(data.draw(_in_support_paths(big_m, big_n, d_t, d_f), label="paths")))
+    ps = PathSet(*data.draw(_in_support_paths(big_m, big_n, d_t, d_f), label="paths"))
     y, x, layout = _noiseless_rx(ps, cfg)
     want = ctf_from_paths(ps, cfg).data
     for mode in CSF_MODES:
@@ -72,15 +73,16 @@ def test_a_path_one_bin_past_the_support_leaves_the_predicted_alias(data):
     big_m, big_n, d_t, d_f = data.draw(lattices(min_log_d_t=1), label="lattice")
     cfg = tiny_cfg(big_m, big_n, d_t, d_f)
     half = big_n // (2 * d_t)
-    inside = data.draw(_in_support_paths(big_m, big_n, d_t, d_f), label="inside")
+    gains, delays, dopplers = data.draw(_in_support_paths(big_m, big_n, d_t, d_f), label="inside")
     past = data.draw(st.sampled_from((half, -half - 1)), label="past")
-    outside = Path(_gain(data.draw), inside[0].delay_idx, float(past))
-    ps = PathSet((outside, *inside[1:]))
+    # the first path, moved one bin past the period, is the outside one
+    gains[0], dopplers[0] = _gain(data.draw), float(past)
+    ps = PathSet(gains, delays, dopplers)
     y, x, layout = _noiseless_rx(ps, cfg)
     ks = np.arange(-big_n // 2, big_n // 2)
     want = np.zeros((big_n, big_m), dtype=complex)
-    want[ks % big_n, outside.delay_idx] = (
-        outside.gain * np.sqrt(big_m) * doppler_alias_difference(outside.doppler, ks, big_n, d_t)
+    want[ks % big_n, delays[0]] = (
+        gains[0] * np.sqrt(big_m) * doppler_alias_difference(dopplers[0], ks, big_n, d_t)
     )
     true_dd = csf_from_paths(ps, cfg).data
     for mode in CSF_MODES:

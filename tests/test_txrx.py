@@ -69,8 +69,9 @@ class LayoutTests(unittest.TestCase):
         self.assertEqual(lay.pilot_m.tolist(), [0, 4, 0, 4])
         self.assertEqual(lay.pilot_n.tolist(), [0, 0, 2, 2])
         # symbol-major, subcarrier fastest
-        self.assertEqual(lay.data_m[:6].tolist(), [1, 2, 3, 5, 6, 7])
-        self.assertEqual(lay.data_n[:6].tolist(), [0] * 6)
+        data_m, data_n = np.divmod(lay.data_flat, 4)
+        self.assertEqual(data_m[:6].tolist(), [1, 2, 3, 5, 6, 7])
+        self.assertEqual(data_n[:6].tolist(), [0] * 6)
         self.assertEqual(lay.n_pilot, 4)
         self.assertEqual(lay.n_data, 28)
         self.assertEqual(lay.shape, (8, 4))
@@ -79,7 +80,8 @@ class LayoutTests(unittest.TestCase):
         cfg = tiny_cfg(12, 6, 3, 2)
         lay = make_layout(PilotPattern(d_t=3, d_f=2), cfg)
         seen = set(zip(lay.pilot_m.tolist(), lay.pilot_n.tolist()))
-        seen.update(zip(lay.data_m.tolist(), lay.data_n.tolist()))
+        data_m, data_n = np.divmod(lay.data_flat, 6)
+        seen.update(zip(data_m.tolist(), data_n.tolist()))
         self.assertEqual(len(seen), 12 * 6)
         self.assertEqual(lay.n_pilot + lay.n_data, 72)
 
@@ -103,8 +105,8 @@ class LayoutTests(unittest.TestCase):
             PilotPattern(d_t=0, d_f=1)
 
 
-# one pilot at (0, 0) and one data RE at (1, 0) of a 4x4 grid
-_LAYOUT = dict(pilot_m=[0], pilot_n=[0], data_m=[1], data_n=[0], pilot_flat=[0], data_flat=[4], shape=(4, 4))
+# pilots on every second subcarrier of every second symbol of a 4x4 grid
+_LAYOUT = dict(shape=(4, 4), d_t=2, d_f=2)
 
 
 @pytest.mark.parametrize(
@@ -112,36 +114,52 @@ _LAYOUT = dict(pilot_m=[0], pilot_n=[0], data_m=[1], data_n=[0], pilot_flat=[0],
     [
         pytest.param(key, value, message, id=f"{key}={value!r}")
         for key, value, message in [
-            ("pilot_flat", [10**6], r"pilot_flat must lie in \[0, 16\), got values from 1000000 to 1000000$"),
-            ("shape", [4, 4.0], "shape must be an integer, got 4.0$"),
-            ("shape", (4, 4, 1), r"shape must be \(M, N\), got 3 sides$"),
-            ("shape", 4, "shape must be a list, not int$"),
-            ("shape", (0, 4), "shape must be >= 1, got 0$"),
-            ("pilot_m", [4], r"pilot_m must lie in \[0, 4\), got values from 4 to 4$"),
-            ("data_n", [-1], r"data_n must lie in \[0, 4\), got values from -1 to -1$"),
-            ("data_m", [0.5], r"data_m must be a 1-D array of integers, got float64 \(1,\)$"),
-            ("data_flat", [True], r"data_flat must be a 1-D array of integers, got bool \(1,\)$"),
-            ("pilot_n", [[0]], r"pilot_n must be a 1-D array of integers, got int\d+ \(1, 1\)$"),
-            ("data_flat", [[0], [1, 2]], "data_flat must be a 1-D array of integers$"),
-            ("pilot_n", [0, 1], "pilot_m, pilot_n and pilot_flat must have one length, got 1, 2 and 1$"),
-            ("data_flat", [], "data_m, data_n and data_flat must have one length, got 1, 1 and 0$"),
+            ("shape", [4, 4.0], "^shape must be an integer, got 4.0$"),
+            ("shape", (4, 4, 1), r"^shape must be \(M, N\), got 3 sides$"),
+            ("shape", 4, "^shape must be a list, not int$"),
+            ("shape", (0, 4), "^shape must be >= 1, got 0$"),
+            ("d_t", 2.0, "^d_t must be an integer, got 2.0$"),
+            ("d_t", 0, "^d_t must be a divisor of 4, got 0$"),
+            ("d_f", 3, "^d_f must be a divisor of 4, got 3$"),
+            ("d_f", "2", "^d_f must be an integer, got '2'$"),
+            # the positions are derived from the lattice, so no index array
+            # is taken, and none can disagree with another
+            ("pilot_flat", [10**6], "unexpected keyword argument 'pilot_flat'$"),
+            ("pilot_m", [4], "unexpected keyword argument 'pilot_m'$"),
+            ("data_n", [-1], "unexpected keyword argument 'data_n'$"),
+            ("data_m", [0.5], "unexpected keyword argument 'data_m'$"),
+            ("data_flat", [True], "unexpected keyword argument 'data_flat'$"),
+            ("pilot_n", [[0]], "unexpected keyword argument 'pilot_n'$"),
+            ("data_flat", [[0], [1, 2]], "unexpected keyword argument 'data_flat'$"),
+            ("pilot_n", [0, 1], "unexpected keyword argument 'pilot_n'$"),
+            ("data_flat", [], "unexpected keyword argument 'data_flat'$"),
         ]
     ],
 )
 def test_a_hand_built_layout_is_checked_against_its_shape(key, value, message):
-    """Each side an int >= 1, each index array 1-D integers inside the grid,
-    and the pilot and data arrays of one length: anything else is one error
-    naming the field."""
-    with pytest.raises(ContractViolationError, match=f"^{message}"):
+    """Each side and spacing an int >= 1, and each spacing a divisor of its
+    side: anything else is one error naming the field.  An index array is
+    not an argument at all."""
+    error = ContractViolationError if key in _LAYOUT else TypeError
+    with pytest.raises(error, match=message):
         FrameLayout(**{**_LAYOUT, key: value})
 
 
 def test_a_hand_built_layout_stores_int_sides_and_read_only_copies():
-    mine = np.array([0])
-    lay = FrameLayout(**{**_LAYOUT, "pilot_m": mine, "shape": [np.int64(4), 4]})
-    assert lay.shape == (4, 4) and all(type(side) is int for side in lay.shape)
-    assert lay.pilot_m.dtype == np.intp and not lay.pilot_m.flags.writeable
-    assert mine.flags.writeable  # the caller's array is not frozen
+    """Sides and spacings are stored as ints; the derived position arrays
+    are read-only intp arrays."""
+    lay = FrameLayout([np.int64(4), 4], np.int64(2), 2)
+    assert lay.shape == (4, 4) and all(type(v) is int for v in (*lay.shape, lay.d_t, lay.d_f))
+    arrays = (lay.pilot_m, lay.pilot_n, lay.pilot_flat, lay.data_flat)
+    assert all(a.dtype == np.intp and not a.flags.writeable for a in arrays)
+    assert lay.pilot_flat.tolist() == [0, 8, 2, 10] and (lay.n_pilot, lay.n_data) == (4, 12)
+
+
+def test_a_layout_cannot_place_one_pilot_at_two_positions():
+    """The six-array layout that put a pilot at (0, 0) by its (m, n) pair and
+    at (1, 1) by its flat index cannot be built."""
+    with pytest.raises(TypeError):
+        FrameLayout([0], [0], [1], [0], [5], [4], (4, 4))
 
 
 class FrameTests(unittest.TestCase):
@@ -182,7 +200,7 @@ class FrameTests(unittest.TestCase):
         syms = np.ones(28, dtype=complex)
         x, lay = build_frame(syms, self.pattern, tiny_cfg(8, 4, 2, 4))
         h = np.ones((8, 4), dtype=complex)
-        h[lay.data_m[0], lay.data_n[0]] = NEAR_SINGULAR_TOL / 10.0
+        h.ravel()[lay.data_flat[0]] = NEAR_SINGULAR_TOL / 10.0
         x_hat, n_sing = equalize_single_tap(x, TFGrid(h), lay)
         self.assertEqual(n_sing, 1)
         self.assertEqual(x_hat[0], 0.0)
