@@ -1,150 +1,12 @@
 """Delay-Doppler domain channel estimation for OFDM over doubly-selective
 channels, with classical LS-interpolation and genie-MMSE baselines and a
-seeded Monte-Carlo simulation harness."""
+seeded Monte-Carlo simulation harness.
 
-from .channel import (
-    C_LIGHT,
-    EVA_TAP_DELAYS_NS,
-    EVA_TAP_POWERS_DB,
-    ChannelProfile,
-    PathSet,
-    apply_channel_diag,
-    apply_channel_full,
-    csf_from_paths,
-    ctf_from_paths,
-    gen_paths,
-    max_doppler_index,
-    merge_profile_taps,
-    quantize_delays,
-)
-from .config import (
-    CHANNEL_MODELS,
-    ESTIMATOR_NAMES,
-    SystemConfig,
-    default_config,
-    load_config,
-    with_overrides,
-)
-from .errors import ConfigError, ContractViolationError, ProfileError, SupportError
-from .estimators import (
-    CSF_MODES,
-    CorrelationPair,
-    CsfEstimate,
-    MmseEstimate,
-    PilotObservations,
-    csf_ongrid,
-    estimate_csf,
-    estimate_num_paths,
-    genie_correlations,
-    interp_linear,
-    ls_pilot,
-    mmse_estimate,
-    periodic_csf,
-    recover_paths_offgrid,
-)
-from .grids import DDGrid, PeriodCSF, TFGrid, isfft, sfft
-from .harness import (
-    CSV_HEADER,
-    CheckResult,
-    SweepRow,
-    SweepTable,
-    TrialResult,
-    VerifyReport,
-    child_seed,
-    format_csv,
-    run_trial,
-    snr_sweep,
-    verify_suite,
-    write_csv,
-)
-from .kernels import (
-    csf_closed_form,
-    delay_kernel,
-    doppler_alias_difference,
-    doppler_kernel,
-)
-from .txrx import (
-    NEAR_SINGULAR_TOL,
-    PILOT_VALUE,
-    FrameLayout,
-    PilotPattern,
-    build_frame,
-    equalize_single_tap,
-    extract_data,
-    make_layout,
-    qam4_demod,
-    qam4_mod,
-)
+The package root holds the calls of a run; import the lower-level pieces
+from the modules that define them (`ddce.grids`, `ddce.channel`,
+`ddce.estimators`, `ddce.kernels`, `ddce.txrx`, `ddce.errors`, ...)."""
 
-__version__ = "0.1.0"
+from .config import default_config, load_config, with_overrides
+from .harness import run_trial, snr_sweep, write_csv
 
-__all__ = [
-    "C_LIGHT",
-    "CHANNEL_MODELS",
-    "CSF_MODES",
-    "CSV_HEADER",
-    "ChannelProfile",
-    "CheckResult",
-    "ConfigError",
-    "ContractViolationError",
-    "CorrelationPair",
-    "CsfEstimate",
-    "DDGrid",
-    "ESTIMATOR_NAMES",
-    "EVA_TAP_DELAYS_NS",
-    "EVA_TAP_POWERS_DB",
-    "FrameLayout",
-    "MmseEstimate",
-    "NEAR_SINGULAR_TOL",
-    "PILOT_VALUE",
-    "PathSet",
-    "PeriodCSF",
-    "PilotObservations",
-    "PilotPattern",
-    "ProfileError",
-    "SupportError",
-    "SweepRow",
-    "SweepTable",
-    "SystemConfig",
-    "TFGrid",
-    "TrialResult",
-    "VerifyReport",
-    "apply_channel_diag",
-    "apply_channel_full",
-    "build_frame",
-    "child_seed",
-    "csf_closed_form",
-    "csf_from_paths",
-    "csf_ongrid",
-    "ctf_from_paths",
-    "default_config",
-    "delay_kernel",
-    "doppler_alias_difference",
-    "doppler_kernel",
-    "equalize_single_tap",
-    "estimate_csf",
-    "estimate_num_paths",
-    "extract_data",
-    "format_csv",
-    "gen_paths",
-    "genie_correlations",
-    "interp_linear",
-    "isfft",
-    "load_config",
-    "ls_pilot",
-    "make_layout",
-    "max_doppler_index",
-    "merge_profile_taps",
-    "mmse_estimate",
-    "periodic_csf",
-    "qam4_demod",
-    "qam4_mod",
-    "quantize_delays",
-    "recover_paths_offgrid",
-    "run_trial",
-    "sfft",
-    "snr_sweep",
-    "verify_suite",
-    "with_overrides",
-    "write_csv",
-]
+__all__ = ["default_config", "load_config", "with_overrides", "run_trial", "snr_sweep", "write_csv"]

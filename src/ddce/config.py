@@ -107,7 +107,9 @@ class SystemConfig:
             out.append(f"unsupported channel_model '{self.channel_model}', supported: {CHANNEL_MODELS}")
         names = values.get("estimators", ESTIMATOR_NAMES)
         bad = [e for e in names if e not in ESTIMATOR_NAMES]
-        if bad or not names:
+        if not names:
+            out.append("estimators list must not be empty")
+        elif bad:
             out.append(f"unknown estimators {bad}, valid names: {ESTIMATOR_NAMES}")
         elif len(set(names)) != len(names):
             out.append(f"estimators must not repeat, got {list(names)}")
@@ -132,6 +134,8 @@ class SystemConfig:
             out.append(f"N/d_t = {N // d_t} must be even so the Doppler period splits around zero")
         if M % d_f:
             out.append(f"M = {M} is not divisible by d_f = {d_f}")
+        if d_t == d_f == 1:
+            out.append("d_t = d_f = 1 puts a pilot on every resource element: no data symbols to score")
         if not (M % d_f or N % d_t) and M * N <= MAX_GRID_RES and "profile" in values:
             # the support theorem, through gen_paths' own rules, which take M and N as floats
             for rule in (max_doppler_index, quantize_delays):
@@ -172,7 +176,8 @@ _OPTIONAL = ("channel_model", "on_grid_doppler", "gamma_threshold", "threads")
 
 
 def load_config(path: str) -> SystemConfig:
-    """Read a flat `key = value` config file (UTF-8, one pair per line).
+    """Read a flat `key = value` config file (UTF-8, one pair per line; a
+    leading byte-order mark is skipped).
 
     Lists are comma separated.  Lines that are blank or start with '#' are
     skipped.  Unknown keys, duplicates, unparsable values and missing
@@ -184,7 +189,7 @@ def load_config(path: str) -> SystemConfig:
     """
     problems, values, seen = [], {}, set()  # seen: the keys with a line, parsed or not
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc

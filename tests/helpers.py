@@ -17,6 +17,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SRC = os.path.join(ROOT, "src")
 PAPER_CFG = os.path.join(ROOT, "paper.cfg")
 ONE_TAP = ChannelProfile((0.0,), (0.0,), v_kmh=0.0, f_c_hz=2.1e9)
+# validation's message for a lattice that leaves no data symbol to score
+ALL_PILOT = "d_t = d_f = 1 puts a pilot on every resource element: no data symbols to score"
 
 
 def tiny_cfg(big_m, big_n, d_t=1, d_f=1):

@@ -26,7 +26,7 @@ from ddce.config import (
 )
 from ddce.errors import ConfigError, ProfileError, SupportError
 from ddce.harness import run_trial
-from helpers import ODD_VALUES, small_cfg
+from helpers import ALL_PILOT, ODD_VALUES, small_cfg
 
 REPO_CFG = os.path.join(os.path.dirname(__file__), "..", "paper.cfg")
 
@@ -220,6 +220,13 @@ def test_file_that_is_not_utf8_is_a_config_error(tmp_path):
         load_config(str(path))
 
 
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "bom.cfg"
+    with open(REPO_CFG, "rb") as fh:
+        path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    assert load_config(str(path)) == load_config(REPO_CFG)
+
+
 def test_semantic_violations_are_aggregated(tmp_path):
     text = GOOD.replace("v_kmh = 120", "v_kmh = 5000").replace(
         "estimators = ideal, ls-interp", "estimators = ideal, warp-drive"
@@ -252,6 +259,17 @@ def test_lattice_divisibility_blocks_derived_checks(tmp_path):
     msg = str(err.value)
     assert "N = 32 is not divisible by d_t = 3" in msg
     assert "Doppler support" not in msg
+
+
+def test_a_pilot_on_every_resource_element_is_refused(tmp_path):
+    """d_t = d_f = 1 leaves no data symbol, so no BER could be scored."""
+    text = GOOD.replace("d_t = 2", "d_t = 1").replace("d_f = 2", "d_f = 1")
+    with pytest.raises(ConfigError) as err:
+        load_config(write_cfg(tmp_path, text))
+    assert str(err.value) == ALL_PILOT
+    # a pilot on every subcarrier or on every symbol alone leaves data to score
+    assert load_config(write_cfg(tmp_path, GOOD.replace("d_t = 2", "d_t = 1"))).d_t == 1
+    assert load_config(write_cfg(tmp_path, GOOD.replace("d_f = 2", "d_f = 1"))).d_f == 1
 
 
 def test_doppler_period_parity_check(tmp_path):
@@ -305,7 +323,7 @@ def test_violations_cover_scalar_bounds():
     )
     msgs = "\n".join(worse.violations())
     assert "unsupported channel_model" in msgs
-    assert "unknown estimators" in msgs
+    assert "estimators list must not be empty" in msgs
     assert "snr_db list must not be empty" in msgs
     assert "n_trials must be >= 1" in msgs
     assert "gamma_threshold must be positive" in msgs
@@ -485,17 +503,17 @@ def _mobility_configs(draw):
 @settings(max_examples=50, deadline=None, database=None)
 @given(_mobility_configs())
 def test_validation_accepts_exactly_what_the_channel_can_draw(cfg):
-    try:
-        cfg.validated()
-        accepted = True
-    except ConfigError:
-        accepted = False
+    """Past the all-pilot lattice, which is refused for its own reason and
+    with its own message, validation and the channel agree."""
+    errs = cfg.violations()
+    all_pilot = cfg.d_t == cfg.d_f == 1
+    assert (ALL_PILOT in errs) == all_pilot
     try:
         gen_paths(cfg, cfg.profile, np.random.default_rng(0))
         drawable = True
     except (SupportError, ProfileError):
         drawable = False
-    assert accepted == drawable
+    assert (errs == [ALL_PILOT] * all_pilot) == drawable
 
 
 _VALUES = st.one_of(

@@ -287,7 +287,7 @@ _BAD_RUNS = {
     # name: (snr_sweep arguments after cfg, what the ConfigError names)
     "unknown estimator": (dict(estimators=("nope",)), "unknown estimators"),
     "repeated estimator": (dict(estimators=("ideal", "ideal")), "must not repeat"),
-    "no estimator": (dict(estimators=()), "unknown estimators"),
+    "no estimator": (dict(estimators=()), "estimators list must not be empty"),
     "bare estimator string": (dict(estimators="ideal"), "estimators must be a list, not str"),
     "bare snr string": (dict(snrs="20"), "snr_db must be a list, not str"),
     "bool snr": (dict(snrs=(True,)), "snr_db must be a real number, got True"),

@@ -24,7 +24,7 @@ from ddce.estimators import CSF_MODES, estimate_csf
 from ddce.grids import isfft
 from ddce.kernels import doppler_alias_difference
 from ddce.txrx import PilotPattern, build_frame, make_layout
-from helpers import lattices, tiny_cfg
+from helpers import ALL_PILOT, lattices, tiny_cfg
 
 
 def _gain(draw):
@@ -96,7 +96,9 @@ def test_validation_accepts_each_support_edge_and_rejects_just_past_it(data):
     """A one-tap profile at delay bin M/d_f - 1, moving at the speed whose
     k_max = N*T*nu_max is N/(2 d_t) - 1, each as the double nearest the
     exact edge, passes; one bin later, or 1e-12 of the edge faster, fails
-    with that rule's message alone, and the message's two numbers differ."""
+    with that rule's message alone, and the message's two numbers differ.
+    The all-pilot lattice d_t = d_f = 1 is refused at the edge too, by its
+    own rule, whose message comes before the support rule's."""
     big_m, big_n, d_t, d_f = data.draw(lattices(), label="lattice")
     delta_f = data.draw(st.sampled_from((7.5e3, 15e3, 30e3, 60e3)), label="delta_f")
     f_c = data.draw(st.sampled_from((0.9e9, 2.1e9, 3.5e9, 28e9)), label="f_c")
@@ -115,10 +117,11 @@ def test_validation_accepts_each_support_edge_and_rejects_just_past_it(data):
         )
         return cfg.violations()
 
-    assert violations(l_edge, k_edge) == []
-    [late] = violations(l_edge + 1, k_edge)
-    assert "exceeds M/d_f - 1" in late
-    [fast] = violations(l_edge, k_edge + (k_edge or 1) / Fraction(10**12))
-    assert "Doppler support violated" in fast
+    all_pilot = [ALL_PILOT] if d_t == d_f == 1 else []
+    assert violations(l_edge, k_edge) == all_pilot
+    *first, late = violations(l_edge + 1, k_edge)
+    assert first == all_pilot and "exceeds M/d_f - 1" in late
+    *first, fast = violations(l_edge, k_edge + (k_edge or 1) / Fraction(10**12))
+    assert first == all_pilot and "Doppler support violated" in fast
     got, bound = re.findall(r"= ([^ ;]+)", fast)[:2]
     assert float(got) > float(bound)
