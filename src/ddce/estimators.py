@@ -23,16 +23,23 @@ from numpy.linalg import LinAlgError
 
 from .blas import lapack_cholesky, single_blas_thread
 from .channel import PathSet, path_steering
-from .errors import ContractViolationError, non_negative_float, positive_int
+from .errors import ContractViolationError, finite_complexes, finite_reals, non_negative_float, number
+from .errors import one_length, positive_int
 from .grids import DDGrid, PeriodCSF, TFGrid, _adopt, _freeze_grid, isfft, sfft
 from .grids import _keep_grids_on_the_heap, _set_spacings
 from .kernels import csf_closed_form, delay_kernel, doppler_kernel
-from .txrx import FrameLayout
+from .txrx import FrameLayout, PilotPattern, make_layout
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SystemConfig
 
 CSF_MODES = ("ongrid", "offgrid")
+
+# R2 + noise_var*I, and the r2 + r2^H its symmetrisation sums, stay inside the
+# float64 range while noise_var and R2's trace, which bounds each entry of R2
+# (|R2_ij| <= sqrt(R2_ii R2_jj)), are each at most this.
+_LIMIT = np.finfo(np.float64).max / 8
+_noise_var_in_range = number(lambda x: 0 <= x <= _LIMIT, f"non-negative and at most {_LIMIT:.3g}")
 
 
 @dataclass(frozen=True)
@@ -55,9 +62,7 @@ class PilotObservations:
 def ls_pilot(y: TFGrid, x: TFGrid, layout: FrameLayout) -> PilotObservations:
     """Least-squares estimates y/x at every pilot position."""
     if y.data.shape != x.data.shape:
-        raise ContractViolationError(
-            f"grid shapes differ: y {y.data.shape} vs x {x.data.shape}"
-        )
+        raise ContractViolationError(f"grid shapes differ: y {y.data.shape} vs x {x.data.shape}")
     xp = layout.flat(x).take(layout.pilot_flat)
     if np.any(np.abs(xp) < 1e-300):
         raise ContractViolationError("zero-valued pilot symbol, LS division impossible")
@@ -111,22 +116,36 @@ class CorrelationPair:
     and the (P, N) Doppler steering, and A_pilot.  R2 is formed afresh by
     each call of the noisy `_system`, and the (M*N, P) A_all only inside
     `apply_r1` and `least_norm`, after any system is gone.
+
+    Each input is checked here, once, so every system built from the pair
+    is finite: the three steering factors 2-D, complex128 and finite, the
+    powers 1-D, finite and >= 0, one per path, and R2's trace at most
+    `_LIMIT`, an eighth of the float64 range.  Anything else is one
+    ContractViolationError naming the argument: a trace past the limit
+    names steering_pilot if it is past the limit at unit powers, and powers
+    if not.
     """
 
     def __init__(self, steering_freq, steering_time, steering_pilot, powers):
         factors = [np.asarray(a) for a in (steering_freq, steering_time, steering_pilot)]
         for name, a in zip(("steering_freq", "steering_time", "steering_pilot"), factors):
-            if a.dtype != np.complex128 or a.ndim != 2:  # what the noisy solve's LAPACK takes
+            # finite, and what the noisy solve's LAPACK takes
+            if finite_complexes(name, a).dtype != np.complex128 or a.ndim != 2:
                 raise ContractViolationError(f"{name} must be 2-D complex128: {a.dtype} {a.shape}")
         self._freq, self._time, self._a_pilot = factors
-        self._p = np.asarray(powers, dtype=np.float64)
-        n_paths = (self._freq.shape[1], self._time.shape[0], self._a_pilot.shape[1])
-        if any(n != self._p.size for n in n_paths):
+        (self._p,) = one_length(powers=finite_reals("powers", powers).astype(np.float64))
+        if {self._freq.shape[1], self._time.shape[0], self._a_pilot.shape[1]} != {self._p.size}:
             raise ContractViolationError("steering matrices and powers disagree on path count")
-        # `not >=` so that nan fails too.  With P >= 0, A P A^H is Hermitian
-        # to rounding for any finite A, and the symmetrisation makes it exact.
+        # With P >= 0, A P A^H is Hermitian to rounding for any finite A, and
+        # the symmetrisation makes it exact.
         if not np.all(self._p >= 0):
-            raise ContractViolationError(f"path powers must be >= 0, got {self._p.tolist()}")
+            raise ContractViolationError(f"powers must be >= 0, got {self._p.tolist()}")
+        # an overflow reads as inf, and 0 * inf as nan: both fail the rule
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = np.sum(np.abs(self._a_pilot) ** 2, axis=0)  # each path's pilot energy
+            if not (trace := self._p @ energy) <= _LIMIT:  # R2's trace
+                name = "powers" if energy.sum() <= _LIMIT else "steering_pilot"
+                raise ContractViolationError(f"{name} must keep R2's trace <= {_LIMIT:.3g}, got {trace:.3g}")
 
     @property
     def n_pilot(self) -> int:
@@ -202,19 +221,6 @@ def _hermitian_system(r2: np.ndarray, noise_var: float) -> np.ndarray:
     return r2.T
 
 
-# Columns per block of `_all_finite`.  On a 2-vCPU VM a 512-pilot system
-# scanned in 0.49 ms in 64- or 128-column blocks, as in one whole-matrix
-# pass; 32-column blocks took 0.54 ms.
-_SCAN = 64
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """`np.isfinite(a).all()` over the F-ordered system, strict upper
-    triangle included, one block of _SCAN contiguous columns at a time: the
-    same scan with no n x n boolean array."""
-    return all(np.isfinite(a[:, j : j + _SCAN]).all() for j in range(0, a.shape[1], _SCAN))
-
-
 def _halve(a: np.ndarray) -> None:
     # Halving the float parts differs from the complex halving only in the sign
     # of zeros; adding +0.0 clears that, as the zeros of noise_var * eye do.
@@ -225,7 +231,13 @@ def _halve(a: np.ndarray) -> None:
 
 def genie_correlations(ps: PathSet, cfg: "SystemConfig", layout: FrameLayout) -> CorrelationPair:
     """Correlations a genie would hand the MMSE estimator: exact path support
-    (delays and Dopplers) with ensemble gain variances."""
+    (delays and Dopplers) with ensemble gain variances, on cfg's own layout."""
+    want = make_layout(PilotPattern(cfg.d_t, cfg.d_f), cfg)
+    # anything but a layout as its type's name: an array's != is elementwise,
+    # and the repr of an int past 4300 digits raises
+    got = layout if isinstance(layout, FrameLayout) else type(layout).__name__
+    if got != want:
+        raise ContractViolationError(f"layout must be {want}, got {got}")
     freq, time = path_steering(ps, cfg.M, cfg.N)  # (M, P) and (P, N)
     return CorrelationPair(freq, time, freq[layout.pilot_m] * time.T[layout.pilot_n], ps.powers)
 
@@ -253,27 +265,27 @@ def mmse_estimate(
     noise_var = 0 the least-norm solution, `CorrelationPair.least_norm`,
     needs no n_pilot x n_pilot matrix.  The Cholesky pair is the one
     `blas.lapack_cholesky` chose, taken before the pin, since the first
-    noisy call may import `scipy.linalg` for it.  A non-finite system raises
-    ValueError.  The dense algebra runs on one BLAS thread, so the result
-    does not depend on the BLAS thread count.
+    noisy call may import `scipy.linalg` for it.  noise_var is at most
+    `_LIMIT` and the pair is checked, so the system is finite; observations
+    near the float64 range can still overflow the estimate, which is then
+    refused as a ContractViolationError.  The dense algebra runs on one BLAS
+    thread, so the result does not depend on the BLAS thread count.
     """
-    noise_var = non_negative_float("noise_var", noise_var)
+    noise_var = _noise_var_in_range("noise_var", noise_var)
     _check_lattice(obs, cfg)
     obs_vec = obs.values.flatten(order="F")  # symbol-major, subcarrier fastest
     if obs_vec.size != corr.n_pilot:
-        raise ContractViolationError(
-            f"correlations built for {corr.n_pilot} pilots, observations have {obs_vec.size}"
-        )
+        raise ContractViolationError(f"correlations built for {corr.n_pilot} pilots, "
+                                     f"observations have {obs_vec.size}")
     chol = lapack_cholesky() if noise_var > 0 else None  # outside the pin: it may import scipy
-    with single_blas_thread():
+    # observations near the float64 range can overflow the solve: the finite
+    # check after it refuses the result, where a numpy warning would only print
+    with single_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         if noise_var == 0:
             h_vec = corr.least_norm(obs_vec)
         else:
             _keep_grids_on_the_heap()  # so the system's buffers are reused, not faulted in
             a = corr._system(noise_var)
-            # the observations are finite by construction: only the system is scanned
-            if not _all_finite(a):
-                raise ValueError("array must not contain infs or NaNs")
             if chol.factor(a) > 0:
                 # the failed factorization overwrote the system: build it again,
                 # after dropping it, so that one system is alive at a time
@@ -286,8 +298,9 @@ def mmse_estimate(
             z = chol.solve(a, obs_vec)
             del a  # so the system is gone before apply_r1 builds A_all
             h_vec = corr.apply_r1(z)
-    grid = _adopt(TFGrid, h_vec.reshape(cfg.M, cfg.N, order="F"))
-    return MmseEstimate(grid, used_least_norm=noise_var == 0)
+    if not np.isfinite(h_vec).all():
+        raise ContractViolationError(f"noise_var must keep the estimate of obs finite, got {noise_var}")
+    return MmseEstimate(_adopt(TFGrid, h_vec.reshape(cfg.M, cfg.N, order="F")), noise_var == 0)
 
 
 def _check_lattice(obs: PilotObservations, cfg: "SystemConfig"):

@@ -19,6 +19,7 @@ from ddce.channel import (
 )
 from ddce.errors import ContractViolationError
 from ddce.estimators import (
+    CorrelationPair,
     PilotObservations,
     estimate_num_paths,
     genie_correlations,
@@ -53,12 +54,18 @@ def _rng():
 
 _PATH = dict(gains=[1.0 + 0.0j], delays=[1], dopplers=[0.5], powers=[1.0])
 _GRID = np.ones((4, 8))
+# one path on a 1x1 grid with its one pilot
+_PAIR = dict(steering_freq=[[1j]], steering_time=[[1j]], steering_pilot=[[1j]], powers=[1.0])
 
 # "<call>.<argument>": the call (a method as "<class>.<method>") with that
 # argument set to v and every other valid
 CALLS = {
     # a path set of one path, v as the entry of that array
     **{f"PathSet.{key}": (lambda key: lambda v: PathSet(**{**_PATH, key: [v]}))(key) for key in _PATH},
+    # a one-path pair, v as the entry of that argument
+    **{f"CorrelationPair.{key}": (lambda key: lambda v: CorrelationPair(
+        **{**_PAIR, key: [v] if key == "powers" else [[v]]}))(key) for key in _PAIR},
+    "genie_correlations.layout": lambda v: genie_correlations(_trial().ps, _trial().cfg, v),
     "PilotPattern.d_t": lambda v: PilotPattern(v, 4),
     "PilotPattern.d_f": lambda v: PilotPattern(4, v),
     "PeriodCSF.d_t": lambda v: PeriodCSF(_GRID, v, 4),
@@ -126,6 +133,11 @@ _PROBES = [
     ("PathSet.gains", math.nan),
     ("PathSet.dopplers", math.inf),
     ("PathSet.powers", math.nan),
+    *((f"CorrelationPair.{key}", v) for key in ("steering_freq", "steering_time", "steering_pilot")
+      for v in (math.nan, math.inf, "1", None)),
+    ("CorrelationPair.steering_pilot", 1e300),
+    *(("CorrelationPair.powers", v) for v in (-1.0, math.nan, math.inf, "4", True, 1j, 10**400, 1e308)),
+    *(("genie_correlations.layout", v) for v in (None, (32, 16), "layout", 10**5000)),
     ("csf_closed_form.n_symbols", np.uint64(2**64 - 1)),
     ("csf_closed_form.n_symbols", 0),
     ("csf_closed_form.dopplers", "a"),
@@ -162,8 +174,10 @@ def test_each_known_bad_value_is_refused():
     int is needed, a string, None, a complex noise variance, a negative seed
     or delay, a delay past the int64 range, a path field that is not finite,
     a spacing that does not divide its size, a grid past the bound, a kernel
-    value that is not a finite real (or, for a gain, a finite number), and a
-    gain large enough to overflow the image."""
+    value that is not a finite real (or, for a gain, a finite number), a
+    gain large enough to overflow the image, a genie steering entry or power
+    that is not finite (or whose R2 would overflow), and a layout that is
+    not the config's."""
     for case, value in _PROBES:
         key = case.rsplit(".", 1)[1]
         try:

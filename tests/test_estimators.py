@@ -760,10 +760,14 @@ def test_mmse_jitter_fallback_holds_one_pilot_square_matrix(monkeypatch):
     assert peak <= 1.25 * corr.n_pilot**2 * 16
 
 
-@pytest.mark.parametrize("bad", [-0.1, np.nan])
-def test_correlations_reject_negative_or_nan_powers(bad):
+@pytest.mark.parametrize(
+    "bad, message",
+    [pytest.param(-0.1, r"powers must be >= 0, got \[0.5, -0.1\]$", id="-0.1"),
+     pytest.param(np.nan, "powers must be finite, got nan$", id="nan")],
+)
+def test_correlations_reject_negative_or_nan_powers(bad, message):
     steering = np.ones((4, 2), dtype=complex)
-    with pytest.raises(ContractViolationError, match="path powers must be >= 0"):
+    with pytest.raises(ContractViolationError, match=f"^{message}"):
         CorrelationPair(steering, steering.T, steering, np.array([0.5, bad]))
 
 
@@ -817,19 +821,105 @@ def test_pilot_product_is_hermitian_to_rounding_for_nonnegative_powers(
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_steering_fails_the_finite_check_before_any_solve(bad, monkeypatch):
-    cfg = tiny_cfg(8, 8, 2, 2)
+    """A non-finite pilot steering is refused where the pair is built, so no
+    solve ever sees it."""
     rng = np.random.default_rng(4)
     a_pilot = np.exp(2j * np.pi * rng.uniform(size=(16, 2)))
     a_pilot[3, 1] = bad
     steering = np.ones((8, 2), dtype=complex)
-    corr = CorrelationPair(steering, steering.T, a_pilot, np.array([0.6, 0.4]))
-    obs = PilotObservations(np.ones((4, 4)), d_t=2, d_f=2)
+    with pytest.raises(ContractViolationError, match=f"^steering_pilot must be finite, got \\({bad}\\+0j\\)$"):
+        CorrelationPair(steering, steering.T, a_pilot, np.array([0.6, 0.4]))
+
+
+def _genie_case():
+    """An 8x8 config, the genie pair of two paths on its layout, and all-ones
+    pilot observations."""
+    cfg = tiny_cfg(8, 8, 2, 2)
+    layout = make_layout(PilotPattern(d_t=2, d_f=2), cfg)
+    corr = genie_correlations(PathSet([1.0, 0.5j], [0, 1], [0.0, 0.5], [0.6, 0.4]), cfg, layout)
+    return cfg, layout, corr, PilotObservations(np.ones((4, 4)), d_t=2, d_f=2)
+
+
+_FACTORS = ("steering_freq", "steering_time", "steering_pilot")
+# (argument, bad value): a steering factor takes it as its entry at flat index 3
+_BAD_INPUTS = {
+    **{f"{name}={bad}": (name, bad) for name in _FACTORS for bad in (np.nan, np.inf)},
+    "steering_pilot=1e300": ("steering_pilot", 1e300),
+    "powers=str": ("powers", ["4", "4"]),
+    "powers=bool": ("powers", [True, True]),
+    "powers=inf": ("powers", [np.inf, 1.0]),
+    "powers=2-d": ("powers", [[0.5], [0.5]]),
+    "powers=complex": ("powers", [1j, 1j]),
+    "powers=10**400": ("powers", [10**400, 1]),
+    "powers=text": ("powers", ["x", "y"]),
+    "powers=1e308": ("powers", [1e308, 1e308]),
+}
+
+
+@pytest.mark.parametrize("noise_var", [0.0, 0.1])
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_genie_input_is_one_error_naming_it_before_any_system(case, noise_var, monkeypatch, capfd):
+    """A non-finite steering factor, a power that is not a finite real >= 0
+    in a 1-D array, and a steering or powers whose R2 would leave the float64
+    range are refused where the pair is built: one ContractViolationError
+    naming the argument, with no Cholesky call, no system and no LAPACK
+    message on stderr, at either noise level."""
+    name, bad = _BAD_INPUTS[case]
+    cfg, _, corr, obs = _genie_case()
+    args = dict(zip((*_FACTORS, "powers"), (corr._freq, corr._time, corr._a_pilot, corr._p)))
+    if name == "powers":
+        args[name] = bad
+    else:
+        args[name] = args[name].copy()
+        args[name].flat[3] = bad
     calls = []
     record = lambda *a: calls.append(a)  # noqa: E731
     monkeypatch.setattr(blas, "_cholesky", SimpleNamespace(factor=record, solve=record))
-    with pytest.raises(ValueError, match="must not contain infs or NaNs"), np.errstate(invalid="ignore"):
-        mmse_estimate(obs, corr, 0.1, cfg)
+    monkeypatch.setattr(estimators.CorrelationPair, "_system", record)
+    with pytest.raises(ContractViolationError, match=f"^{name} must ") as err:
+        mmse_estimate(obs, CorrelationPair(**args), noise_var, cfg)
+    assert "\n" not in str(err.value)
     assert calls == []
+    assert "On entry to" not in capfd.readouterr().err
+
+
+def test_a_noise_variance_past_the_system_bound_is_refused_before_any_system(monkeypatch):
+    """noise_var is bounded as R2's trace is, so R2 + noise_var*I stays in range."""
+    cfg, _, corr, obs = _genie_case()
+    monkeypatch.setattr(estimators.CorrelationPair, "_system", lambda *a: pytest.fail("a system was built"))
+    with pytest.raises(ContractViolationError, match="^noise_var must be non-negative and at most 2.25e\\+307, got 1e\\+308$"):
+        mmse_estimate(obs, corr, 1e308, cfg)
+
+
+def test_observations_that_overflow_the_estimate_are_one_error(capfd):
+    """Finite observations of 1e307 on the shipped grid overflow the noisy
+    solve, which BLAS lets pass and numpy at most warns about: the non-finite grid is
+    refused, naming obs and noise_var, not returned."""
+    cfg = default_config()
+    trial = harness._Trial(cfg, 20.0, 7)
+    obs = PilotObservations(np.full(trial.obs.values.shape, 1e307), d_t=cfg.d_t, d_f=cfg.d_f)
+    corr = genie_correlations(trial.ps, cfg, trial.layout)
+    with pytest.raises(ContractViolationError, match="^noise_var must keep the estimate of obs finite, got 0.001$"):
+        mmse_estimate(obs, corr, 1e-3, cfg)
+    assert "On entry to" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "layout_grid, cfg_grid, spacings",
+    [((16, 16), (8, 8), (2, 2)), ((8, 8), (16, 16), (2, 2)), ((8, 8), (8, 8), (1, 2))],
+    ids=["16x16-layout-on-8x8", "8x8-layout-on-16x16", "other-d_t"],
+)
+def test_genie_correlations_take_only_the_layout_of_cfg(layout_grid, cfg_grid, spacings):
+    """A layout of another grid or lattice is refused before any steering is
+    built, not read past the grid (an IndexError) or as fewer pilots."""
+    cfg = tiny_cfg(*cfg_grid, *spacings)
+    layout = make_layout(PilotPattern(d_t=2, d_f=2), tiny_cfg(*layout_grid))
+    ps = PathSet([1.0], [0], [0.0])
+    with pytest.raises(ContractViolationError, match=r"^layout must be FrameLayout\(shape=.*, got FrameLayout"):
+        genie_correlations(ps, cfg, layout)
+    for other in ((cfg.M, cfg.N), np.zeros(2)):
+        with pytest.raises(ContractViolationError, match="^layout must be "):
+            genie_correlations(ps, cfg, other)
 
 
 # ------------------------------------------------------------ full pipeline
