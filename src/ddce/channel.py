@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractViolationError, ProfileError, SupportError, finite_complexes, finite_integers
-from .errors import finite_reals, non_negative_float, number, one_length, positive_float, tuple_of
+from .errors import finite_reals, non_negative_float, non_negative_reals, number, one_length, positive_float
+from .errors import tuple_of
 from .grids import DDGrid, TFGrid, _adopt
 from .kernels import csf_closed_form
 
@@ -103,7 +104,7 @@ class PathSet:
                  "delays": finite_integers("delays", self.delays),
                  "dopplers": finite_reals("dopplers", self.dopplers).astype(np.float64)}
         if self.powers is not None:
-            given["powers"] = finite_reals("powers", self.powers).astype(np.float64)
+            given["powers"] = non_negative_reals("powers", self.powers).astype(np.float64)
         gains, delays, dopplers, *powers = one_length(**given)
         if delays.size < 1:
             raise ContractViolationError("PathSet needs at least one path")

@@ -52,10 +52,11 @@ def _as_name(key: str, value) -> str:
 
 
 _FIELD_KINDS = {
-    **dict.fromkeys(("M", "N", "d_t", "d_f", "n_trials"), positive_int),
+    **dict.fromkeys(("M", "N", "d_t", "d_f"), positive_int),
+    "n_trials": number(lambda n: 1 <= n <= MAX_TRIALS, f"between 1 and {MAX_TRIALS}", int),
     "master_seed": non_negative_int,
     **dict.fromkeys(("delta_f_hz", "gamma_threshold"), positive_float),
-    "snr_db": tuple_of(number()),
+    "snr_db": tuple_of(number(snr_is_valid, f"finite and >= {MIN_SNR_DB}, or +inf")),
     "estimators": tuple_of(_as_name),
     "on_grid_doppler": _as_bool,
     "profile": _as_profile,
@@ -115,10 +116,6 @@ class SystemConfig:
             out.append(f"estimators must not repeat, got {list(names)}")
         if values.get("snr_db") == ():
             out.append("snr_db list must not be empty")
-        if bad_snr := [s for s in values.get("snr_db", ()) if not snr_is_valid(s)]:
-            out.append(f"snr_db entries must be finite and >= {MIN_SNR_DB}, or +inf, got {bad_snr}")
-        if values.get("n_trials", 0) > MAX_TRIALS:
-            out.append(f"n_trials must be <= {MAX_TRIALS}, got {values['n_trials']}")
         run = replace(self, **values)
         if not {"M", "N", "delta_f_hz", "d_t", "d_f"} <= values.keys():
             return run, out  # the lattice rules below compute with the grid's fields

@@ -60,35 +60,42 @@ positive_int = number(lambda n: n >= 1, ">= 1", int)
 non_negative_int = number(lambda n: n >= 0, ">= 0", int)
 
 
-_ARRAY_NOUNS = {int: ("integers", "iu"), float: ("real numbers", "iuf"), complex: ("numbers", "iufc")}
+# each array kind's numpy type codes: any int, and the floats and complexes that float64 and
+# complex128 hold, so no entry's cast to them overflows (a long double could)
+_INTS = np.typecodes["AllInteger"]
+_ARRAY_NOUNS = {int: ("integers", _INTS), float: ("real numbers", _INTS + "efd"),
+                complex: ("numbers", _INTS + "efdFD")}
 
 
-def finite_array(kind=float):
+def finite_array(ok=None, rule="", kind=float):
     """The check(key, value) of an array kind: any array-like of integers (int), of integers
-    or floats (float) or of any numbers (complex), never bools, whose entries are all finite,
-    checked by one vectorised pass and handed back as numpy reads it; or one
-    ContractViolationError naming `key`.  An empty list, which numpy reads as float64, is of
-    every kind."""
-    noun, dtype_kinds = _ARRAY_NOUNS[kind]
+    or floats (float) or of any numbers (complex), never bools or long doubles, whose entries
+    are all finite, checked by one vectorised pass, and pass the elementwise `ok` if given
+    (`rule` says what it asks), handed back as numpy reads it; or one ContractViolationError
+    naming `key`.  An empty list, which numpy reads as float64, is of every kind."""
+    noun, codes = _ARRAY_NOUNS[kind]
 
     def check(key: str, value) -> np.ndarray:
         try:
             arr = np.asarray(value)
         except ValueError:  # a ragged nesting
             raise ContractViolationError(f"{key} must be an array of {noun}") from None
-        if arr.dtype.kind not in dtype_kinds and (arr.size or arr.dtype != np.float64):
+        if arr.dtype.char not in codes and (arr.size or arr.dtype != np.float64):
             raise ContractViolationError(f"{key} must hold {noun}, got dtype {arr.dtype}")
         finite = np.isfinite(arr)
         if not finite.all():
             raise ContractViolationError(f"{key} must be finite, got {arr[~finite][0]}")
+        if ok is not None and not (good := ok(arr)).all():
+            raise ContractViolationError(f"{key} must be {rule}, got {arr[~good][0]}")
         return arr
 
     return check
 
 
-finite_integers = finite_array(int)
+finite_integers = finite_array(kind=int)
 finite_reals = finite_array()
-finite_complexes = finite_array(complex)
+non_negative_reals = finite_array(lambda a: a >= 0, ">= 0")
+finite_complexes = finite_array(kind=complex)
 
 
 def one_length(**arrays) -> tuple:

@@ -23,7 +23,7 @@ from numpy.linalg import LinAlgError
 
 from .blas import lapack_cholesky, single_blas_thread
 from .channel import PathSet, path_steering
-from .errors import ContractViolationError, finite_complexes, finite_reals, non_negative_float, number
+from .errors import ContractViolationError, finite_complexes, non_negative_float, non_negative_reals, number
 from .errors import one_length, positive_int
 from .grids import DDGrid, PeriodCSF, TFGrid, _adopt, _freeze_grid, isfft, sfft
 from .grids import _keep_grids_on_the_heap, _set_spacings
@@ -61,8 +61,6 @@ class PilotObservations:
 
 def ls_pilot(y: TFGrid, x: TFGrid, layout: FrameLayout) -> PilotObservations:
     """Least-squares estimates y/x at every pilot position."""
-    if y.data.shape != x.data.shape:
-        raise ContractViolationError(f"grid shapes differ: y {y.data.shape} vs x {x.data.shape}")
     xp = layout.flat(x).take(layout.pilot_flat)
     if np.any(np.abs(xp) < 1e-300):
         raise ContractViolationError("zero-valued pilot symbol, LS division impossible")
@@ -133,13 +131,11 @@ class CorrelationPair:
             if finite_complexes(name, a).dtype != np.complex128 or a.ndim != 2:
                 raise ContractViolationError(f"{name} must be 2-D complex128: {a.dtype} {a.shape}")
         self._freq, self._time, self._a_pilot = factors
-        (self._p,) = one_length(powers=finite_reals("powers", powers).astype(np.float64))
-        if {self._freq.shape[1], self._time.shape[0], self._a_pilot.shape[1]} != {self._p.size}:
-            raise ContractViolationError("steering matrices and powers disagree on path count")
         # With P >= 0, A P A^H is Hermitian to rounding for any finite A, and
         # the symmetrisation makes it exact.
-        if not np.all(self._p >= 0):
-            raise ContractViolationError(f"powers must be >= 0, got {self._p.tolist()}")
+        (self._p,) = one_length(powers=non_negative_reals("powers", powers).astype(np.float64))
+        if {self._freq.shape[1], self._time.shape[0], self._a_pilot.shape[1]} != {self._p.size}:
+            raise ContractViolationError("steering matrices and powers disagree on path count")
         # an overflow reads as inf, and 0 * inf as nan: both fail the rule
         with np.errstate(over="ignore", invalid="ignore"):
             energy = np.sum(np.abs(self._a_pilot) ** 2, axis=0)  # each path's pilot energy

@@ -19,7 +19,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError, integer, positive_int
+from .errors import ContractViolationError, finite_complexes, integer, positive_int
 
 MAX_GRID_RES = 1 << 20  # resource elements of the largest grid a config or kernel may build
 
@@ -40,15 +40,20 @@ def _keep_grids_on_the_heap() -> None:
 
 
 def _freeze_grid(data, what: str) -> np.ndarray:
-    """Checked, read-only copy of a caller's array: what public constructors store."""
-    arr = np.asarray(data, dtype=np.complex128)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ContractViolationError(
-            f"{what} needs a non-empty 2-D complex array, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise ContractViolationError(f"{what} values must all be finite")
-    arr = arr.copy()
+    """Checked, read-only, C-ordered complex128 copy of the array a public constructor `what`
+    stores: its `data` (a PilotObservations' `values`) of finite numbers, non-empty and 2-D,
+    with an even number of rows for the centered Doppler axis of a DDGrid or PeriodCSF.  A
+    refusal names the argument, then the constructor."""
+    key = "values" if what == "PilotObservations" else "data"
+    try:
+        arr = finite_complexes(key, data)
+        if arr.ndim != 2 or arr.size == 0:
+            raise ContractViolationError(f"{key} must be a non-empty 2-D array, got shape {arr.shape}")
+        if what in ("DDGrid", "PeriodCSF") and arr.shape[0] % 2:
+            raise ContractViolationError(f"{key} must have an even Doppler axis, got {arr.shape[0]} rows")
+    except ContractViolationError as exc:
+        raise ContractViolationError(f"{exc} ({what})") from None
+    arr = np.array(arr, dtype=np.complex128, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -102,12 +107,7 @@ class DDGrid:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _freeze_grid(self.data, "DDGrid")
-        if arr.shape[0] % 2:
-            raise ContractViolationError(
-                f"DDGrid Doppler axis must have even length, got {arr.shape[0]}"
-            )
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _freeze_grid(self.data, "DDGrid"))
 
     @property
     def n_doppler(self) -> int:
@@ -137,12 +137,7 @@ class PeriodCSF:
     d_f: int
 
     def __post_init__(self):
-        arr = _freeze_grid(self.data, "PeriodCSF")
-        if arr.shape[0] % 2:
-            raise ContractViolationError(
-                f"PeriodCSF Doppler axis must have even length, got {arr.shape[0]}"
-            )
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _freeze_grid(self.data, "PeriodCSF"))
         _set_spacings(self)
 
     @property

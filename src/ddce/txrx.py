@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ContractViolationError, positive_int, tuple_of
+from .errors import ContractViolationError, finite_complexes, positive_int, tuple_of
 from .grids import TFGrid, _adopt, _set_spacings
 from .kernels import _lattice
 
@@ -134,13 +134,10 @@ def build_frame(data_syms, pattern: PilotPattern, cfg: "SystemConfig"):
     Returns the transmit TF grid together with the layout used to fill it.
     """
     layout = make_layout(pattern, cfg)
-    syms = np.asarray(data_syms, dtype=np.complex128)
-    if syms.ndim != 1 or syms.size != layout.n_data:
-        raise ContractViolationError(
-            f"expected {layout.n_data} data symbols for an {cfg.M}x{cfg.N} frame, got {syms.size}"
-        )
-    if not np.isfinite(syms).all():
-        raise ContractViolationError("data symbols must all be finite")
+    syms = finite_complexes("data_syms", data_syms)  # cast to complex128 as it is placed
+    if syms.shape != (layout.n_data,):
+        raise ContractViolationError(f"data_syms must be {layout.n_data} symbols for an {cfg.M}x{cfg.N} "
+                                     f"frame, got shape {syms.shape}")
     grid = np.zeros((cfg.M, cfg.N), dtype=np.complex128)
     flat = grid.ravel()  # a view: the grid is C-ordered
     flat[layout.pilot_flat] = PILOT_VALUE
@@ -159,10 +156,6 @@ def equalize_single_tap(y: TFGrid, h_hat: TFGrid, layout: FrameLayout):
     Estimates with |h_hat| below NEAR_SINGULAR_TOL yield x_hat = 0 instead of
     blowing up; the count of such REs is returned alongside the symbols.
     """
-    if y.data.shape != h_hat.data.shape:
-        raise ContractViolationError(
-            f"grid shapes differ: y {y.data.shape} vs h_hat {h_hat.data.shape}"
-        )
     return _single_tap(extract_data(y, layout), extract_data(h_hat, layout))
 
 

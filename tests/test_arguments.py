@@ -28,7 +28,7 @@ from ddce.estimators import (
     periodic_csf,
     recover_paths_offgrid,
 )
-from ddce.grids import DDGrid, PeriodCSF
+from ddce.grids import DDGrid, PeriodCSF, TFGrid
 from ddce.harness import child_seed
 from ddce.kernels import csf_closed_form, delay_kernel, doppler_alias_difference, doppler_kernel
 from ddce.txrx import PilotPattern, build_frame, make_layout
@@ -40,16 +40,23 @@ def _trial():
     """A noiseless frame on the small config and what the calls under test read of it."""
     cfg = small_cfg()
     pattern = PilotPattern(cfg.d_t, cfg.d_f)
-    x, layout = build_frame(np.ones(make_layout(pattern, cfg).n_data), pattern, cfg)
+    n_data = make_layout(pattern, cfg).n_data
+    x, layout = build_frame(np.ones(n_data), pattern, cfg)
     ps = PathSet([0.8 - 0.6j, 0.5j], [1, 3], [0.25, -1.0], [1.0, 0.25])
     h = ctf_from_paths(ps, cfg)
     obs = ls_pilot(apply_response_diag(x, h, 0.0, np.random.default_rng(0)), x, layout)
     corr = genie_correlations(ps, cfg, layout)
-    return SimpleNamespace(cfg=cfg, x=x, h=h, ps=ps, obs=obs, period=periodic_csf(obs, cfg), corr=corr)
+    return SimpleNamespace(cfg=cfg, pattern=pattern, n_data=n_data, x=x, h=h, ps=ps, obs=obs,
+                           period=periodic_csf(obs, cfg), corr=corr)
 
 
 def _rng():
     return np.random.default_rng(1)
+
+
+def _frame(v):
+    """The small config's frame with v as every data symbol."""
+    return build_frame([v] * _trial().n_data, _trial().pattern, _trial().cfg)
 
 
 _PATH = dict(gains=[1.0 + 0.0j], delays=[1], dopplers=[0.5], powers=[1.0])
@@ -66,6 +73,13 @@ CALLS = {
     **{f"CorrelationPair.{key}": (lambda key: lambda v: CorrelationPair(
         **{**_PAIR, key: [v] if key == "powers" else [[v]]}))(key) for key in _PAIR},
     "genie_correlations.layout": lambda v: genie_correlations(_trial().ps, _trial().cfg, v),
+    # a 1x1 grid (2x1 where the Doppler axis must be even) and a frame's data symbols, v as
+    # every entry: numpy reads a bool among numbers as a number
+    "TFGrid.data": lambda v: TFGrid([[v]]),
+    "DDGrid.data": lambda v: DDGrid([[v], [v]]),
+    "PeriodCSF.data": lambda v: PeriodCSF([[v], [v]], 1, 1),
+    "PilotObservations.values": lambda v: PilotObservations([[v]], 1, 1),
+    "build_frame.data_syms": _frame,
     "PilotPattern.d_t": lambda v: PilotPattern(v, 4),
     "PilotPattern.d_f": lambda v: PilotPattern(4, v),
     "PeriodCSF.d_t": lambda v: PeriodCSF(_GRID, v, 4),
@@ -186,6 +200,39 @@ def test_each_known_bad_value_is_refused():
             assert str(exc).startswith(f"{key} must "), (case, value, str(exc))
         else:
             raise AssertionError(f"{case} accepted {value!r}")
+
+
+@pytest.mark.parametrize(
+    "key, call",
+    [
+        pytest.param("data", lambda: TFGrid([["x"]]), id="TFGrid-string"),
+        pytest.param("data", lambda: PeriodCSF([["x"], ["y"]], 1, 1), id="PeriodCSF-string"),
+        pytest.param("data_syms", lambda: _frame("x"), id="build_frame-string"),
+        pytest.param("data", lambda: TFGrid([[10**400]]), id="TFGrid-10**400"),
+        pytest.param("data_syms", lambda: _frame(10**400), id="build_frame-10**400"),
+        pytest.param("values", lambda: PilotObservations([[{}]], 1, 1), id="PilotObservations-dict"),
+        pytest.param("data", lambda: TFGrid([[1, 2], [3]]), id="TFGrid-ragged"),
+        pytest.param("data", lambda: TFGrid([["1"]]), id="TFGrid-numeric-string"),
+        pytest.param("data", lambda: TFGrid([[True]]), id="TFGrid-bool"),
+        pytest.param("data", lambda: DDGrid([[True], [False]]), id="DDGrid-bool"),
+        pytest.param("data_syms", lambda: _frame(True), id="build_frame-bool"),
+        pytest.param("data", lambda: TFGrid([[None]]), id="TFGrid-None"),
+        pytest.param("powers", lambda: PathSet([1.0], [0], [0.0], [-1.0]), id="PathSet-negative-power"),
+        # a long double may lie past the float64 range its cast to complex128 would overflow
+        pytest.param("data", lambda: TFGrid(np.ones((1, 1), dtype=np.longdouble)),
+                     id="TFGrid-long-double"),
+        pytest.param("gains", lambda: PathSet(np.ones(1, dtype=np.clongdouble), [0], [0.0]),
+                     id="PathSet-long-double"),
+    ],
+)
+def test_a_grid_frame_or_path_input_that_is_no_array_of_its_kind_is_one_error_naming_it(key, call):
+    """Grid data, data symbols and path arrays go through the array kinds:
+    a string, a dict, a bool, None, an int past the float64 range, a ragged
+    nesting, a long double or a negative power is one ContractViolationError
+    naming the argument, never a builtin error or a value taken as a number."""
+    with pytest.raises(ContractViolationError) as err:
+        call()
+    assert str(err.value).startswith(f"{key} must "), str(err.value)
 
 
 @pytest.mark.parametrize(

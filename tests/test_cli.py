@@ -87,7 +87,7 @@ def test_sweep_rejects_nonfinite_config_snr(tmp_path, capsys):
     bad.write_text(FAST_CFG.replace("snr_db = 10.0, 20.0", "snr_db = 10.0, -inf"))
     rc = main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
     assert rc == 1
-    assert "error: snr_db entries must be finite" in capsys.readouterr().err
+    assert "error: snr_db must be finite and >= -3000.0, or +inf, got -inf" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -126,7 +126,8 @@ def test_config_violations_reported(tmp_path, capsys):
     [
         ({"M = 32": "M = 4096", "N = 16": "N = 4096", "d_t = 4": "d_t = 1", "d_f = 4": "d_f = 1"},
          None, "resource elements"),
-        ({"n_trials = 2": "n_trials = 100001"}, None, "n_trials must be <="),
+        pytest.param({"n_trials = 2": "n_trials = 100001"}, None,
+                     "n_trials must be between 1 and 100000, got 100001", id="n_trials=100001"),
         ({"ls-interp, ideal": "ideal, ideal"}, None, "estimators must not repeat"),
         ({"M = 32": "M = 256", "N = 16": "N = 256"}, "mmse-genie", "mmse-genie needs n_pilot"),
         # past the float range: the int rule stops the float-valued support rules;
@@ -300,7 +301,8 @@ _SIMULATE = {"--estimator": "ideal", "--snr": "10", "--seed": "1"}
     [
         ({"master_seed = 7": "master_seed = -1"}, None, "master_seed must be >= 0, got -1"),
         ({}, {"--seed": "-1"}, "master_seed must be >= 0, got -1"),
-        ({"snr_db = 10.0, 20.0": "snr_db = 10.0, -4000"}, None, "snr_db entries"),
+        pytest.param({"snr_db = 10.0, 20.0": "snr_db = 10.0, -4000"}, None,
+                     "snr_db must be finite and >= -3000.0, or +inf, got -4000.0", id="snr_db=-4000"),
         ({}, {"--snr": "-4000"}, "--snr must be finite"),
         ({"4166.666666666667": "1e300"}, None, "exceeds M/d_f - 1"),
         ({"delta_f_hz = 15e3": "delta_f_hz = inf"}, {}, "delta_f_hz must be positive and finite"),

@@ -1,5 +1,6 @@
 """Estimator stages against independent brute-force oracles."""
 
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -104,7 +105,8 @@ def test_ls_rejects_degenerate_inputs():
 def test_pilot_observations_reject_non_finite_values(bad):
     vals = np.ones((4, 4), dtype=complex)
     vals[2, 1] = bad
-    with pytest.raises(ContractViolationError, match="PilotObservations values must all be finite"):
+    message = f"^values must be finite, got {re.escape(str(vals[2, 1]))} \\(PilotObservations\\)$"
+    with pytest.raises(ContractViolationError, match=message):
         PilotObservations(vals, d_t=2, d_f=2)
 
 
@@ -762,7 +764,7 @@ def test_mmse_jitter_fallback_holds_one_pilot_square_matrix(monkeypatch):
 
 @pytest.mark.parametrize(
     "bad, message",
-    [pytest.param(-0.1, r"powers must be >= 0, got \[0.5, -0.1\]$", id="-0.1"),
+    [pytest.param(-0.1, "powers must be >= 0, got -0.1$", id="-0.1"),
      pytest.param(np.nan, "powers must be finite, got nan$", id="nan")],
 )
 def test_correlations_reject_negative_or_nan_powers(bad, message):

@@ -283,6 +283,8 @@ def _no_trial(*args):
     raise AssertionError("a trial started before its arguments were checked")
 
 
+_SNR_RULE = r"snr_db must be finite and >= -3000.0, or \+inf, got "
+_TRIALS_RULE = f"n_trials must be between 1 and {MAX_TRIALS}, got "
 _BAD_RUNS = {
     # name: (snr_sweep arguments after cfg, what the ConfigError names)
     "unknown estimator": (dict(estimators=("nope",)), "unknown estimators"),
@@ -292,11 +294,11 @@ _BAD_RUNS = {
     "bare snr string": (dict(snrs="20"), "snr_db must be a list, not str"),
     "bool snr": (dict(snrs=(True,)), "snr_db must be a real number, got True"),
     "no snr": (dict(snrs=()), "snr_db list must not be empty"),
-    "nan snr": (dict(snrs=(float("nan"),)), "snr_db entries"),
-    "-inf snr": (dict(snrs=(10.0, float("-inf"))), "snr_db entries"),
-    "overflowing snr": (dict(snrs=(-4000.0,)), "snr_db entries"),
-    "no trials": (dict(n_trials=0), "n_trials must be >= 1"),
-    "too many trials": (dict(n_trials=MAX_TRIALS + 1), "n_trials must be <="),
+    "nan snr": (dict(snrs=(float("nan"),)), f"{_SNR_RULE}nan$"),
+    "-inf snr": (dict(snrs=(10.0, float("-inf"))), f"{_SNR_RULE}-inf$"),
+    "overflowing snr": (dict(snrs=(-4000.0,)), f"{_SNR_RULE}-4000.0$"),
+    "no trials": (dict(n_trials=0), f"{_TRIALS_RULE}0$"),
+    "too many trials": (dict(n_trials=MAX_TRIALS + 1), f"{_TRIALS_RULE}{MAX_TRIALS + 1}$"),
     "negative seed": (dict(seed=-1), "master_seed must be >= 0"),
     "long delay": (
         dict(profile=dict(tap_delays_ns=(0.0, 1e300), tap_powers_db=(0.0, -3.0))),
