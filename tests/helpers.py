@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ddce.channel import ChannelProfile
 from ddce.config import SystemConfig
+from ddce.errors import ConfigError
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SRC = os.path.join(ROOT, "src")
@@ -30,6 +31,50 @@ def small_cfg():
     """Validated two-tap 32x16 config at 250 km/h, cheap enough for whole sweeps."""
     prof = ChannelProfile((0.0, 4166.666666666667), (0.0, -3.0), v_kmh=250.0, f_c_hz=2.1e9)
     return SystemConfig(M=32, N=16, delta_f_hz=15e3, d_t=4, d_f=4, profile=prof).validated()
+
+
+def rule_message(call, *args, **kw):
+    """The message of the ConfigError that call(*args, **kw) raises: the
+    wording of the rule's owner, for a test of a layer that only routes it."""
+    try:
+        call(*args, **kw)
+    except ConfigError as exc:
+        return str(exc)
+    raise AssertionError(f"{call.__name__} raised no ConfigError")
+
+
+def edit_cfg(text, **keys):
+    """Config text with each key's line set to its value: replaced where the
+    key has a line, appended where it has none."""
+    pending, lines = dict(keys), []
+    for line in text.splitlines():
+        key = line.split("=", 1)[0].strip()
+        if "=" in line and not line.lstrip().startswith("#") and key in pending:
+            line = f"{key} = {pending.pop(key)}"
+        lines.append(line)
+    return "\n".join(lines + [f"{k} = {v}" for k, v in pending.items()]) + "\n"
+
+
+def small_cfg_text(**keys):
+    """small_cfg() as a config file's text, edited by edit_cfg."""
+    cfg = small_cfg()
+    fields = dict(vars(cfg), **vars(cfg.profile))
+    names = ("M", "N", "delta_f_hz", "f_c_hz", "v_kmh", "d_t", "d_f", "tap_delays_ns",
+             "tap_powers_db", "estimators", "snr_db", "n_trials", "master_seed")
+    spelled = (", ".join(map(str, v)) if isinstance(v, tuple) else v for v in map(fields.get, names))
+    return edit_cfg("".join(f"{k} = {v}\n" for k, v in zip(names, spelled)), **keys)
+
+
+def no_trial(*args):
+    """harness._paired_trial where no trial may start."""
+    raise AssertionError("a trial started before its inputs were checked")
+
+
+def write_cfg(tmp_path, text, name="case.cfg"):
+    """text written as tmp_path/name; the path as a str."""
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
 
 
 # Adversarial numbers: past the float range, past str()'s digit limit, nan,

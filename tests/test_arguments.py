@@ -1,5 +1,8 @@
-"""Numeric arguments of library calls: one ContractViolationError naming the
-argument, or a call that completes."""
+"""Arguments of library calls, where each rule's message is pinned once: a
+bad value of one argument (CALLS, _PROBES and a property over ODD_VALUES),
+or a bad whole argument or set of arguments (_REFUSALS), is one
+ContractViolationError naming the argument or the rule; an accepted input
+is read as documented (_READINGS)."""
 
 import math
 from functools import cache
@@ -21,18 +24,28 @@ from ddce.errors import ContractViolationError
 from ddce.estimators import (
     CorrelationPair,
     PilotObservations,
+    csf_ongrid,
+    estimate_csf,
     estimate_num_paths,
     genie_correlations,
+    interp_linear,
     ls_pilot,
     mmse_estimate,
     periodic_csf,
     recover_paths_offgrid,
 )
-from ddce.grids import DDGrid, PeriodCSF, TFGrid
+from ddce.grids import DDGrid, PeriodCSF, TFGrid, isfft, sfft
 from ddce.harness import child_seed
 from ddce.kernels import csf_closed_form, delay_kernel, doppler_alias_difference, doppler_kernel
-from ddce.txrx import PilotPattern, build_frame, make_layout
-from helpers import ODD_VALUES, small_cfg
+from ddce.txrx import (
+    PilotPattern,
+    build_frame,
+    equalize_single_tap,
+    extract_data,
+    make_layout,
+    qam4_mod,
+)
+from helpers import ODD_VALUES, small_cfg, tiny_cfg
 
 
 @cache
@@ -46,8 +59,8 @@ def _trial():
     h = ctf_from_paths(ps, cfg)
     obs = ls_pilot(apply_response_diag(x, h, 0.0, np.random.default_rng(0)), x, layout)
     corr = genie_correlations(ps, cfg, layout)
-    return SimpleNamespace(cfg=cfg, pattern=pattern, n_data=n_data, x=x, h=h, ps=ps, obs=obs,
-                           period=periodic_csf(obs, cfg), corr=corr)
+    return SimpleNamespace(cfg=cfg, pattern=pattern, n_data=n_data, x=x, layout=layout, h=h, ps=ps,
+                           obs=obs, period=periodic_csf(obs, cfg), corr=corr)
 
 
 def _rng():
@@ -119,20 +132,28 @@ CALLS = {
     "csf_closed_form.dopplers": lambda v: csf_closed_form([1.0], [0], [v], 8, 8),
 }
 
+# (case, value) or (case, value, message): CALLS[case](value) is refused,
+# with exactly this message where one is given
 _PROBES = [
     ("PilotPattern.d_t", 2.0),
     ("PilotPattern.d_t", "2"),
     ("PilotPattern.d_t", None),
     ("PilotPattern.d_t", True),
+    ("PilotPattern.d_t", 0, "d_t must be >= 1, got 0"),
     ("PeriodCSF.d_t", 2.0),
     ("PeriodCSF.d_t", "2"),
+    *((f"PeriodCSF.{key}", v, f"{key} must be >= 1, got {v}")
+      for key, v in (("d_t", 0), ("d_f", 0), ("d_t", -2))),
     ("PilotObservations.d_t", None),
     *((f"{call}.{key}", v) for call in ("PeriodCSF.value", "DDGrid.at_centered") for key in "kl"
       for v in (1.5, "1", None, True)),
     ("recover_paths_offgrid.n_paths", 2.5),
     ("recover_paths_offgrid.n_paths", "2"),
+    ("recover_paths_offgrid.n_paths", 0),
     *((f"{call}.noise_var", v) for call in ("apply_channel_diag", "apply_channel_full",
       "apply_response_diag", "estimate_num_paths", "mmse_estimate") for v in ("1", None, 1j)),
+    *((f"{call}.noise_var", v) for call in ("apply_channel_diag", "apply_channel_full",
+      "apply_response_diag") for v in (math.nan, math.inf, 10**400)),
     ("child_seed.master_seed", 1.5),
     ("child_seed.master_seed", -1),
     ("doppler_kernel.n_symbols", 0),
@@ -140,16 +161,21 @@ _PROBES = [
     ("doppler_kernel.d_t", 2.5),
     ("delay_kernel.n_subcarriers", 0),
     ("doppler_alias_difference.d_t", 0),
-    ("PathSet.delays", True),
-    ("PathSet.delays", 2.0),
-    ("PathSet.delays", -1),
-    ("PathSet.delays", 2**63),
-    ("PathSet.gains", math.nan),
-    ("PathSet.dopplers", math.inf),
-    ("PathSet.powers", math.nan),
+    # a path field that is not finite or not of its kind; an int past the
+    # float range is refused by the dtype numpy reads it as, never shown by its digits
+    *(("PathSet.delays", v) for v in (True, 2.0, -1, 2**63, math.nan, math.inf, 10**5000, "1")),
+    *(("PathSet.gains", v) for v in (math.nan, complex(math.nan, 0.0), complex(0.0, math.inf), 10**400,
+                                     10**5000, None)),
+    *(("PathSet.dopplers", v) for v in (math.inf, math.nan, -math.inf, 10**400, 10**5000)),
+    *(("PathSet.powers", v) for v in (math.nan, math.inf, 10**400, -1.0)),
     *((f"CorrelationPair.{key}", v) for key in ("steering_freq", "steering_time", "steering_pilot")
       for v in (math.nan, math.inf, "1", None)),
+    *((f"CorrelationPair.{key}", v, f"{key} must be finite, got {v}")
+      for key in ("steering_freq", "steering_time", "steering_pilot")
+      for v in (complex(math.nan, 0.0), complex(math.inf, 0.0))),
     ("CorrelationPair.steering_pilot", 1e300),
+    ("CorrelationPair.steering_pilot", complex(1e300, 0.0),
+     "steering_pilot must keep R2's trace <= 2.25e+307, got inf"),
     *(("CorrelationPair.powers", v) for v in (-1.0, math.nan, math.inf, "4", True, 1j, 10**400, 1e308)),
     *(("genie_correlations.layout", v) for v in (None, (32, 16), "layout", 10**5000)),
     ("csf_closed_form.n_symbols", np.uint64(2**64 - 1)),
@@ -166,6 +192,17 @@ _PROBES = [
     ("delay_kernel.l_i", math.nan),
     ("doppler_alias_difference.k", "x"),
     ("doppler_alias_difference.k_i", 10**400),
+    # grid data and data symbols go through the array kinds: a string, a
+    # dict, a bool, None or an int past the float64 range is never a number
+    *(("TFGrid.data", v) for v in ("x", "1", True, None, 10**400)),
+    *(("build_frame.data_syms", v) for v in ("x", True, 10**400)),
+    *(("build_frame.data_syms", v, f"data_syms must be finite, got {v}")
+      for v in (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf))),
+    ("PeriodCSF.data", "x"),
+    ("DDGrid.data", True),
+    ("PilotObservations.values", {}),
+    *(("PilotObservations.values", v, f"values must be finite, got {v} (PilotObservations)")
+      for v in (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf))),
 ]
 
 
@@ -191,71 +228,209 @@ def test_each_known_bad_value_is_refused():
     value that is not a finite real (or, for a gain, a finite number), a
     gain large enough to overflow the image, a genie steering entry or power
     that is not finite (or whose R2 would overflow), and a layout that is
-    not the config's."""
-    for case, value in _PROBES:
+    not the config's.  No message shows the digits of a huge int."""
+    for case, value, *message in _PROBES:
         key = case.rsplit(".", 1)[1]
         try:
             CALLS[case](value)
         except ContractViolationError as exc:
-            assert str(exc).startswith(f"{key} must "), (case, value, str(exc))
+            msg = str(exc)
+            assert msg.startswith(f"{key} must ") and "0" * 20 not in msg, (case, value, msg)
+            assert message in ([], [msg]), (case, value, msg)
         else:
             raise AssertionError(f"{case} accepted {value!r}")
 
 
-@pytest.mark.parametrize(
-    "key, call",
-    [
-        pytest.param("data", lambda: TFGrid([["x"]]), id="TFGrid-string"),
-        pytest.param("data", lambda: PeriodCSF([["x"], ["y"]], 1, 1), id="PeriodCSF-string"),
-        pytest.param("data_syms", lambda: _frame("x"), id="build_frame-string"),
-        pytest.param("data", lambda: TFGrid([[10**400]]), id="TFGrid-10**400"),
-        pytest.param("data_syms", lambda: _frame(10**400), id="build_frame-10**400"),
-        pytest.param("values", lambda: PilotObservations([[{}]], 1, 1), id="PilotObservations-dict"),
-        pytest.param("data", lambda: TFGrid([[1, 2], [3]]), id="TFGrid-ragged"),
-        pytest.param("data", lambda: TFGrid([["1"]]), id="TFGrid-numeric-string"),
-        pytest.param("data", lambda: TFGrid([[True]]), id="TFGrid-bool"),
-        pytest.param("data", lambda: DDGrid([[True], [False]]), id="DDGrid-bool"),
-        pytest.param("data_syms", lambda: _frame(True), id="build_frame-bool"),
-        pytest.param("data", lambda: TFGrid([[None]]), id="TFGrid-None"),
-        pytest.param("powers", lambda: PathSet([1.0], [0], [0.0], [-1.0]), id="PathSet-negative-power"),
-        # a long double may lie past the float64 range its cast to complex128 would overflow
-        pytest.param("data", lambda: TFGrid(np.ones((1, 1), dtype=np.longdouble)),
-                     id="TFGrid-long-double"),
-        pytest.param("gains", lambda: PathSet(np.ones(1, dtype=np.clongdouble), [0], [0.0]),
-                     id="PathSet-long-double"),
-    ],
-)
-def test_a_grid_frame_or_path_input_that_is_no_array_of_its_kind_is_one_error_naming_it(key, call):
-    """Grid data, data symbols and path arrays go through the array kinds:
-    a string, a dict, a bool, None, an int past the float64 range, a ragged
-    nesting, a long double or a negative power is one ContractViolationError
-    naming the argument, never a builtin error or a value taken as a number."""
+_STEERING = np.ones((4, 2), dtype=complex)
+_ONES_8x4 = np.ones((8, 4))
+_GRIDS = {"TFGrid": TFGrid, "DDGrid": DDGrid, "PeriodCSF": lambda a: PeriodCSF(a, 2, 2)}
+
+
+def _pair(**arrays):
+    """A two-path pair on four pilots, with the given arguments in place of its own."""
+    args = dict(steering_freq=_STEERING, steering_time=_STEERING.T, steering_pilot=_STEERING,
+                powers=[0.5, 0.5])
+    return CorrelationPair(**{**args, **arrays})
+
+
+def _grid_with(v):
+    """A 2x2 grid of ones with v as one entry."""
+    grid = np.ones((2, 2), dtype=complex)
+    grid[1, 0] = v
+    return grid
+
+
+def _layout(shape, d_t=2, d_f=2):
+    """The layout of a grid of this (M, N) shape."""
+    return make_layout(PilotPattern(d_t, d_f), tiny_cfg(*shape, d_t, d_f))
+
+
+def _genie_on(lattice, layout):
+    """genie_correlations of one path on tiny_cfg(*lattice), given layout."""
+    return genie_correlations(PathSet([1.0], [0], [0.0]), tiny_cfg(*lattice), layout)
+
+
+def _mmse_8x8(side, noise_var):
+    """mmse_estimate of all-ones observations on a side x side lattice, with
+    the genie pair of one path on an 8x8 grid at spacing 2."""
+    obs = PilotObservations(np.ones((side, side)), 2, 2)
+    return mmse_estimate(obs, _genie_on((8, 8, 2, 2), _layout((8, 8))), noise_var, tiny_cfg(8, 8, 2, 2))
+
+
+def _layout_text(shape, d_t=2, d_f=2):
+    """How a refusal prints the FrameLayout of this shape and lattice."""
+    return f"FrameLayout(shape={shape}, d_t={d_t}, d_f={d_f})"
+
+
+_LATTICE = "pilot lattice (2, 2) with spacings (d_t=2, d_f=2) does not match config lattice"
+_ON_8x4 = "does not match the layout's (M, N) = (8, 4)"
+# "<call>: <input>": (call, message): call() is one ContractViolationError
+# with exactly this message, for a whole argument or a set of arguments
+# that break a rule
+_REFUSALS = {
+    # grid data that is no non-empty 2-D array of finite numbers; the message names the constructor
+    **{f"{ctor}: {what}": ((lambda ctor=ctor, a=a: _GRIDS[ctor](a)), f"data must {rule} ({ctor})")
+       for ctor in _GRIDS for what, a, rule in (
+           *((f"a {v} entry", _grid_with(v), f"be finite, got {v}") for v in (
+               complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, 0.0),
+               complex(0.0, math.inf))),
+           *((f"shape {shape}", np.ones(shape), f"be a non-empty 2-D array, got shape {shape}")
+             for shape in ((4,), (2, 2, 2), (0, 4), (2, 0))))},
+    **{f"{ctor}: 3 rows": ((lambda ctor=ctor: _GRIDS[ctor](np.ones((3, 4)))),
+                           f"data must have an even Doppler axis, got 3 rows ({ctor})")
+       for ctor in ("DDGrid", "PeriodCSF")},
+    "TFGrid: nan": (lambda: TFGrid(np.ones((2, 2)) * math.nan), "data must be finite, got nan (TFGrid)"),
+    "TFGrid: inf": (lambda: TFGrid([[math.inf, 0.0], [0.0, 0.0]]), "data must be finite, got inf (TFGrid)"),
+    "TFGrid: ragged": (lambda: TFGrid([[1, 2], [3]]), "data must be an array of numbers (TFGrid)"),
+    # a long double may lie past the float64 range its cast to complex128 would overflow
+    "TFGrid: long double": (lambda: TFGrid(np.ones((1, 1), dtype=np.longdouble)),
+                            f"data must hold numbers, got dtype {np.dtype(np.longdouble)} (TFGrid)"),
+    "PathSet: long double": (lambda: PathSet(np.ones(1, dtype=np.clongdouble), [0], [0.0]),
+                             f"gains must hold numbers, got dtype {np.dtype(np.clongdouble)}"),
+    "PathSet: no path": (lambda: PathSet([], [], []), "PathSet needs at least one path"),
+    "PathSet: 2 gains": (lambda: PathSet([1.0, 0.5], [2], [0.0, 1.0]),
+                         "gains, delays and dopplers must have one length, got 2, 1 and 2"),
+    "PathSet: 2 powers": (lambda: PathSet([1.0], [2], [0.0], [1.0, 0.5]),
+                          "gains, delays, dopplers and powers must have one length, got 1, 1, 1 and 2"),
+    "PathSet: delay -1": (lambda: PathSet([1.0], [-1], [0.0]), "delays must be in [0, 2**63), got [-1]"),
+    "PathSet: one bin twice": (lambda: PathSet([1.0, 0.5], [2, 2], [0.0, 1.0]),
+                               "delays must be distinct bins, got [2, 2]"),
+    "PathSet: gain 1e200": (lambda: PathSet([1e200], [0], [0.0]), "|gains|^2 must be finite, got inf"),
+    # path arrays that are not 1-D, of one length, finite, or small enough for the 8x8 image
+    **{f"csf_closed_form: {what}": ((lambda args=args: csf_closed_form(*args, 8, 8)), message)
+       for what, args, message in (
+           ("gains 1.0", (1.0, [0], [0.0]), "gains must be a 1-D array, got shape ()"),
+           ("gains [[1.0]]", ([[1.0]], [0], [0.0]), "gains must be a 1-D array, got shape (1, 1)"),
+           ("ragged delays", ([1.0], [[0], [1, 2]], [0.0]), "delays must be an array of real numbers"),
+           ("2-D dopplers", ([1.0], [0], np.zeros((1, 1))),
+            "dopplers must be a 1-D array, got shape (1, 1)"),
+           ("gains [1, nan]", ([1.0, math.nan], [0, 1], [0.0, 0.5]), "gains must be finite, got nan"),
+           ("gain 1e307j", ([1e307j], [0], [0.0]),
+            "gains must have parts of at most 5.61779e+306 on this grid, got 1e+307"),
+           *((f"lengths {n}", args, f"gains, delays and dopplers must have one length, got {n}")
+             for args, n in (
+                 (([1, 2], [0], [0.0]), "2, 1 and 1"), (([1], [0, 1], [0.0]), "1, 2 and 1"),
+                 (([1], [0], [0.0, 1.0]), "1, 1 and 2"), (([], [0], []), "0, 1 and 0"))))},
+    # steering the noisy solve's LAPACK pair could not take
+    **{f"CorrelationPair: {key} {a.dtype} {a.shape}": (
+        (lambda key=key, a=a: _pair(**{key: a})), f"{key} must be 2-D complex128: {a.dtype} {a.shape}")
+       for key, a in (("steering_freq", _STEERING.real), ("steering_time", _STEERING.T.real),
+                      ("steering_pilot", _STEERING.real), ("steering_pilot", _STEERING[:, 0]))},
+    "CorrelationPair: a real steering list": (lambda: _pair(steering_pilot=_STEERING.real.tolist()),
+                                              "steering_pilot must be 2-D complex128: float64 (4, 2)"),
+    "CorrelationPair: float steering": (
+        lambda: CorrelationPair(np.ones((4, 2)), np.ones((2, 2)), np.ones((2, 2)), np.ones(3)),
+        "steering_freq must be 2-D complex128: float64 (4, 2)"),
+    "CorrelationPair: power -0.1": (lambda: _pair(powers=[0.5, -0.1]), "powers must be >= 0, got -0.1"),
+    "CorrelationPair: power nan": (lambda: _pair(powers=[0.5, math.nan]), "powers must be finite, got nan"),
+    "CorrelationPair: 2-D powers": (lambda: _pair(powers=[[0.5], [0.5]]),
+                                    "powers must be a 1-D array, got shape (2, 1)"),
+    "CorrelationPair: powers 1e308": (lambda: _pair(powers=[1e308, 1e308]),
+                                      "powers must keep R2's trace <= 2.25e+307, got inf"),
+    "CorrelationPair: 3 time rows": (
+        lambda: _pair(steering_time=np.ones((3, 4), dtype=complex), powers=np.ones(2)),
+        "steering matrices and powers disagree on path count"),
+    # a layout of another grid or lattice, or no layout, is refused before any
+    # steering is built, not read past the grid (an IndexError) or as fewer pilots
+    **{f"genie_correlations: {lattice} {got}": (
+        (lambda lattice=lattice, layout=layout: _genie_on(lattice, layout)),
+        f"layout must be {_layout_text(lattice[:2], *lattice[2:])}, got {got}")
+       for lattice, side in (((8, 8, 2, 2), 16), ((16, 16, 2, 2), 8), ((8, 8, 1, 2), 8))
+       for got, layout in ((_layout_text((side, side)), _layout((side, side))), ("tuple", lattice[:2]),
+                           ("ndarray", np.zeros(2)))},
+    "apply_response_diag: 8x2 h": (
+        lambda: apply_response_diag(TFGrid(_ONES_8x4), TFGrid(np.ones((8, 2))), 0.0, _rng()),
+        "grid shapes differ: x (8, 4) vs h (8, 2)"),
+    "sfft: 8x8 on 8x6": (lambda: sfft(TFGrid(np.ones((8, 8))), SimpleNamespace(M=8, N=6)),
+                         "TF grid shape (8, 8) does not match config (M=8, N=6)"),
+    "isfft: 8x8 on 8x6": (lambda: isfft(DDGrid(np.ones((8, 8))), SimpleNamespace(M=8, N=6)),
+                          "DD grid shape (8, 8) does not match config (N=6, M=8)"),
+    "ls_pilot: zero pilots": (
+        lambda: ls_pilot(TFGrid(0 * _ONES_8x4), TFGrid(0 * _ONES_8x4), _layout((8, 4), 2, 4)),
+        "zero-valued pilot symbol, LS division impossible"),
+    "ls_pilot: transposed x": (
+        lambda: ls_pilot(TFGrid(_ONES_8x4), TFGrid(_ONES_8x4.T), _layout((8, 4), 2, 4)),
+        f"TF grid shape (4, 8) {_ON_8x4}"),
+    "equalize_single_tap: transposed h": (
+        lambda: equalize_single_tap(TFGrid(_ONES_8x4), TFGrid(_ONES_8x4.T), _layout((8, 4), 2, 4)),
+        f"TF grid shape (4, 8) {_ON_8x4}"),
+    # each call that reads a grid through a layout takes only the layout's
+    # grid: not a smaller one, nor the transposed one of the same size
+    **{f"{name}: {shape} grid on a 128x64 layout": (
+        (lambda call=call, shape=shape: call(TFGrid(np.ones(shape)), _layout((128, 64), 4, 4))),
+        f"TF grid shape {shape} does not match the layout's (M, N) = (128, 64)")
+       for name, call in (("extract_data", extract_data),
+                          ("equalize_single_tap", lambda grid, lay: equalize_single_tap(grid, grid, lay)),
+                          ("ls_pilot", lambda grid, lay: ls_pilot(grid, grid, lay)))
+       for shape in ((4, 4), (64, 128))},
+    "interp_linear: 2x2 lattice": (
+        lambda: interp_linear(PilotObservations(np.ones((2, 2)), 2, 2), tiny_cfg(8, 4, 2, 2)),
+        f"{_LATTICE} (4, 2) with (d_t=2, d_f=2)"),
+    "csf_ongrid: 8x8 period": (lambda: csf_ongrid(PeriodCSF(np.ones((4, 4)), 2, 2), tiny_cfg(8, 16, 2, 2)),
+                               "period covers a 8x8 grid, config wants 16x8"),
+    "mmse_estimate: noise_var -1": (lambda: _mmse_8x8(4, -1.0),
+                                    "noise_var must be non-negative and at most 2.25e+307, got -1.0"),
+    "mmse_estimate: 2x2 lattice": (lambda: _mmse_8x8(2, 0.1), f"{_LATTICE} (4, 4) with (d_t=2, d_f=2)"),
+    "estimate_csf: mode magic": (
+        lambda: estimate_csf(_trial().x, _trial().x, _trial().layout, _trial().cfg, "magic", 0.0),
+        "unknown mode 'magic', valid: ('ongrid', 'offgrid')"),
+    "qam4_mod: 3 bits": (lambda: qam4_mod(np.array([0, 1, 1])),
+                         "bit array must be 1-D with even length, got shape (3,)"),
+    "qam4_mod: bit 2": (lambda: qam4_mod(np.array([0, 2])), "bits must be 0 or 1"),
+    "qam4_mod: 2-D bits": (lambda: qam4_mod(np.zeros((2, 2), dtype=int)),
+                           "bit array must be 1-D with even length, got shape (2, 2)"),
+    "make_layout: d_t 3 on 4 symbols": (lambda: make_layout(PilotPattern(3, 4), tiny_cfg(8, 4, 2, 4)),
+                                        "d_t must be a divisor of 4, got 3"),
+    "build_frame: 5 symbols": (
+        lambda: build_frame(np.ones(5, dtype=complex), PilotPattern(2, 4), tiny_cfg(8, 4, 2, 4)),
+        "data_syms must be 28 symbols for an 8x4 frame, got shape (5,)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_a_refused_argument_or_set_of_arguments_is_one_error_with_its_rules_message(case):
+    call, message = _REFUSALS[case]
     with pytest.raises(ContractViolationError) as err:
         call()
-    assert str(err.value).startswith(f"{key} must "), str(err.value)
+    assert str(err.value) == message
 
 
-@pytest.mark.parametrize(
-    "gains, delays, dopplers, message",
-    [
-        pytest.param(1.0, [0], [0.0], r"gains must be a 1-D array, got shape \(\)$", id="gains=1.0"),
-        pytest.param([[1.0]], [0], [0.0], r"gains must be a 1-D array, got shape \(1, 1\)$",
-                     id="gains=[[1.0]]"),
-        pytest.param([1.0], [[0], [1, 2]], [0.0], "delays must be an array of real numbers$",
-                     id="delays=ragged"),
-        pytest.param([1.0], [0], np.zeros((1, 1)), "dopplers must be a 1-D array",
-                     id="dopplers=zeros((1, 1))"),
-        pytest.param([1.0, math.nan], [0, 1], [0.0, 0.5], "gains must be finite, got nan$",
-                     id="gains=[1, nan]"),
-        pytest.param([1e307j], [0], [0.0], "gains must have parts of at most .* on this grid, got 1e\\+307$",
-                     id="gains=[1e307j]"),
-    ],
-)
-def test_closed_form_path_arrays_are_refused_whole(gains, delays, dopplers, message):
-    """Path arrays that are not 1-D arrays of finite values, and a gain that
-    would overflow the 8x8 image, are one error naming the array."""
-    with pytest.raises(ContractViolationError, match=f"^{message}"):
-        csf_closed_form(gains, delays, dopplers, 8, 8)
+# "<call>: <input>": (what the call reads of it, the value expected)
+_READINGS = {
+    # numpy infers one dtype for a list of numbers, and reads a bool among
+    # them as 0 or 1; a bool alone, or a list of bools, is refused
+    "PathSet: delays [0, True]": (lambda: PathSet([1.0, 2.0], [0, True], [0.0, 0.0]).delays.tolist(),
+                                  [0, 1]),
+    # a complex list is taken as its array
+    "CorrelationPair: a complex steering list": (
+        lambda: _pair(steering_pilot=_STEERING.tolist()).n_pilot, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(_READINGS))
+def test_an_accepted_input_is_read_as_documented(case):
+    read, expected = _READINGS[case]
+    assert read() == expected
 
 
 def test_the_largest_allowed_gain_keeps_the_image_finite():

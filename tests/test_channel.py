@@ -1,6 +1,5 @@
 """Channel profile handling, path generation, and both transmit models."""
 
-import math
 import warnings
 from dataclasses import replace
 
@@ -14,7 +13,6 @@ from ddce.channel import (
     PathSet,
     apply_channel_diag,
     apply_channel_full,
-    apply_response_diag,
     csf_from_paths,
     ctf_from_paths,
     gen_paths,
@@ -23,7 +21,7 @@ from ddce.channel import (
     quantize_delays,
 )
 from ddce.config import default_config, with_overrides
-from ddce.errors import ContractViolationError, ProfileError, SupportError
+from ddce.errors import ProfileError, SupportError
 from ddce.grids import TFGrid, sfft
 from ddce.harness import run_trial
 from helpers import small_cfg, tiny_cfg
@@ -68,31 +66,6 @@ def test_profile_validation_and_normalization():
     prof = two_tap_profile()
     assert abs(prof.tap_powers_lin.sum() - 1.0) < 1e-12
     assert abs(prof.nu_max_hz - 486.11111111111114) < 1e-9
-
-
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("v_kmh", math.nan, "v_kmh must be non-negative"),
-        ("v_kmh", math.inf, "v_kmh must be non-negative"),
-        ("f_c_hz", 0.0, "f_c_hz must be positive"),
-        ("f_c_hz", math.nan, "f_c_hz must be positive"),
-        # ids naming the input, so that rewording a message renames no test
-        pytest.param("tap_delays_ns", (0.0, math.inf), "tap_delays_ns must be non-negative and finite",
-                     id="tap_delays_ns=(0.0, inf)"),
-        pytest.param("tap_delays_ns", (0.0, math.nan), "tap_delays_ns must be non-negative and finite",
-                     id="tap_delays_ns=(0.0, nan)"),
-        pytest.param("tap_powers_db", (0.0, math.nan), "tap_powers_db must be finite",
-                     id="tap_powers_db=(0.0, nan)"),
-        pytest.param("tap_powers_db", (math.inf, 0.0), "tap_powers_db must be finite",
-                     id="tap_powers_db=(inf, 0.0)"),
-        ("tap_powers_db", (4000.0, 0.0), "tap powers must peak within"),
-        ("tap_powers_db", (-4000.0, -4000.0), "tap powers must peak within"),
-    ],
-)
-def test_profile_rejects_out_of_range_values(field, value, message):
-    with pytest.raises(ProfileError, match=message):
-        replace(two_tap_profile(), **{field: value})
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -322,89 +295,15 @@ def test_full_model_ici_floor_at_high_doppler():
         assert lo <= dev <= hi
 
 
-def test_path_and_pathset_validation():
-    """A negative delay, an empty set, arrays of unequal lengths and a
-    duplicate delay bin are each one error naming the rule.  Powers fall back
-    to |gain|^2, and each array is stored as a read-only copy of one dtype:
-    the caller's own array stays writable."""
-    with pytest.raises(ContractViolationError, match=r"^delays must be in \[0, 2\*\*63\), got \[-1\]$"):
-        PathSet([1.0], [-1], [0.0])
-    with pytest.raises(ContractViolationError, match="^PathSet needs at least one path$"):
-        PathSet([], [], [])
-    with pytest.raises(ContractViolationError,
-                       match="^gains, delays and dopplers must have one length, got 2, 1 and 2$"):
-        PathSet([1.0, 0.5], [2], [0.0, 1.0])
-    with pytest.raises(ContractViolationError,
-                       match="^gains, delays, dopplers and powers must have one length, got 1, 1, 1 and 2$"):
-        PathSet([1.0], [2], [0.0], [1.0, 0.5])
-    with pytest.raises(ContractViolationError, match=r"^delays must be distinct bins, got \[2, 2\]$"):
-        PathSet([1.0, 0.5], [2, 2], [0.0, 1.0])
-    with pytest.raises(ContractViolationError, match=r"^\|gains\|\^2 must be finite, got inf$"):
-        PathSet([1e200], [0], [0.0])
+def test_a_pathset_stores_read_only_arrays_of_one_dtype():
+    """Powers fall back to |gain|^2, and each array is stored as a read-only
+    copy of one dtype: the caller's own array stays writable."""
     gains = np.array([0.6 + 0.8j])
     ps = PathSet(gains, np.array([1], dtype=np.uint8), [0.25])
     assert len(ps) == 1 and np.allclose(ps.powers, [1.0])  # falls back to |gain|^2
     arrays = (ps.gains, ps.delays, ps.dopplers, ps.powers)
     assert [a.dtype for a in arrays] == [np.complex128, np.int64, np.float64, np.float64]
     assert not any(a.flags.writeable for a in arrays) and gains.flags.writeable
-
-
-@pytest.mark.parametrize(
-    "fields",
-    [
-        dict(gains=complex(np.nan, 0.0)),
-        dict(gains=complex(0.0, np.inf)),
-        dict(dopplers=np.nan),
-        dict(dopplers=-np.inf),
-        dict(powers=np.nan),
-        dict(powers=np.inf),
-        dict(delays=np.nan),
-        dict(delays=np.inf),
-        dict(delays=2**63),
-        dict(gains=10**400),
-        dict(dopplers=10**400),
-        dict(powers=10**400),
-        dict(delays=10**5000),
-        dict(gains=10**5000),
-        dict(dopplers=10**5000),
-        dict(delays="1"),
-        dict(gains=None),
-    ],
-    ids=["nan-gain", "inf-gain", "nan-doppler", "inf-doppler", "nan-power", "inf-power",
-         "nan-delay", "inf-delay", "int64-delay", "huge-gain", "huge-doppler", "huge-power",
-         "past-str-limit-delay", "past-str-limit-gain", "past-str-limit-doppler", "str-delay",
-         "None-gain"],
-)
-def test_path_rejects_non_finite_fields(fields):
-    """A path set whose one path has a bad field is one ContractViolationError
-    naming its array; an int past the float range is refused by the dtype
-    numpy reads it as, never shown by its digits."""
-    args = dict(gains=1.0 + 0.0j, delays=1, dopplers=0.5, powers=1.0)
-    args.update(fields)
-    key = next(iter(fields))
-    with pytest.raises(ContractViolationError, match=f"^{key} must ") as info:
-        PathSet(*([value] for value in args.values()))
-    assert "0" * 20 not in str(info.value)
-
-
-@pytest.mark.parametrize("noise_var", [np.nan, np.inf, pytest.param(10**400, id="huge")])
-def test_channels_reject_bad_noise_var(noise_var):
-    cfg = tiny_cfg(8, 4)
-    ps = PathSet([1.0 + 0.0j], [1], [0.5])
-    x = TFGrid(np.ones((8, 4)))
-    h = ctf_from_paths(ps, cfg)
-    rng = np.random.default_rng(0)
-    for apply, channel in (
-        (apply_channel_diag, ps), (apply_channel_full, ps), (apply_response_diag, h)
-    ):
-        with pytest.raises(ContractViolationError, match="noise_var"):
-            apply(x, channel, noise_var, rng)
-
-
-def test_response_diag_needs_a_matching_response_grid():
-    x = TFGrid(np.ones((8, 4)))
-    with pytest.raises(ContractViolationError, match="shapes differ"):
-        apply_response_diag(x, TFGrid(np.ones((8, 2))), 0.0, np.random.default_rng(0))
 
 
 def test_delay_past_the_int64_range_is_out_of_support():

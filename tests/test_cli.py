@@ -12,33 +12,17 @@ from hypothesis import strategies as st
 
 from ddce import harness
 from ddce.cli import main
-from ddce.config import ESTIMATOR_NAMES
+from ddce.config import ESTIMATOR_NAMES, MIN_SNR_DB, load_config, snr_is_valid
+from ddce.harness import run_trial
+from helpers import PAPER_CFG, edit_cfg, no_trial, rule_message, small_cfg_text, write_cfg
 
-PAPER_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "paper.cfg")
-
-FAST_CFG = """\
-M = 32
-N = 16
-delta_f_hz = 15e3
-f_c_hz = 2.1e9
-v_kmh = 250.0
-d_t = 4
-d_f = 4
-tap_delays_ns = 0.0, 4166.666666666667
-tap_powers_db = 0.0, -3.0
-estimators = ls-interp, ideal
-snr_db = 10.0, 20.0
-n_trials = 2
-master_seed = 7
-threads = 1
-"""
+FAST_CFG = small_cfg_text(estimators="ls-interp, ideal", snr_db="10.0, 20.0", n_trials=2, master_seed=7,
+                          threads=1)
 
 
 @pytest.fixture
 def cfg_file(tmp_path):
-    path = tmp_path / "fast.cfg"
-    path.write_text(FAST_CFG)
-    return str(path)
+    return write_cfg(tmp_path, FAST_CFG, "fast.cfg")
 
 
 def test_help_lists_subcommands(capsys):
@@ -55,105 +39,6 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_missing_required_argument_is_usage_error(capsys):
     assert main(["simulate", "--snr", "10"]) == 2
-
-
-def test_unknown_estimator_rejected(cfg_file, capsys):
-    rc = main([
-        "simulate", "--config", cfg_file,
-        "--estimator", "zero-forcing", "--snr", "10", "--seed", "1",
-    ])
-    assert rc == 1
-    err = capsys.readouterr().err
-    for line in err.splitlines():
-        assert line.startswith("error: ")
-    assert "zero-forcing" in err
-    for name in ("ls-interp", "mmse-genie", "csf-ongrid", "csf-offgrid", "ideal"):
-        assert name in err
-
-
-@pytest.mark.parametrize("snr", ["nan", "-inf"])
-def test_simulate_rejects_nonfinite_snr(cfg_file, capsys, snr):
-    rc = main([
-        "simulate", "--config", cfg_file,
-        "--estimator", "ideal", f"--snr={snr}", "--seed", "1",
-    ])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --snr must be finite")
-
-
-def test_sweep_rejects_nonfinite_config_snr(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(FAST_CFG.replace("snr_db = 10.0, 20.0", "snr_db = 10.0, -inf"))
-    rc = main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
-    assert "error: snr_db must be finite and >= -3000.0, or +inf, got -inf" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
-
-
-def test_missing_config_file(capsys):
-    rc = main([
-        "simulate", "--config", "/no/such/file.cfg",
-        "--estimator", "ideal", "--snr", "10", "--seed", "1",
-    ])
-    assert rc == 1
-    assert "error: cannot read config file" in capsys.readouterr().err
-
-
-def test_config_file_that_is_not_utf8(tmp_path, capsys):
-    bad = tmp_path / "latin1.cfg"
-    bad.write_bytes(("# café\n" + FAST_CFG).encode("latin-1"))
-    assert main(["verify", "--config", str(bad)]) == 1
-    assert "error: cannot read config file: 'utf-8' codec" in capsys.readouterr().err
-
-
-def test_config_violations_reported(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(FAST_CFG.replace("v_kmh = 250.0", "v_kmh = 5000.0"))
-    rc = main([
-        "simulate", "--config", str(bad),
-        "--estimator", "ideal", "--snr", "10", "--seed", "1",
-    ])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "Doppler support violated" in err
-    for line in err.splitlines():
-        assert line.startswith("error: ")
-
-
-@pytest.mark.parametrize(
-    "edit,estimator,message",
-    [
-        ({"M = 32": "M = 4096", "N = 16": "N = 4096", "d_t = 4": "d_t = 1", "d_f = 4": "d_f = 1"},
-         None, "resource elements"),
-        pytest.param({"n_trials = 2": "n_trials = 100001"}, None,
-                     "n_trials must be between 1 and 100000, got 100001", id="n_trials=100001"),
-        ({"ls-interp, ideal": "ideal, ideal"}, None, "estimators must not repeat"),
-        ({"M = 32": "M = 256", "N = 16": "N = 256"}, "mmse-genie", "mmse-genie needs n_pilot"),
-        # past the float range: the int rule stops the float-valued support rules;
-        # ids naming the input, so that rewording a message renames no test
-        pytest.param({"M = 32": "M = 1" + "0" * 400}, None, "M must lie within the float64 range",
-                     id="M=10**400"),
-        pytest.param({"N = 16": "N = 1" + "0" * 400}, None, "N must lie within the float64 range",
-                     id="N=10**400"),
-    ],
-)
-def test_resource_bounds_exit_1_before_any_work(tmp_path, capsys, edit, estimator, message):
-    """A sweep (estimator None) or a simulate run of one estimator is refused
-    at validation; nothing of these sizes is ever built."""
-    text = FAST_CFG
-    for old, new in edit.items():
-        text = text.replace(old, new)
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(text)
-    if estimator is None:
-        argv = ["sweep", "--config", str(bad), "--out", str(tmp_path / "out.csv")]
-    else:
-        argv = ["simulate", "--config", str(bad), "--estimator", estimator, "--snr", "10",
-                "--seed", "1"]
-    assert main(argv) == 1
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "out.csv").exists()
 
 
 def test_simulate_prints_result_line(cfg_file, capsys):
@@ -204,10 +89,6 @@ def test_sweep_is_reproducible(cfg_file, tmp_path, capsys):
 
 def test_sweep_unwritable_output(cfg_file, tmp_path, capsys, monkeypatch):
     """An --out that cannot be written fails before the first trial."""
-
-    def no_trial(*args):
-        raise AssertionError("a trial ran before --out was checked")
-
     monkeypatch.setattr(harness, "_paired_trial", no_trial)
     out = tmp_path / "no_dir" / "x.csv"
     rc = main(["sweep", "--config", cfg_file, "--out", str(out)])
@@ -258,21 +139,6 @@ def test_a_failed_sweep_removes_only_an_out_file_its_check_created(
         assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize(
-    "delays, powers", [("0.0", "4000"), ("0.0, 4166.666666666667", "-4000, -4000")]
-)
-def test_sweep_rejects_a_tap_power_past_the_float_range(tmp_path, capsys, delays, powers):
-    """10**(p/10) would overflow or vanish for every tap: exit 1 at load,
-    before a trial could warn."""
-    text = FAST_CFG.replace("tap_delays_ns = 0.0, 4166.666666666667", f"tap_delays_ns = {delays}")
-    path = tmp_path / "loud.cfg"
-    path.write_text(text.replace("tap_powers_db = 0.0, -3.0", f"tap_powers_db = {powers}"))
-    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: tap powers must peak within +-3000 dB")
-
-
 def test_verify_passes_on_shipped_config(capsys):
     rc = main(["verify", "--config", PAPER_CFG])
     assert rc == 0
@@ -282,51 +148,72 @@ def test_verify_passes_on_shipped_config(capsys):
         assert re.fullmatch(r"CHECK [a-z_]+ PASS max_err=\S+", line), line
 
 
-def test_verify_refuses_a_config_with_the_old_modulation_key(tmp_path, capsys):
-    """verify loads --config although its checks use fixed shapes, so a file
-    that still sets the deleted `modulation` key exits 1."""
-    bad = tmp_path / "old.cfg"
-    bad.write_text(FAST_CFG + "modulation = qam4\n")
-    assert main(["verify", "--config", str(bad)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: line 15: unknown key 'modulation'\n"
-    assert captured.out == ""
-
-
 _SIMULATE = {"--estimator": "ideal", "--snr": "10", "--seed": "1"}
+# name: (command, simulate flags over _SIMULATE's, the config file as edits of
+# FAST_CFG, as raw bytes, or None for no file)
+_REFUSED = {
+    "estimator=zero-forcing": ("simulate", {"--estimator": "zero-forcing"}, {}),
+    "snr=nan": ("simulate", {"--snr": "nan"}, {}),
+    "snr=-inf": ("simulate", {"--snr": "-inf"}, {}),
+    "snr=-4000": ("simulate", {"--snr": "-4000"}, {}),
+    "seed=-1": ("simulate", {"--seed": "-1"}, {}),
+    "delta_f_hz=inf": ("simulate", {}, dict(delta_f_hz="inf")),
+    "v_kmh=5000": ("simulate", {}, dict(v_kmh=5000.0)),
+    "mmse-genie-on-4096-pilots": ("simulate", {"--estimator": "mmse-genie"}, dict(M=256, N=256)),
+    "no-file": ("simulate", {}, None),
+    "snr_db=-inf": ("sweep", {}, dict(snr_db="10.0, -inf")),
+    "snr_db=-4000": ("sweep", {}, dict(snr_db="10.0, -4000")),
+    "master_seed=-1": ("sweep", {}, dict(master_seed=-1)),
+    "delay=1e300": ("sweep", {}, dict(tap_delays_ns="0.0, 1e300")),
+    "grid-past-bound": ("sweep", {}, dict(M=4096, N=4096, d_t=1, d_f=1)),
+    "n_trials=100001": ("sweep", {}, dict(n_trials=100001)),
+    "repeated-estimator": ("sweep", {}, dict(estimators="ideal, ideal")),
+    "M=10**400": ("sweep", {}, dict(M="1" + "0" * 400)),
+    "N=10**400": ("sweep", {}, dict(N="1" + "0" * 400)),
+    # 10**(p/10) would overflow or vanish for every tap
+    "tap-power=4000": ("sweep", {}, dict(tap_delays_ns="0.0", tap_powers_db="4000")),
+    "tap-powers=-4000": ("sweep", {}, dict(tap_powers_db="-4000, -4000")),
+    "not-utf8": ("verify", {}, ("# café\n" + FAST_CFG).encode("latin-1")),
+    # verify loads --config although its checks use fixed shapes
+    "modulation-key": ("verify", {}, dict(modulation="qam4")),
+}
 
 
-@pytest.mark.parametrize(
-    "edit,flags,message",
-    [
-        ({"master_seed = 7": "master_seed = -1"}, None, "master_seed must be >= 0, got -1"),
-        ({}, {"--seed": "-1"}, "master_seed must be >= 0, got -1"),
-        pytest.param({"snr_db = 10.0, 20.0": "snr_db = 10.0, -4000"}, None,
-                     "snr_db must be finite and >= -3000.0, or +inf, got -4000.0", id="snr_db=-4000"),
-        ({}, {"--snr": "-4000"}, "--snr must be finite"),
-        ({"4166.666666666667": "1e300"}, None, "exceeds M/d_f - 1"),
-        ({"delta_f_hz = 15e3": "delta_f_hz = inf"}, {}, "delta_f_hz must be positive and finite"),
-    ],
-)
-def test_bad_seed_snr_or_delay_exits_1(tmp_path, capsys, edit, flags, message):
-    """A sweep (flags None) or a simulate run with these flags is refused at
-    validation, with a message that names the setting."""
-    text = FAST_CFG
-    for old, new in edit.items():
-        text = text.replace(old, new)
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
-    if flags is None:
-        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+def _library_run(path, flags):
+    """The library calls a command makes with its config file and flags."""
+    cfg = load_config(path)
+    if flags:
+        run_trial(cfg, cfg.profile, float(flags["--snr"]), flags["--estimator"], int(flags["--seed"]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_a_refused_run_exits_1_with_the_library_message_before_any_work(
+    tmp_path, capsys, monkeypatch, case
+):
+    """Each stderr line is `error: ` and a line of the ConfigError that the
+    library calls raise for the same file and flags; only --snr has a rule
+    of the command line's own.  Nothing else is printed or written, and no
+    trial starts."""
+    command, flags, text = _REFUSED[case]
+    path = tmp_path / "run.cfg" if text is not None else "/no/such/file.cfg"
+    out = tmp_path / "out.csv"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        write_cfg(tmp_path, edit_cfg(FAST_CFG, **text), path.name)
+    flags = dict(_SIMULATE, **flags) if command == "simulate" else {}
+    argv = [command, "--config", str(path), *(f"{flag}={value}" for flag, value in flags.items())]
+    argv += ["--out", str(out)] if command == "sweep" else []
+    if snr_is_valid(float(flags.get("--snr", 0))):
+        message = rule_message(_library_run, str(path), flags)
     else:
-        argv = ["simulate", "--config", str(cfg)]
-        for flag, value in dict(_SIMULATE, **flags).items():
-            argv.append(f"{flag}={value}")
+        snr = float(flags["--snr"])
+        message = f"--snr must be finite and >= {MIN_SNR_DB} dB, or inf (noiseless), got {snr}"
+    monkeypatch.setattr(harness, "_paired_trial", no_trial)
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert message in err
-    assert all(line.startswith("error: ") for line in err.splitlines())
-    assert not (tmp_path / "out.csv").exists()
+    assert capsys.readouterr() == ("", "".join(f"error: {line}\n" for line in message.splitlines()))
+    assert not out.exists()
 
 
 _SEEDS = st.one_of(
@@ -342,9 +229,8 @@ _NAMES = st.one_of(st.sampled_from(ESTIMATOR_NAMES), st.text(min_size=1, max_siz
 @st.composite
 def _invocations(draw):
     """A command line and the config text it reads (None: no such file)."""
-    text = FAST_CFG.replace("master_seed = 7", f"master_seed = {draw(_SEEDS)}")
-    text = text.replace("snr_db = 10.0, 20.0", f"snr_db = 10.0, {draw(_SNRS)}")
-    text = text.replace("ls-interp, ideal", f"ls-interp, {draw(_NAMES)}")
+    text = edit_cfg(FAST_CFG, master_seed=draw(_SEEDS), snr_db=f"10.0, {draw(_SNRS)}",
+                    estimators=f"ls-interp, {draw(_NAMES)}")
     text = draw(st.sampled_from((text, FAST_CFG, None)))
     command = draw(st.sampled_from(("simulate", "sweep", "verify")))
     if command == "simulate":

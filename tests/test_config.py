@@ -1,4 +1,8 @@
-"""Config file loading and whole-config validation."""
+"""Config file loading and whole-config validation.
+
+Every rule of a SystemConfig field or of its ChannelProfile is pinned here,
+by its exact message: the harness and the command line only route these
+errors, and their tests compare with the messages computed here."""
 
 import math
 import os
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 from ddce.channel import ChannelProfile, gen_paths
 from ddce.config import (
     _KEYS,
+    ESTIMATOR_NAMES,
     MAX_GRID_RES,
     MAX_MMSE_PILOTS,
     MAX_TRIALS,
@@ -26,16 +31,7 @@ from ddce.config import (
 )
 from ddce.errors import ConfigError, ProfileError, SupportError
 from ddce.harness import run_trial
-from helpers import ALL_PILOT, ODD_VALUES, small_cfg
-
-REPO_CFG = os.path.join(os.path.dirname(__file__), "..", "paper.cfg")
-
-
-def write_cfg(tmp_path, text):
-    path = tmp_path / "case.cfg"
-    path.write_text(text, encoding="utf-8")
-    return str(path)
-
+from helpers import ALL_PILOT, ODD_VALUES, PAPER_CFG, edit_cfg, small_cfg, write_cfg
 
 GOOD = """
 M = 64
@@ -55,7 +51,7 @@ tap_powers_db = 0.0, -3.0
 
 
 def test_shipped_config_loads_to_defaults():
-    cfg = load_config(REPO_CFG)
+    cfg = load_config(PAPER_CFG)
     assert cfg == default_config()
     assert (cfg.M, cfg.N, cfg.d_t, cfg.d_f) == (128, 64, 4, 4)
     assert cfg.delta_f_hz == 15e3
@@ -99,11 +95,7 @@ def test_syntax_problems_are_collected_with_line_numbers(tmp_path):
 
 
 def test_unparsable_value_names_its_key_and_is_not_also_missing(tmp_path):
-    text = (
-        GOOD.replace("M = 64", "M = 12x")
-        .replace("master_seed = 1", "master_seed = 1e3")
-        .replace("snr_db = 0, 10, 20", "snr_db = 0, ten")
-    )
+    text = edit_cfg(GOOD, M="12x", master_seed="1e3", snr_db="0, ten")
     with pytest.raises(ConfigError) as err:
         load_config(write_cfg(tmp_path, text))
     lines = str(err.value).splitlines()
@@ -123,44 +115,67 @@ def test_missing_required_keys_reported_together(tmp_path):
     assert msg.count("missing required key") == 12
 
 
-def test_bad_bool_rejected(tmp_path):
-    text = GOOD + "on_grid_doppler = maybe\n"
-    with pytest.raises(ConfigError, match="line 15: on_grid_doppler: expected true or false"):
-        load_config(write_cfg(tmp_path, text))
+_SNR_RULE = f"snr_db must be finite and >= {MIN_SNR_DB}, or +inf, got "
+# (edits, message): GOOD with each key's line set to its value (appended
+# where GOOD has none) is refused by load_config with exactly this message
+_FILE_RULES = [
+    # the parser takes nan and inf as floats; the one rule that owns the key
+    # rejects them, before any numpy work can warn
+    (dict(delta_f_hz="nan"), "delta_f_hz must be positive and finite, got nan"),
+    (dict(delta_f_hz="inf"), "delta_f_hz must be positive and finite, got inf"),
+    (dict(f_c_hz="nan"), "f_c_hz must be positive and finite, got nan"),
+    (dict(f_c_hz="inf"), "f_c_hz must be positive and finite, got inf"),
+    (dict(v_kmh="nan"), "v_kmh must be non-negative and finite, got nan"),
+    (dict(v_kmh="inf"), "v_kmh must be non-negative and finite, got inf"),
+    (dict(gamma_threshold="nan"), "gamma_threshold must be positive and finite, got nan"),
+    (dict(gamma_threshold="inf"), "gamma_threshold must be positive and finite, got inf"),
+    (dict(snr_db="0, nan"), f"{_SNR_RULE}nan"),
+    (dict(snr_db="0, -inf"), f"{_SNR_RULE}-inf"),
+    (dict(snr_db="0, -4000"), f"{_SNR_RULE}-4000.0"),
+    (dict(master_seed="-1"), "master_seed must be >= 0, got -1"),
+    (dict(v_kmh="-3"), "v_kmh must be non-negative and finite, got -3.0"),
+    (dict(f_c_hz="0"), "f_c_hz must be positive and finite, got 0.0"),
+    (dict(tap_powers_db="nan, -3.0"), "tap_powers_db must be finite, got nan"),
+    (dict(on_grid_doppler="maybe"), "line 15: on_grid_doppler: expected true or false, got 'maybe'"),
+    (dict(modulation="qam4"), "line 15: unknown key 'modulation'"),
+    # the semantic rules are reported together
+    (dict(v_kmh=5000, estimators="ideal, warp-drive"), (
+        f"unknown estimators ['warp-drive'], valid names: {ESTIMATOR_NAMES}\nDoppler support violated: "
+        "N*T*nu_max = 20.74074074074074 exceeds N/(2*d_t) - 1 = 7; need nu_max <= 1/(2*d_t*T) - 1/(N*T)")),
+    # a delay whose bin index does not fit an int64 still compares as too long
+    (dict(tap_delays_ns="0.0, 1e300"), "max quantized delay 9.6e+296 exceeds M/d_f - 1 = 31; "
+     "delays must satisfy tau <= 1/(d_f*delta_f) - 1/(M*delta_f)"),
+    (dict(tap_delays_ns="0.0, 100.0"), "quantized tap delays collide on the grid: [0, 0]; "
+     "merge colliding taps into shared bins before use"),
+    # with a non-dividing d_t only the divisibility complaint makes sense
+    (dict(d_t=3, v_kmh=5000), "N = 32 is not divisible by d_t = 3"),
+    (dict(N=30, v_kmh=20), "N/d_t = 15 must be even so the Doppler period splits around zero"),
+    # no data symbol is left, so no BER could be scored
+    (dict(d_t=1, d_f=1), ALL_PILOT),
+]
 
 
-@pytest.mark.parametrize(
-    "key, message",
-    [
-        ("delta_f_hz", "delta_f_hz must be positive and finite, got nan"),
-        ("delta_f_hz", "delta_f_hz must be positive and finite, got inf"),
-        ("f_c_hz", "f_c_hz must be positive and finite, got nan"),
-        ("f_c_hz", "f_c_hz must be positive and finite, got inf"),
-        ("v_kmh", "v_kmh must be non-negative and finite, got nan"),
-        ("v_kmh", "v_kmh must be non-negative and finite, got inf"),
-        ("gamma_threshold", "gamma_threshold must be positive and finite, got nan"),
-        ("gamma_threshold", "gamma_threshold must be positive and finite, got inf"),
-    ],
-)
-def test_nan_float_is_rejected_by_the_rule_of_its_key(tmp_path, key, message):
-    """The parser takes nan and inf as floats; the one rule that owns the
-    key rejects them, before any numpy work can warn.  The value written is
-    the one the message ends with."""
-    value = message.rsplit(" ", 1)[1]
-    kept = [ln for ln in GOOD.splitlines() if not ln.startswith(f"{key} =")]
-    text = "\n".join(kept + [f"{key} = {value}"]) + "\n"
+@pytest.mark.parametrize("edits, message", [
+    pytest.param(edits, message, id=",".join(f"{k}={v}" for k, v in edits.items()))
+    for edits, message in _FILE_RULES
+])
+def test_a_bad_line_is_one_config_error_with_its_rules_message(tmp_path, edits, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError) as err:
-            load_config(write_cfg(tmp_path, text))
+            load_config(write_cfg(tmp_path, edit_cfg(GOOD, **edits)))
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("snr", ["nan", "-inf"])
-def test_nonfinite_snr_rejected(tmp_path, snr):
-    text = GOOD.replace("snr_db = 0, 10, 20", f"snr_db = 0, {snr}")
-    with pytest.raises(ConfigError, match=rf"snr_db must be finite and >= -3000.0, or \+inf, got {snr}$"):
-        load_config(write_cfg(tmp_path, text))
+@pytest.mark.parametrize("key, value, parsed", [
+    ("snr_db", "0, inf", (0.0, math.inf)),  # noiseless
+    ("master_seed", "0", 0),
+    # a pilot on every subcarrier or on every symbol alone leaves data to score
+    ("d_t", "1", 1),
+    ("d_f", "1", 1),
+])
+def test_a_line_at_the_edge_of_its_rule_is_accepted(tmp_path, key, value, parsed):
+    assert getattr(load_config(write_cfg(tmp_path, edit_cfg(GOOD, **{key: value}))), key) == parsed
 
 
 def test_snr_bound_keeps_the_noise_variance_a_float():
@@ -173,39 +188,6 @@ def test_snr_bound_keeps_the_noise_variance_a_float():
         assert 10.0 ** (-snr / 10.0) <= 1e300
     for snr in (-3000.1, -3082.4, -3082.6, -4000.0, -1e308, float("-inf"), float("nan")):
         assert not snr_is_valid(snr)
-
-
-def test_snr_whose_noise_variance_overflows_rejected(tmp_path):
-    text = GOOD.replace("snr_db = 0, 10, 20", "snr_db = 0, -4000")
-    with pytest.raises(ConfigError, match=r"snr_db must be finite and >= -3000.0, or \+inf, got -4000.0$"):
-        load_config(write_cfg(tmp_path, text))
-
-
-def test_nan_grid_spacing_and_threshold_rejected():
-    """Built in code, a config holds nan or inf without a parser in between."""
-    for value in (math.nan, math.inf):
-        errs = "\n".join(replace(default_config(), delta_f_hz=value).violations())
-        assert f"delta_f_hz must be positive and finite, got {value}" in errs
-        errs = "\n".join(replace(default_config(), gamma_threshold=value).violations())
-        assert f"gamma_threshold must be positive and finite, got {value}" in errs
-
-
-def test_negative_master_seed_rejected(tmp_path):
-    text = GOOD.replace("master_seed = 1", "master_seed = -1")
-    with pytest.raises(ConfigError, match="master_seed must be >= 0, got -1"):
-        load_config(write_cfg(tmp_path, text))
-    assert load_config(write_cfg(tmp_path, GOOD.replace("master_seed = 1", "master_seed = 0")))
-
-
-def test_delay_past_the_int64_range_rejected(tmp_path):
-    text = GOOD.replace("tap_delays_ns = 0.0, 3125.0", "tap_delays_ns = 0.0, 1e300")
-    with pytest.raises(ConfigError, match="exceeds M/d_f - 1"):
-        load_config(write_cfg(tmp_path, text))
-
-
-def test_noiseless_snr_accepted(tmp_path):
-    text = GOOD.replace("snr_db = 0, 10, 20", "snr_db = 0, inf")
-    assert load_config(write_cfg(tmp_path, text)).snr_db == (0.0, float("inf"))
 
 
 def test_missing_file_is_a_config_error():
@@ -222,68 +204,9 @@ def test_file_that_is_not_utf8_is_a_config_error(tmp_path):
 
 def test_a_leading_byte_order_mark_is_skipped(tmp_path):
     path = tmp_path / "bom.cfg"
-    with open(REPO_CFG, "rb") as fh:
+    with open(PAPER_CFG, "rb") as fh:
         path.write_bytes(b"\xef\xbb\xbf" + fh.read())
-    assert load_config(str(path)) == load_config(REPO_CFG)
-
-
-def test_semantic_violations_are_aggregated(tmp_path):
-    text = GOOD.replace("v_kmh = 120", "v_kmh = 5000").replace(
-        "estimators = ideal, ls-interp", "estimators = ideal, warp-drive"
-    )
-    with pytest.raises(ConfigError) as err:
-        load_config(write_cfg(tmp_path, text))
-    msg = str(err.value)
-    assert "Doppler support violated" in msg
-    assert "warp-drive" in msg
-
-
-@pytest.mark.parametrize(
-    "line, bad, message",
-    [
-        ("v_kmh = 120", "v_kmh = -3", "v_kmh must be non-negative"),
-        ("f_c_hz = 2.1e9", "f_c_hz = 0", "f_c_hz must be positive"),
-        ("tap_powers_db = 0.0, -3.0", "tap_powers_db = nan, -3.0", "tap_powers_db must be finite"),
-    ],
-)
-def test_bad_profile_keys_rejected(tmp_path, line, bad, message):
-    with pytest.raises(ConfigError, match=message):
-        load_config(write_cfg(tmp_path, GOOD.replace(line, bad)))
-
-
-def test_lattice_divisibility_blocks_derived_checks(tmp_path):
-    # with a non-dividing d_t only the divisibility complaint makes sense
-    text = GOOD.replace("d_t = 2", "d_t = 3").replace("v_kmh = 120", "v_kmh = 5000")
-    with pytest.raises(ConfigError) as err:
-        load_config(write_cfg(tmp_path, text))
-    msg = str(err.value)
-    assert "N = 32 is not divisible by d_t = 3" in msg
-    assert "Doppler support" not in msg
-
-
-def test_a_pilot_on_every_resource_element_is_refused(tmp_path):
-    """d_t = d_f = 1 leaves no data symbol, so no BER could be scored."""
-    text = GOOD.replace("d_t = 2", "d_t = 1").replace("d_f = 2", "d_f = 1")
-    with pytest.raises(ConfigError) as err:
-        load_config(write_cfg(tmp_path, text))
-    assert str(err.value) == ALL_PILOT
-    # a pilot on every subcarrier or on every symbol alone leaves data to score
-    assert load_config(write_cfg(tmp_path, GOOD.replace("d_t = 2", "d_t = 1"))).d_t == 1
-    assert load_config(write_cfg(tmp_path, GOOD.replace("d_f = 2", "d_f = 1"))).d_f == 1
-
-
-def test_doppler_period_parity_check(tmp_path):
-    # N/d_t = 15 cannot split into symmetric halves
-    text = GOOD.replace("N = 32", "N = 30").replace("d_t = 2", "d_t = 2")
-    text = text.replace("v_kmh = 120", "v_kmh = 20")
-    with pytest.raises(ConfigError, match="must be even"):
-        load_config(write_cfg(tmp_path, text))
-
-
-def test_profile_collision_reported(tmp_path):
-    text = GOOD.replace("tap_delays_ns = 0.0, 3125.0", "tap_delays_ns = 0.0, 100.0")
-    with pytest.raises(ConfigError, match="collide"):
-        load_config(write_cfg(tmp_path, text))
+    assert load_config(str(path)) == load_config(PAPER_CFG)
 
 
 def test_with_overrides_revalidates():
@@ -303,62 +226,45 @@ def test_an_unknown_override_is_one_config_error_naming_it():
     assert str(info.value) == "unknown config field 'alpha'\nunknown config field 'zeta'"
 
 
-def test_violations_cover_scalar_bounds():
-    cfg = default_config()
-    bad = SystemConfig(M=0, N=-2, delta_f_hz=0.0, d_t=0, d_f=0, profile=cfg.profile)
-    msgs = "\n".join(bad.violations())
-    assert "M must be >= 1, got 0\nN must be >= 1, got -2" in msgs
-    assert "d_t must be >= 1, got 0\nd_f must be >= 1, got 0" in msgs
-    assert "delta_f_hz must be positive" in msgs
-    # mobility is the profile's, which checks it when it is built
-    with pytest.raises(ProfileError, match="f_c_hz must be positive"):
-        replace(cfg.profile, f_c_hz=-1.0)
-    with pytest.raises(ProfileError, match="v_kmh must be non-negative"):
-        replace(cfg.profile, v_kmh=-3.0)
-
-    worse = SystemConfig(
-        M=128, N=64, delta_f_hz=15e3, d_t=4, d_f=4, profile=cfg.profile,
-        channel_model="fancy", estimators=(),
-        snr_db=(), n_trials=0, gamma_threshold=0.0,
-    )
-    msgs = "\n".join(worse.violations())
-    assert "unsupported channel_model" in msgs
-    assert "estimators list must not be empty" in msgs
-    assert "snr_db list must not be empty" in msgs
-    assert "n_trials must be between 1 and 100000, got 0" in msgs
-    assert "gamma_threshold must be positive" in msgs
-
-
-_PAST_FLOAT_RANGE = [
-    # passed validation, then overflowed inside a trial
-    ("gamma_threshold", 1, 400, "gamma_threshold must lie within the float64 range"),
-    # overflowed in the support rules
-    ("delta_f_hz", 1, 400, "delta_f_hz must lie within the float64 range"),
-    # past str()'s digit limit while a message printed M*N; its id names the
-    # input, so that rewording the message renames no test
-    pytest.param("M", 1, 5000, "M must lie within the float64 range", id="M=10**5000"),
-    ("N", -1, 5000, "N must lie within the float64 range"),
-    ("d_t", 1, 400, "d_t must lie within the float64 range"),
-    ("n_trials", 1, 5000, "n_trials must lie within the float64 range"),
-    ("master_seed", -1, 5000, "master_seed must lie within the float64 range"),
-    ("snr_db", 1, 400, "snr_db must lie within the float64 range"),
-]
+_NO_MMSE = ("ls-interp", "csf-offgrid")
+# (fields, message): default_config() with these fields replaced, no other
+# rule run in between, reports exactly these violations, one a line.
+# Resource bounds are checked this way only: nothing of these sizes is built.
+_VIOLATIONS = {
+    "scalar-bounds": (dict(M=0, N=-2, delta_f_hz=0.0, d_t=0, d_f=0), (
+        "M must be >= 1, got 0\nN must be >= 1, got -2\nd_t must be >= 1, got 0\n"
+        "d_f must be >= 1, got 0\ndelta_f_hz must be positive and finite, got 0.0")),
+    "run-bounds": (dict(channel_model="fancy", estimators=(), snr_db=(), n_trials=0, gamma_threshold=0.0), (
+        f"n_trials must be between 1 and {MAX_TRIALS}, got 0\n"
+        "gamma_threshold must be positive and finite, got 0.0\n"
+        "unsupported channel_model 'fancy', supported: ('diag', 'full')\n"
+        "estimators list must not be empty\nsnr_db list must not be empty")),
+    # built in code, a config holds nan or inf without a parser in between
+    **{f"{key}={value}": (dict(**{key: value}), f"{key} must be positive and finite, got {value}")
+       for key in ("delta_f_hz", "gamma_threshold") for value in (math.nan, math.inf)},
+    "repeated-estimator": (dict(estimators=("ideal", "ideal")),
+                           "estimators must not repeat, got ['ideal', 'ideal']"),
+    "grid-at-bound": (dict(M=1024, N=MAX_GRID_RES // 1024, estimators=_NO_MMSE), ""),
+    "grid-past-bound": (dict(M=4096, N=4096, d_t=1, d_f=1, estimators=_NO_MMSE), (
+        f"grid M*N = 16777216 exceeds {MAX_GRID_RES} resource elements\n{ALL_PILOT}")),
+    # past the float range: the int rule keeps the float-valued support rules from running
+    "M=10**400": (dict(M=10**400), "M must lie within the float64 range, got an integer of 1329 bits"),
+    "N=10**400": (dict(N=10**400), "N must lie within the float64 range, got an integer of 1329 bits"),
+    "trials-at-bound": (dict(n_trials=MAX_TRIALS), ""),
+    "trials-past-bound": (dict(n_trials=MAX_TRIALS + 1),
+                          f"n_trials must be between 1 and {MAX_TRIALS}, got {MAX_TRIALS + 1}"),
+    "mmse-pilots-at-bound": (dict(M=256, N=128), ""),
+    "mmse-pilots-past-bound": (dict(M=256, N=256), (
+        f"mmse-genie needs n_pilot <= {MAX_MMSE_PILOTS} for its dense pilot correlation, "
+        "got (M/d_f)*(N/d_t) = 4096")),
+    "mmse-pilots-without-mmse": (dict(M=256, N=256, estimators=_NO_MMSE), ""),
+}
 
 
-@pytest.mark.parametrize("key, sign, exponent, message", _PAST_FLOAT_RANGE)
-def test_a_number_past_the_float_range_is_one_config_error_naming_its_key(
-    key, sign, exponent, message
-):
-    value = sign * 10**exponent
-    with pytest.raises(ConfigError) as info:
-        with_overrides(default_config(), **{key: (0.0, value) if key == "snr_db" else value})
-    msg = str(info.value)
-    assert msg.startswith(message) and "\n" not in msg
-
-
-def test_a_seed_inside_the_float_range_stays_valid():
-    # run_trial validates each child seed, a uint64, as master_seed
-    assert with_overrides(default_config(), master_seed=2**64 - 1).master_seed == 2**64 - 1
+@pytest.mark.parametrize("case", list(_VIOLATIONS))
+def test_violations_of_a_config_built_in_code(case):
+    fields, message = _VIOLATIONS[case]
+    assert "\n".join(replace(default_config(), **fields).violations()) == message
 
 
 _PROFILE_KEYS = ("tap_delays_ns", "tap_powers_db", "v_kmh", "f_c_hz")
@@ -371,46 +277,81 @@ def _with(cfg, key, value):
     return with_overrides(cfg, **{key: value})
 
 
-_WRONG_KIND = {  # name: (key, value); each passed validation or escaped it as another error
-    "float M": ("M", 128.0),
-    "float N": ("N", 64.0),
-    "fractional n_trials": ("n_trials", 2.5),
-    "fractional master_seed": ("master_seed", 1.5),
-    "str M": ("M", "128"),
-    "None M": ("M", None),
-    "bool M": ("M", True),
-    "str gamma_threshold": ("gamma_threshold", "4"),
-    "complex delta_f_hz": ("delta_f_hz", 1j),
-    "str on_grid_doppler": ("on_grid_doppler", "yes"),
-    "str snr entry": ("snr_db", ("20",)),
-    "complex snr entry": ("snr_db", (1j,)),
-    "None snr entry": ("snr_db", (None,)),
-    "bare snr string": ("snr_db", "20"),
-    "bare estimator string": ("estimators", "ideal"),
-    "array estimator name": ("estimators", (np.array(["ideal", "x"]),)),
-    "None profile": ("profile", None),
-    "str profile": ("profile", "x"),
-    "huge tap delay": ("tap_delays_ns", (0.0, 10**400)),
-    "huge tap power": ("tap_powers_db", (0.0, 10**400)),
-    "huge speed": ("v_kmh", 10**400),
-    "huge carrier": ("f_c_hz", 10**400),
-}
+# values past the float range: they passed validation and then overflowed
+# inside a trial or in the support rules, or (past str()'s digit limit)
+# while a message printed M*N
+_PAST_FLOAT_RANGE = (("gamma_threshold", 10**400), ("delta_f_hz", 10**400), ("M", 10**5000),
+                     ("N", -(10**5000)), ("d_t", 10**400), ("n_trials", 10**5000),
+                     ("master_seed", -(10**5000)), ("snr_db", 10**400))
+# (key, value, message): small_cfg() with that field (a profile field on its
+# profile) set to value is one ConfigError or ProfileError with exactly this
+# message; each value of another kind passed validation or escaped it as
+# another error
+_FIELD_RULES = [
+    *((key, (0.0, value) if key == "snr_db" else value,
+       f"{key} must lie within the float64 range, got an integer of {abs(value).bit_length()} bits")
+      for key, value in _PAST_FLOAT_RANGE),
+    ("M", 128.0, "M must be an integer, got 128.0"),
+    ("N", 64.0, "N must be an integer, got 64.0"),
+    ("n_trials", 2.5, "n_trials must be an integer, got 2.5"),
+    ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
+    ("M", "128", "M must be an integer, got '128'"),
+    ("M", None, "M must be an integer, got None"),
+    ("M", True, "M must be an integer, got True"),
+    ("gamma_threshold", "4", "gamma_threshold must be a real number, got '4'"),
+    ("delta_f_hz", 1j, "delta_f_hz must be a real number, got 1j"),
+    ("on_grid_doppler", "yes", "on_grid_doppler must be true or false, not str"),
+    ("snr_db", ("20",), "snr_db must be a real number, got '20'"),
+    ("snr_db", (1j,), "snr_db must be a real number, got 1j"),
+    ("snr_db", (None,), "snr_db must be a real number, got None"),
+    ("snr_db", (True,), "snr_db must be a real number, got True"),
+    ("snr_db", "20", "snr_db must be a list, not str"),
+    ("estimators", "ideal", "estimators must be a list, not str"),
+    ("estimators", (np.array(["ideal", "x"]),), "estimators must be a list of names, got a ndarray entry"),
+    ("profile", None, "profile must be a ChannelProfile, not NoneType"),
+    ("profile", "x", "profile must be a ChannelProfile, not str"),
+    *((key, value, f"{key} must lie within the float64 range, got an integer of 1329 bits")
+      for key, value in (("tap_delays_ns", (0.0, 10**400)), ("tap_powers_db", (0.0, 10**400)),
+                         ("v_kmh", 10**400), ("f_c_hz", 10**400))),
+    # the profile's own rules
+    *(("v_kmh", value, f"v_kmh must be non-negative and finite, got {value}")
+      for value in (math.nan, math.inf, -3.0)),
+    *(("f_c_hz", value, f"f_c_hz must be positive and finite, got {value}")
+      for value in (0.0, math.nan, -1.0)),
+    *(("tap_delays_ns", (0.0, value), f"tap_delays_ns must be non-negative and finite, got {value}")
+      for value in (math.inf, math.nan)),
+    ("tap_powers_db", (0.0, math.nan), "tap_powers_db must be finite, got nan"),
+    ("tap_powers_db", (math.inf, 0.0), "tap_powers_db must be finite, got inf"),
+    ("tap_powers_db", (4000.0, 0.0), "tap powers must peak within +-3000 dB, got 4000 dB"),
+    ("tap_powers_db", (-4000.0, -4000.0), "tap powers must peak within +-3000 dB, got -4000 dB"),
+]
 
 
-@pytest.mark.parametrize("case", sorted(_WRONG_KIND))
-def test_a_value_of_another_kind_is_one_error_naming_its_key(case):
-    key, value = _WRONG_KIND[case]
+def _spell(value):
+    """A test id's value; an int past str()'s digit limit by its size."""
+    if isinstance(value, int) and abs(value) > 2**64:
+        return f"{'-' if value < 0 else ''}int of {value.bit_length()} bits"
+    return repr(value)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param(key, value, message, id=f"{key}={_spell(value)}") for key, value, message in _FIELD_RULES
+])
+def test_a_bad_field_is_one_error_with_its_rules_message(key, value, message):
     with pytest.raises((ConfigError, ProfileError)) as info:
-        _with(default_config(), key, value)
-    msg = str(info.value)
-    assert msg.startswith(f"{key} must ") and "\n" not in msg
+        _with(small_cfg(), key, value)
+    assert str(info.value) == message
+
+
+def test_a_seed_inside_the_float_range_stays_valid():
+    # run_trial validates each child seed, a uint64, as master_seed
+    assert with_overrides(default_config(), master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 def _with_past_float_range_examples(test):
-    """The cases of _PAST_FLOAT_RANGE, as explicit examples of a property."""
-    for case in _PAST_FLOAT_RANGE:
-        key, sign, exponent, _ = getattr(case, "values", case)  # a pytest.param holds its values
-        test = example(key, sign * 10**exponent)(test)
+    """The values of _PAST_FLOAT_RANGE, as explicit examples of a property."""
+    for key, value in _PAST_FLOAT_RANGE:
+        test = example(key, value)(test)
     return test
 
 
@@ -438,38 +379,11 @@ def test_any_field_value_is_one_config_or_profile_error_or_a_config_that_runs(ke
     run_trial(run, run.profile, run.snr_db[0], "ideal", 0)
 
 
-
-def test_repeated_estimators_rejected():
-    msgs = "\n".join(replace(default_config(), estimators=("ideal", "ideal")).violations())
-    assert "estimators must not repeat" in msgs
-
-
-def test_resource_bounds():
-    """Checked through validation only: nothing of these sizes is built."""
-    cfg = default_config()
-
-    def violations(**kw):
-        return "\n".join(replace(cfg, **kw).violations())
-
-    no_mmse = ("ls-interp", "csf-offgrid")
-    assert violations(M=1024, N=MAX_GRID_RES // 1024, estimators=no_mmse) == ""
-    assert "resource elements" in violations(M=4096, N=4096, d_t=1, d_f=1, estimators=no_mmse)
-    # past the float range: the int rule keeps the float-valued support rules from running
-    assert violations(M=10**400) == "M must lie within the float64 range, got an integer of 1329 bits"
-    assert violations(N=10**400) == "N must lie within the float64 range, got an integer of 1329 bits"
-    assert violations(n_trials=MAX_TRIALS) == ""
-    too_many = f"n_trials must be between 1 and {MAX_TRIALS}, got {MAX_TRIALS + 1}"
-    assert violations(n_trials=MAX_TRIALS + 1) == too_many
-    assert replace(cfg, M=256, N=128).n_pilot == MAX_MMSE_PILOTS
-    assert violations(M=256, N=128) == ""
-    assert "mmse-genie needs n_pilot" in violations(M=256, N=256)
-    assert violations(M=256, N=256, estimators=no_mmse) == ""
-
-
 def test_derived_quantities():
     cfg = default_config()
     assert cfg.T == pytest.approx(1.0 / 15e3)
     assert cfg.n_pilot == 32 * 16
+    assert replace(cfg, M=256, N=128).n_pilot == MAX_MMSE_PILOTS
     assert cfg.profile.nu_max_hz == pytest.approx(486.11111111111114)
 
 

@@ -1,6 +1,5 @@
 """Estimator stages against independent brute-force oracles."""
 
-import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -91,25 +90,6 @@ def test_ls_noise_variance_matches_channel_noise():
     assert abs(errs.mean()) < 0.01
 
 
-def test_ls_rejects_degenerate_inputs():
-    cfg = tiny_cfg(8, 4, d_t=2, d_f=4)
-    lay = make_layout(PilotPattern(d_t=2, d_f=4), cfg)
-    zeros = TFGrid(np.zeros((8, 4)))
-    with pytest.raises(ContractViolationError):
-        ls_pilot(zeros, zeros, lay)
-    with pytest.raises(ContractViolationError):
-        ls_pilot(TFGrid(np.ones((8, 4))), TFGrid(np.ones((4, 8))), lay)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-def test_pilot_observations_reject_non_finite_values(bad):
-    vals = np.ones((4, 4), dtype=complex)
-    vals[2, 1] = bad
-    message = f"^values must be finite, got {re.escape(str(vals[2, 1]))} \\(PilotObservations\\)$"
-    with pytest.raises(ContractViolationError, match=message):
-        PilotObservations(vals, d_t=2, d_f=2)
-
-
 # ------------------------------------------------------------- interpolation
 
 
@@ -143,12 +123,6 @@ def test_interp_single_knot_axis_broadcasts():
     got = interp_linear(obs, cfg).data
     assert np.max(np.abs(got - got[0:1, :])) < 1e-12  # constant along frequency
     assert np.max(np.abs(got[0] - np.arange(2.0, 10.0))) < 1e-12
-
-
-def test_interp_rejects_mismatched_lattice():
-    obs = PilotObservations(np.ones((2, 2)), d_t=2, d_f=2)
-    with pytest.raises(ContractViolationError):
-        interp_linear(obs, tiny_cfg(8, 4, d_t=2, d_f=2))
 
 
 # ----------------------------------------------------------- periodic image
@@ -219,12 +193,6 @@ def test_ongrid_embedding_row_map():
     # everything outside the embedded period is untouched
     assert np.count_nonzero(full.data) == 16
     assert np.max(np.abs(full.data[:, 4:])) == 0.0
-
-
-def test_ongrid_embedding_shape_guard():
-    p = PeriodCSF(np.ones((4, 4)), d_t=2, d_f=2)
-    with pytest.raises(ContractViolationError):
-        csf_ongrid(p, tiny_cfg(8, 16, d_t=2, d_f=2))
 
 
 # ---------------------------------------------------------- path detection
@@ -339,9 +307,6 @@ def test_recover_truncates_when_support_runs_out():
     got, truncated = recover_paths_offgrid(PeriodCSF(data, d_t=2, d_f=2), 3)
     assert truncated
     assert len(got) == 1
-
-    with pytest.raises(ContractViolationError):
-        recover_paths_offgrid(p, 0)
 
 
 def test_recover_scans_delay_major_on_ties():
@@ -494,23 +459,6 @@ def test_mmse_noiseless_uses_least_norm_and_stays_exact():
     est = mmse_estimate(obs, genie_correlations(ps, cfg, lay), 0.0, cfg)
     assert est.used_least_norm
     assert np.max(np.abs(est.grid.data - h)) < 1e-8
-
-
-def test_mmse_input_guards():
-    cfg = tiny_cfg(8, 8, 2, 2)
-    ps = PathSet([1.0], [0], [0.0])
-    lay = make_layout(PilotPattern(d_t=2, d_f=2), cfg)
-    corr = genie_correlations(ps, cfg, lay)
-    obs = PilotObservations(np.ones((4, 4)), d_t=2, d_f=2)
-    with pytest.raises(ContractViolationError):
-        mmse_estimate(obs, corr, -1.0, cfg)
-    with pytest.raises(ContractViolationError):
-        mmse_estimate(PilotObservations(np.ones((2, 2)), d_t=2, d_f=2), corr, 0.1, cfg)
-    with pytest.raises(ContractViolationError):
-        CorrelationPair(np.ones((4, 2)), np.ones((2, 2)), np.ones((2, 2)), np.ones(3))
-    steering = np.ones((4, 2), dtype=complex)
-    with pytest.raises(ContractViolationError, match="disagree on path count"):
-        CorrelationPair(steering, np.ones((3, 4), dtype=complex), steering, np.ones(2))
 
 
 def test_correlations_use_declared_ensemble_powers():
@@ -762,37 +710,6 @@ def test_mmse_jitter_fallback_holds_one_pilot_square_matrix(monkeypatch):
     assert peak <= 1.25 * corr.n_pilot**2 * 16
 
 
-@pytest.mark.parametrize(
-    "bad, message",
-    [pytest.param(-0.1, "powers must be >= 0, got -0.1$", id="-0.1"),
-     pytest.param(np.nan, "powers must be finite, got nan$", id="nan")],
-)
-def test_correlations_reject_negative_or_nan_powers(bad, message):
-    steering = np.ones((4, 2), dtype=complex)
-    with pytest.raises(ContractViolationError, match=f"^{message}"):
-        CorrelationPair(steering, steering.T, steering, np.array([0.5, bad]))
-
-
-@pytest.mark.parametrize(
-    "case", ["float64-freq", "float64-time", "float64-pilot", "1-d-pilot", "list-pilot"]
-)
-def test_correlations_take_only_2d_complex128_steering(case):
-    """Steering the noisy solve's LAPACK pair could not take is refused here,
-    naming the argument; a complex list is taken as its array."""
-    steering = np.ones((4, 2), dtype=complex)
-    freq, time, a_pilot = {
-        "float64-freq": (steering.real, steering.T, steering),
-        "float64-time": (steering, steering.T.real, steering),
-        "float64-pilot": (steering, steering.T, steering.real),
-        "1-d-pilot": (steering, steering.T, steering[:, 0]),
-        "list-pilot": (steering, steering.T, steering.real.tolist()),
-    }[case]
-    name = "steering_" + case.split("-")[-1]
-    with pytest.raises(ContractViolationError, match=f"{name} must be 2-D complex128: "):
-        CorrelationPair(freq, time, a_pilot, np.array([0.5, 0.5]))
-    assert CorrelationPair(steering, steering.T, steering.tolist(), np.array([0.5, 0.5])).n_pilot == 4
-
-
 @settings(max_examples=150, deadline=None, database=None)
 @given(
     n=st.integers(1, 12),
@@ -821,18 +738,6 @@ def test_pilot_product_is_hermitian_to_rounding_for_nonnegative_powers(
     assert np.abs(r2 - r2.conj().T).max() <= 1e-10 * np.abs(r2).max()
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_steering_fails_the_finite_check_before_any_solve(bad, monkeypatch):
-    """A non-finite pilot steering is refused where the pair is built, so no
-    solve ever sees it."""
-    rng = np.random.default_rng(4)
-    a_pilot = np.exp(2j * np.pi * rng.uniform(size=(16, 2)))
-    a_pilot[3, 1] = bad
-    steering = np.ones((8, 2), dtype=complex)
-    with pytest.raises(ContractViolationError, match=f"^steering_pilot must be finite, got \\({bad}\\+0j\\)$"):
-        CorrelationPair(steering, steering.T, a_pilot, np.array([0.6, 0.4]))
-
-
 def _genie_case():
     """An 8x8 config, the genie pair of two paths on its layout, and all-ones
     pilot observations."""
@@ -840,49 +745,6 @@ def _genie_case():
     layout = make_layout(PilotPattern(d_t=2, d_f=2), cfg)
     corr = genie_correlations(PathSet([1.0, 0.5j], [0, 1], [0.0, 0.5], [0.6, 0.4]), cfg, layout)
     return cfg, layout, corr, PilotObservations(np.ones((4, 4)), d_t=2, d_f=2)
-
-
-_FACTORS = ("steering_freq", "steering_time", "steering_pilot")
-# (argument, bad value): a steering factor takes it as its entry at flat index 3
-_BAD_INPUTS = {
-    **{f"{name}={bad}": (name, bad) for name in _FACTORS for bad in (np.nan, np.inf)},
-    "steering_pilot=1e300": ("steering_pilot", 1e300),
-    "powers=str": ("powers", ["4", "4"]),
-    "powers=bool": ("powers", [True, True]),
-    "powers=inf": ("powers", [np.inf, 1.0]),
-    "powers=2-d": ("powers", [[0.5], [0.5]]),
-    "powers=complex": ("powers", [1j, 1j]),
-    "powers=10**400": ("powers", [10**400, 1]),
-    "powers=text": ("powers", ["x", "y"]),
-    "powers=1e308": ("powers", [1e308, 1e308]),
-}
-
-
-@pytest.mark.parametrize("noise_var", [0.0, 0.1])
-@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
-def test_bad_genie_input_is_one_error_naming_it_before_any_system(case, noise_var, monkeypatch, capfd):
-    """A non-finite steering factor, a power that is not a finite real >= 0
-    in a 1-D array, and a steering or powers whose R2 would leave the float64
-    range are refused where the pair is built: one ContractViolationError
-    naming the argument, with no Cholesky call, no system and no LAPACK
-    message on stderr, at either noise level."""
-    name, bad = _BAD_INPUTS[case]
-    cfg, _, corr, obs = _genie_case()
-    args = dict(zip((*_FACTORS, "powers"), (corr._freq, corr._time, corr._a_pilot, corr._p)))
-    if name == "powers":
-        args[name] = bad
-    else:
-        args[name] = args[name].copy()
-        args[name].flat[3] = bad
-    calls = []
-    record = lambda *a: calls.append(a)  # noqa: E731
-    monkeypatch.setattr(blas, "_cholesky", SimpleNamespace(factor=record, solve=record))
-    monkeypatch.setattr(estimators.CorrelationPair, "_system", record)
-    with pytest.raises(ContractViolationError, match=f"^{name} must ") as err:
-        mmse_estimate(obs, CorrelationPair(**args), noise_var, cfg)
-    assert "\n" not in str(err.value)
-    assert calls == []
-    assert "On entry to" not in capfd.readouterr().err
 
 
 def test_a_noise_variance_past_the_system_bound_is_refused_before_any_system(monkeypatch):
@@ -906,24 +768,6 @@ def test_observations_that_overflow_the_estimate_are_one_error(capfd):
     assert "On entry to" not in capfd.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "layout_grid, cfg_grid, spacings",
-    [((16, 16), (8, 8), (2, 2)), ((8, 8), (16, 16), (2, 2)), ((8, 8), (8, 8), (1, 2))],
-    ids=["16x16-layout-on-8x8", "8x8-layout-on-16x16", "other-d_t"],
-)
-def test_genie_correlations_take_only_the_layout_of_cfg(layout_grid, cfg_grid, spacings):
-    """A layout of another grid or lattice is refused before any steering is
-    built, not read past the grid (an IndexError) or as fewer pilots."""
-    cfg = tiny_cfg(*cfg_grid, *spacings)
-    layout = make_layout(PilotPattern(d_t=2, d_f=2), tiny_cfg(*layout_grid))
-    ps = PathSet([1.0], [0], [0.0])
-    with pytest.raises(ContractViolationError, match=r"^layout must be FrameLayout\(shape=.*, got FrameLayout"):
-        genie_correlations(ps, cfg, layout)
-    for other in ((cfg.M, cfg.N), np.zeros(2)):
-        with pytest.raises(ContractViolationError, match="^layout must be "):
-            genie_correlations(ps, cfg, other)
-
-
 # ------------------------------------------------------------ full pipeline
 
 
@@ -934,13 +778,6 @@ def run_pipeline(cfg, ps, sigma2, mode, seed=0):
     x, lay = build_frame(qam4_mod(rng.integers(0, 2, n_bits)), pattern, cfg)
     y = apply_channel_diag(x, ps, sigma2, rng)
     return estimate_csf(y, x, lay, cfg, mode, sigma2), x, y, lay
-
-
-def test_estimate_csf_rejects_unknown_mode():
-    cfg = tiny_cfg(8, 8, 2, 2)
-    ps = PathSet([1.0], [0], [0.0])
-    with pytest.raises(ContractViolationError, match="unknown mode"):
-        run_pipeline(cfg, ps, 0.0, "magic")
 
 
 def test_ongrid_mode_gates_noise_only_columns():

@@ -57,10 +57,9 @@ from ddce.txrx import (
     qam4_demod,
     qam4_mod,
 )
-from helpers import small_cfg
+from helpers import PAPER_CFG, no_trial, rule_message, small_cfg, small_cfg_text, write_cfg
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
-PAPER_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "paper.cfg")
 
 
 def test_child_seed_frozen_values():
@@ -249,79 +248,49 @@ def test_sweep_reduction_matches_hand_average():
     assert row.ci95_ber == pytest.approx(1.96 * bers.std(ddof=1) / np.sqrt(n_trials), abs=1e-15)
 
 
-def test_sweep_validates_inputs():
-    cfg = small_cfg()
-    with pytest.raises(ConfigError):
-        snr_sweep(cfg, cfg.profile, (10.0,), ("nope",), 1, 0)
-    with pytest.raises(ConfigError):
-        snr_sweep(cfg, cfg.profile, (), ("ideal",), 1, 0)
-    with pytest.raises(ConfigError):
-        snr_sweep(cfg, cfg.profile, (10.0,), ("ideal",), 0, 0)
-    with pytest.raises(ConfigError, match="repeat"):
-        snr_sweep(cfg, cfg.profile, (10.0,), ("ideal", "ideal"), 1, 0)
-
-
-def test_trial_and_sweep_check_their_profile_before_any_trial(monkeypatch):
-    """A profile passed next to cfg obeys cfg's support rules, as cfg.profile
-    does at validation: a bad one is a ConfigError, and no trial starts."""
-    cfg = default_config()
-
-    def no_trial(*args):
-        raise AssertionError("a trial started before the profile was checked")
-
-    monkeypatch.setattr(harness, "_paired_trial", no_trial)
-    fast = replace(cfg.profile, v_kmh=1200.0)
-    late = replace(cfg.profile, tap_delays_ns=(0.0, 40_000.0), tap_powers_db=(0.0, -3.0))
-    for profile, rule in ((fast, "Doppler support violated"), (late, "exceeds M/d_f - 1")):
-        with pytest.raises(ConfigError, match=rule):
-            snr_sweep(cfg, profile, (10.0,), ("ideal",), 1, 0)
-        with pytest.raises(ConfigError, match=rule):
-            run_trial(cfg, profile, 10.0, "ideal", 0)
-
-
-def _no_trial(*args):
-    raise AssertionError("a trial started before its arguments were checked")
-
-
-_SNR_RULE = r"snr_db must be finite and >= -3000.0, or \+inf, got "
-_TRIALS_RULE = f"n_trials must be between 1 and {MAX_TRIALS}, got "
+# name: the snr_sweep arguments after cfg that break a rule (a profile as
+# edits of cfg's); run_trial is given them too where they describe one trial
 _BAD_RUNS = {
-    # name: (snr_sweep arguments after cfg, what the ConfigError names)
-    "unknown estimator": (dict(estimators=("nope",)), "unknown estimators"),
-    "repeated estimator": (dict(estimators=("ideal", "ideal")), "must not repeat"),
-    "no estimator": (dict(estimators=()), "estimators list must not be empty"),
-    "bare estimator string": (dict(estimators="ideal"), "estimators must be a list, not str"),
-    "bare snr string": (dict(snrs="20"), "snr_db must be a list, not str"),
-    "bool snr": (dict(snrs=(True,)), "snr_db must be a real number, got True"),
-    "no snr": (dict(snrs=()), "snr_db list must not be empty"),
-    "nan snr": (dict(snrs=(float("nan"),)), f"{_SNR_RULE}nan$"),
-    "-inf snr": (dict(snrs=(10.0, float("-inf"))), f"{_SNR_RULE}-inf$"),
-    "overflowing snr": (dict(snrs=(-4000.0,)), f"{_SNR_RULE}-4000.0$"),
-    "no trials": (dict(n_trials=0), f"{_TRIALS_RULE}0$"),
-    "too many trials": (dict(n_trials=MAX_TRIALS + 1), f"{_TRIALS_RULE}{MAX_TRIALS + 1}$"),
-    "negative seed": (dict(seed=-1), "master_seed must be >= 0"),
-    "long delay": (
-        dict(profile=dict(tap_delays_ns=(0.0, 1e300), tap_powers_db=(0.0, -3.0))),
-        "exceeds M/d_f - 1",
-    ),
+    "unknown estimator": dict(estimators=("nope",)),
+    "repeated estimator": dict(estimators=("ideal", "ideal")),
+    "no estimator": dict(estimators=()),
+    "bare estimator string": dict(estimators="ideal"),
+    "bare snr string": dict(snrs="20"),
+    "bool snr": dict(snrs=(True,)),
+    "no snr": dict(snrs=()),
+    "nan snr": dict(snrs=(float("nan"),)),
+    "-inf snr": dict(snrs=(10.0, float("-inf"))),
+    "overflowing snr": dict(snrs=(-4000.0,)),
+    "no trials": dict(n_trials=0),
+    "too many trials": dict(n_trials=MAX_TRIALS + 1),
+    "negative seed": dict(seed=-1),
+    "long delay": dict(profile=dict(tap_delays_ns=(0.0, 1e300), tap_powers_db=(0.0, -3.0))),
+    # a profile passed next to cfg obeys cfg's support rules, as cfg.profile does
+    "fast profile": dict(cfg=default_config(), profile=dict(v_kmh=1200.0)),
+    "late profile": dict(cfg=default_config(),
+                         profile=dict(tap_delays_ns=(0.0, 40_000.0), tap_powers_db=(0.0, -3.0))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_RUNS))
 def test_bad_run_arguments_raise_config_error_before_any_trial(monkeypatch, case):
     """Run arguments go through the config rules: each bad one is the
-    ConfigError validation gives, raised before a trial starts."""
-    cfg = small_cfg()
-    args = dict(snrs=(10.0,), estimators=("ideal",), n_trials=1, seed=0, profile={})
-    edit, message = _BAD_RUNS[case]
-    args.update(edit)
+    ConfigError that validating the config they describe gives, raised
+    before a trial starts."""
+    args = dict(cfg=small_cfg(), snrs=(10.0,), estimators=("ideal",), n_trials=1, seed=0, profile={})
+    args.update(_BAD_RUNS[case])
+    cfg, snrs, names, n_trials, seed = (args[k] for k in ("cfg", "snrs", "estimators", "n_trials", "seed"))
     profile = replace(cfg.profile, **args["profile"])
-    monkeypatch.setattr(harness, "_paired_trial", _no_trial)
-    with pytest.raises(ConfigError, match=message):
-        snr_sweep(cfg, profile, args["snrs"], args["estimators"], args["n_trials"], args["seed"])
-    if len(args["snrs"]) == 1 and len(args["estimators"]) == 1 and args["n_trials"] == 1:
-        with pytest.raises(ConfigError, match=message):
-            run_trial(cfg, profile, args["snrs"][0], args["estimators"][0], args["seed"])
+    message = rule_message(with_overrides, cfg, profile=profile, snr_db=snrs, estimators=names,
+                           n_trials=n_trials, master_seed=seed)
+    monkeypatch.setattr(harness, "_paired_trial", no_trial)
+    with pytest.raises(ConfigError) as err:
+        snr_sweep(cfg, profile, snrs, names, n_trials, seed)
+    assert str(err.value) == message
+    if len(snrs) == 1 and len(names) == 1 and n_trials == 1:
+        with pytest.raises(ConfigError) as err:
+            run_trial(cfg, profile, snrs[0], names[0], seed)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("mix", sorted(_MIXES))
@@ -341,7 +310,6 @@ def test_a_paired_trial_checks_only_its_pilot_observations(monkeypatch, mix):
     monkeypatch.setattr(estimators, "_freeze_grid", counted)
     snr_sweep(cfg, cfg.profile, (10.0,), cfg.estimators, 1, 5)
     assert made == ["PilotObservations"]
-
 
 
 @pytest.mark.parametrize("model", ["diag", "full"])
@@ -364,27 +332,11 @@ def test_a_paired_paper_trial_peaks_near_one_pilot_system(model):
 
 
 # small_cfg() as a config file, with the sweep's own keys
-SMALL_CFG_TEXT = """\
-M = 32
-N = 16
-delta_f_hz = 15e3
-f_c_hz = 2.1e9
-v_kmh = 250
-d_t = 4
-d_f = 4
-tap_delays_ns = 0.0, 4166.666666666667
-tap_powers_db = 0.0, -3.0
-estimators = ls-interp, mmse-genie, csf-ongrid, csf-offgrid, ideal
-snr_db = 8, 18
-n_trials = 3
-master_seed = 5150
-"""
+SWEEP_KEYS = dict(snr_db="8, 18", n_trials=3, master_seed=5150)
 
 
 def test_sweep_runs_every_trial_on_the_calling_thread_in_seed_order(tmp_path, monkeypatch):
-    path = tmp_path / "two-threads.cfg"
-    path.write_text(SMALL_CFG_TEXT + "threads = 2\n", encoding="utf-8")
-    cfg = load_config(str(path))
+    cfg = load_config(write_cfg(tmp_path, small_cfg_text(**SWEEP_KEYS, threads=2)))
     calls = []
     real = harness._paired_trial
 
@@ -490,14 +442,13 @@ def test_column_peaks_are_the_read_only_column_maxima():
 def test_a_threads_line_is_accepted_and_ignored(tmp_path, threads):
     """Files from when sweeps had worker threads still load, to the same
     config and the same CSV bytes: the value drives nothing."""
-    plain, old = tmp_path / "plain.cfg", tmp_path / "old.cfg"
-    plain.write_text(SMALL_CFG_TEXT, encoding="utf-8")
-    old.write_text(SMALL_CFG_TEXT + f"threads = {threads}\n", encoding="utf-8")
-    assert load_config(str(old)) == load_config(str(plain))
+    plain = write_cfg(tmp_path, small_cfg_text(**SWEEP_KEYS), "plain.cfg")
+    old = write_cfg(tmp_path, small_cfg_text(**SWEEP_KEYS, threads=threads), "old.cfg")
+    assert load_config(old) == load_config(plain)
     csvs = []
-    for cfg_path in (plain, old):
-        out = tmp_path / f"{cfg_path.stem}.csv"
-        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    for name, cfg_path in (("plain", plain), ("old", old)):
+        out = tmp_path / f"{name}.csv"
+        assert cli_main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
         csvs.append(out.read_bytes())
     assert csvs[0] == csvs[1]
 

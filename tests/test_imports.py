@@ -14,25 +14,15 @@ import sys
 
 import pytest
 
-from helpers import PAPER_CFG, ROOT, SRC, run_python
+from helpers import PAPER_CFG, ROOT, SRC, edit_cfg, run_python, write_cfg
 
 LAZY = ("scipy.linalg", "concurrent.futures", "numpy.ma")
 
 
 def small_config(tmp_path, name, **keys):
     """paper.cfg with keys replaced or appended, written under tmp_path."""
-    pending = {k: str(v) for k, v in keys.items()}
-    lines = []
     with open(PAPER_CFG, encoding="utf-8") as fh:
-        for line in fh.read().splitlines():
-            key = line.split("=", 1)[0].strip()
-            if "=" in line and not line.lstrip().startswith("#") and key in pending:
-                line = f"{key} = {pending.pop(key)}"
-            lines.append(line)
-    lines += [f"{k} = {v}" for k, v in pending.items()]
-    path = tmp_path / name
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return str(path)
+        return write_cfg(tmp_path, edit_cfg(fh.read(), **keys), name)
 
 
 # prepended to a probe: the LAPACK lookup finds nothing, as on a numpy built

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from ddce.errors import ContractViolationError
 from ddce.grids import TFGrid, sfft
 from ddce.kernels import (
     csf_closed_form,
@@ -114,16 +113,6 @@ def test_closed_form_image_matches_transform_of_hand_built_ctf():
     got = csf_closed_form(gains, delays, dopplers, big_m, big_n)
     assert got.shape == (big_n, big_m)
     assert np.max(np.abs(got - want)) < 1e-10
-
-
-@pytest.mark.parametrize(
-    "gains, delays, dopplers, lengths",
-    [([1, 2], [0], [0.0], "2, 1 and 1"), ([1], [0, 1], [0.0], "1, 2 and 1"),
-     ([1], [0], [0.0, 1.0], "1, 1 and 2"), ([], [0], [], "0, 1 and 0")],
-)
-def test_closed_form_refuses_path_arrays_of_unequal_length(gains, delays, dopplers, lengths):
-    with pytest.raises(ContractViolationError, match=f"must have one length, got {lengths}$"):
-        csf_closed_form(gains, delays, dopplers, 8, 8)
 
 
 def closed_form_per_path(gains, delays, dopplers, big_m, big_n):

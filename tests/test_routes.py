@@ -237,7 +237,6 @@ def test_gathered_slope_interpolation_equals_the_textbook_formula(n_f, d_f, n_t,
     assert got.shape == (big_m, big_n) and got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-
 def per_path_gen_paths(cfg, profile, rng):
     """`gen_paths` as it was: the same draws, each path's fields taken as a
     Python complex, int and two floats, then packed back into arrays."""
