@@ -6,6 +6,7 @@ import subprocess
 import sys
 import math
 import textwrap
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -68,6 +69,15 @@ def small_cfg_text(**keys):
 def no_trial(*args):
     """harness._paired_trial where no trial may start."""
     raise AssertionError("a trial started before its inputs were checked")
+
+
+def traced_peak(call):
+    """call()'s result and the peak of memory tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):

@@ -41,49 +41,32 @@ def test_missing_required_argument_is_usage_error(capsys):
     assert main(["simulate", "--snr", "10"]) == 2
 
 
-def test_simulate_prints_result_line(cfg_file, capsys):
+def test_simulate_prints_result_line_and_writes_the_optional_csv(cfg_file, tmp_path, capsys):
+    out_path = tmp_path / "one.csv"
     rc = main([
         "simulate", "--config", cfg_file,
-        "--estimator", "ls-interp", "--snr", "10", "--seed", "3",
+        "--estimator", "ideal", "--snr", "20", "--seed", "3",
+        "--out", str(out_path),
     ])
     assert rc == 0
     out = capsys.readouterr().out.rstrip("\n")
     assert re.fullmatch(
-        r"snr_db=10 estimator=ls-interp mse=\S+ nmse=\S+ ber=\S+ "
+        r"snr_db=20 estimator=ideal mse=\S+ nmse=\S+ ber=\S+ "
         r"n_bits=\d+ near_singular=\d+ seed=3 failed=(true|false)",
         out,
     ), out
-
-
-def test_simulate_optional_csv(cfg_file, tmp_path, capsys):
-    out_path = tmp_path / "one.csv"
-    rc = main([
-        "simulate", "--config", cfg_file,
-        "--estimator", "ideal", "--snr", "20", "--seed", "0",
-        "--out", str(out_path),
-    ])
-    assert rc == 0
-    capsys.readouterr()
     lines = out_path.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("snr_db,estimator,")
     assert lines[1].startswith("20,ideal,0,0,")
 
 
-def test_sweep_writes_csv_and_reports(cfg_file, tmp_path, capsys):
-    out_path = tmp_path / "sweep.csv"
-    rc = main(["sweep", "--config", cfg_file, "--out", str(out_path)])
-    assert rc == 0
-    assert capsys.readouterr().out == f"wrote {out_path} (4 rows)\n"
-    lines = out_path.read_text().splitlines()
-    assert len(lines) == 5  # header + 2 snr x 2 estimators
-
-
-def test_sweep_is_reproducible(cfg_file, tmp_path, capsys):
+def test_sweep_writes_csv_and_reports_and_is_reproducible(cfg_file, tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sweep", "--config", cfg_file, "--out", str(a)]) == 0
+    assert capsys.readouterr().out == f"wrote {a} (4 rows)\n"
+    assert len(a.read_text().splitlines()) == 5  # header + 2 snr x 2 estimators
     assert main(["sweep", "--config", cfg_file, "--out", str(b)]) == 0
-    capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -65,19 +65,14 @@ def test_shipped_config_loads_to_defaults():
     assert cfg.profile.n_taps == 5
 
 
-def test_minimal_config_and_optional_defaults(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, GOOD))
+def test_minimal_config_optional_defaults_comments_blanks_and_bools(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, GOOD + "\n# trailing comment\n\non_grid_doppler = TRUE\n"))
     assert cfg.M == 64 and cfg.N == 32
     assert cfg.channel_model == "diag"  # optional keys fall back
     assert cfg.gamma_threshold == 4.0
     assert cfg.estimators == ("ideal", "ls-interp")
     assert cfg.snr_db == (0.0, 10.0, 20.0)
     assert np.allclose(cfg.profile.tap_delays_ns, (0.0, 3125.0))
-
-
-def test_comments_blanks_and_bools(tmp_path):
-    text = GOOD + "\n# trailing comment\n\non_grid_doppler = TRUE\n"
-    cfg = load_config(write_cfg(tmp_path, text))
     assert cfg.on_grid_doppler is True
 
 
@@ -320,6 +315,9 @@ _FIELD_RULES = [
       for value in (0.0, math.nan, -1.0)),
     *(("tap_delays_ns", (0.0, value), f"tap_delays_ns must be non-negative and finite, got {value}")
       for value in (math.inf, math.nan)),
+    ("tap_delays_ns", (0.0, -5.0), "tap_delays_ns must be non-negative and finite, got -5.0"),
+    ("tap_powers_db", (0.0,),
+     "profile needs matching, non-empty delay and power lists (got 2 delays, 1 powers)"),
     ("tap_powers_db", (0.0, math.nan), "tap_powers_db must be finite, got nan"),
     ("tap_powers_db", (math.inf, 0.0), "tap_powers_db must be finite, got inf"),
     ("tap_powers_db", (4000.0, 0.0), "tap powers must peak within +-3000 dB, got 4000 dB"),
@@ -384,7 +382,6 @@ def test_derived_quantities():
     assert cfg.T == pytest.approx(1.0 / 15e3)
     assert cfg.n_pilot == 32 * 16
     assert replace(cfg, M=256, N=128).n_pilot == MAX_MMSE_PILOTS
-    assert cfg.profile.nu_max_hz == pytest.approx(486.11111111111114)
 
 
 def test_mobility_override_is_validated_and_simulated():

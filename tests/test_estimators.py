@@ -1,6 +1,5 @@
 """Estimator stages against independent brute-force oracles."""
 
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +24,6 @@ from ddce.errors import ContractViolationError
 from ddce.estimators import (
     CorrelationPair,
     PilotObservations,
-    csf_ongrid,
     estimate_csf,
     estimate_num_paths,
     genie_correlations,
@@ -38,7 +36,7 @@ from ddce.estimators import (
 from ddce.grids import PeriodCSF, TFGrid, isfft
 from ddce.kernels import delay_kernel, doppler_kernel
 from ddce.txrx import PilotPattern, build_frame, make_layout, qam4_mod
-from helpers import tiny_cfg
+from helpers import tiny_cfg, traced_peak
 
 
 def period_direct(obs_values, d_t, d_f, big_m, big_n, k, l):
@@ -91,20 +89,6 @@ def test_ls_noise_variance_matches_channel_noise():
 
 
 # ------------------------------------------------------------- interpolation
-
-
-def test_interp_frozen_small_case():
-    obs = PilotObservations(np.array([[1.0, 3.0], [5.0, 7.0]]), d_t=2, d_f=2)
-    cfg = tiny_cfg(4, 4, d_t=2, d_f=2)
-    want = np.array(
-        [
-            [1.0, 2.0, 3.0, 4.0],
-            [3.0, 4.0, 5.0, 6.0],
-            [5.0, 6.0, 7.0, 8.0],
-            [7.0, 8.0, 9.0, 10.0],
-        ]
-    )
-    assert np.max(np.abs(interp_linear(obs, cfg).data - want)) < 1e-12
 
 
 def test_interp_exact_for_affine_fields():
@@ -175,24 +159,6 @@ def test_period_pilot_noise_variance():
     samples = np.concatenate(samples)
     assert abs(np.mean(np.abs(samples) ** 2) - sigma2 * 2 * 2) < 0.03
     assert abs(samples.mean()) < 0.02
-
-
-# --------------------------------------------------------------- embedding
-
-
-def test_ongrid_embedding_row_map():
-    cfg = tiny_cfg(8, 8, d_t=2, d_f=2)
-    rng = np.random.default_rng(9)
-    data = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    p = PeriodCSF(data, d_t=2, d_f=2)
-    full = csf_ongrid(p, cfg)
-    assert full.data.shape == (8, 8)
-    for k in p.doppler_axis:  # -2 .. 1
-        for l in range(4):
-            assert full.data[k % 8, l] == p.value(int(k), l)
-    # everything outside the embedded period is untouched
-    assert np.count_nonzero(full.data) == 16
-    assert np.max(np.abs(full.data[:, 4:])) == 0.0
 
 
 # ---------------------------------------------------------- path detection
@@ -392,62 +358,7 @@ def test_recover_equals_iterative_readout_on_tied_magnitudes():
             _assert_recovery_matches_oracle(p, n_paths)
 
 
-def test_period_magnitude_is_read_only_and_cached():
-    data = np.array([[3 + 4j, -1.0], [0.0, 2j]])
-    p = PeriodCSF(data, d_t=1, d_f=1)
-    assert np.array_equal(p.magnitude, np.abs(p.data))
-    assert p.magnitude is p.magnitude
-    with pytest.raises(ValueError):
-        p.magnitude[0, 0] = 1.0
-
-
 # -------------------------------------------------------------------- MMSE
-
-
-def mmse_direct(obs_values, paths, big_m, big_n, d_t, d_f, noise_var):
-    """Dense textbook construction: explicit correlation matrices, one solve."""
-    pil = [(m, n) for n in range(0, big_n, d_t) for m in range(0, big_m, d_f)]
-    n_p = len(pil)
-
-    def corr(m1, n1, m2, n2):
-        acc = 0.0 + 0.0j
-        for g, l_i, k_i, pw in paths:
-            acc += pw * np.exp(
-                2j * np.pi * (k_i * (n1 - n2) / big_n - l_i * (m1 - m2) / big_m)
-            )
-        return acc
-
-    r2 = np.zeros((n_p, n_p), dtype=complex)
-    for a, (m1, n1) in enumerate(pil):
-        for b, (m2, n2) in enumerate(pil):
-            r2[a, b] = corr(m1, n1, m2, n2)
-    obs_vec = obs_values.flatten(order="F")
-    z = np.linalg.solve(r2 + noise_var * np.eye(n_p), obs_vec)
-    out = np.zeros((big_m, big_n), dtype=complex)
-    for m in range(big_m):
-        for n in range(big_n):
-            row = np.array([corr(m, n, mp, np_) for (mp, np_) in pil])
-            out[m, n] = row @ z
-    return out
-
-
-@pytest.mark.parametrize("noise_var", [0.01, 0.1, 1.0])
-def test_mmse_matches_dense_construction(noise_var):
-    big_m = big_n = 8
-    d_t = d_f = 2
-    cfg = tiny_cfg(big_m, big_n, d_t, d_f)
-    ps = PathSet([1.0, 1.0], [1, 3], [0.6, -1.2], [0.7, 0.3])
-    lay = make_layout(PilotPattern(d_t=d_t, d_f=d_f), cfg)
-    rng = np.random.default_rng(13)
-    vals = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    obs = PilotObservations(vals, d_t=d_t, d_f=d_f)
-    est = mmse_estimate(obs, genie_correlations(ps, cfg, lay), noise_var, cfg)
-    want = mmse_direct(
-        vals, list(zip(*(a.tolist() for a in (ps.gains, ps.delays, ps.dopplers, ps.powers)))),
-        big_m, big_n, d_t, d_f, noise_var,
-    )
-    assert not est.used_least_norm
-    assert np.max(np.abs(est.grid.data - want)) < 1e-8
 
 
 def test_mmse_noiseless_uses_least_norm_and_stays_exact():
@@ -619,27 +530,9 @@ def test_noiseless_mmse_forms_no_pilot_square_matrix(monkeypatch):
     trial = harness._Trial(cfg, float("inf"), 3)
     first, second = (genie_correlations(trial.ps, cfg, trial.layout) for _ in range(2))
     mmse_estimate(trial.obs, first, 0.0, cfg)  # first-call set-up is not the solve's
-    tracemalloc.start()
-    try:
-        est = mmse_estimate(trial.obs, second, 0.0, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    est, peak = traced_peak(lambda: mmse_estimate(trial.obs, second, 0.0, cfg))
     assert est.used_least_norm
     assert peak < 2**20
-
-
-def _crafted_product(n=6, seed=3):
-    """A Hermitian product with rounding-size asymmetry and exact signed
-    zeros: the (1, 2) / (2, 1) pair has real parts -0.0, which a float-part
-    halving would keep where the complex halving gives +0.0."""
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    r2 = b @ b.conj().T
-    r2 += 1e-14 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    r2[1, 2], r2[2, 1] = complex(-0.0, 0.25), complex(-0.0, -0.25)
-    r2[3, 4], r2[4, 3] = complex(-0.0, -0.0), complex(-0.0, 0.0)
-    return r2
 
 
 def _random_product(n, seed=7):
@@ -648,6 +541,16 @@ def _random_product(n, seed=7):
     b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     r2 = b @ b.conj().T
     r2 += 1e-14 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return r2
+
+
+def _crafted_product():
+    """A random product with exact signed zeros: the (1, 2) / (2, 1) pair has
+    real parts -0.0, which a float-part halving would keep where the complex
+    halving gives +0.0."""
+    r2 = _random_product(6, seed=3)
+    r2[1, 2], r2[2, 1] = complex(-0.0, 0.25), complex(-0.0, -0.25)
+    r2[3, 4], r2[4, 3] = complex(-0.0, -0.0), complex(-0.0, 0.0)
     return r2
 
 
@@ -675,12 +578,7 @@ def test_noisy_mmse_holds_one_pilot_square_matrix(m):
     cfg = tiny_cfg(m, 64, 4, 4)
     obs, corr = _random_mmse_case(cfg, 6)
     mmse_estimate(obs, corr, 1e-2, cfg)  # first-call set-up is not the solve's
-    tracemalloc.start()
-    try:
-        mmse_estimate(obs, corr, 1e-2, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: mmse_estimate(obs, corr, 1e-2, cfg))
     assert peak <= 1.25 * corr.n_pilot**2 * 16
 
 
@@ -700,12 +598,7 @@ def test_mmse_jitter_fallback_holds_one_pilot_square_matrix(monkeypatch):
         return 3
 
     monkeypatch.setattr(blas, "_cholesky", SimpleNamespace(factor=fail_once, solve=chol.solve))
-    tracemalloc.start()
-    try:
-        mmse_estimate(obs, corr, 1e-2, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: mmse_estimate(obs, corr, 1e-2, cfg))
     assert failed == [(512, 512)]
     assert peak <= 1.25 * corr.n_pilot**2 * 16
 

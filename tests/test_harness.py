@@ -4,7 +4,6 @@ import functools
 import os
 import re
 import threading
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -57,7 +56,7 @@ from ddce.txrx import (
     qam4_demod,
     qam4_mod,
 )
-from helpers import PAPER_CFG, no_trial, rule_message, small_cfg, small_cfg_text, write_cfg
+from helpers import PAPER_CFG, no_trial, rule_message, small_cfg, small_cfg_text, traced_peak, write_cfg
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -321,12 +320,7 @@ def test_a_paired_paper_trial_peaks_near_one_pilot_system(model):
     cfg = with_overrides(default_config(), channel_model=model)
     grids._keep_grids_on_the_heap()
     harness._paired_trial(cfg, 20.0, 1)  # first-call set-up is not the trial's
-    tracemalloc.start()
-    try:
-        harness._paired_trial(cfg, 20.0, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: harness._paired_trial(cfg, 20.0, 2))
     assert cfg.n_pilot == 512 and "mmse-genie" in cfg.estimators
     assert peak <= cfg.n_pilot**2 * 16 + 2**20
 
@@ -375,31 +369,13 @@ def test_sweep_aggregates_each_snr_point_before_the_next_starts(monkeypatch):
     ]
 
 
-def test_a_paired_trial_takes_the_period_magnitude_once(monkeypatch):
+def test_a_paired_trial_takes_the_period_magnitude_and_column_peaks_once(monkeypatch):
     """csf-ongrid's detection and csf-offgrid's detection and recovery all
-    read the one period of the trial, so |p| is computed once."""
+    read the one period of the trial, so |p| is computed once; its
+    recovery's argmax rows and floor read one cached pair of column peaks:
+    |p| is reduced over its Doppler axis once per trial."""
     cfg = default_config()
-    calls = []
-
-    def magnitude(p):
-        calls.append(p)
-        return real(p)
-
-    real = grids.PeriodCSF.magnitude.func
-    counted = functools.cached_property(magnitude)
-    counted.__set_name__(grids.PeriodCSF, "magnitude")
-    monkeypatch.setattr(grids.PeriodCSF, "magnitude", counted)
-    for seed in range(3):
-        harness._paired_trial(cfg, 10.0, seed)
-    assert len(calls) == 3 and len({id(p) for p in calls}) == 3
-
-
-def test_a_paired_trial_takes_the_column_peaks_once(monkeypatch):
-    """csf-ongrid's detection, csf-offgrid's detection and its recovery's
-    argmax rows and floor all read one cached pair of column peaks: |p| is
-    reduced over its Doppler axis once per trial."""
-    cfg = default_config()
-    calls, reductions = [], []
+    magnitudes, peak_calls, reductions = [], [], []
 
     class Counted(np.ndarray):
         def max(self, *args, **kw):
@@ -411,10 +387,11 @@ def test_a_paired_trial_takes_the_column_peaks_once(monkeypatch):
             return super().argmax(*args, **kw)
 
     def magnitude(p):
+        magnitudes.append(p)
         return real_magnitude(p).view(Counted)
 
     def column_peaks(p):
-        calls.append(p)
+        peak_calls.append(p)
         return tuple(np.asarray(a) for a in real_peaks(p))
 
     real_magnitude = grids.PeriodCSF.magnitude.func
@@ -425,17 +402,18 @@ def test_a_paired_trial_takes_the_column_peaks_once(monkeypatch):
         monkeypatch.setattr(grids.PeriodCSF, name, counted)
     for seed in range(3):
         harness._paired_trial(cfg, 10.0, seed)
-    assert len(calls) == 3 and len({id(p) for p in calls}) == 3
+    for seen in (magnitudes, peak_calls):
+        assert len(seen) == 3 and len({id(p) for p in seen}) == 3
     assert reductions == ["argmax"] * 3
 
 
-def test_column_peaks_are_the_read_only_column_maxima():
-    cfg = default_config()
-    p = harness._Trial(cfg, 10.0, 5).period
+def test_period_magnitude_and_column_peaks_are_cached_read_only_reductions():
+    p = harness._Trial(default_config(), 10.0, 5).period
     rows, peaks = p.column_peaks
+    assert p.magnitude is p.magnitude and np.array_equal(p.magnitude, np.abs(p.data))
     assert np.array_equal(peaks, p.magnitude.max(axis=0))
     assert np.array_equal(rows, p.magnitude.argmax(axis=0))
-    assert not rows.flags.writeable and not peaks.flags.writeable
+    assert not any(a.flags.writeable for a in (p.magnitude, rows, peaks))
 
 
 @pytest.mark.parametrize("threads", ["2", "-1", "1000000"])
@@ -462,7 +440,7 @@ def test_sweep_matches_golden_csv(tmp_path):
     assert out.read_bytes() == golden
 
 
-def test_csv_formatting_rules():
+def test_csv_formatting_rules(tmp_path):
     rows = (
         SweepRow(10.0, "ideal", 0.125, 0.25, 0.0009765625, 4, 0.0001220703125),
         SweepRow(-2.5, "ls-interp", 1.0 / 3.0, 0.0, 1.0, 1, 0.0),
@@ -473,14 +451,9 @@ def test_csv_formatting_rules():
     assert lines[1] == "10,ideal,0.125,0.25,0.0009765625,4,0.0001220703125"
     assert lines[2] == "-2.5,ls-interp,0.3333333333,0,1,1,0"
     assert text.endswith("\n") and "\r" not in text
-
-
-def test_write_csv_uses_unix_line_endings(tmp_path):
-    rows = (SweepRow(0.0, "ideal", 0.0, 0.0, 0.5, 1, 0.0),)
-    path = tmp_path / "t.csv"
-    write_csv(SweepTable(rows), str(path))
-    raw = path.read_bytes()
-    assert raw.endswith(b"\n") and b"\r" not in raw
+    # the file holds these bytes, with unix line endings on every platform
+    write_csv(SweepTable(rows), str(tmp_path / "t.csv"))
+    assert (tmp_path / "t.csv").read_bytes() == text.encode()
 
 
 def test_table_lookup_errors():

@@ -44,15 +44,6 @@ def test_delay_kernel_equals_geometric_sum(big_m, d_f):
         assert abs(got - delay_sum(l_i, l, big_m, d_f)) < 1e-12
 
 
-def test_ongrid_kernel_is_scaled_delta():
-    big_n, d_t = 32, 4
-    k_axis = np.arange(-big_n // (2 * d_t), big_n // (2 * d_t))
-    for k_i in k_axis:
-        vals = doppler_kernel(float(k_i), k_axis, big_n, d_t)
-        want = np.where(k_axis == k_i, np.sqrt(big_n), 0.0)
-        assert np.max(np.abs(vals - want)) < 1e-9
-
-
 def test_delay_kernel_peak_and_nulls():
     big_m, d_f = 16, 2
     l_axis = np.arange(big_m // d_f)

@@ -2,13 +2,12 @@
 in grids of 128 KiB (one 128x64 complex array): the peak of the numpy
 buffers tracemalloc sees while one warm call runs, results included."""
 
-import tracemalloc
-
 import pytest
 
 from ddce import harness
 from ddce.config import default_config, with_overrides
 from ddce.estimators import interp_linear
+from helpers import traced_peak
 
 GRID = 128 * 64 * 16
 CASES = [(snr_db, seed) for snr_db in (0.0, 20.0, 40.0) for seed in (3, 17, 2024)]
@@ -18,12 +17,7 @@ def peak_grids(call):
     """Peak traced bytes of call(), in grids, after one untraced warm-up call
     has filled the per-config caches."""
     call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / GRID
-    finally:
-        tracemalloc.stop()
+    return traced_peak(call)[1] / GRID
 
 
 @pytest.fixture(scope="module")
