@@ -44,6 +44,13 @@ def rule_message(call, *args, **kw):
     raise AssertionError(f"{call.__name__} raised no ConfigError")
 
 
+def spell(value):
+    """A test id's value; an int past str()'s digit limit by its size."""
+    if isinstance(value, int) and abs(value) > 2**64:
+        return f"{'-' if value < 0 else ''}int of {value.bit_length()} bits"
+    return repr(value)
+
+
 def edit_cfg(text, **keys):
     """Config text with each key's line set to its value: replaced where the
     key has a line, appended where it has none."""

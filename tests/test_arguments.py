@@ -45,7 +45,7 @@ from ddce.txrx import (
     make_layout,
     qam4_mod,
 )
-from helpers import ODD_VALUES, small_cfg, tiny_cfg
+from helpers import ODD_VALUES, small_cfg, spell, tiny_cfg
 
 
 @cache
@@ -220,7 +220,10 @@ def test_any_argument_value_is_one_contract_error_naming_it_or_a_call_that_runs(
         assert msg.startswith(f"{key} must ") and "\n" not in msg, msg
 
 
-def test_each_known_bad_value_is_refused():
+@pytest.mark.parametrize("case, value, message", [
+    pytest.param(case, value, message, id=f"{case}={spell(value)}") for case, value, *message in _PROBES
+])
+def test_each_known_bad_value_is_refused(case, value, message):
     """Values a call must refuse, not run with: a bool or a float where an
     int is needed, a string, None, a complex noise variance, a negative seed
     or delay, a delay past the int64 range, a path field that is not finite,
@@ -229,16 +232,12 @@ def test_each_known_bad_value_is_refused():
     gain large enough to overflow the image, a genie steering entry or power
     that is not finite (or whose R2 would overflow), and a layout that is
     not the config's.  No message shows the digits of a huge int."""
-    for case, value, *message in _PROBES:
-        key = case.rsplit(".", 1)[1]
-        try:
-            CALLS[case](value)
-        except ContractViolationError as exc:
-            msg = str(exc)
-            assert msg.startswith(f"{key} must ") and "0" * 20 not in msg, (case, value, msg)
-            assert message in ([], [msg]), (case, value, msg)
-        else:
-            raise AssertionError(f"{case} accepted {value!r}")
+    key = case.rsplit(".", 1)[1]
+    with pytest.raises(ContractViolationError) as info:
+        CALLS[case](value)
+    msg = str(info.value)
+    assert msg.startswith(f"{key} must ") and "0" * 20 not in msg, msg
+    assert message in ([], [msg]), msg
 
 
 _STEERING = np.ones((4, 2), dtype=complex)

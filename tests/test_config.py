@@ -31,7 +31,7 @@ from ddce.config import (
 )
 from ddce.errors import ConfigError, ProfileError, SupportError
 from ddce.harness import run_trial
-from helpers import ALL_PILOT, ODD_VALUES, PAPER_CFG, edit_cfg, small_cfg, write_cfg
+from helpers import ALL_PILOT, ODD_VALUES, PAPER_CFG, edit_cfg, small_cfg, spell, write_cfg
 
 GOOD = """
 M = 64
@@ -325,15 +325,8 @@ _FIELD_RULES = [
 ]
 
 
-def _spell(value):
-    """A test id's value; an int past str()'s digit limit by its size."""
-    if isinstance(value, int) and abs(value) > 2**64:
-        return f"{'-' if value < 0 else ''}int of {value.bit_length()} bits"
-    return repr(value)
-
-
 @pytest.mark.parametrize("key, value, message", [
-    pytest.param(key, value, message, id=f"{key}={_spell(value)}") for key, value, message in _FIELD_RULES
+    pytest.param(key, value, message, id=f"{key}={spell(value)}") for key, value, message in _FIELD_RULES
 ])
 def test_a_bad_field_is_one_error_with_its_rules_message(key, value, message):
     with pytest.raises((ConfigError, ProfileError)) as info:
