@@ -5,7 +5,7 @@ ContractViolationError naming the argument or the rule; an accepted input
 is read as documented (_READINGS)."""
 
 import math
-from functools import cache
+from functools import cache, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -77,17 +77,26 @@ _GRID = np.ones((4, 8))
 # one path on a 1x1 grid with its one pilot
 _PAIR = dict(steering_freq=[[1j]], steering_time=[[1j]], steering_pilot=[[1j]], powers=[1.0])
 
+
+def _path_with(key, v):
+    """A path set of one path, v as the entry of that array."""
+    return PathSet(**{**_PATH, key: [v]})
+
+
+def _pair_with(key, v):
+    """A one-path pair, v as the entry of that argument."""
+    return CorrelationPair(**{**_PAIR, key: [v] if key == "powers" else [[v]]})
+
+
 # "<call>.<argument>": the call (a method as "<class>.<method>") with that
 # argument set to v and every other valid
 CALLS = {
-    # a path set of one path, v as the entry of that array
-    **{f"PathSet.{key}": (lambda key: lambda v: PathSet(**{**_PATH, key: [v]}))(key) for key in _PATH},
-    # a one-path pair, v as the entry of that argument
-    **{f"CorrelationPair.{key}": (lambda key: lambda v: CorrelationPair(
-        **{**_PAIR, key: [v] if key == "powers" else [[v]]}))(key) for key in _PAIR},
+    **{f"PathSet.{key}": partial(_path_with, key) for key in _PATH},
+    **{f"CorrelationPair.{key}": partial(_pair_with, key) for key in _PAIR},
     "genie_correlations.layout": lambda v: genie_correlations(_trial().ps, _trial().cfg, v),
     # a 1x1 grid (2x1 where the Doppler axis must be even) and a frame's data symbols, v as
-    # every entry: numpy reads a bool among numbers as a number
+    # every entry: numpy reads a bool among numbers as a number (one non-finite
+    # entry among finite ones is in _REFUSALS)
     "TFGrid.data": lambda v: TFGrid([[v]]),
     "DDGrid.data": lambda v: DDGrid([[v], [v]]),
     "PeriodCSF.data": lambda v: PeriodCSF([[v], [v]], 1, 1),
@@ -170,9 +179,6 @@ _PROBES = [
     *(("PathSet.powers", v) for v in (math.nan, math.inf, 10**400, -1.0)),
     *((f"CorrelationPair.{key}", v) for key in ("steering_freq", "steering_time", "steering_pilot")
       for v in (math.nan, math.inf, "1", None)),
-    *((f"CorrelationPair.{key}", v, f"{key} must be finite, got {v}")
-      for key in ("steering_freq", "steering_time", "steering_pilot")
-      for v in (complex(math.nan, 0.0), complex(math.inf, 0.0))),
     ("CorrelationPair.steering_pilot", 1e300),
     ("CorrelationPair.steering_pilot", complex(1e300, 0.0),
      "steering_pilot must keep R2's trace <= 2.25e+307, got inf"),
@@ -196,13 +202,9 @@ _PROBES = [
     # dict, a bool, None or an int past the float64 range is never a number
     *(("TFGrid.data", v) for v in ("x", "1", True, None, 10**400)),
     *(("build_frame.data_syms", v) for v in ("x", True, 10**400)),
-    *(("build_frame.data_syms", v, f"data_syms must be finite, got {v}")
-      for v in (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf))),
     ("PeriodCSF.data", "x"),
     ("DDGrid.data", True),
     ("PilotObservations.values", {}),
-    *(("PilotObservations.values", v, f"values must be finite, got {v} (PilotObservations)")
-      for v in (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf))),
 ]
 
 
@@ -252,11 +254,35 @@ def _pair(**arrays):
     return CorrelationPair(**{**args, **arrays})
 
 
-def _grid_with(v):
-    """A 2x2 grid of ones with v as one entry."""
-    grid = np.ones((2, 2), dtype=complex)
-    grid[1, 0] = v
-    return grid
+def _ones_with(v, shape=(2, 2), index=(1, 0)):
+    """A complex array of ones of this shape with v at this index."""
+    array = np.ones(shape, dtype=complex)
+    array[index] = v
+    return array
+
+
+@cache
+def _genie_factors():
+    """The factors of the genie pair of two paths on an 8x8 grid at spacing 2."""
+    corr = genie_correlations(PathSet([1.0, 0.5j], [0, 1], [0.0, 0.5], [0.6, 0.4]), tiny_cfg(8, 8, 2, 2),
+                              _layout((8, 8)))
+    return dict(steering_freq=corr._freq, steering_time=corr._time, steering_pilot=corr._a_pilot,
+                powers=corr._p)
+
+
+def _genie_with(key, v):
+    """The genie pair rebuilt with v at flat index 3 of one steering factor."""
+    args = dict(_genie_factors(), **{key: _genie_factors()[key].copy()})
+    args[key].flat[3] = v
+    return CorrelationPair(**args)
+
+
+def _unit_pilots_with(v):
+    """A two-path pair whose 16x2 unit-modulus pilot steering has v at [3, 1]."""
+    a_pilot = np.exp(2j * np.pi * np.random.default_rng(4).uniform(size=(16, 2)))
+    a_pilot[3, 1] = v
+    steering = np.ones((8, 2), dtype=complex)
+    return CorrelationPair(steering, steering.T, a_pilot, np.array([0.6, 0.4]))
 
 
 def _layout(shape, d_t=2, d_f=2):
@@ -281,6 +307,7 @@ def _layout_text(shape, d_t=2, d_f=2):
     return f"FrameLayout(shape={shape}, d_t={d_t}, d_f={d_f})"
 
 
+_NON_FINITE = (math.nan, math.inf, complex(0.0, -math.inf))
 _LATTICE = "pilot lattice (2, 2) with spacings (d_t=2, d_f=2) does not match config lattice"
 _ON_8x4 = "does not match the layout's (M, N) = (8, 4)"
 # "<call>: <input>": (call, message): call() is one ContractViolationError
@@ -288,16 +315,32 @@ _ON_8x4 = "does not match the layout's (M, N) = (8, 4)"
 # that break a rule
 _REFUSALS = {
     # grid data that is no non-empty 2-D array of finite numbers; the message names the constructor
-    **{f"{ctor}: {what}": ((lambda ctor=ctor, a=a: _GRIDS[ctor](a)), f"data must {rule} ({ctor})")
+    **{f"{ctor}: {what}": (partial(_GRIDS[ctor], a), f"data must {rule} ({ctor})")
        for ctor in _GRIDS for what, a, rule in (
-           *((f"a {v} entry", _grid_with(v), f"be finite, got {v}") for v in (
+           *((f"a {v} entry", _ones_with(v), f"be finite, got {v}") for v in (
                complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, 0.0),
                complex(0.0, math.inf))),
            *((f"shape {shape}", np.ones(shape), f"be a non-empty 2-D array, got shape {shape}")
              for shape in ((4,), (2, 2, 2), (0, 4), (2, 0))))},
-    **{f"{ctor}: 3 rows": ((lambda ctor=ctor: _GRIDS[ctor](np.ones((3, 4)))),
+    **{f"{ctor}: 3 rows": (partial(_GRIDS[ctor], np.ones((3, 4))),
                            f"data must have an even Doppler axis, got 3 rows ({ctor})")
        for ctor in ("DDGrid", "PeriodCSF")},
+    # one non-finite entry among finite ones, not first: the message shows that entry
+    **{f"PilotObservations: {v} at [2, 1] of 4x4": (
+        partial(PilotObservations, _ones_with(v, (4, 4), (2, 1)), 2, 2),
+        f"values must be finite, got {complex(v)} (PilotObservations)") for v in _NON_FINITE},
+    **{f"build_frame: {v} at [7] of 28": (
+        partial(build_frame, _ones_with(v, 28, 7), PilotPattern(2, 4), tiny_cfg(8, 4, 2, 4)),
+        f"data_syms must be finite, got {complex(v)}") for v in _NON_FINITE},
+    **{f"CorrelationPair: genie {key} with {v} at flat 3": (
+        partial(_genie_with, key, v), f"{key} must be finite, got {complex(v)}")
+       for key in ("steering_freq", "steering_time", "steering_pilot") for v in (math.nan, math.inf)},
+    "CorrelationPair: genie steering_pilot with 1e300 at flat 3": (
+        partial(_genie_with, "steering_pilot", 1e300),
+        "steering_pilot must keep R2's trace <= 2.25e+307, got inf"),
+    **{f"CorrelationPair: unit pilots with {v} at [3, 1]": (
+        partial(_unit_pilots_with, v), f"steering_pilot must be finite, got {complex(v)}")
+       for v in (math.nan, math.inf)},
     "TFGrid: nan": (lambda: TFGrid(np.ones((2, 2)) * math.nan), "data must be finite, got nan (TFGrid)"),
     "TFGrid: inf": (lambda: TFGrid([[math.inf, 0.0], [0.0, 0.0]]), "data must be finite, got inf (TFGrid)"),
     "TFGrid: ragged": (lambda: TFGrid([[1, 2], [3]]), "data must be an array of numbers (TFGrid)"),
@@ -316,7 +359,7 @@ _REFUSALS = {
                                "delays must be distinct bins, got [2, 2]"),
     "PathSet: gain 1e200": (lambda: PathSet([1e200], [0], [0.0]), "|gains|^2 must be finite, got inf"),
     # path arrays that are not 1-D, of one length, finite, or small enough for the 8x8 image
-    **{f"csf_closed_form: {what}": ((lambda args=args: csf_closed_form(*args, 8, 8)), message)
+    **{f"csf_closed_form: {what}": (partial(csf_closed_form, *args, 8, 8), message)
        for what, args, message in (
            ("gains 1.0", (1.0, [0], [0.0]), "gains must be a 1-D array, got shape ()"),
            ("gains [[1.0]]", ([[1.0]], [0], [0.0]), "gains must be a 1-D array, got shape (1, 1)"),
@@ -332,7 +375,7 @@ _REFUSALS = {
                  (([1], [0], [0.0, 1.0]), "1, 1 and 2"), (([], [0], []), "0, 1 and 0"))))},
     # steering the noisy solve's LAPACK pair could not take
     **{f"CorrelationPair: {key} {a.dtype} {a.shape}": (
-        (lambda key=key, a=a: _pair(**{key: a})), f"{key} must be 2-D complex128: {a.dtype} {a.shape}")
+        partial(_pair, **{key: a}), f"{key} must be 2-D complex128: {a.dtype} {a.shape}")
        for key, a in (("steering_freq", _STEERING.real), ("steering_time", _STEERING.T.real),
                       ("steering_pilot", _STEERING.real), ("steering_pilot", _STEERING[:, 0]))},
     "CorrelationPair: a real steering list": (lambda: _pair(steering_pilot=_STEERING.real.tolist()),
@@ -352,7 +395,7 @@ _REFUSALS = {
     # a layout of another grid or lattice, or no layout, is refused before any
     # steering is built, not read past the grid (an IndexError) or as fewer pilots
     **{f"genie_correlations: {lattice} {got}": (
-        (lambda lattice=lattice, layout=layout: _genie_on(lattice, layout)),
+        partial(_genie_on, lattice, layout),
         f"layout must be {_layout_text(lattice[:2], *lattice[2:])}, got {got}")
        for lattice, side in (((8, 8, 2, 2), 16), ((16, 16, 2, 2), 8), ((8, 8, 1, 2), 8))
        for got, layout in ((_layout_text((side, side)), _layout((side, side))), ("tuple", lattice[:2]),
@@ -376,7 +419,7 @@ _REFUSALS = {
     # each call that reads a grid through a layout takes only the layout's
     # grid: not a smaller one, nor the transposed one of the same size
     **{f"{name}: {shape} grid on a 128x64 layout": (
-        (lambda call=call, shape=shape: call(TFGrid(np.ones(shape)), _layout((128, 64), 4, 4))),
+        partial(call, TFGrid(np.ones(shape)), _layout((128, 64), 4, 4)),
         f"TF grid shape {shape} does not match the layout's (M, N) = (128, 64)")
        for name, call in (("extract_data", extract_data),
                           ("equalize_single_tap", lambda grid, lay: equalize_single_tap(grid, grid, lay)),

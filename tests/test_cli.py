@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from ddce import harness
 from ddce.cli import main
-from ddce.config import ESTIMATOR_NAMES, MIN_SNR_DB, load_config, snr_is_valid
-from ddce.harness import run_trial
+from ddce.config import ESTIMATOR_NAMES, MIN_SNR_DB, load_config, with_overrides
 from helpers import PAPER_CFG, edit_cfg, no_trial, rule_message, small_cfg_text, write_cfg
 
 FAST_CFG = small_cfg_text(estimators="ls-interp, ideal", snr_db="10.0, 20.0", n_trials=2, master_seed=7,
@@ -133,40 +132,37 @@ def test_verify_passes_on_shipped_config(capsys):
 
 _SIMULATE = {"--estimator": "ideal", "--snr": "10", "--seed": "1"}
 # name: (command, simulate flags over _SIMULATE's, the config file as edits of
-# FAST_CFG, as raw bytes, or None for no file)
+# FAST_CFG, as raw bytes, or None for no file, the refusal's owner): None when
+# load_config refuses the file, the fields whose with_overrides of the loaded
+# config a flag's run_trial refuses, or the command line's own --snr text
 _REFUSED = {
-    "estimator=zero-forcing": ("simulate", {"--estimator": "zero-forcing"}, {}),
-    "snr=nan": ("simulate", {"--snr": "nan"}, {}),
-    "snr=-inf": ("simulate", {"--snr": "-inf"}, {}),
-    "snr=-4000": ("simulate", {"--snr": "-4000"}, {}),
-    "seed=-1": ("simulate", {"--seed": "-1"}, {}),
-    "delta_f_hz=inf": ("simulate", {}, dict(delta_f_hz="inf")),
-    "v_kmh=5000": ("simulate", {}, dict(v_kmh=5000.0)),
-    "mmse-genie-on-4096-pilots": ("simulate", {"--estimator": "mmse-genie"}, dict(M=256, N=256)),
-    "no-file": ("simulate", {}, None),
-    "snr_db=-inf": ("sweep", {}, dict(snr_db="10.0, -inf")),
-    "snr_db=-4000": ("sweep", {}, dict(snr_db="10.0, -4000")),
-    "master_seed=-1": ("sweep", {}, dict(master_seed=-1)),
-    "delay=1e300": ("sweep", {}, dict(tap_delays_ns="0.0, 1e300")),
-    "grid-past-bound": ("sweep", {}, dict(M=4096, N=4096, d_t=1, d_f=1)),
-    "n_trials=100001": ("sweep", {}, dict(n_trials=100001)),
-    "repeated-estimator": ("sweep", {}, dict(estimators="ideal, ideal")),
-    "M=10**400": ("sweep", {}, dict(M="1" + "0" * 400)),
-    "N=10**400": ("sweep", {}, dict(N="1" + "0" * 400)),
+    "estimator=zero-forcing": ("simulate", {"--estimator": "zero-forcing"}, {},
+                               dict(estimators=("zero-forcing",))),
+    "seed=-1": ("simulate", {"--seed": "-1"}, {}, dict(master_seed=-1)),
+    "mmse-genie-on-4096-pilots": ("simulate", {"--estimator": "mmse-genie"}, dict(M=256, N=256),
+                                  dict(estimators=("mmse-genie",))),
+    **{f"snr={snr}": ("simulate", {"--snr": snr}, {},
+                      f"--snr must be finite and >= {MIN_SNR_DB} dB, or inf (noiseless), got {float(snr)}")
+       for snr in ("nan", "-inf", "-4000")},
+    "delta_f_hz=inf": ("simulate", {}, dict(delta_f_hz="inf"), None),
+    "v_kmh=5000": ("simulate", {}, dict(v_kmh=5000.0), None),
+    "no-file": ("simulate", {}, None, None),
+    "snr_db=-inf": ("sweep", {}, dict(snr_db="10.0, -inf"), None),
+    "snr_db=-4000": ("sweep", {}, dict(snr_db="10.0, -4000"), None),
+    "master_seed=-1": ("sweep", {}, dict(master_seed=-1), None),
+    "delay=1e300": ("sweep", {}, dict(tap_delays_ns="0.0, 1e300"), None),
+    "grid-past-bound": ("sweep", {}, dict(M=4096, N=4096, d_t=1, d_f=1), None),
+    "n_trials=100001": ("sweep", {}, dict(n_trials=100001), None),
+    "repeated-estimator": ("sweep", {}, dict(estimators="ideal, ideal"), None),
+    "M=10**400": ("sweep", {}, dict(M="1" + "0" * 400), None),
+    "N=10**400": ("sweep", {}, dict(N="1" + "0" * 400), None),
     # 10**(p/10) would overflow or vanish for every tap
-    "tap-power=4000": ("sweep", {}, dict(tap_delays_ns="0.0", tap_powers_db="4000")),
-    "tap-powers=-4000": ("sweep", {}, dict(tap_powers_db="-4000, -4000")),
-    "not-utf8": ("verify", {}, ("# café\n" + FAST_CFG).encode("latin-1")),
+    "tap-power=4000": ("sweep", {}, dict(tap_delays_ns="0.0", tap_powers_db="4000"), None),
+    "tap-powers=-4000": ("sweep", {}, dict(tap_powers_db="-4000, -4000"), None),
+    "not-utf8": ("verify", {}, ("# café\n" + FAST_CFG).encode("latin-1"), None),
     # verify loads --config although its checks use fixed shapes
-    "modulation-key": ("verify", {}, dict(modulation="qam4")),
+    "modulation-key": ("verify", {}, dict(modulation="qam4"), None),
 }
-
-
-def _library_run(path, flags):
-    """The library calls a command makes with its config file and flags."""
-    cfg = load_config(path)
-    if flags:
-        run_trial(cfg, cfg.profile, float(flags["--snr"]), flags["--estimator"], int(flags["--seed"]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -174,11 +170,11 @@ def _library_run(path, flags):
 def test_a_refused_run_exits_1_with_the_library_message_before_any_work(
     tmp_path, capsys, monkeypatch, case
 ):
-    """Each stderr line is `error: ` and a line of the ConfigError that the
-    library calls raise for the same file and flags; only --snr has a rule
-    of the command line's own.  Nothing else is printed or written, and no
-    trial starts."""
-    command, flags, text = _REFUSED[case]
+    """Each stderr line is `error: ` and a line of the refusal's owner's
+    message: the ConfigError of load_config or of with_overrides for the
+    same file and flags, or the command line's own --snr rule.  Nothing
+    else is printed or written, and no trial starts."""
+    command, flags, text, owner = _REFUSED[case]
     path = tmp_path / "run.cfg" if text is not None else "/no/such/file.cfg"
     out = tmp_path / "out.csv"
     if isinstance(text, bytes):
@@ -188,14 +184,13 @@ def test_a_refused_run_exits_1_with_the_library_message_before_any_work(
     flags = dict(_SIMULATE, **flags) if command == "simulate" else {}
     argv = [command, "--config", str(path), *(f"{flag}={value}" for flag, value in flags.items())]
     argv += ["--out", str(out)] if command == "sweep" else []
-    if snr_is_valid(float(flags.get("--snr", 0))):
-        message = rule_message(_library_run, str(path), flags)
-    else:
-        snr = float(flags["--snr"])
-        message = f"--snr must be finite and >= {MIN_SNR_DB} dB, or inf (noiseless), got {snr}"
+    if owner is None:
+        owner = rule_message(load_config, str(path))
+    elif isinstance(owner, dict):
+        owner = rule_message(with_overrides, load_config(str(path)), **owner)
     monkeypatch.setattr(harness, "_paired_trial", no_trial)
     assert main(argv) == 1
-    assert capsys.readouterr() == ("", "".join(f"error: {line}\n" for line in message.splitlines()))
+    assert capsys.readouterr() == ("", "".join(f"error: {line}\n" for line in owner.splitlines()))
     assert not out.exists()
 
 

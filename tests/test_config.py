@@ -278,10 +278,10 @@ def _with(cfg, key, value):
 _PAST_FLOAT_RANGE = (("gamma_threshold", 10**400), ("delta_f_hz", 10**400), ("M", 10**5000),
                      ("N", -(10**5000)), ("d_t", 10**400), ("n_trials", 10**5000),
                      ("master_seed", -(10**5000)), ("snr_db", 10**400))
-# (key, value, message): small_cfg() with that field (a profile field on its
-# profile) set to value is one ConfigError or ProfileError with exactly this
-# message; each value of another kind passed validation or escaped it as
-# another error
+# (key, value, message): small_cfg() with that field set to value is one
+# ConfigError with exactly this message, or, for a field of its profile, one
+# ProfileError; each value of another kind passed validation or escaped it
+# as another error
 _FIELD_RULES = [
     *((key, (0.0, value) if key == "snr_db" else value,
        f"{key} must lie within the float64 range, got an integer of {abs(value).bit_length()} bits")
@@ -331,6 +331,7 @@ _FIELD_RULES = [
 def test_a_bad_field_is_one_error_with_its_rules_message(key, value, message):
     with pytest.raises((ConfigError, ProfileError)) as info:
         _with(small_cfg(), key, value)
+    assert type(info.value) is (ProfileError if key in _PROFILE_KEYS else ConfigError)
     assert str(info.value) == message
 
 
