@@ -303,9 +303,9 @@ def _noiseless_period(ps, cfg):
     return periodic_csf(ls_pilot(y, x, layout), cfg)
 
 
-def check_transform_roundtrip(seed: int = 1234) -> CheckResult:
+def check_transform_roundtrip() -> CheckResult:
     """sfft/isfft invert each other and conserve energy on random grids."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234)
     worst = 0.0
     for big_m, big_n in ((16, 8), (32, 64), (12, 10)):
         x = TFGrid(rng.standard_normal((big_m, big_n)) + 1j * rng.standard_normal((big_m, big_n)))
@@ -333,7 +333,7 @@ def check_lattice_kernel_ongrid() -> CheckResult:
     return CheckResult("lattice_kernel_ongrid", worst < 1e-9, worst)
 
 
-def check_period_is_periodic(seed: int = 7) -> CheckResult:
+def check_period_is_periodic() -> CheckResult:
     """The lattice-sampled image repeats with periods N/d_t and M/d_f.
 
     Checked against the defining double sum evaluated over an extended index
@@ -341,7 +341,7 @@ def check_period_is_periodic(seed: int = 7) -> CheckResult:
     """
     big_m, big_n, d_t, d_f = 16, 16, 2, 2
     cfg = _tiny_cfg(big_m, big_n, d_t, d_f)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     n_f, n_t = big_m // d_f, big_n // d_t
     obs_vals = rng.standard_normal((n_f, n_t)) + 1j * rng.standard_normal((n_f, n_t))
 

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractViolationError, finite_complexes, positive_int, tuple_of
-from .grids import TFGrid, _adopt, _set_spacings
+from .grids import MAX_GRID_RES, TFGrid, _adopt, _set_spacings
 from .kernels import _lattice
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,8 +36,8 @@ class PilotPattern:
 class FrameLayout:
     """Pilot and data positions of an M x N frame, shape = (M, N), whose
     pilots sit on every d_f-th subcarrier of every d_t-th symbol.  Each side
-    and spacing is an int >= 1 and each spacing divides its side, or one
-    ContractViolationError names it.
+    and spacing is an int >= 1, each spacing divides its side and M*N is at
+    most MAX_GRID_RES, or one ContractViolationError names the field.
 
     Positions are ordered symbol-major with the subcarrier index fastest.
     pilot_flat and data_flat index the row-major flattened grid, and
@@ -57,6 +57,8 @@ class FrameLayout:
         shape = tuple_of(positive_int)("shape", self.shape)
         if len(shape) != 2:
             raise ContractViolationError(f"shape must be (M, N), got {len(shape)} sides")
+        if shape[0] * shape[1] > MAX_GRID_RES:  # before any array of that size
+            raise ContractViolationError(f"shape must hold at most {MAX_GRID_RES} resource elements")
         big_m, d_f = _lattice("M", shape[0], "d_f", self.d_f)
         big_n, d_t = _lattice("N", shape[1], "d_t", self.d_t)
         is_pilot = np.zeros((big_n, big_m), dtype=bool)  # symbol-major

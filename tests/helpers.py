@@ -1,4 +1,5 @@
-"""Config factories and a fresh-interpreter runner shared by the test modules."""
+"""Config factories, genie-MMSE inputs and a fresh-interpreter runner shared
+by the test modules."""
 
 import json
 import os
@@ -11,9 +12,11 @@ import tracemalloc
 import numpy as np
 from hypothesis import strategies as st
 
-from ddce.channel import ChannelProfile
+from ddce.channel import ChannelProfile, PathSet
 from ddce.config import SystemConfig
 from ddce.errors import ConfigError
+from ddce.estimators import PilotObservations, genie_correlations
+from ddce.txrx import PilotPattern, make_layout
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SRC = os.path.join(ROOT, "src")
@@ -32,6 +35,21 @@ def small_cfg():
     """Validated two-tap 32x16 config at 250 km/h, cheap enough for whole sweeps."""
     prof = ChannelProfile((0.0, 4166.666666666667), (0.0, -3.0), v_kmh=250.0, f_c_hz=2.1e9)
     return SystemConfig(M=32, N=16, delta_f_hz=15e3, d_t=4, d_f=4, profile=prof).validated()
+
+
+def random_mmse_case(cfg, seed):
+    """Genie correlations of a random four-path fractional-Doppler path set
+    inside the lattice support, and random pilot observations."""
+    rng, n_paths = np.random.default_rng(seed), 4
+    k_lim = 0.45 * cfg.N / cfg.d_t
+    delays = rng.choice(cfg.M // cfg.d_f, size=n_paths, replace=False)
+    powers = rng.uniform(0.1, 1.0, n_paths)
+    dopplers = [rng.uniform(-k_lim, k_lim) for _ in delays]
+    ps = PathSet(np.ones(n_paths), delays, dopplers, powers / powers.sum())
+    layout = make_layout(PilotPattern(d_t=cfg.d_t, d_f=cfg.d_f), cfg)
+    shape = (cfg.M // cfg.d_f, cfg.N // cfg.d_t)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return PilotObservations(vals, d_t=cfg.d_t, d_f=cfg.d_f), genie_correlations(ps, cfg, layout)
 
 
 def rule_message(call, *args, **kw):

@@ -9,10 +9,9 @@ import pytest
 
 from ddce import blas, harness
 from ddce.blas import blas_thread_counts, single_blas_thread
-from ddce.channel import gen_paths
 from ddce.config import default_config, with_overrides
-from ddce.estimators import PilotObservations, genie_correlations, mmse_estimate
-from ddce.txrx import PilotPattern, make_layout
+from ddce.estimators import mmse_estimate
+from helpers import random_mmse_case
 
 
 @pytest.fixture
@@ -31,23 +30,9 @@ def two_blas_threads():
         set_fn(n)
 
 
-def _mmse_cases(cfg, count):
-    """(obs, corr, noise_var) on the shipped 128x64 grid, one per seed."""
-    layout = make_layout(PilotPattern(cfg.d_t, cfg.d_f), cfg)
-    shape = (cfg.M // cfg.d_f, cfg.N // cfg.d_t)
-    cases = []
-    for seed in range(count):
-        rng = np.random.default_rng(seed)
-        corr = genie_correlations(gen_paths(cfg, cfg.profile, rng), cfg, layout)
-        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        obs = PilotObservations(vals, d_t=cfg.d_t, d_f=cfg.d_f)
-        cases.append((obs, corr, 10.0 ** (-seed)))
-    return cases
-
-
 def test_concurrent_mmse_equals_serial_bit_for_bit(two_blas_threads):
     cfg = default_config()
-    cases = _mmse_cases(cfg, 4)
+    cases = [(*random_mmse_case(cfg, seed), 10.0 ** -seed) for seed in range(4)]
     serial = [mmse_estimate(*case, cfg).grid.data for case in cases]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -72,7 +57,7 @@ def test_pin_holds_inside_and_restores_after(two_blas_threads, monkeypatch):
 
     monkeypatch.setattr(blas, "_cholesky", SimpleNamespace(factor=chol.factor, solve=spy))
     cfg = default_config()
-    (obs, corr, noise_var), = _mmse_cases(cfg, 1)
+    (obs, corr), noise_var = random_mmse_case(cfg, 0), 1.0
     mmse_estimate(obs, corr, noise_var, cfg)
     assert blas_thread_counts() == two_blas_threads
 

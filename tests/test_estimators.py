@@ -36,7 +36,7 @@ from ddce.estimators import (
 from ddce.grids import PeriodCSF, TFGrid, isfft
 from ddce.kernels import delay_kernel, doppler_kernel
 from ddce.txrx import PilotPattern, build_frame, make_layout, qam4_mod
-from helpers import tiny_cfg, traced_peak
+from helpers import random_mmse_case, tiny_cfg, traced_peak
 
 
 def period_direct(obs_values, d_t, d_f, big_m, big_n, k, l):
@@ -213,23 +213,6 @@ def test_recover_single_ongrid_path_exactly():
     assert abs(got.gains[0] - gain) < 1e-10
 
 
-@pytest.mark.parametrize(
-    "k_frac,tol_k,tol_g",
-    [(-0.25, 6.4e-4, 2.0e-3), (0.15, 6.1e-4, 1.8e-3), (0.4, 3.3e-4, 1.1e-3)],
-)
-def test_recover_fractional_doppler_within_bias_bounds(k_frac, tol_k, tol_g):
-    cfg = tiny_cfg(128, 64, d_t=4, d_f=4)
-    k_true = 2.0 + k_frac
-    ps = PathSet([1.0 + 0.0j], [3], [k_true])
-    h = ctf_from_paths(ps, cfg).data
-    p = periodic_csf(PilotObservations(h[::4, ::4], d_t=4, d_f=4), cfg)
-    got, truncated = recover_paths_offgrid(p, 1)
-    assert not truncated
-    assert got.delays[0] == 3
-    assert abs(got.dopplers[0] - k_true) < tol_k
-    assert abs(got.gains[0] - 1.0) < tol_g
-
-
 def test_recover_two_paths_with_distinct_delays():
     cfg = tiny_cfg(128, 64, d_t=4, d_f=4)
     ps = PathSet([1.0 + 0.5j, -0.4 + 0.9j], [2, 6], [1.2, -1.85])
@@ -384,21 +367,6 @@ def test_correlations_use_declared_ensemble_powers():
     assert np.allclose(corr.apply_r1(vec), r1 @ vec, atol=1e-10)
 
 
-def _random_mmse_case(cfg, seed, n_paths=4):
-    """Genie correlations of a random fractional-Doppler path set inside the
-    lattice support, and random pilot observations."""
-    rng = np.random.default_rng(seed)
-    k_lim = 0.45 * cfg.N / cfg.d_t
-    delays = rng.choice(cfg.M // cfg.d_f, size=n_paths, replace=False)
-    powers = rng.uniform(0.1, 1.0, n_paths)
-    dopplers = [rng.uniform(-k_lim, k_lim) for _ in delays]
-    ps = PathSet(np.ones(n_paths), delays, dopplers, powers / powers.sum())
-    layout = make_layout(PilotPattern(d_t=cfg.d_t, d_f=cfg.d_f), cfg)
-    shape = (cfg.M // cfg.d_f, cfg.N // cfg.d_t)
-    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return PilotObservations(vals, d_t=cfg.d_t, d_f=cfg.d_f), genie_correlations(ps, cfg, layout)
-
-
 def _textbook_r2(corr):
     """The symmetrised pilot auto-correlation as plain dense algebra."""
     r2 = (corr._a_pilot * corr._p) @ corr._a_pilot.conj().T
@@ -422,7 +390,7 @@ def _dense_mmse_reference(obs, corr, noise_var, cfg, jitter=False):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mmse_equals_dense_formulation_bit_for_bit(seed):
     cfg = tiny_cfg(128, 64, 4, 4)
-    obs, corr = _random_mmse_case(cfg, seed)
+    obs, corr = random_mmse_case(cfg, seed)
     for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
         noise_var = 10.0 ** (-snr_db / 10.0)
         got = mmse_estimate(obs, corr, noise_var, cfg).grid.data
@@ -434,7 +402,7 @@ def test_mmse_bitwise_across_lattices():
     alternate from call to call."""
     cfgs = (tiny_cfg(64, 64, 2, 4), tiny_cfg(32, 16, 4, 4), tiny_cfg(64, 32, 4, 4))
     for i, cfg in enumerate(cfgs + cfgs[::-1] + cfgs):
-        obs, corr = _random_mmse_case(cfg, 10 + i)
+        obs, corr = random_mmse_case(cfg, 10 + i)
         noise_var = 10.0 ** (-(i % 5))
         got = mmse_estimate(obs, corr, noise_var, cfg).grid.data
         assert got.tobytes() == _dense_mmse_reference(obs, corr, noise_var, cfg).tobytes()
@@ -442,7 +410,7 @@ def test_mmse_bitwise_across_lattices():
 
 def test_mmse_jitter_fallback_rebuilds_the_overwritten_system(monkeypatch):
     cfg = tiny_cfg(64, 32, 4, 4)
-    obs, corr = _random_mmse_case(cfg, 5)
+    obs, corr = random_mmse_case(cfg, 5)
     chol = blas.lapack_cholesky()
     systems = []
 
@@ -576,7 +544,7 @@ def test_noisy_mmse_holds_one_pilot_square_matrix(m):
     1024 pilots peaks near one n_pilot x n_pilot array, and a second n x n
     buffer would put it at two."""
     cfg = tiny_cfg(m, 64, 4, 4)
-    obs, corr = _random_mmse_case(cfg, 6)
+    obs, corr = random_mmse_case(cfg, 6)
     mmse_estimate(obs, corr, 1e-2, cfg)  # first-call set-up is not the solve's
     _, peak = traced_peak(lambda: mmse_estimate(obs, corr, 1e-2, cfg))
     assert peak <= 1.25 * corr.n_pilot**2 * 16
@@ -587,7 +555,7 @@ def test_mmse_jitter_fallback_holds_one_pilot_square_matrix(monkeypatch):
     fallback solve at 512 pilots peaks near one n_pilot x n_pilot array,
     where holding both put it at 8.4 MiB."""
     cfg = tiny_cfg(128, 64, 4, 4)
-    obs, corr = _random_mmse_case(cfg, 6)
+    obs, corr = random_mmse_case(cfg, 6)
     mmse_estimate(obs, corr, 1e-2, cfg)  # first-call set-up is not the solve's
     chol, failed = blas.lapack_cholesky(), []
 
@@ -714,35 +682,3 @@ def test_reconstruct_route_equals_direct_formula():
     for gain, delay, doppler in zip(ps_hat.gains, ps_hat.delays, ps_hat.dopplers):
         want += gain * np.exp(2j * np.pi * (doppler * n / 8 - delay * m / 16))
     assert np.max(np.abs(via_dd - want)) < 1e-10
-
-
-@st.composite
-def _on_grid_path_sets(draw):
-    """One to five paths in distinct delay bins of a 32x16 grid with
-    d_t = d_f = 2, at integer Dopplers inside the period [-4, 4)."""
-    delays = draw(st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True))
-    gains, dopplers = [], []
-    for _ in delays:
-        mag = draw(st.floats(0.1, 1.0))
-        phase = draw(st.floats(0.0, 2.0 * np.pi))
-        gains.append(mag * np.exp(1j * phase))
-        dopplers.append(draw(st.integers(-4, 3)))
-    return PathSet(gains, delays, dopplers)
-
-
-@settings(max_examples=40, deadline=None, database=None)
-@given(_on_grid_path_sets())
-def test_offgrid_recovers_on_grid_in_support_path_sets_exactly(ps):
-    cfg = tiny_cfg(32, 16, d_t=2, d_f=2)
-    pattern = PilotPattern(d_t=2, d_f=2)
-    x, lay = build_frame(qam4_mod(np.zeros(2 * make_layout(pattern, cfg).n_data)), pattern, cfg)
-    y = apply_channel_diag(x, ps, 0.0, np.random.default_rng(0))
-    est = estimate_csf(y, x, lay, cfg, "offgrid", 0.0)
-    assert est.paths_hat is not None and not est.truncated
-    got, want = est.paths_hat, ps
-    order_got, order_want = np.argsort(got.delays), np.argsort(want.delays)
-    assert np.array_equal(got.delays[order_got], want.delays[order_want])
-    assert np.abs(got.dopplers[order_got] - want.dopplers[order_want]).max() < 1e-9
-    assert np.abs(got.gains[order_got] - want.gains[order_want]).max() < 1e-9
-    h_hat = isfft(est.full_dd, cfg).data
-    assert np.abs(h_hat - ctf_from_paths(ps, cfg).data).max() < 1e-9

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddce.grids import TFGrid, sfft
 from ddce.kernels import (
@@ -10,6 +12,7 @@ from ddce.kernels import (
     doppler_alias_difference,
     doppler_kernel,
 )
+from helpers import lattices
 
 
 def doppler_sum(k_i, k, big_n, d_t):
@@ -116,13 +119,14 @@ def closed_form_per_path(gains, delays, dopplers, big_m, big_n):
     return acc
 
 
-@pytest.mark.parametrize("n_paths", [0, 1, 6])
-def test_closed_form_equals_per_path_kernels_bitwise(n_paths):
-    rng = np.random.default_rng(40 + n_paths)
-    big_m, big_n = 32, 16
+@settings(max_examples=60, deadline=None, database=None)
+@given(lattices(), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_closed_form_equals_per_path_kernels_bitwise(lattice, n_paths, seed):
+    big_m, big_n, _, _ = lattice
+    rng = np.random.default_rng(seed)
     gains = rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)
-    delays = rng.choice(big_m // 4, n_paths, replace=False)
-    dopplers = rng.uniform(-3.0, 3.0, n_paths)  # fractional
+    delays = rng.integers(0, big_m, n_paths)
+    dopplers = rng.uniform(-big_n / 2, big_n / 2, n_paths)  # fractional
     dopplers[: n_paths // 2] = np.rint(dopplers[: n_paths // 2])  # and on-grid
     got = csf_closed_form(gains, delays, dopplers, big_m, big_n)
     want = closed_form_per_path(gains, delays, dopplers, big_m, big_n)

@@ -1,10 +1,9 @@
 """The lean routes of the per-trial path against the routes they replaced,
 bit for bit: the qam4 table, flat-index frame assembly and pilot gathering,
 the sliced period centering and embedding, the whole-array Dirichlet kernel,
-the one-buffer closed-form image, the genie MMSE's steering grid formed
-after its solve, the gathered-slope pilot interpolation, the array path set
-and the layout derived from its lattice.  Each reference below is the
-replaced code."""
+the genie MMSE's steering grid formed after its solve, the gathered-slope
+pilot interpolation, the array path set and the layout derived from its
+lattice.  Each reference below is the replaced code."""
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from ddce.estimators import (
     periodic_csf,
 )
 from ddce.grids import PeriodCSF, TFGrid, sfft
-from ddce.kernels import csf_closed_form
 from ddce.txrx import PILOT_VALUE, FrameLayout, PilotPattern, build_frame, make_layout, qam4_mod
 from helpers import lattices, tiny_cfg
 
@@ -156,30 +154,6 @@ def test_whole_array_dirichlet_equals_the_masked_route(lattice, phase_sign, data
         got = kernels._dirichlet(delta, big_n, d_t, phase_sign)
         want = masked_dirichlet(delta, big_n, d_t, phase_sign)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-def closed_form_per_path(gains, delays, dopplers, big_m, big_n):
-    k_axis, l_axis = np.arange(big_n), np.arange(big_m)
-    cols = kernels._dirichlet(np.asarray(dopplers)[:, None] - k_axis, big_n, 1, +1)
-    rows = kernels._dirichlet(np.asarray(delays)[:, None] - l_axis, big_m, 1, -1)
-    acc = np.zeros((big_n, big_m), dtype=np.complex128)
-    for g, col, row in zip(gains, cols, rows):
-        acc += g * np.outer(col, row)
-    return acc
-
-
-@ROUTES
-@given(lattices(), st.integers(0, 6), st.integers(0, 2**32 - 1))
-def test_one_buffer_closed_form_equals_the_per_path_loop(lattice, n_paths, seed):
-    big_m, big_n, _, _ = lattice
-    rng = np.random.default_rng(seed)
-    gains = _complex(rng, n_paths)
-    delays = rng.integers(0, big_m, n_paths)
-    dopplers = rng.uniform(-big_n / 2, big_n / 2, n_paths)
-    dopplers[: n_paths // 2] = np.rint(dopplers[: n_paths // 2])  # on-grid ones too
-    got = csf_closed_form(gains, delays, dopplers, big_m, big_n)
-    want = closed_form_per_path(gains, delays, dopplers, big_m, big_n)
-    assert got.tobytes() == want.tobytes()
 
 
 class EagerCorrelationPair(CorrelationPair):

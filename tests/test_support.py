@@ -1,8 +1,8 @@
 """The support theorem across pilot lattices: noiseless on-grid paths inside
 one period of the lattice-sampled image are recovered exactly by both CSF
-modes, a path one Doppler bin past the period leaves exactly the aliasing
-error `doppler_alias_difference` predicts, and validation draws the line
-exactly at the support's edges."""
+modes, the off-grid mode reading back each path, a path one Doppler bin past
+the period leaves exactly the aliasing error `doppler_alias_difference`
+predicts, and validation draws the line exactly at the support's edges."""
 
 import re
 from fractions import Fraction
@@ -62,6 +62,13 @@ def test_noiseless_csf_ctfs_are_exact_inside_the_support(data):
     for mode in CSF_MODES:
         est = estimate_csf(y, x, layout, cfg, mode, 0.0)
         assert np.abs(isfft(est.full_dd, cfg).data - want).max() <= 1e-9, mode
+        if mode == "offgrid":  # its paths are the true ones: same delays, Doppler and gain to 1e-9
+            got = est.paths_hat
+            assert got is not None and not est.truncated
+            order_got, order_want = np.argsort(got.delays), np.argsort(ps.delays)
+            assert np.array_equal(got.delays[order_got], ps.delays[order_want])
+            assert np.abs(got.dopplers[order_got] - ps.dopplers[order_want]).max() < 1e-9
+            assert np.abs(got.gains[order_got] - ps.gains[order_want]).max() < 1e-9
 
 
 @settings(max_examples=150, deadline=None, database=None)

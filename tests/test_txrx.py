@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ddce.errors import ContractViolationError
-from ddce.grids import TFGrid
+from ddce.grids import MAX_GRID_RES, TFGrid
 from ddce.txrx import (
     NEAR_SINGULAR_TOL,
     PILOT_VALUE,
@@ -88,6 +88,9 @@ _LAYOUT = dict(shape=(4, 4), d_t=2, d_f=2)
             ("shape", (4, 4, 1), r"^shape must be \(M, N\), got 3 sides$"),
             ("shape", 4, "^shape must be a list, not int$"),
             ("shape", (0, 4), "^shape must be >= 1, got 0$"),
+            # past the grid bound, refused before any (N, M) array is built
+            ("shape", (1024, 1025), f"^shape must hold at most {MAX_GRID_RES} resource elements$"),
+            ("shape", (2, 2**62), f"^shape must hold at most {MAX_GRID_RES} resource elements$"),
             ("d_t", 2.0, "^d_t must be an integer, got 2.0$"),
             ("d_t", 0, "^d_t must be a divisor of 4, got 0$"),
             ("d_f", 3, "^d_f must be a divisor of 4, got 3$"),
@@ -107,9 +110,9 @@ _LAYOUT = dict(shape=(4, 4), d_t=2, d_f=2)
     ],
 )
 def test_a_hand_built_layout_is_checked_against_its_shape(key, value, message):
-    """Each side and spacing an int >= 1, and each spacing a divisor of its
-    side: anything else is one error naming the field.  An index array is
-    not an argument at all."""
+    """Each side and spacing an int >= 1, each spacing a divisor of its side
+    and M*N at most MAX_GRID_RES: anything else is one error naming the
+    field.  An index array is not an argument at all."""
     error = ContractViolationError if key in _LAYOUT else TypeError
     with pytest.raises(error, match=message):
         FrameLayout(**{**_LAYOUT, key: value})
