@@ -88,9 +88,11 @@ _LAYOUT = dict(shape=(4, 4), d_t=2, d_f=2)
             ("shape", (4, 4, 1), r"^shape must be \(M, N\), got 3 sides$"),
             ("shape", 4, "^shape must be a list, not int$"),
             ("shape", (0, 4), "^shape must be >= 1, got 0$"),
-            # past the grid bound, refused before any (N, M) array is built
+            # past the grid bound, refused before the spacings are checked and any (N, M) array is built
             ("shape", (1024, 1025), f"^shape must hold at most {MAX_GRID_RES} resource elements$"),
             ("shape", (2, 2**62), f"^shape must hold at most {MAX_GRID_RES} resource elements$"),
+            ("shape", (2**62, 2), f"^shape must hold at most {MAX_GRID_RES} resource elements$"),
+            ("shape", (MAX_GRID_RES + 1, 1), f"^shape must hold at most {MAX_GRID_RES} resource elements$"),
             ("d_t", 2.0, "^d_t must be an integer, got 2.0$"),
             ("d_t", 0, "^d_t must be a divisor of 4, got 0$"),
             ("d_f", 3, "^d_f must be a divisor of 4, got 3$"),
@@ -116,6 +118,13 @@ def test_a_hand_built_layout_is_checked_against_its_shape(key, value, message):
     error = ContractViolationError if key in _LAYOUT else TypeError
     with pytest.raises(error, match=message):
         FrameLayout(**{**_LAYOUT, key: value})
+
+
+@pytest.mark.parametrize("shape, d_t, d_f", [((1024, 1024), 2, 2), ((2, MAX_GRID_RES // 2), 2, 2), ((1, MAX_GRID_RES), 1, 1)])
+def test_a_hand_built_layout_at_the_grid_bound_is_built(shape, d_t, d_f):
+    """The bound is inclusive: a layout of exactly MAX_GRID_RES resource elements places each one."""
+    lay = FrameLayout(shape, d_t, d_f)
+    assert (lay.n_pilot, lay.n_pilot + lay.n_data) == (MAX_GRID_RES // (d_t * d_f), MAX_GRID_RES)
 
 
 def test_a_hand_built_layout_stores_int_sides_and_read_only_copies():
