@@ -161,10 +161,6 @@ class PeriodCSF:
     def k_min(self) -> int:
         return -(self.n_doppler // 2)
 
-    @property
-    def doppler_axis(self) -> np.ndarray:
-        return np.arange(self.n_doppler) + self.k_min
-
     @cached_property
     def magnitude(self) -> np.ndarray:
         """Read-only |data|, computed once for detection and recovery."""

@@ -381,19 +381,17 @@ def check_alias_difference() -> CheckResult:
     return CheckResult("alias_difference", worst < 1e-9, worst)
 
 
-def check_ongrid_exact_recovery(placements=None) -> CheckResult:
+def check_ongrid_exact_recovery() -> CheckResult:
     """With on-grid paths inside the period support, the pilot-lattice period
     equals the true image on its support and the rebuilt CTF is exact.
 
     Runs every in-support single-path placement on a 16x16 grid with
-    d_t = d_f = 2 unless given explicit (doppler, delay) pairs; out-of-support
-    placements then show the expected aliasing failure.
+    d_t = d_f = 2.
     """
     big_m, big_n, d_t, d_f = 16, 16, 2, 2
     cfg = _tiny_cfg(big_m, big_n, d_t, d_f)
     k_half, l_lim = big_n // (2 * d_t), big_m // d_f
-    if placements is None:
-        placements = [(k, l) for k in range(-k_half, k_half) for l in range(l_lim)]
+    placements = [(k, l) for k in range(-k_half, k_half) for l in range(l_lim)]
     worst = 0.0
     for k_i, l_i in placements:
         ps = PathSet([0.8 - 0.6j], [l_i], [k_i])

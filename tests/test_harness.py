@@ -34,12 +34,11 @@ from ddce.estimators import (
     ls_pilot,
     mmse_estimate,
 )
-from ddce.grids import TFGrid, isfft
+from ddce.grids import PeriodCSF, TFGrid, isfft
 from ddce.harness import (
     CSV_HEADER,
     SweepRow,
     SweepTable,
-    check_ongrid_exact_recovery,
     child_seed,
     format_csv,
     run_trial,
@@ -464,31 +463,40 @@ def test_table_lookup_errors():
         table.by(5.0, "ideal")
 
 
+# each verify check, in the suite's order: the one harness name it reads,
+# and a small error put into that name's results
+_ROLLED = ("periodic_csf", lambda p: PeriodCSF(np.roll(p.data, 1, axis=0), p.d_t, p.d_f))
+_PERTURBED = {
+    "transform_roundtrip": ("isfft", lambda grid: TFGrid(1.001 * grid.data)),
+    "lattice_kernel_ongrid": ("doppler_kernel", lambda vals: 1.001 * vals),
+    "period_is_periodic": _ROLLED,
+    "alias_difference": ("doppler_alias_difference", lambda vals: 1.01 * vals),
+    "ongrid_exact_recovery": _ROLLED,
+    "offgrid_recovery_sweep": (
+        "recover_paths_offgrid", lambda got: (replace(got[0], dopplers=got[0].dopplers + 0.01), got[1])
+    ),
+    "perfect_csi_ber": ("run_trial", lambda res: replace(res, ber=0.5)),
+}
+
+
 def test_verify_suite_all_green_and_report_shape():
     report = verify_suite()
     assert report.all_pass
     lines = report.render().splitlines()
-    assert len(lines) == 7
     names = []
     for line in lines:
         m = re.fullmatch(r"CHECK ([a-z_]+) (PASS|FAIL) max_err=(\S+)", line)
         assert m, line
         names.append(m.group(1))
         assert m.group(2) == "PASS"
-    assert names == [
-        "transform_roundtrip",
-        "lattice_kernel_ongrid",
-        "period_is_periodic",
-        "alias_difference",
-        "ongrid_exact_recovery",
-        "offgrid_recovery_sweep",
-        "perfect_csi_ber",
-    ]
+    assert names == list(_PERTURBED)
     assert report.render().endswith("\n")
 
 
-def test_verify_catches_out_of_support_placement():
-    # Doppler +4 lies outside the centered period of a 16x16, spacing-2 grid
-    res = check_ongrid_exact_recovery(placements=[(4, 0)])
-    assert not res.passed
-    assert res.max_err > 1e-6
+@pytest.mark.parametrize("check", list(_PERTURBED))
+def test_each_verify_check_fails_when_what_it_reads_is_off(monkeypatch, check):
+    name, perturb = _PERTURBED[check]
+    real = getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *args, **kw: perturb(real(*args, **kw)))
+    res = getattr(harness, f"check_{check}")()
+    assert res.name == check and not res.passed

@@ -40,13 +40,6 @@ print(json.dumps({{"code": code, "loaded": [m for m in {lazy!r} if m in sys.modu
 """
 
 
-def test_import_loads_neither_the_dense_solver_nor_the_pool():
-    got = run_python(
-        f"import json, sys, ddce; print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))"
-    )
-    assert got == []
-
-
 @pytest.mark.parametrize("case", ["ongrid-sweep", "verify", "simulate-offgrid"])
 def test_runs_without_the_genie_mmse_load_neither(case, tmp_path):
     cfg = small_config(

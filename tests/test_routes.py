@@ -90,7 +90,7 @@ def test_flat_frame_and_pilot_gather_equal_the_fancy_index_routes(lattice, seed)
 
 def fancy_embedding(p, big_m, big_n):
     full = np.zeros((big_n, big_m), dtype=np.complex128)
-    rows = p.doppler_axis % big_n
+    rows = (np.arange(p.n_doppler) + p.k_min) % big_n
     full[rows[:, None], np.arange(p.n_delay)[None, :]] = p.data
     return full
 
