@@ -27,13 +27,12 @@ class ConfigError(ValueError):
     """A config file failed to parse or validate.  Message lists every violation."""
 
 
-_NOUNS = {int: ("an integer", numbers.Integral), float: ("a real number", numbers.Real),
-          complex: ("a number", numbers.Complex)}
+_NOUNS = {int: ("an integer", numbers.Integral), float: ("a real number", numbers.Real)}
 
 
 def number(ok=None, rule="", kind=float):
-    """The check(key, value) of a number kind: a Python `kind` from an int or numpy int (int),
-    any real number (float) or any number (complex), never a bool; within the float64 range
+    """The check(key, value) of a number kind: a Python `kind` from an int or numpy int (int)
+    or any real number (float), never a bool; within the float64 range
     and passing `ok`, or one ContractViolationError naming `key` (a config lists its message
     in a ConfigError, a profile raises it as a ProfileError)."""
     noun, types = _NOUNS[kind]
@@ -42,7 +41,7 @@ def number(ok=None, rule="", kind=float):
         if type(value) is not kind and (isinstance(value, (bool, np.bool_)) or not isinstance(value, types)):
             raise ContractViolationError(f"{key} must be {noun}, got {value!r}")
         try:
-            complex(out := kind(value))
+            float(out := kind(value))
         except OverflowError:  # only an int can lie past the float range
             size = f"an integer of {abs(int(value)).bit_length()} bits"
             raise ContractViolationError(f"{key} must lie within the float64 range, got {size}") from None

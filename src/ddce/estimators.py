@@ -56,7 +56,7 @@ class PilotObservations:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze_grid(self.values, "PilotObservations"))
-        _set_spacings(self)
+        _set_spacings(self, self.values)
 
 
 def ls_pilot(y: TFGrid, x: TFGrid, layout: FrameLayout) -> PilotObservations:
@@ -240,10 +240,9 @@ def genie_correlations(ps: PathSet, cfg: "SystemConfig", layout: FrameLayout) ->
 
 @dataclass(frozen=True)
 class MmseEstimate:
-    """MMSE solution plus a flag for the rank-deficient noiseless fallback."""
+    """MMSE solution on the full grid."""
 
     grid: TFGrid
-    used_least_norm: bool = False
 
 
 def mmse_estimate(
@@ -296,7 +295,7 @@ def mmse_estimate(
             h_vec = corr.apply_r1(z)
     if not np.isfinite(h_vec).all():
         raise ContractViolationError(f"noise_var must keep the estimate of obs finite, got {noise_var}")
-    return MmseEstimate(_adopt(TFGrid, h_vec.reshape(cfg.M, cfg.N, order="F")), noise_var == 0)
+    return MmseEstimate(_adopt(TFGrid, h_vec.reshape(cfg.M, cfg.N, order="F")))
 
 
 def _check_lattice(obs: PilotObservations, cfg: "SystemConfig"):
@@ -314,30 +313,30 @@ def periodic_csf(obs: PilotObservations, cfg: "SystemConfig") -> PeriodCSF:
 
     Computed as the `sfft` of the (M/d_f) x (N/d_t) pilot grid scaled by
     sqrt(d_t*d_f), which matches the closed-form lattice kernels exactly.
-    Doppler rows come out centered.
+    Doppler rows come out centered, so the lattice must hold an even number
+    of pilot symbols, as a validated config's does.
     """
     _check_lattice(obs, cfg)
+    if (n_t := obs.values.shape[1]) % 2:
+        raise ContractViolationError(f"values must hold an even number of pilot symbols, got {n_t}")
     period = np.sqrt(cfg.d_t * cfg.d_f) * sfft(_adopt(TFGrid, obs.values)).data  # k standard order
     half = period.shape[0] // 2  # fftshift along k: the negative rows first
     centered = np.concatenate((period[half:], period[:half]))
     return _adopt(PeriodCSF, centered, d_t=cfg.d_t, d_f=cfg.d_f)
 
 
-def csf_ongrid(p: PeriodCSF, cfg: "SystemConfig") -> DDGrid:
-    """Embed the period at its place in the full N x M delay-Doppler grid.
+def csf_ongrid(p: PeriodCSF) -> DDGrid:
+    """Embed the period at its place in the full N x M delay-Doppler grid it
+    was sampled from (N = p.full_n, M = p.full_m).
 
     Doppler rows k in [-N/(2*d_t), N/(2*d_t)) map to rows k mod N, delay
     columns to l in [0, M/d_f); everything else is zero.  For on-grid paths
     inside that support this reproduces the exact image (no aliasing).
     """
-    if (p.full_n, p.full_m) != (cfg.N, cfg.M):
-        raise ContractViolationError(
-            f"period covers a {p.full_n}x{p.full_m} grid, config wants {cfg.N}x{cfg.M}"
-        )
-    full = np.zeros((cfg.N, cfg.M), dtype=np.complex128)
+    full = np.zeros((p.full_n, p.full_m), dtype=np.complex128)
     half = p.n_doppler // 2  # rows k = -half .. -1 go last, k = 0 .. half - 1 first
     full[:half, : p.n_delay] = p.data[half:]
-    full[cfg.N - half :, : p.n_delay] = p.data[:half]
+    full[p.full_n - half :, : p.n_delay] = p.data[:half]
     return _adopt(DDGrid, full)
 
 
@@ -358,7 +357,7 @@ def _occupied_columns(p: PeriodCSF, noise_var: float, cfg: "SystemConfig") -> np
     noise_var = non_negative_float("noise_var", noise_var)
     peaks = p.column_peaks[1]
     if noise_var > 0:
-        thr = cfg.gamma_threshold * np.sqrt(noise_var * cfg.d_t * cfg.d_f)
+        thr = cfg.gamma_threshold * np.sqrt(noise_var * p.d_t * p.d_f)
     else:
         thr = _machine_floor(p)
     return peaks > thr
@@ -433,22 +432,23 @@ def csf_from_period(p: PeriodCSF, cfg: "SystemConfig", mode: str, noise_var: flo
     the CTF.  mode "offgrid" detects the number of occupied delay bins,
     recovers each path with fractional Doppler and rebuilds the image from
     the recovered paths.  An offgrid run that detects nothing returns an
-    all-zero image with paths_hat = None.
+    all-zero image with paths_hat = None.  Both modes' image is the
+    period's full grid; of cfg only gamma_threshold is read.
     """
     if mode not in CSF_MODES:
         raise ContractViolationError(f"unknown mode '{mode}', valid: {CSF_MODES}")
     if mode == "ongrid":
         keep = _occupied_columns(p, noise_var, cfg)
         gated = _adopt(PeriodCSF, np.where(keep[None, :], p.data, 0.0), d_t=p.d_t, d_f=p.d_f)
-        return CsfEstimate(None, csf_ongrid(gated, cfg))
+        return CsfEstimate(None, csf_ongrid(gated))
     n_paths = estimate_num_paths(p, noise_var, cfg)
     ps_hat, truncated = recover_paths_offgrid(p, n_paths) if n_paths else (None, True)
     if ps_hat is None:
-        zero = _adopt(DDGrid, np.zeros((cfg.N, cfg.M), dtype=np.complex128))
+        zero = _adopt(DDGrid, np.zeros((p.full_n, p.full_m), dtype=np.complex128))
         return CsfEstimate(None, zero, truncated=True)
     # `channel.csf_from_paths` on the recovered paths, spelled out so that
     # csf_closed_form is looked up here, where sweepbench/replay.py times it
-    dd = csf_closed_form(ps_hat.gains, ps_hat.delays, ps_hat.dopplers, cfg.M, cfg.N)
+    dd = csf_closed_form(ps_hat.gains, ps_hat.delays, ps_hat.dopplers, p.full_m, p.full_n)
     return CsfEstimate(ps_hat, _adopt(DDGrid, dd), truncated=truncated)
 
 

@@ -58,11 +58,17 @@ def _freeze_grid(data, what: str) -> np.ndarray:
     return arr
 
 
-def _set_spacings(obj) -> None:
+def _set_spacings(obj, data=None) -> None:
     """Check a frozen lattice object's pilot spacings d_t, d_f, and set each
-    as a Python int."""
+    as a Python int.  Given the lattice's data, the full grid it samples,
+    data.size * d_t * d_f resource elements, is at most MAX_GRID_RES, or the
+    error names d_t if it alone spans more, else d_f."""
     for key in ("d_t", "d_f"):
         object.__setattr__(obj, key, positive_int(key, getattr(obj, key)))
+    if data is not None and data.size * obj.d_t * obj.d_f > MAX_GRID_RES:
+        key = "d_t" if data.size * obj.d_t > MAX_GRID_RES else "d_f"
+        raise ContractViolationError(f"{key} must keep the full grid at most {MAX_GRID_RES} "
+                                     "resource elements")
 
 
 def _adopt(cls, data: np.ndarray, **fields):
@@ -138,7 +144,7 @@ class PeriodCSF:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _freeze_grid(self.data, "PeriodCSF"))
-        _set_spacings(self)
+        _set_spacings(self, self.data)
 
     @property
     def n_doppler(self) -> int:
@@ -184,16 +190,12 @@ class PeriodCSF:
         return complex(self.data[row, integer("l", l) % self.n_delay])
 
 
-def sfft(tf: TFGrid, cfg=None) -> DDGrid:
+def sfft(tf: TFGrid) -> DDGrid:
     """Map a TF grid to its delay-Doppler image.
 
     Orthonormal IDFT over subcarriers followed by orthonormal DFT over
     symbols; output rows are Doppler in standard order, columns are delay.
     """
-    if cfg is not None and tf.data.shape != (cfg.M, cfg.N):
-        raise ContractViolationError(
-            f"TF grid shape {tf.data.shape} does not match config (M={cfg.M}, N={cfg.N})"
-        )
     tmp = np.fft.ifft(tf.data, axis=0, norm="ortho")  # m -> l, now [l, n]
     tmp = np.fft.fft(tmp, axis=1, norm="ortho")  # n -> k, now [l, k]
     return _adopt(DDGrid, tmp.T)

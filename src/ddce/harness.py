@@ -360,7 +360,7 @@ def check_period_is_periodic() -> CheckResult:
             want = direct(k, l)
             worst = max(worst, abs(period.value(k, l) - want))
             worst = max(worst, abs(direct(k + n_t, l + n_f) - want))
-    return CheckResult("period_is_periodic", worst < 1e-12, worst)
+    return CheckResult("period_is_periodic", bool(worst < 1e-12), float(worst))
 
 
 def check_alias_difference() -> CheckResult:
@@ -372,7 +372,7 @@ def check_alias_difference() -> CheckResult:
     for k_i, l_i in ((1.7, 1), (-3.3, 2), (0.49, 0)):
         ps = PathSet([1.0 + 0.0j], [l_i], [k_i])
         period = _noiseless_period(ps, cfg)
-        embedded = csf_ongrid(period, cfg)
+        embedded = csf_ongrid(period)
         true_dd = csf_from_paths(ps, cfg)
         ks = np.arange(-big_n // 2, big_n // 2)
         diff = np.array([true_dd.at_centered(k, l_i) - embedded.at_centered(k, l_i) for k in ks])
@@ -400,7 +400,7 @@ def check_ongrid_exact_recovery() -> CheckResult:
         for k in range(-k_half, k_half):
             for l in range(l_lim):
                 worst = max(worst, abs(period.value(k, l) - true_dd.at_centered(k, l)))
-        h_hat = isfft(csf_ongrid(period, cfg), cfg)
+        h_hat = isfft(csf_ongrid(period), cfg)
         h_true = ctf_from_paths(ps, cfg)
         worst = max(worst, float(np.abs(h_hat.data - h_true.data).max()))
     return CheckResult("ongrid_exact_recovery", worst < 1e-9, worst)
@@ -425,7 +425,7 @@ def check_offgrid_recovery_sweep() -> CheckResult:
         # ceilings calibrated on this grid; the ratio rule's bias peaks
         # around |offset| ~ 0.2 at 6.2e-4 (Doppler) and 1.9e-3 (gain)
         worst = max(worst, err_k / 7e-4, err_g / 2.1e-3)
-    return CheckResult("offgrid_recovery_sweep", worst < 1.0, worst)
+    return CheckResult("offgrid_recovery_sweep", bool(worst < 1.0), float(worst))
 
 
 def check_perfect_csi_ber() -> CheckResult:

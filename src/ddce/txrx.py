@@ -73,10 +73,6 @@ class FrameLayout:
             object.__setattr__(self, key, value)
 
     @property
-    def n_pilot(self) -> int:
-        return self.pilot_flat.size
-
-    @property
     def n_data(self) -> int:
         return self.data_flat.size
 

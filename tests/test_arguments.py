@@ -24,7 +24,6 @@ from ddce.errors import ContractViolationError
 from ddce.estimators import (
     CorrelationPair,
     PilotObservations,
-    csf_ongrid,
     estimate_csf,
     estimate_num_paths,
     genie_correlations,
@@ -34,7 +33,7 @@ from ddce.estimators import (
     periodic_csf,
     recover_paths_offgrid,
 )
-from ddce.grids import DDGrid, PeriodCSF, TFGrid, isfft, sfft
+from ddce.grids import MAX_GRID_RES, DDGrid, PeriodCSF, TFGrid, isfft
 from ddce.harness import child_seed
 from ddce.kernels import csf_closed_form, delay_kernel, doppler_alias_difference, doppler_kernel
 from ddce.txrx import (
@@ -403,8 +402,6 @@ _REFUSALS = {
     "apply_response_diag: 8x2 h": (
         lambda: apply_response_diag(TFGrid(_ONES_8x4), TFGrid(np.ones((8, 2))), 0.0, _rng()),
         "grid shapes differ: x (8, 4) vs h (8, 2)"),
-    "sfft: 8x8 on 8x6": (lambda: sfft(TFGrid(np.ones((8, 8))), SimpleNamespace(M=8, N=6)),
-                         "TF grid shape (8, 8) does not match config (M=8, N=6)"),
     "isfft: 8x8 on 8x6": (lambda: isfft(DDGrid(np.ones((8, 8))), SimpleNamespace(M=8, N=6)),
                           "DD grid shape (8, 8) does not match config (N=6, M=8)"),
     "ls_pilot: zero pilots": (
@@ -428,8 +425,17 @@ _REFUSALS = {
     "interp_linear: 2x2 lattice": (
         lambda: interp_linear(PilotObservations(np.ones((2, 2)), 2, 2), tiny_cfg(8, 4, 2, 2)),
         f"{_LATTICE} (4, 2) with (d_t=2, d_f=2)"),
-    "csf_ongrid: 8x8 period": (lambda: csf_ongrid(PeriodCSF(np.ones((4, 4)), 2, 2), tiny_cfg(8, 16, 2, 2)),
-                               "period covers a 8x8 grid, config wants 16x8"),
+    # a period or pilot lattice spans the full grid it samples, which is bounded as a config's
+    # is; the spacing that alone spans too much is named
+    **{f"{cls.__name__}: {key} past the grid bound": (
+        partial(cls, np.ones((2, 2)), *spacings),
+        f"{key} must keep the full grid at most {MAX_GRID_RES} resource elements")
+       for cls in (PeriodCSF, PilotObservations)
+       for key, spacings in (("d_t", (MAX_GRID_RES // 2, 1)), ("d_f", (2, MAX_GRID_RES // 4)))},
+    # an odd number of pilot symbols has no centered Doppler axis; a validated config has none
+    "periodic_csf: 3 pilot symbols": (
+        lambda: periodic_csf(PilotObservations(np.ones((4, 3)), 2, 2), tiny_cfg(8, 6, 2, 2)),
+        "values must hold an even number of pilot symbols, got 3"),
     "mmse_estimate: noise_var -1": (lambda: _mmse_8x8(4, -1.0),
                                     "noise_var must be non-negative and at most 2.25e+307, got -1.0"),
     "mmse_estimate: 2x2 lattice": (lambda: _mmse_8x8(2, 0.1), f"{_LATTICE} (4, 4) with (d_t=2, d_f=2)"),
@@ -466,6 +472,9 @@ _READINGS = {
     # a complex list is taken as its array
     "CorrelationPair: a complex steering list": (
         lambda: _pair(steering_pilot=_STEERING.tolist()).n_pilot, 4),
+    # the grid bound is inclusive
+    "PeriodCSF: spacings at the grid bound": (
+        lambda: (p := PeriodCSF(np.ones((2, 2)), MAX_GRID_RES // 4, 1)).full_n * p.full_m, MAX_GRID_RES),
 }
 
 

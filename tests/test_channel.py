@@ -200,7 +200,7 @@ def test_ctf_mean_energy_is_profile_power():
 def test_csf_image_agrees_with_transformed_ctf():
     cfg = tiny_cfg(16, 8)
     ps = PathSet([1.0 + 0.3j, 0.2 - 0.7j], [2, 5], [1.49, -0.8])
-    via_tf = sfft(ctf_from_paths(ps, cfg), cfg).data
+    via_tf = sfft(ctf_from_paths(ps, cfg)).data
     got = csf_from_paths(ps, cfg).data
     assert np.max(np.abs(got - via_tf)) < 1e-10
 

@@ -1,10 +1,11 @@
 """Monte-Carlo harness: seeding, sweeps, CSV output, verification checks."""
 
 import functools
+import json
 import os
 import re
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -482,6 +483,9 @@ _PERTURBED = {
 def test_verify_suite_all_green_and_report_shape():
     report = verify_suite()
     assert report.all_pass
+    # plain Python values, so the report is JSON as it stands
+    assert all(type(c.passed) is bool and type(c.max_err) is float for c in report.checks)
+    json.dumps(asdict(report))
     lines = report.render().splitlines()
     names = []
     for line in lines:
@@ -500,3 +504,4 @@ def test_each_verify_check_fails_when_what_it_reads_is_off(monkeypatch, check):
     monkeypatch.setattr(harness, name, lambda *args, **kw: perturb(real(*args, **kw)))
     res = getattr(harness, f"check_{check}")()
     assert res.name == check and not res.passed
+    assert type(res.passed) is bool and type(res.max_err) is float

@@ -65,7 +65,7 @@ def fancy_frame(syms, layout, big_m, big_n):
 def fancy_ls_pilot(y, x, layout):
     vals = y.data[layout.pilot_m, layout.pilot_n] / x.data[layout.pilot_m, layout.pilot_n]
     n_freq = int(np.count_nonzero(layout.pilot_n == layout.pilot_n[0]))
-    n_time = layout.n_pilot // n_freq
+    n_time = layout.pilot_flat.size // n_freq
     grid = vals.reshape(n_time, n_freq).T
     return grid, y.n_symbols // n_time, y.n_subcarriers // n_freq
 
@@ -101,7 +101,7 @@ def test_sliced_period_embedding_equals_the_fancy_index_route(lattice, seed):
     big_m, big_n, d_t, d_f = lattice
     data = _complex(np.random.default_rng(seed), (big_n // d_t, big_m // d_f))
     period = PeriodCSF(data, d_t, d_f)
-    got = csf_ongrid(period, tiny_cfg(big_m, big_n, d_t, d_f)).data
+    got = csf_ongrid(period).data
     assert got.tobytes() == fancy_embedding(period, big_m, big_n).tobytes()
 
 
@@ -182,7 +182,6 @@ def test_factor_holding_pair_equals_the_eager_steering_grid(model):
             t = harness._Trial(cfg, snr_db, seed)
             got, _ = ESTIMATORS["mmse-genie"](t)
             want = mmse_estimate(t.obs, EagerCorrelationPair(t.ps, cfg, t.layout), t.noise_var, cfg)
-            assert want.used_least_norm == (snr_db == float("inf"))
             assert got.data.tobytes() == want.grid.data.tobytes()
 
 

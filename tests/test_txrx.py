@@ -62,7 +62,7 @@ def test_lattice_positions_are_frozen():
     data_m, data_n = np.divmod(lay.data_flat, 4)
     assert data_m[:6].tolist() == [1, 2, 3, 5, 6, 7]
     assert data_n[:6].tolist() == [0] * 6
-    assert (lay.n_pilot, lay.n_data, lay.shape) == (4, 28, (8, 4))
+    assert (lay.pilot_flat.size, lay.n_data, lay.shape) == (4, 28, (8, 4))
 
 
 def test_positions_cover_grid_without_overlap():
@@ -72,7 +72,7 @@ def test_positions_cover_grid_without_overlap():
     data_m, data_n = np.divmod(lay.data_flat, 6)
     seen.update(zip(data_m.tolist(), data_n.tolist()))
     assert len(seen) == 12 * 6
-    assert lay.n_pilot + lay.n_data == 72
+    assert lay.pilot_flat.size + lay.n_data == 72
 
 
 # pilots on every second subcarrier of every second symbol of a 4x4 grid
@@ -124,7 +124,8 @@ def test_a_hand_built_layout_is_checked_against_its_shape(key, value, message):
 def test_a_hand_built_layout_at_the_grid_bound_is_built(shape, d_t, d_f):
     """The bound is inclusive: a layout of exactly MAX_GRID_RES resource elements places each one."""
     lay = FrameLayout(shape, d_t, d_f)
-    assert (lay.n_pilot, lay.n_pilot + lay.n_data) == (MAX_GRID_RES // (d_t * d_f), MAX_GRID_RES)
+    n_pilot = lay.pilot_flat.size
+    assert (n_pilot, n_pilot + lay.n_data) == (MAX_GRID_RES // (d_t * d_f), MAX_GRID_RES)
 
 
 def test_a_hand_built_layout_stores_int_sides_and_read_only_copies():
@@ -134,7 +135,7 @@ def test_a_hand_built_layout_stores_int_sides_and_read_only_copies():
     assert lay.shape == (4, 4) and all(type(v) is int for v in (*lay.shape, lay.d_t, lay.d_f))
     arrays = (lay.pilot_m, lay.pilot_n, lay.pilot_flat, lay.data_flat)
     assert all(a.dtype == np.intp and not a.flags.writeable for a in arrays)
-    assert lay.pilot_flat.tolist() == [0, 8, 2, 10] and (lay.n_pilot, lay.n_data) == (4, 12)
+    assert lay.pilot_flat.tolist() == [0, 8, 2, 10] and (lay.pilot_flat.size, lay.n_data) == (4, 12)
 
 
 def test_a_layout_cannot_place_one_pilot_at_two_positions():
